@@ -55,6 +55,8 @@ class Template:
                 raise ValueError(f"cell ({i},{j}) out of range for n={n}")
             if not v:
                 raise ValueError("template cells must be non-zero")
+            if v.field is not field and v.field != field:
+                raise ValueError(f"cell value {v} is from {v.field!r}, not {field!r}")
         self.field = field
         self.n = n
         self.cells = cells

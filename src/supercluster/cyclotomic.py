@@ -175,11 +175,3 @@ class Cyclotomic:
     @classmethod
     def from_json(cls, data: dict) -> "Cyclotomic":
         return cls(data["p"], [Fraction(s) for s in data["coeffs"]])
-
-
-def zero(p: int) -> Cyclotomic:
-    return Cyclotomic.from_rational(p, 0)
-
-
-def one(p: int) -> Cyclotomic:
-    return Cyclotomic.from_rational(p, 1)

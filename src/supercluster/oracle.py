@@ -8,14 +8,10 @@ solved by exact linear algebra against the brute character rows.  None of
 the fast paths (reduction sweeps, combinatorial indices, closed character
 formula) are used, so a bug there cannot leak into its own certification;
 only the Template value type is shared.
-
-verify() runs the whole certification suite for one (n, q) and reports one
-pass/fail line per certified identity.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product

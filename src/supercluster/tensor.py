@@ -1,12 +1,19 @@
 """The tensor ring of cluster characters.
 
 Products decompose with non-negative integer multiplicities, computed along
-two independent routes that certify each other:
+two independent routes that certify each other.  Both are the same left
+fold: start from the trivial character and multiply the running CharSum by
+one primary character (one cell) at a time, which is sound because products
+of class functions commute and associate.  Only the step differs:
 
-* the rewrite route expands colliding primary factors case by case (same
-  column, same row, same cell with cancelling or non-cancelling values) and
-  recurses; total degree strictly drops at every expansion, so it halts;
-* the counting route counts pairs (lam1, lam2) across two clusters whose
+* the rewrite step multiplies a template by one cell, expanding a colliding
+  pair of primary factors case by case (same column, same row, same cell
+  with cancelling or non-cancelling values) and folding the replacement
+  cells back in.  Degree strictly drops (or the cell count does) at every
+  expansion, so it halts, with recursion depth bounded by the degree of
+  that one small product.  Steps are memoized in a bounded module-level
+  cache shared by every caller, so a k-factor product costs O(k) steps;
+* the counting step counts pairs (lam1, lam2) across two clusters whose
   sum lands in a given cluster and assembles the multiplicity from the
   d/i indices of the three templates.
 
@@ -16,8 +23,9 @@ are always canonical templates.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from math import gcd
 
 from . import clusters
 from .clusters import Template, coadjoint_template, invariants_of
@@ -25,6 +33,8 @@ from .errors import InvariantViolation, ResourceCapExceeded
 from .gf import Field, FieldElement
 
 DEFAULT_MAX_PAIRS = 2**24
+# Entries of the template x cell step memo, across all callers.
+STEP_MEMO_SIZE = 2**14
 
 Cell = tuple[int, int, FieldElement]
 
@@ -138,39 +148,58 @@ def _expand_pair(field: Field, c1: Cell, c2: Cell) -> list[tuple[Cell, ...]]:
     return [(hi,) if x is None else (hi, x) for x in bracket]
 
 
+def _fold(acc: dict[Template, int], cells, step) -> dict[Template, int]:
+    """Multiply acc by the primary character of each cell in turn.
+
+    ``step(tau, cell)`` yields the (template, mult) terms of tau x cell.
+    """
+    for cell in cells:
+        nxt: dict[Template, int] = {}
+        for tau, mult in acc.items():
+            for sigma, m in step(tau, cell):
+                nxt[sigma] = nxt.get(sigma, 0) + mult * m
+        acc = nxt
+    return acc
+
+
+@lru_cache(maxsize=STEP_MEMO_SIZE)
+def _rewrite_step(tau: Template, cell: Cell) -> tuple[tuple[Template, int], ...]:
+    """tau x the primary character at cell, by the rewrite rules.
+
+    A cell clear of tau's rows and columns joins the template; otherwise
+    the colliding pair is expanded and each replacement is folded into
+    what is left of tau.
+    """
+    field, n = tau.field, tau.n
+    cells = tau.cells + (cell,)
+    coll = _find_collision(cells)
+    if coll is None:
+        return ((Template(field, n, cells), 1),)
+    a, b = coll
+    rest = Template(field, n, [c for k, c in enumerate(cells) if k not in (a, b)])
+    out: dict[Template, int] = {}
+    for repl in _expand_pair(field, cells[a], cells[b]):
+        for sigma, mult in _fold({rest: 1}, repl, _rewrite_step).items():
+            out[sigma] = out.get(sigma, 0) + mult
+    return tuple(out.items())
+
+
 def tensor_rewrite(field: Field, n: int, factors) -> CharSum:
     """Decompose a tensor product of primary factors (i, j, a).
 
-    Zero-valued factors are the trivial character and are dropped.  Factor
-    sets with pairwise distinct rows and columns combine into a single
-    template; otherwise one colliding pair is expanded and the rewrite
-    recurses on each resulting term.
+    Zero-valued factors are the trivial character and are dropped; the
+    rest are folded in left to right by the memoized rewrite step.  Values
+    from another field raise ValueError.
     """
-    cells = tuple(sorted(((i, j, v) for (i, j, v) in factors if v), key=lambda c: (c[0], c[1], c[2].index)))
-    for (i, j, _) in cells:
-        if not (1 <= i < j <= n):
-            raise ValueError(f"factor position ({i},{j}) out of range for n={n}")
-    memo: dict[tuple[Cell, ...], dict[Template, int]] = {}
-
-    def resolve(cs: tuple[Cell, ...]) -> dict[Template, int]:
-        hit = memo.get(cs)
-        if hit is not None:
-            return hit
-        coll = _find_collision(cs)
-        if coll is None:
-            out = {Template(field, n, cs): 1}
-        else:
-            a, b = coll
-            rest = tuple(c for k, c in enumerate(cs) if k not in (a, b))
-            out = {}
-            for repl in _expand_pair(field, cs[a], cs[b]):
-                new = tuple(sorted(rest + repl, key=lambda c: (c[0], c[1], c[2].index)))
-                for tau, mult in resolve(new).items():
-                    out[tau] = out.get(tau, 0) + mult
-        memo[cs] = out
-        return out
-
-    return CharSum(field, n, resolve(cells))
+    cells = []
+    for (i, j, v) in factors:
+        if v.field != field:
+            raise ValueError(f"factor value {v} is from {v.field!r}, not {field!r}")
+        if v:
+            if not (1 <= i < j <= n):
+                raise ValueError(f"factor position ({i},{j}) out of range for n={n}")
+            cells.append((i, j, v))
+    return CharSum(field, n, _fold({Template(field, n, []): 1}, cells, _rewrite_step))
 
 
 def primary_product(
@@ -181,38 +210,14 @@ def primary_product(
 
 
 def tensor_product(t1: Template, t2: Template) -> CharSum:
-    """Product of two cluster characters, via primary factorization + rewrite."""
+    """Product of two cluster characters: fold t2's primary cells into t1."""
     if (t1.field, t1.n) != (t2.field, t2.n):
         raise ValueError("mismatched rings")
-    return tensor_rewrite(t1.field, t1.n, list(t1.cells) + list(t2.cells))
+    return CharSum(t1.field, t1.n, _fold({t1: 1}, t2.cells, _rewrite_step))
 
 
-def c_count(t1: Template, t2: Template, target: Template, max_pairs: int = DEFAULT_MAX_PAIRS) -> int:
-    """|{(lam1, lam2) in Psi1 x Psi2 : lam1 + lam2 in Psi(target)}|, exactly."""
-    e1 = clusters.cluster_elements(t1)
-    e2 = clusters.cluster_elements(t2)
-    if len(e1) * len(e2) > max_pairs:
-        raise ResourceCapExceeded(
-            f"{len(e1)} x {len(e2)} cluster pairs exceed the cap {max_pairs}"
-        )
-    count = 0
-    for lam1, lam2 in product(e1, e2):
-        if coadjoint_template(lam1 + lam2) == target:
-            count += 1
-    return count
-
-
-def tensor_by_counting(t1: Template, t2: Template, max_pairs: int = DEFAULT_MAX_PAIRS) -> CharSum:
-    """Decompose a product by classifying every pairwise sum of cluster elements.
-
-    The multiplicity of a target cluster is q^(i1+i2-d1-d2-d) times the pair
-    count; every coefficient must come out a non-negative integer, and the
-    result must agree with the rewrite route.  Violations raise.
-    """
-    if (t1.field, t1.n) != (t2.field, t2.n):
-        raise ValueError("mismatched rings")
-    field, n = t1.field, t1.n
-    q = field.q
+def _pair_counts(t1: Template, t2: Template, max_pairs: int) -> dict[Template, int]:
+    """How many pairs (lam1, lam2) in Psi1 x Psi2 have lam1 + lam2 in each cluster."""
     e1 = clusters.cluster_elements(t1)
     e2 = clusters.cluster_elements(t2)
     if len(e1) * len(e2) > max_pairs:
@@ -223,20 +228,40 @@ def tensor_by_counting(t1: Template, t2: Template, max_pairs: int = DEFAULT_MAX_
     for lam1, lam2 in product(e1, e2):
         tau = coadjoint_template(lam1 + lam2)
         counts[tau] = counts.get(tau, 0) + 1
+    return counts
+
+
+def c_count(t1: Template, t2: Template, target: Template, max_pairs: int = DEFAULT_MAX_PAIRS) -> int:
+    """|{(lam1, lam2) in Psi1 x Psi2 : lam1 + lam2 in Psi(target)}|, exactly."""
+    return _pair_counts(t1, t2, max_pairs).get(target, 0)
+
+
+def tensor_by_counting(t1: Template, t2: Template, max_pairs: int = DEFAULT_MAX_PAIRS) -> CharSum:
+    """Decompose a product by classifying every pairwise sum of cluster elements.
+
+    The multiplicity of a target cluster is q^(i1+i2-d1-d2-d) times the pair
+    count; every coefficient must come out an integer, and the result must
+    agree with the rewrite route.  Violations raise.
+    """
+    if (t1.field, t1.n) != (t2.field, t2.n):
+        raise ValueError("mismatched rings")
+    q = t1.field.q
     inv1 = invariants_of(t1)
     inv2 = invariants_of(t2)
     terms: dict[Template, int] = {}
-    for tau, cnt in counts.items():
-        inv = invariants_of(tau)
-        mult = Fraction(cnt * q ** (inv1.i + inv2.i), q ** (inv1.d + inv2.d + inv.d))
-        if mult.denominator != 1 or mult < 0:
+    for tau, cnt in _pair_counts(t1, t2, max_pairs).items():
+        e = inv1.i + inv2.i - inv1.d - inv2.d - invariants_of(tau).d
+        den = q ** max(0, -e)
+        mult, rem = divmod(cnt * q ** max(0, e), den)
+        if rem:
+            g = gcd(cnt, den)
             raise InvariantViolation(
-                f"non-integer multiplicity {mult} for {tau.text()} in"
+                f"non-integer multiplicity {cnt // g}/{den // g} for {tau.text()} in"
                 f" [{t1.text()}] x [{t2.text()}]"
             )
-        terms[tau] = int(mult)
-    result = CharSum(field, n, terms)
-    rewritten = tensor_rewrite(field, n, list(t1.cells) + list(t2.cells))
+        terms[tau] = mult
+    result = CharSum(t1.field, t1.n, terms)
+    rewritten = tensor_product(t1, t2)
     if result != rewritten:
         raise InvariantViolation(
             f"counting and rewrite decompositions disagree for"
@@ -248,15 +273,12 @@ def tensor_by_counting(t1: Template, t2: Template, max_pairs: int = DEFAULT_MAX_
 def fold_by_counting(field: Field, n: int, factors, max_pairs: int = DEFAULT_MAX_PAIRS) -> CharSum:
     """Product of many primary factors along the counting route only.
 
-    Folds left, classifying cluster-pair sums at every step; each step also
-    re-certifies itself against the rewrite route.  Used by the CLI --check.
+    The same left fold as the rewrite route, with tensor_by_counting as the
+    step; each step also re-certifies itself against the rewrite route.
+    Used by the CLI --check.
     """
+    def step(tau: Template, cell: Cell):
+        return tensor_by_counting(tau, Template(field, n, [cell]), max_pairs).terms.items()
+
     cells = [(i, j, v) for (i, j, v) in factors if v]
-    acc = CharSum.trivial(field, n)
-    for cell in cells:
-        primary = Template(field, n, [cell])
-        folded = CharSum(field, n, {})
-        for tau, mult in acc.items():
-            folded = folded + tensor_by_counting(tau, primary, max_pairs).scale(mult)
-        acc = folded
-    return acc
+    return CharSum(field, n, _fold({Template(field, n, []): 1}, cells, step))

@@ -91,6 +91,13 @@ def test_template_rejects_non_rook(F2):
         Template(F2, 3, [(1, 3, F2.zero)])
 
 
+def test_template_rejects_foreign_field(F2, F3, F4):
+    with pytest.raises(ValueError):
+        Template(F2, 3, [(1, 3, F3.elements[2])])
+    with pytest.raises(ValueError):
+        Template(F2, 3, [(1, 2, F2.one), (2, 3, F4.one)])
+
+
 # -- rank invariants ----------------------------------------------------------
 
 def test_rank_invariant_examples(F2):

@@ -1,6 +1,9 @@
+import random
+import sys
+
 import pytest
 
-from supercluster import field_make
+from supercluster import field_make, tensor
 from supercluster.clusters import Template, enumerate_templates, invariants_of, parse_template
 from supercluster.errors import InvariantViolation, ResourceCapExceeded
 from supercluster.oracle import brute_tensor
@@ -166,3 +169,39 @@ def test_charsum_json(F2):
     assert data["total_degree"] == "4"
     assert {"template": "0", "mult": 1} in data["terms"]
     assert all(isinstance(term["mult"], int) for term in data["terms"])
+
+
+def test_rewrite_rejects_foreign_field(F2, F3):
+    with pytest.raises(ValueError):
+        tensor_rewrite(F2, 3, [(1, 3, F3.elements[2]), (1, 3, F3.one)])
+    with pytest.raises(ValueError):
+        tensor_rewrite(F2, 3, [(1, 3, F2.one), (1, 2, F3.zero)])
+
+
+def test_long_stack_needs_no_deep_recursion(F2):
+    # the fold's recursion depth is set by one template x cell step, not by
+    # the number of factors
+    tensor._rewrite_step.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        got = tensor_rewrite(F2, 3, [(1, 3, F2.one)] * 1200)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got.total_degree == 2**1200
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2)])
+def test_random_folds_rewrite_equals_counting(p, k):
+    field = field_make(p, k)
+    rng = random.Random(1000 * p + k)
+    for _ in range(6):
+        n = rng.randint(2, 4)
+        pos = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        factors = [(*rng.choice(pos), rng.choice(field.nonzero)) for _ in range(rng.randint(1, 6))]
+        got = tensor_rewrite(field, n, factors)
+        assert got == fold_by_counting(field, n, factors)
+        shuffled = factors[:]
+        rng.shuffle(shuffled)
+        assert tensor_rewrite(field, n, shuffled) == got
+        assert got.total_degree == field.q ** sum(j - i - 1 for i, j, _ in factors)
