@@ -247,15 +247,18 @@ def verify_axioms(table: CharacterTable) -> AxiomReport:
     ))
 
     identity_col = table.col_index(Template(table.field, table.n, []))
+    mults = []
+    for deg, selfint in zip(table.row_degrees, table.row_selfint):
+        mult, rem = divmod(deg, selfint)
+        if rem:
+            raise InvariantViolation("q^(d-i) multiplicity is not integral")
+        mults.append(mult)
     reg_ok = True
     reg_detail = "regular character reproduced"
     for c in range(len(table.cols)):
         total = Cyclotomic.from_rational(p, 0)
         for r in range(len(table.rows)):
-            mult = Fraction(table.row_degrees[r], table.row_selfint[r])
-            if mult.denominator != 1:
-                raise InvariantViolation("q^(d-i) multiplicity is not integral")
-            total = total + mult * table.values[r][c]
+            total = total + mults[r] * table.values[r][c]
         expected = order if c == identity_col else 0
         if total != Cyclotomic.from_rational(p, expected):
             reg_ok = False

@@ -2,7 +2,8 @@
 
 Works on lists of lists whose entries support +, -, *, bool() and
 .inverse(); both gf.FieldElement and cyclotomic.Cyclotomic qualify.
-Matrices here are tiny (dimension n(n-1)/2 <= 10 at the scales the engine
+Matrices here are small (orbit spans of dimension n(n-1)/2 <= 10, and the
+oracle's brute character matrix of a few dozen rows at the scales it
 enumerates), so plain Gaussian elimination is the whole story.
 """
 
@@ -48,13 +49,20 @@ def intersection_dim(rows_a: list[list], rows_b: list[list]) -> int:
     return a + b - rank(list(rows_a) + list(rows_b))
 
 
-def solve(matrix: list[list], rhs: list) -> list:
-    """Solve the square full-rank system matrix @ x = rhs exactly.
+def inverse(matrix: list[list]) -> list[list]:
+    """Inverse of a square matrix by Gauss-Jordan elimination on [M | I].
 
-    Raises ValueError on a singular matrix.
+    Entries are from any ring of the kind described above; the identity is
+    built from the first non-zero entry.  Raises ValueError on a singular
+    matrix.
     """
     d = len(matrix)
-    aug = [list(matrix[i]) + [rhs[i]] for i in range(d)]
+    entry = next((x for row in matrix for x in row if x), None)
+    if entry is None:
+        raise ValueError("singular matrix")
+    one = entry * entry.inverse()
+    zero = one - one
+    aug = [list(matrix[i]) + [one if j == i else zero for j in range(d)] for i in range(d)]
     for c in range(d):
         piv = next((r for r in range(c, d) if aug[r][c]), None)
         if piv is None:
@@ -66,4 +74,4 @@ def solve(matrix: list[list], rhs: list) -> list:
             if r != c and aug[r][c]:
                 f = aug[r][c]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    return [aug[r][d] for r in range(d)]
+    return [row[d:] for row in aug]

@@ -4,10 +4,11 @@ Everything here works from first principles on explicitly enumerated
 spaces: orbits are breadth-first closures under the elementary generators
 I + a*e_ij, character values are fixed-point sums over an explicit left
 orbit, inner products sum over every group element, and tensor products are
-solved by exact linear algebra against the brute character rows.  None of
-the fast paths (reduction sweeps, combinatorial indices, closed character
-formula) are used, so a bug there cannot leak into its own certification;
-only the Template value type is shared.
+solved by exact linear algebra against the brute character rows, whose
+matrix is inverted once per (n, field).  None of the fast paths (reduction
+sweeps, combinatorial indices, closed character formula) are used, so a bug
+there cannot leak into its own certification; only the Template value type
+is shared.
 """
 
 from __future__ import annotations
@@ -246,20 +247,40 @@ def brute_table(n: int, field: Field, cap: int = DEFAULT_MAX_SPACE):
     return hit
 
 
+_BRUTE_INVERSE_MEMO: dict[tuple[int, Field], list[list[Cyclotomic]]] = {}
+
+
+def _brute_inverse(n: int, field: Field, cap: int) -> list[list[Cyclotomic]]:
+    """Inverse of M with M[c][r] = values[r][c] of the brute table.
+
+    M applied to row multiplicities gives a class function's values on the
+    columns, so the inverse recovers the multiplicities of any such function.
+    """
+    key = (n, field)
+    hit = _BRUTE_INVERSE_MEMO.get(key)
+    if hit is None:
+        rows, cols, values = brute_table(n, field, cap)
+        matrix = [[values[r][c] for r in range(len(rows))] for c in range(len(cols))]
+        try:
+            hit = linalg.inverse(matrix)
+        except ValueError as exc:
+            raise InvariantViolation(f"brute character rows are singular: {exc}") from exc
+        _BRUTE_INVERSE_MEMO[key] = hit
+    return hit
+
+
 def brute_tensor(t1: Template, t2: Template, cap: int = DEFAULT_MAX_SPACE) -> "CharSum":
     """Decompose a product by solving against the brute character rows."""
     from .tensor import CharSum  # local import keeps the oracle free of fast paths
 
     n, field = t1.n, t1.field
     rows, cols, values = brute_table(n, field, cap)
+    inverse = _brute_inverse(n, field, cap)
     r1 = rows.index(t1)
     r2 = rows.index(t2)
     rhs = [values[r1][c] * values[r2][c] for c in range(len(cols))]
-    matrix = [[values[r][c] for r in range(len(rows))] for c in range(len(cols))]
-    try:
-        solution = linalg.solve(matrix, rhs)
-    except ValueError as exc:
-        raise InvariantViolation(f"brute character rows are singular: {exc}") from exc
+    zero = Cyclotomic.from_rational(field.p, 0)
+    solution = [sum((a * b for a, b in zip(inv_row, rhs)), zero) for inv_row in inverse]
     terms: dict[Template, int] = {}
     for tau, coeff in zip(rows, solution):
         if coeff:

@@ -141,3 +141,13 @@ def test_brute_tensor_example(F2):
         "(2,3)=1": 1,
         "(1,2)=1;(2,3)=1": 1,
     }
+
+
+def test_brute_tensor_equals_rewrite_on_every_pair(F3):
+    from supercluster.tensor import tensor_product
+
+    rows, _, _ = brute_table(3, F3)
+    assert len(rows) == 11
+    for t1 in rows:
+        for t2 in rows:
+            assert brute_tensor(t1, t2) == tensor_product(t1, t2)
