@@ -419,6 +419,13 @@ def cluster_elements(tau: Template) -> tuple[Functional, ...]:
     return elems
 
 
+def clear_memos() -> None:
+    """Empty the module's classification and cluster-element memos."""
+    _ADJ_MEMO.clear()
+    _COADJ_MEMO.clear()
+    _CLUSTER_MEMO.clear()
+
+
 # -- primary decomposition ----------------------------------------------------
 
 def primary_components(tau: Template) -> list[tuple[int, int, FieldElement]]:

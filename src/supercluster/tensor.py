@@ -15,7 +15,11 @@ of class functions commute and associate.  Only the step differs:
   cache shared by every caller, so a k-factor product costs O(k) steps;
 * the counting step counts pairs (lam1, lam2) across two clusters whose
   sum lands in a given cluster and assembles the multiplicity from the
-  d/i indices of the three templates.
+  d/i indices of the three templates.  Clusters are double orbits and the
+  actions are linear, so the count is the same for every lam1: the step
+  classifies the larger cluster's template plus each element of the
+  smaller cluster, min(|Psi1|, |Psi2|) sweeps, and weights each hit by the
+  larger size.  The pair cap still bounds |Psi1| x |Psi2|.
 
 A CharSum is a formal non-negative integer combination of templates; keys
 are always canonical templates.
@@ -24,7 +28,6 @@ are always canonical templates.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from math import gcd
 
 from . import clusters
@@ -217,17 +220,29 @@ def tensor_product(t1: Template, t2: Template) -> CharSum:
 
 
 def _pair_counts(t1: Template, t2: Template, max_pairs: int) -> dict[Template, int]:
-    """How many pairs (lam1, lam2) in Psi1 x Psi2 have lam1 + lam2 in each cluster."""
+    """How many pairs (lam1, lam2) in Psi1 x Psi2 have lam1 + lam2 in each cluster.
+
+    A cluster is a double orbit U.tau.U and both one-sided actions are
+    linear, so g.(lam1 + lam2).h = g.lam1.h + g.lam2.h.  Taking (g, h) with
+    g.lam1.h = t1 shows that lam2 -> g.lam2.h is a bijection of Psi2 that
+    keeps the cluster of the sum: every lam1 sees the same counts, and
+    symmetrically every lam2.  So only base + lam is classified, base the
+    template of the larger cluster and lam running over the smaller one, and
+    each hit counts |larger| pairs.  The cap still bounds |Psi1| x |Psi2|,
+    the number of pairs counted.
+    """
     e1 = clusters.cluster_elements(t1)
     e2 = clusters.cluster_elements(t2)
     if len(e1) * len(e2) > max_pairs:
         raise ResourceCapExceeded(
             f"{len(e1)} x {len(e2)} cluster pairs exceed the cap {max_pairs}"
         )
+    base, small, weight = (t1, e2, len(e1)) if len(e1) >= len(e2) else (t2, e1, len(e2))
+    base_lam = base.as_functional()
     counts: dict[Template, int] = {}
-    for lam1, lam2 in product(e1, e2):
-        tau = coadjoint_template(lam1 + lam2)
-        counts[tau] = counts.get(tau, 0) + 1
+    for lam in small:
+        tau = coadjoint_template(base_lam + lam)
+        counts[tau] = counts.get(tau, 0) + weight
     return counts
 
 
@@ -237,11 +252,15 @@ def c_count(t1: Template, t2: Template, target: Template, max_pairs: int = DEFAU
 
 
 def tensor_by_counting(t1: Template, t2: Template, max_pairs: int = DEFAULT_MAX_PAIRS) -> CharSum:
-    """Decompose a product by classifying every pairwise sum of cluster elements.
+    """Decompose a product by counting pairwise sums of cluster elements.
 
-    The multiplicity of a target cluster is q^(i1+i2-d1-d2-d) times the pair
-    count; every coefficient must come out an integer, and the result must
-    agree with the rewrite route.  Violations raise.
+    The pair counts come from _pair_counts, which classifies the larger
+    cluster's template plus each element of the smaller cluster (by
+    equivariance the count is the same for every element of the larger
+    one); max_pairs still bounds |Psi1| x |Psi2|.  The multiplicity of a
+    target cluster is q^(i1+i2-d1-d2-d) times the pair count; every
+    coefficient must come out an integer, and the result must agree with
+    the rewrite route.  Violations raise.
     """
     if (t1.field, t1.n) != (t2.field, t2.n):
         raise ValueError("mismatched rings")

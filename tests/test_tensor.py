@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from supercluster import field_make, tensor
+from supercluster import clusters, field_make, tensor
 from supercluster.clusters import Template, enumerate_templates, invariants_of, parse_template
 from supercluster.errors import InvariantViolation, ResourceCapExceeded
 from supercluster.oracle import brute_tensor
@@ -205,3 +205,59 @@ def test_random_folds_rewrite_equals_counting(p, k):
         rng.shuffle(shuffled)
         assert tensor_rewrite(field, n, shuffled) == got
         assert got.total_degree == field.q ** sum(j - i - 1 for i, j, _ in factors)
+
+
+def brute_pair_counts(t1, t2):
+    # every pair of cluster elements, each sum classified by the witnessed sweep
+    counts = {}
+    for lam1 in clusters.cluster_elements(t1):
+        for lam2 in clusters.cluster_elements(t2):
+            tau = clusters.coadjoint_template_of(lam1 + lam2)[0]
+            counts[tau] = counts.get(tau, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize(
+    "n,p,k,sample",
+    [(3, 2, 1, None), (3, 3, 1, None), (3, 2, 2, None), (4, 2, 1, 12), (4, 3, 1, 8)],
+)
+def test_pair_counts_equal_brute_enumeration(n, p, k, sample):
+    templates = enumerate_templates(n, field_make(p, k))
+    if sample is None:
+        pairs = [(t1, t2) for t1 in templates for t2 in templates]
+    else:
+        rng = random.Random(100 * n + 10 * p + k)
+        pairs = [(rng.choice(templates), rng.choice(templates)) for _ in range(sample)]
+    for t1, t2 in pairs:
+        for a, b in ((t1, t2), (t2, t1)):
+            brute = brute_pair_counts(a, b)
+            size1 = len(clusters.cluster_elements(a))
+            size2 = len(clusters.cluster_elements(b))
+            cap = size1 * size2
+            assert sum(brute.values()) == cap
+            assert tensor._pair_counts(a, b, cap) == brute
+            for target in templates:
+                assert c_count(a, b, target, cap) == brute.get(target, 0)
+            with pytest.raises(ResourceCapExceeded) as err:
+                c_count(a, b, templates[0], cap - 1)
+            assert str(err.value) == f"{size1} x {size2} cluster pairs exceed the cap {cap - 1}"
+
+
+def test_pair_counts_sweep_only_the_smaller_cluster(monkeypatch):
+    # |Psi| = 16 and 64 at (5,2): 16 sweeps, not 16 x 64
+    field = field_make(2, 1)
+    t1 = Template(field, 5, [(1, 4, field.one)])
+    t2 = Template(field, 5, [(1, 5, field.one)])
+    sweeps = []
+    witnessed = clusters.coadjoint_template_of
+
+    def counted(lam):
+        sweeps.append(lam)
+        return witnessed(lam)
+
+    clusters.clear_memos()
+    monkeypatch.setattr(clusters, "coadjoint_template_of", counted)
+    assert c_count(t1, t2, t2) > 0
+    assert len(clusters.cluster_elements(t1)) == 16
+    assert len(clusters.cluster_elements(t2)) == 64
+    assert 0 < len(sweeps) <= 16
