@@ -23,6 +23,7 @@ from .core import (
     elementary,
     eps_ij,
     evaluate,
+    fixes_left,
     identity,
 )
 from .cyclotomic import Cyclotomic

@@ -12,6 +12,7 @@ failed on this input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -241,7 +242,9 @@ def _run_verify(cfg: RunConfig, sample_pairs: int, emit_golden: str | None) -> i
     return 0 if report.passed else 4
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by every main()."""
     parser = argparse.ArgumentParser(
         prog="supercluster",
         description="Exact cluster/supercharacter engine for the unipotent triangular groups",

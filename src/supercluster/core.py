@@ -9,7 +9,22 @@ as_matrix()/as_functional().
 
 The six actions (left/right/adjoint on matrices, left/right/coadjoint on
 functionals) are pure functions; every value here is immutable and safe to
-share across workers.
+share across workers.  fixes_left(g, lam) answers coact_left(g, lam) == lam
+from the same column-operation increments without building the image.
+
+A UniMatrix fills two index slots on first use and keeps them: the entries
+of g - I grouped by column and by row.  The one-sided coactions walk the
+functional's entries and look up the matching bucket of g, so their work is
+the number of matching entry pairs, not |g| * |lam|.  The index is derived
+from off alone and is left out of equality, hashing and pickling.
+
+The public NilMatrix/Functional constructor validates every input: it
+rejects positions outside the strict upper triangle and drops zeros.
+Values computed here from values that already passed that check (sums,
+negation, scaling, products, the reinterpretations and the coactions) are
+wrapped by the private _trusted classmethod instead: each of those loops
+writes only strictly upper positions and drops every entry that cancels to
+zero, so a second pass over the result could never change it.
 """
 
 from __future__ import annotations
@@ -42,6 +57,16 @@ class _SparseUpper:
         self.n = n
         self.entries = _clean(field, n, entries or {})
         self._hash = None
+
+    @classmethod
+    def _trusted(cls, field: Field, n: int, entries: dict):
+        """Wrap entries that are already strictly upper and zero-free, unchecked."""
+        self = cls.__new__(cls)
+        self.field = field
+        self.n = n
+        self.entries = entries
+        self._hash = None
+        return self
 
     def get(self, i: int, j: int) -> FieldElement:
         return self.entries.get((i, j), self.field.zero)
@@ -89,7 +114,7 @@ class _SparseUpper:
                 out[pos] = w
             else:
                 out.pop(pos, None)
-        return type(self)(self.field, self.n, out)
+        return self._trusted(self.field, self.n, out)
 
     def __add__(self, other):
         return self._combine(other)
@@ -98,12 +123,12 @@ class _SparseUpper:
         return self._combine(other, minus=True)
 
     def __neg__(self):
-        return type(self)(self.field, self.n, {p: -v for p, v in self.entries.items()})
+        return self._trusted(self.field, self.n, {p: -v for p, v in self.entries.items()})
 
     def scale(self, a: FieldElement):
         if not a:
-            return type(self)(self.field, self.n, {})
-        return type(self)(self.field, self.n, {p: a * v for p, v in self.entries.items()})
+            return self._trusted(self.field, self.n, {})
+        return self._trusted(self.field, self.n, {p: a * v for p, v in self.entries.items()})
 
     def _body(self) -> str:
         if not self.entries:
@@ -118,7 +143,7 @@ class NilMatrix(_SparseUpper):
     """An element of the strictly upper triangular nilpotent algebra."""
 
     def as_functional(self) -> "Functional":
-        return Functional(self.field, self.n, self.entries)
+        return Functional._trusted(self.field, self.n, self.entries)
 
     def __repr__(self) -> str:
         return f"NilMatrix(n={self.n}, {self._body()})"
@@ -128,7 +153,7 @@ class Functional(_SparseUpper):
     """A linear functional, stored by its values on the matrix units."""
 
     def as_matrix(self) -> NilMatrix:
-        return NilMatrix(self.field, self.n, self.entries)
+        return NilMatrix._trusted(self.field, self.n, self.entries)
 
     def __call__(self, x: NilMatrix) -> FieldElement:
         return evaluate(self, x)
@@ -158,17 +183,37 @@ def nil_mul(x: NilMatrix, y: NilMatrix) -> NilMatrix:
                     out[(i, j)] = w
                 else:
                     out.pop((i, j), None)
-    return NilMatrix(x.field, x.n, out)
+    return NilMatrix._trusted(x.field, x.n, out)
 
 
 class UniMatrix:
     """A unipotent group element I + off."""
 
-    __slots__ = ("off", "_hash")
+    __slots__ = ("off", "_hash", "_by_col", "_by_row")
 
     def __init__(self, off: NilMatrix):
         self.off = off
         self._hash = None
+        self._by_col = None
+        self._by_row = None
+
+    def _col_index(self) -> tuple[tuple[tuple[int, FieldElement], ...], ...]:
+        """[b] holds (l, y) for every entry y at (l, b) of g - I; built once."""
+        if self._by_col is None:
+            cols = [[] for _ in range(self.n + 1)]
+            for (l, b), y in self.off.entries.items():
+                cols[b].append((l, y))
+            self._by_col = tuple(map(tuple, cols))
+        return self._by_col
+
+    def _row_index(self) -> tuple[tuple[tuple[int, FieldElement], ...], ...]:
+        """[a] holds (k, y) for every entry y at (a, k) of g - I; built once."""
+        if self._by_row is None:
+            rows = [[] for _ in range(self.n + 1)]
+            for (a, k), y in self.off.entries.items():
+                rows[a].append((k, y))
+            self._by_row = tuple(map(tuple, rows))
+        return self._by_row
 
     @property
     def field(self) -> Field:
@@ -204,6 +249,9 @@ class UniMatrix:
         if self._hash is None:
             self._hash = hash(("uni", self.off))
         return self._hash
+
+    def __reduce__(self):
+        return (UniMatrix, (self.off,))
 
     def __repr__(self) -> str:
         return f"UniMatrix(n={self.n}, I + {self.off._body()})"
@@ -256,15 +304,35 @@ def coact_left(g: UniMatrix, lam: Functional) -> Functional:
         raise ValueError("size mismatch")
     out = dict(lam.entries)
     zero = lam.field.zero
-    for (l, b), y in g.off.entries.items():
-        for (k, b2), c in lam.entries.items():
-            if b2 == b and k < l:
+    cols = g._col_index()
+    for (k, b), c in lam.entries.items():
+        for l, y in cols[b]:
+            if k < l:
                 w = out.get((k, l), zero) + y * c
                 if w:
                     out[(k, l)] = w
                 else:
                     out.pop((k, l), None)
-    return Functional(lam.field, lam.n, out)
+    return Functional._trusted(lam.field, lam.n, out)
+
+
+def fixes_left(g: UniMatrix, lam: Functional) -> bool:
+    """coact_left(g, lam) == lam, without building the image.
+
+    Sums coact_left's increments y_lb * c_kb per position (k,l) and asks
+    that every sum vanish.
+    """
+    if g.n != lam.n:
+        raise ValueError("size mismatch")
+    cols = g._col_index()
+    inc: dict = {}
+    for (k, b), c in lam.entries.items():
+        for l, y in cols[b]:
+            if k < l:
+                w = y * c
+                prev = inc.get((k, l))
+                inc[(k, l)] = w if prev is None else prev + w
+    return not any(inc.values())
 
 
 def coact_right(lam: Functional, g: UniMatrix) -> Functional:
@@ -277,15 +345,16 @@ def coact_right(lam: Functional, g: UniMatrix) -> Functional:
         raise ValueError("size mismatch")
     out = dict(lam.entries)
     zero = lam.field.zero
-    for (a, k), y in g.off.entries.items():
-        for (a2, l), c in lam.entries.items():
-            if a2 == a and l > k:
+    rows = g._row_index()
+    for (a, l), c in lam.entries.items():
+        for k, y in rows[a]:
+            if l > k:
                 w = out.get((k, l), zero) + y * c
                 if w:
                     out[(k, l)] = w
                 else:
                     out.pop((k, l), None)
-    return Functional(lam.field, lam.n, out)
+    return Functional._trusted(lam.field, lam.n, out)
 
 
 def coact_coadjoint(lam: Functional, g: UniMatrix) -> Functional:

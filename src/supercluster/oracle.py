@@ -9,6 +9,11 @@ matrix is inverted once per (n, field).  None of the fast paths (reduction
 sweeps, combinatorial indices, closed character formula) are used, so a bug
 there cannot leak into its own certification; only the Template value type
 is shared.
+
+Both traces (brute_char_value and brute_delta_value) still visit every
+(g, lam) pair and test lam with core.fixes_left, which sums the left
+action's own column-operation increments; they never use the support
+criterion fixed_by_template_action, which A.1 certifies against them.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .core import (
     coact_right,
     elementary,
     evaluate,
+    fixes_left,
     identity,
     positions,
 )
@@ -185,7 +191,7 @@ def brute_char_value(tau: Template, g: UniMatrix) -> Cyclotomic:
     p = tau.field.p
     total = Cyclotomic.from_rational(p, 0)
     for lam in _left_orbit(tau.as_functional()):
-        if coact_left(g, lam) == lam:
+        if fixes_left(g, lam):
             total = total + _theta(evaluate(lam, g.off))
     return total
 
@@ -211,16 +217,25 @@ def brute_inner(f, h, n: int, field: Field, cap: int = DEFAULT_MAX_SPACE) -> Cyc
     return Fraction(1, len(group)) * total
 
 
+def covers_rows(lam: Functional) -> bool:
+    """True iff the support of lam meets every row 1 .. n-1."""
+    # every support row is in 1 .. n-1, so n-1 distinct rows cover them all
+    return len({i for (i, _) in lam.entries}) == lam.n - 1
+
+
 def brute_delta_value(g: UniMatrix, duals: list[Functional] | None = None) -> Cyclotomic:
-    """Trace of g on the span of the row-covering functionals, from scratch."""
+    """Trace of g on the span of the row-covering functionals, from scratch.
+
+    duals may be the whole dual space or any superset of its row-covering
+    part; the functionals that do not cover every row are skipped here.
+    """
     if duals is None:
         duals = enumerate_dual(g.n, g.field)
-    rows_needed = set(range(1, g.n))
     total = Cyclotomic.from_rational(g.field.p, 0)
     for lam in duals:
-        if not rows_needed <= {i for (i, _) in lam.entries}:
+        if not covers_rows(lam):
             continue
-        if coact_left(g, lam) == lam:
+        if fixes_left(g, lam):
             total = total + _theta(evaluate(lam, g.off))
     return total
 

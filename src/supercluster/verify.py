@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import clusters, discrete, oracle, tensor
 from .characters import build_table, char_value_closed, char_value_sum, verify_axioms
 from .clusters import Template
-from .core import UniMatrix, act_left, act_right, coact_left, coact_right, positions
+from .core import UniMatrix, act_left, act_right, coact_left, coact_right, fixes_left, positions
 from .cyclotomic import Cyclotomic
 from .errors import InvariantViolation
 from .gf import Field
@@ -191,7 +191,7 @@ def _check_closed_formula(n, field, cap):
     for x in cols:
         g = UniMatrix(x.as_matrix())
         for lam in duals:
-            direct = coact_left(g, lam) == lam
+            direct = fixes_left(g, lam)
             if direct != oracle.fixed_by_template_action(lam, x.as_matrix()):
                 return False, f"support criterion wrong for ({lam!r}, {x.text()})"
     return True, f"closed form equals the trace on all {len(rows)}x{len(cols)} cells"
@@ -279,7 +279,7 @@ def _check_tensor_ring(n, field, cap, pair_cap, sample_pairs, rng):
 
 
 def _check_delta_value(n, field, cap, cap_group):
-    duals = oracle.enumerate_dual(n, field, cap)
+    duals = [lam for lam in oracle.enumerate_dual(n, field, cap) if oracle.covers_rows(lam)]
     count = 0
     for g in oracle.enumerate_group(n, field, cap_group):
         formula = discrete.delta_value(g)

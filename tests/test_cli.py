@@ -173,3 +173,29 @@ def test_field_extension_flags():
     out = run("count", "--n", "2", "--p", "2", "--k", "2")
     assert out.returncode == 0
     assert out.stdout == "1 1 4\n"
+
+
+def _main_in_process(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    count = ["count", "--n", "4", "--q", "2"]
+    calls = [
+        count,
+        ["tensor", "--n", "3", "--q", "2", "--factor", "1,3,1", "--factor", "1,3,1", "--check"],
+        ["count", "--n", "3"],  # no field: usage error
+        count,
+    ]
+    together = [_main_in_process(argv, capsys) for argv in calls]
+    assert [code for code, _, _ in together] == [0, 0, 2, 0]
+    assert together[0] == together[3]
+    for argv, got in zip(calls, together):
+        cli.build_parser.cache_clear()
+        assert _main_in_process(argv, capsys) == got

@@ -1,7 +1,11 @@
+import pickle
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from supercluster import field_make
 from supercluster.core import (
     Functional,
     NilMatrix,
@@ -17,6 +21,7 @@ from supercluster.core import (
     elementary,
     eps_ij,
     evaluate,
+    fixes_left,
     from_json,
     identity,
     nil_mul,
@@ -202,3 +207,149 @@ def test_json_round_trip(F3):
         "n": 3,
         "entries": [{"i": 1, "j": 3, "v": "2"}],
     }
+
+
+# -- the actions against dense matrices ----------------------------------------
+
+PROPS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+# GF(2), GF(3), GF(4), GF(5), GF(9) as (p, k)
+FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (3, 2))
+
+
+def sparse_values(field, n):
+    """One element index per strictly upper position, zero about half the time."""
+    count = len(positions(n))
+    value = st.one_of(st.just(0), st.integers(0, field.q - 1))
+    return st.lists(value, min_size=count, max_size=count)
+
+
+def _entries(field, n, indices):
+    return {pos: field.elements[m] for pos, m in zip(positions(n), indices)}
+
+
+@st.composite
+def cases(draw):
+    """(field, n, x, g, lam) with x nilpotent, g unipotent, lam a functional."""
+    field = field_make(*draw(st.sampled_from(FIELDS)))
+    n = draw(st.integers(2, 5))
+    x = NilMatrix(field, n, _entries(field, n, draw(sparse_values(field, n))))
+    g = UniMatrix(NilMatrix(field, n, _entries(field, n, draw(sparse_values(field, n)))))
+    lam = Functional(field, n, _entries(field, n, draw(sparse_values(field, n))))
+    return field, n, x, g, lam
+
+
+def dense(field, n, entries, unit=False):
+    """The n x n list matrix with the given 1-based entries, plus I if unit."""
+    rows = [[field.zero] * n for _ in range(n)]
+    for (i, j), v in entries.items():
+        rows[i - 1][j - 1] = v
+    if unit:
+        for i in range(n):
+            rows[i][i] = field.one
+    return rows
+
+
+def dense_mul(field, a, b):
+    n = len(a)
+    out = [[field.zero] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(n):
+            if a[i][k]:
+                for j in range(n):
+                    out[i][j] = out[i][j] + a[i][k] * b[k][j]
+    return out
+
+
+def upper_part(field, n, rows):
+    """Strictly upper entries of a dense matrix that has none below the diagonal."""
+    assert not any(rows[i][j] for i in range(n) for j in range(i + 1))
+    return {(i, j): rows[i - 1][j - 1] for (i, j) in positions(n) if rows[i - 1][j - 1]}
+
+
+def pairing(field, n, coeffs, rows):
+    """lam(x) = sum over strictly upper (i,j) of c_ij * x_ij, x dense."""
+    total = field.zero
+    for (i, j), c in coeffs.items():
+        total = total + c * rows[i - 1][j - 1]
+    return total
+
+
+def ref_coact(field, n, g, lam, side):
+    """(g * lam)(e_kl) = lam(e_kl . g) and (lam * g)(e_kl) = lam(g . e_kl)."""
+    gd = dense(field, n, g.off.entries, unit=True)
+    out = {}
+    for (k, l) in positions(n):
+        e = dense(field, n, {(k, l): field.one})
+        moved = dense_mul(field, e, gd) if side == "left" else dense_mul(field, gd, e)
+        v = pairing(field, n, lam.entries, moved)
+        if v:
+            out[(k, l)] = v
+    return out
+
+
+def assert_clean(value):
+    """No stored zero, and equal to the validated rebuild of its entries."""
+    assert all(value.entries.values())
+    assert value == type(value)(value.field, value.n, dict(value.entries))
+
+
+@PROPS
+@given(cases())
+def test_actions_match_dense_reference(case):
+    field, n, x, g, lam = case
+    xd = dense(field, n, x.entries)
+    gd = dense(field, n, g.off.entries, unit=True)
+    left = act_left(g, x)
+    right = act_right(x, g)
+    assert left.entries == upper_part(field, n, dense_mul(field, gd, xd))
+    assert right.entries == upper_part(field, n, dense_mul(field, xd, gd))
+    gl = coact_left(g, lam)
+    lr = coact_right(lam, g)
+    assert gl.entries == ref_coact(field, n, g, lam, "left")
+    assert lr.entries == ref_coact(field, n, g, lam, "right")
+    for value in (left, right, gl, lr, -lam, lam - gl, x.scale(field.elements[-1]),
+                  nil_mul(x, g.off), g.inv().off, (g * g).off, x.as_functional()):
+        assert_clean(value)
+
+
+@PROPS
+@given(cases())
+def test_fixes_left_matches_the_image(case):
+    field, n, x, g, lam = case
+    assert fixes_left(g, lam) == (coact_left(g, lam) == lam)
+    # I + e_1n fixes every lam: its one entry is in row 1 and needs k < 1
+    top = elementary(field, n, 1, n, field.one)
+    assert fixes_left(top, lam) and coact_left(top, lam) == lam
+    assert fixes_left(identity(field, n), lam)
+
+
+@PROPS
+@given(cases())
+def test_group_index_leaves_identity_alone(case):
+    field, n, x, g, lam = case
+    twin = UniMatrix(NilMatrix(field, n, dict(g.off.entries)))
+    before = hash(g)
+    coact_left(g, lam)
+    coact_right(lam, g)
+    fixes_left(g, lam)
+    assert g == twin and twin == g
+    assert hash(g) == before == hash(twin)
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and hash(back) == before
+    assert coact_left(back, lam) == coact_left(g, lam)
+
+
+# n = 4 is the first size where two increments can meet at one position and
+# cancel, so a fixed point there can hide behind non-zero terms
+@pytest.mark.parametrize("n,p,k", [(3, 3, 1), (3, 2, 2), (4, 2, 1)])
+def test_fixes_left_exhaustive(n, p, k):
+    field = field_make(p, k)
+    duals = enumerate_dual(n, field)
+    fixed = 0
+    for g in enumerate_group(n, field):
+        for lam in duals:
+            got = fixes_left(g, lam)
+            assert got == (coact_left(g, lam) == lam)
+            fixed += got
+    assert fixed > len(duals)  # the identity alone fixes every lam
