@@ -62,5 +62,8 @@ from .discrete import (
     is_degenerate,
 )
 from .errors import InvariantViolation, ResourceCapExceeded
+# Nothing in the engine calls util any more, but perfbench's tracer looks up
+# every layer module by name, util included.
+from . import util  # noqa: F401
 
 __version__ = "0.1.0"

@@ -41,7 +41,6 @@ class RunConfig:
     p: int
     k: int
     fmt: str = "text"
-    jobs: int = 1
     seed: int = 0
     caps: dict = dataclass_field(default_factory=lambda: dict(DEFAULT_CAPS))
 
@@ -67,7 +66,7 @@ def _add_common(sub: argparse.ArgumentParser, with_n: bool = True) -> None:
     sub.add_argument("--q", type=int, help="shorthand for a prime field of size q")
     sub.add_argument("--format", choices=["json", "csv", "text"], default="text")
     sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                     help="worker processes (results are identical for any N)")
+                     help="accepted for compatibility; every command runs in one process")
     sub.add_argument("--cap-orbit", type=int, help="max enumerated space size")
     sub.add_argument("--cap-group", type=int, help="max enumerated group size")
     sub.add_argument("--seed", type=int, default=0, help="seed for sampled verification")
@@ -100,7 +99,7 @@ def _config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunCon
         parser.error(f"--p {p} is not prime")
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    return RunConfig(n=n, p=p, k=k, fmt=args.format, jobs=args.jobs, seed=args.seed, caps=caps)
+    return RunConfig(n=n, p=p, k=k, fmt=args.format, seed=args.seed, caps=caps)
 
 
 def _emit(text: str) -> None:
@@ -163,21 +162,13 @@ def _run_clusters(cfg: RunConfig) -> int:
 
 
 def _run_table(cfg: RunConfig) -> int:
-    table = build_table(cfg.n, cfg.make_field(), jobs=cfg.jobs, max_rows=cfg.caps["table"])
+    table = build_table(cfg.n, cfg.make_field(), max_rows=cfg.caps["table"])
     if cfg.fmt == "json":
-        _emit(_dump_json(table.to_json()))
+        _emit(table.to_json_text())
     elif cfg.fmt == "csv":
         _emit(table.to_csv())
     else:
-        width = max(
-            [len(t.text()) for t in table.rows + table.cols]
-            + [len(str(v)) for row in table.values for v in row]
-        ) + 1
-        header = " " * width + "".join(t.text().rjust(width) for t in table.cols)
-        lines = [header]
-        for t, row in zip(table.rows, table.values):
-            lines.append(t.text().ljust(width) + "".join(str(v).rjust(width) for v in row))
-        _emit("\n".join(lines))
+        _emit(table.to_text())
     return 0
 
 
@@ -229,7 +220,6 @@ def _run_verify(cfg: RunConfig, sample_pairs: int, emit_golden: str | None) -> i
         cap_pairs=cfg.caps["pairs"],
         sample_pairs=sample_pairs,
         seed=cfg.seed,
-        jobs=cfg.jobs,
     )
     if emit_golden:
         verify.write_golden(emit_golden, verify.emit_golden(cfg.n, field, cfg.caps["orbit"]))

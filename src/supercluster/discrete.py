@@ -49,15 +49,23 @@ def is_degenerate(tau: Template) -> bool:
 
 
 def delta_multiplicity(tau: Template) -> int:
-    """Multiplicity of tau's cluster character in the discrete series."""
+    """Multiplicity of tau's cluster character in the discrete series.
+
+    q^(d-i) * prod (1 - q^(-d(k))) over the empty rows k, computed as
+    q^d * prod (q^(d(k)) - 1) over q^(i + sum d(k)).
+    """
     q = tau.field.q
     inv = invariants_of(tau)
-    mult = Fraction(q**inv.d, q**inv.i)
+    num, exp = q**inv.d, inv.i
     for k in _empty_rows(tau):
-        mult *= 1 - Fraction(1, q ** inv.d_rows[k - 1])
-    if mult.denominator != 1 or mult < 0:
-        raise InvariantViolation(f"multiplicity {mult} for {tau.text()} is not a natural number")
-    return int(mult)
+        num *= q ** inv.d_rows[k - 1] - 1
+        exp += inv.d_rows[k - 1]
+    mult, rem = divmod(num, q**exp)
+    if rem:
+        raise InvariantViolation(
+            f"multiplicity {Fraction(num, q**exp)} for {tau.text()} is not a natural number"
+        )
+    return mult
 
 
 @dataclass

@@ -223,18 +223,22 @@ def covers_rows(lam: Functional) -> bool:
     return len({i for (i, _) in lam.entries}) == lam.n - 1
 
 
-def brute_delta_value(g: UniMatrix, duals: list[Functional] | None = None) -> Cyclotomic:
+def brute_delta_value(
+    g: UniMatrix, duals: list[Functional] | None = None, *, prefiltered: bool = False
+) -> Cyclotomic:
     """Trace of g on the span of the row-covering functionals, from scratch.
 
     duals may be the whole dual space or any superset of its row-covering
-    part; the functionals that do not cover every row are skipped here.
+    part; the functionals that do not cover every row are skipped here.  A
+    caller that traces many elements over one list filters it once with
+    covers_rows and passes prefiltered=True, which skips the test.
     """
     if duals is None:
         duals = enumerate_dual(g.n, g.field)
+    if not prefiltered:
+        duals = [lam for lam in duals if covers_rows(lam)]
     total = Cyclotomic.from_rational(g.field.p, 0)
     for lam in duals:
-        if not covers_rows(lam):
-            continue
         if fixes_left(g, lam):
             total = total + _theta(evaluate(lam, g.off))
     return total

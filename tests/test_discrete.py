@@ -124,3 +124,18 @@ def test_json(F2):
             {"template": "(1,3)=1", "mult": 1},
         ],
     }
+
+
+def test_delta_multiplicity_reports_a_fraction_when_not_integral(F2, monkeypatch):
+    from supercluster import discrete
+    from supercluster.clusters import ClusterInvariants
+    from supercluster.errors import InvariantViolation
+
+    # i > d makes q^(d-i) a proper fraction; a valid template never has it
+    monkeypatch.setattr(
+        discrete, "invariants_of", lambda tau: ClusterInvariants(d=0, i=1, d_rows=(0, 0))
+    )
+    tau = T(F2, 3, "(1,2)=1;(2,3)=1")
+    with pytest.raises(InvariantViolation) as err:
+        delta_multiplicity(tau)
+    assert str(err.value) == f"multiplicity 1/2 for {tau.text()} is not a natural number"

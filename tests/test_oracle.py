@@ -151,3 +151,17 @@ def test_brute_tensor_equals_rewrite_on_every_pair(F3):
     for t1 in rows:
         for t2 in rows:
             assert brute_tensor(t1, t2) == tensor_product(t1, t2)
+
+
+def test_brute_delta_value_filters_unless_told_the_list_is_filtered(F3):
+    from supercluster.discrete import delta_value
+    from supercluster.oracle import covers_rows
+
+    duals = enumerate_dual(3, F3)
+    covering = [lam for lam in duals if covers_rows(lam)]
+    assert 0 < len(covering) < len(duals)
+    for g in enumerate_group(3, F3):
+        want = Cyclotomic.from_rational(3, delta_value(g))
+        assert brute_delta_value(g) == want
+        assert brute_delta_value(g, duals) == want
+        assert brute_delta_value(g, covering, prefiltered=True) == want

@@ -53,3 +53,20 @@ def test_delta_check_tests_each_covering_pair_once(monkeypatch):
     assert calls["fixes_left"] == 64 * 21
     assert calls["coact_left"] == 0
     assert calls["covers_rows"] <= 64 + 64 * 21
+
+
+def test_delta_check_filters_the_dual_space_once(monkeypatch):
+    """Thm9.1 at (4,2) tests each of the 64 functionals for row cover once."""
+    calls = Counter()
+    covers_rows = oracle.covers_rows
+
+    def counted(lam):
+        calls["covers_rows"] += 1
+        return covers_rows(lam)
+
+    monkeypatch.setattr(oracle, "covers_rows", counted)
+    ok, _ = verify._check_delta_value(
+        4, field_make(2, 1), oracle.DEFAULT_MAX_SPACE, oracle.DEFAULT_MAX_SPACE
+    )
+    assert ok
+    assert calls["covers_rows"] == 64
