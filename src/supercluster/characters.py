@@ -166,16 +166,18 @@ def char_value_closed(tau: Template, x: Template) -> Cyclotomic:
 def char_value_sum(tau: Template, g: UniMatrix) -> Cyclotomic:
     """q^(i-d) * sum of theta[lam(g-I)] over the whole cluster of tau.
 
-    Valid at every group element, not only template representatives.
+    Valid at every group element, not only template representatives.  The
+    terms are counted in p integer bins, one per exponent of z, and one
+    Cyclotomic is built from the bins over the denominator q^(d-i).
     """
     if tau.n != g.n:
         raise ValueError("size mismatch")
     inv = invariants_of(tau)
     p = tau.field.p
-    total = Cyclotomic.from_rational(p, 0)
+    bins = [0] * p
     for lam in clusters.cluster_elements(tau):
-        total = total + theta_of(evaluate(lam, g.off))
-    return Fraction(tau.field.q**inv.i, tau.field.q**inv.d) * total
+        bins[evaluate(lam, g.off).trace()] += 1
+    return Cyclotomic.from_bins(p, bins, tau.field.q ** (inv.d - inv.i))
 
 
 # -- the table ----------------------------------------------------------------
@@ -432,8 +434,7 @@ class _Bins:
 
     def cyclotomic(self, bins: list[int], den: int) -> Cyclotomic:
         """sum(bins[m] z^m) / den, for a failure message."""
-        p = self.p
-        return Cyclotomic(p, tuple(b - bins[p - 1] for b in bins[: p - 1]), den)
+        return Cyclotomic.from_bins(self.p, bins, den)
 
 
 def verify_axioms(table: CharacterTable) -> AxiomReport:

@@ -81,6 +81,11 @@ class Cyclotomic:
         return cls(p, (value.numerator,) + (0,) * (p - 2), value.denominator)
 
     @classmethod
+    def from_bins(cls, p: int, bins: list[int], den: int = 1) -> "Cyclotomic":
+        """(sum of bins[m] * z^m) / den, from p int bins over z^0 .. z^(p-1)."""
+        return cls(p, _reduce(p, bins), den)
+
+    @classmethod
     def zeta_power(cls, p: int, e: int) -> "Cyclotomic":
         """z^e for any integer exponent e."""
         raw = [0] * p

@@ -14,12 +14,28 @@ Both traces (brute_char_value and brute_delta_value) still visit every
 (g, lam) pair and test lam with core.fixes_left, which sums the left
 action's own column-operation increments; they never use the support
 criterion fixed_by_template_action, which A.1 certifies against them.
+Every term of a trace is a p-th root of unity z^e with e = trace(lam(g-I)),
+so a trace counts its fixed functionals in p integer bins, one per
+exponent, and builds a single Cyclotomic from the bins at the end.
+
+An OracleContext holds the brute data of one (n, field, cap), each piece
+built on first use: the adjoint and coadjoint partitions, the nil, dual and
+group enumerations read from the partitions' own point lists, one group
+element per column template, the left orbits of the row templates, and the
+brute table with its inverse.  verify.run_verify makes one per run and
+drops it when the run ends, so the whole suite builds each partition once.
+brute_table and brute_tensor called without a context share one
+module-level context, a one-entry cache that keeps the last (n, field,
+cap) they saw and replaces it on a call for any other, so at most one is
+ever held there; run_verify never uses it.  brute_char_value without a
+context walks the left orbit afresh and keeps nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import product
 
 from . import linalg
@@ -40,13 +56,9 @@ from .core import (
 )
 from .cyclotomic import Cyclotomic
 from .errors import InvariantViolation, ResourceCapExceeded
-from .gf import Field, FieldElement
+from .gf import Field
 
 DEFAULT_MAX_SPACE = 2**20
-
-
-def _theta(a: FieldElement) -> Cyclotomic:
-    return Cyclotomic.zeta_power(a.field.p, a.trace())
 
 
 def _check_space(n: int, field: Field, cap: int) -> int:
@@ -144,6 +156,13 @@ class OrbitDecomposition:
             sizes[oid] += 1
         return sizes
 
+    def members(self) -> list[list]:
+        """The points of each orbit, indexed by orbit id, in points order."""
+        out = [[] for _ in self.representatives]
+        for point in self.points:
+            out[self.orbit_id[point]].append(point)
+        return out
+
 
 def orbit_partition(
     n: int, field: Field, side: str = "coadjoint", cap: int = DEFAULT_MAX_SPACE
@@ -151,49 +170,145 @@ def orbit_partition(
     """Partition the whole space into BFS double orbits.
 
     Raises InvariantViolation unless every orbit contains exactly one rook
-    point (the uniqueness half of the classification).
+    point (the uniqueness half of the classification).  The keys of
+    orbit_id are the objects in points: a BFS image labels its orbit only
+    until the scan reaches the enumerated point equal to it, which then
+    takes its place, so the partition holds one copy of each point.
     """
     points = enumerate_dual(n, field, cap) if side == "coadjoint" else enumerate_nil(n, field, cap)
     orbit_id: dict = {}
     reps: list[Template] = []
     for point in points:
-        if point in orbit_id:
-            continue
-        orbit = bfs_double_orbit(point, side)
-        rooks = [m for m in orbit if _is_rook(m.entries)]
-        if len(rooks) != 1:
-            raise InvariantViolation(
-                f"orbit of {point!r} contains {len(rooks)} rook points, expected 1"
-            )
-        rook = rooks[0]
-        oid = len(reps)
-        reps.append(Template(field, n, [(i, j, v) for (i, j), v in rook.entries.items()]))
-        for m in orbit:
-            orbit_id[m] = oid
+        oid = orbit_id.pop(point, None)
+        if oid is None:
+            orbit = bfs_double_orbit(point, side)
+            rooks = [m for m in orbit if _is_rook(m.entries)]
+            if len(rooks) != 1:
+                raise InvariantViolation(
+                    f"orbit of {point!r} contains {len(rooks)} rook points, expected 1"
+                )
+            rook = rooks[0]
+            oid = len(reps)
+            reps.append(Template(field, n, [(i, j, v) for (i, j), v in rook.entries.items()]))
+            for m in orbit:  # point itself is the BFS start, so it is among them
+                orbit_id[m] = oid
+        orbit_id[point] = oid
     return OrbitDecomposition(points=points, orbit_id=orbit_id, representatives=reps)
+
+
+# -- the context of one run -----------------------------------------------------
+
+class OracleContext:
+    """The brute data of one (n, field, cap), each piece built on first use.
+
+    cap bounds the enumerated spaces the partitions cover; group() takes its
+    own cap, as enumerate_group does.
+    """
+
+    def __init__(self, n: int, field: Field, cap: int = DEFAULT_MAX_SPACE):
+        self.n = n
+        self.field = field
+        self.cap = cap
+        self._columns: dict[Template, UniMatrix] = {}
+        self._left_orbits: dict[Template, tuple[Functional, ...]] = {}
+
+    @cached_property
+    def adjoint(self) -> OrbitDecomposition:
+        return orbit_partition(self.n, self.field, "adjoint", self.cap)
+
+    @cached_property
+    def coadjoint(self) -> OrbitDecomposition:
+        return orbit_partition(self.n, self.field, "coadjoint", self.cap)
+
+    @property
+    def nil(self) -> list[NilMatrix]:
+        """enumerate_nil's list: the adjoint partition's points."""
+        return self.adjoint.points
+
+    @property
+    def dual(self) -> list[Functional]:
+        """enumerate_dual's list: the coadjoint partition's points."""
+        return self.coadjoint.points
+
+    def group(self, cap: int = DEFAULT_MAX_SPACE) -> list[UniMatrix]:
+        """enumerate_group's list, I + x over the adjoint points.
+
+        Raises ResourceCapExceeded, as enumerate_group does, when the group
+        is larger than cap.  The list is made afresh on each call and not
+        kept: the wrappers are cheap, and the column index each element
+        fills when it is traced (0.46 MB by tracemalloc at (5,2)) goes
+        with it instead of living to the end of the run.
+        """
+        _check_space(self.n, self.field, cap)
+        return [UniMatrix(x) for x in self.nil]
+
+    def column(self, x: Template) -> UniMatrix:
+        """The group element I + x of a column template, one per template."""
+        g = self._columns.get(x)
+        if g is None:
+            g = self._columns[x] = UniMatrix(x.as_matrix())
+        return g
+
+    def left_orbit(self, tau: Template) -> tuple[Functional, ...]:
+        """The left orbit of tau's functional, walked once per template."""
+        orbit = self._left_orbits.get(tau)
+        if orbit is None:
+            orbit = self._left_orbits[tau] = tuple(bfs_left_orbit(tau.as_functional()))
+        return orbit
+
+    @cached_property
+    def table(self) -> tuple[list[Template], list[Template], list[list[Cyclotomic]]]:
+        """(row templates, col templates, value matrix), from the partitions
+        and fixed-point traces alone."""
+        rows = sorted(self.coadjoint.representatives, key=lambda t: t.sort_key())
+        cols = sorted(self.adjoint.representatives, key=lambda t: t.sort_key())
+        # cells share one object per distinct value: 11 for the 2704 cells at (5,2)
+        shared: dict[Cyclotomic, Cyclotomic] = {}
+        values = []
+        for tau in rows:
+            row = [brute_char_value(tau, self.column(x), self) for x in cols]
+            values.append([shared.setdefault(v, v) for v in row])
+        return rows, cols, values
+
+    @cached_property
+    def inverse(self) -> list[list[Cyclotomic]]:
+        """Inverse of M with M[c][r] = values[r][c] of the brute table.
+
+        M applied to row multiplicities gives a class function's values on
+        the columns, so the inverse recovers the multiplicities of any such
+        function.
+        """
+        rows, cols, values = self.table
+        matrix = [[values[r][c] for r in range(len(rows))] for c in range(len(cols))]
+        try:
+            return linalg.inverse(matrix)
+        except ValueError as exc:
+            raise InvariantViolation(f"brute character rows are singular: {exc}") from exc
+
+
+@lru_cache(maxsize=1)
+def _shared_context(n: int, field: Field, cap: int) -> OracleContext:
+    """The context brute_table and brute_tensor use when given none."""
+    return OracleContext(n, field, cap)
 
 
 # -- brute character values ---------------------------------------------------
 
-_LEFT_ORBIT_MEMO: dict[Functional, tuple[Functional, ...]] = {}
+def brute_char_value(
+    tau: Template, g: UniMatrix, ctx: OracleContext | None = None
+) -> Cyclotomic:
+    """Trace on the span of the left orbit: sum of v(lam)(g) over fixed lam.
 
-
-def _left_orbit(lam: Functional) -> tuple[Functional, ...]:
-    hit = _LEFT_ORBIT_MEMO.get(lam)
-    if hit is None:
-        hit = tuple(sorted(bfs_left_orbit(lam), key=lambda f: f.sort_key()))
-        _LEFT_ORBIT_MEMO[lam] = hit
-    return hit
-
-
-def brute_char_value(tau: Template, g: UniMatrix) -> Cyclotomic:
-    """Trace on the span of the left orbit: sum of v(lam)(g) over fixed lam."""
+    With a context the left orbit is walked once per template; without one
+    it is walked on every call.
+    """
+    orbit = bfs_left_orbit(tau.as_functional()) if ctx is None else ctx.left_orbit(tau)
     p = tau.field.p
-    total = Cyclotomic.from_rational(p, 0)
-    for lam in _left_orbit(tau.as_functional()):
+    bins = [0] * p
+    for lam in orbit:
         if fixes_left(g, lam):
-            total = total + _theta(evaluate(lam, g.off))
-    return total
+            bins[evaluate(lam, g.off).trace()] += 1
+    return Cyclotomic.from_bins(p, bins)
 
 
 def fixed_by_template_action(lam: Functional, x: NilMatrix) -> bool:
@@ -208,12 +323,19 @@ def fixed_by_template_action(lam: Functional, x: NilMatrix) -> bool:
     return True
 
 
-def brute_inner(f, h, n: int, field: Field, cap: int = DEFAULT_MAX_SPACE) -> Cyclotomic:
-    """(1/|U|) sum over every group element of f(g) * conj(h(g))."""
-    group = enumerate_group(n, field, cap)
+def brute_inner(
+    f, h, n: int, field: Field, cap: int = DEFAULT_MAX_SPACE, ctx: OracleContext | None = None
+) -> Cyclotomic:
+    """(1/|U|) sum over every group element of f(g) * conj(h(g)).
+
+    f is evaluated once per element when h is f.  A context supplies its
+    group instead of a fresh enumeration.
+    """
+    group = enumerate_group(n, field, cap) if ctx is None else ctx.group(cap)
     total = Cyclotomic.from_rational(field.p, 0)
     for g in group:
-        total = total + f(g) * h(g).conjugate()
+        a = f(g)
+        total = total + a * (a if h is f else h(g)).conjugate()
     return Fraction(1, len(group)) * total
 
 
@@ -237,64 +359,32 @@ def brute_delta_value(
         duals = enumerate_dual(g.n, g.field)
     if not prefiltered:
         duals = [lam for lam in duals if covers_rows(lam)]
-    total = Cyclotomic.from_rational(g.field.p, 0)
+    p = g.field.p
+    bins = [0] * p
     for lam in duals:
         if fixes_left(g, lam):
-            total = total + _theta(evaluate(lam, g.off))
-    return total
+            bins[evaluate(lam, g.off).trace()] += 1
+    return Cyclotomic.from_bins(p, bins)
 
 
 # -- brute tensor decomposition ----------------------------------------------
 
-_BRUTE_TABLE_MEMO: dict[tuple[int, Field], tuple] = {}
-
-
 def brute_table(n: int, field: Field, cap: int = DEFAULT_MAX_SPACE):
     """(row templates, col templates, value matrix) derived purely by BFS + traces."""
-    key = (n, field)
-    hit = _BRUTE_TABLE_MEMO.get(key)
-    if hit is None:
-        dual_part = orbit_partition(n, field, "coadjoint", cap)
-        nil_part = orbit_partition(n, field, "adjoint", cap)
-        rows = sorted(dual_part.representatives, key=lambda t: t.sort_key())
-        cols = sorted(nil_part.representatives, key=lambda t: t.sort_key())
-        values = [
-            [brute_char_value(tau, UniMatrix(x.as_matrix())) for x in cols] for tau in rows
-        ]
-        hit = (rows, cols, values)
-        _BRUTE_TABLE_MEMO[key] = hit
-    return hit
+    return _shared_context(n, field, cap).table
 
 
-_BRUTE_INVERSE_MEMO: dict[tuple[int, Field], list[list[Cyclotomic]]] = {}
-
-
-def _brute_inverse(n: int, field: Field, cap: int) -> list[list[Cyclotomic]]:
-    """Inverse of M with M[c][r] = values[r][c] of the brute table.
-
-    M applied to row multiplicities gives a class function's values on the
-    columns, so the inverse recovers the multiplicities of any such function.
-    """
-    key = (n, field)
-    hit = _BRUTE_INVERSE_MEMO.get(key)
-    if hit is None:
-        rows, cols, values = brute_table(n, field, cap)
-        matrix = [[values[r][c] for r in range(len(rows))] for c in range(len(cols))]
-        try:
-            hit = linalg.inverse(matrix)
-        except ValueError as exc:
-            raise InvariantViolation(f"brute character rows are singular: {exc}") from exc
-        _BRUTE_INVERSE_MEMO[key] = hit
-    return hit
-
-
-def brute_tensor(t1: Template, t2: Template, cap: int = DEFAULT_MAX_SPACE) -> "CharSum":
+def brute_tensor(
+    t1: Template, t2: Template, cap: int = DEFAULT_MAX_SPACE, ctx: OracleContext | None = None
+) -> "CharSum":
     """Decompose a product by solving against the brute character rows."""
     from .tensor import CharSum  # local import keeps the oracle free of fast paths
 
     n, field = t1.n, t1.field
-    rows, cols, values = brute_table(n, field, cap)
-    inverse = _brute_inverse(n, field, cap)
+    if ctx is None:
+        ctx = _shared_context(n, field, cap)
+    rows, cols, values = ctx.table
+    inverse = ctx.inverse
     r1 = rows.index(t1)
     r2 = rows.index(t2)
     rhs = [values[r1][c] * values[r2][c] for c in range(len(cols))]

@@ -6,6 +6,13 @@ allows; seeded sampling takes over only where pair counts explode, and the
 sample size is part of the reported detail.  A falsified identity is
 reported as a failure (the CLI turns it into exit code 4) rather than
 raising out of the run.
+
+run_verify makes one oracle.OracleContext per run and hands it to every
+check that reads the oracle, so the adjoint and coadjoint partitions, the
+enumerations taken from their point lists, the column group elements and
+the brute table are built once and dropped when the run ends.  Thm9.3
+and emit_golden read each row's cluster from the coadjoint partition
+instead of walking it again.
 """
 
 from __future__ import annotations
@@ -64,17 +71,15 @@ def _check_counting(n, field):
     return True, f"template count {count} matches the recurrence"
 
 
-def _check_adjoint_classification(n, field, cap):
-    part = oracle.orbit_partition(n, field, "adjoint", cap)
-    by_orbit: dict[int, list] = {}
+def _check_adjoint_classification(ctx):
+    n, part = ctx.n, ctx.adjoint
     for x in part.points:
         t, g, h = clusters.adjoint_template_of(x)
         if t != part.representatives[part.orbit_of(x)]:
             return False, f"sweep template of {x!r} disagrees with its orbit's rook point"
         if clusters.template_of_matrix(act_right(act_left(g, x), h)) != t:
             return False, f"witnesses for {x!r} do not reproduce the template"
-        by_orbit.setdefault(part.orbit_of(x), []).append(x)
-    for members in by_orbit.values():
+    for members in part.members():
         base = None
         for x in members:
             ranks = tuple(clusters.rank_invariant(i, j, x) for (i, j) in positions(n))
@@ -85,18 +90,15 @@ def _check_adjoint_classification(n, field, cap):
     return True, f"{len(part.representatives)} adjoint clusters over {len(part.points)} points"
 
 
-def _check_coadjoint_classification(n, field, cap):
-    part = oracle.orbit_partition(n, field, "coadjoint", cap)
-    by_orbit: dict[int, list] = {}
+def _check_coadjoint_classification(ctx):
+    n, part = ctx.n, ctx.coadjoint
     for lam in part.points:
         t, g, h = clusters.coadjoint_template_of(lam)
         if t != part.representatives[part.orbit_of(lam)]:
             return False, f"sweep template of {lam!r} disagrees with its orbit's rook point"
         if clusters.template_of_functional(coact_left(g, coact_right(lam, h))) != t:
             return False, f"witnesses for {lam!r} do not reproduce the template"
-        by_orbit.setdefault(part.orbit_of(lam), []).append(lam)
-    for oid, members in by_orbit.items():
-        rep = part.representatives[oid]
+    for rep, members in zip(part.representatives, part.members()):
         inv = clusters.invariants_of(rep)
         base = None
         for lam in members:
@@ -114,8 +116,8 @@ def _check_coadjoint_classification(n, field, cap):
     return True, f"{len(part.representatives)} coadjoint clusters over {len(part.points)} points"
 
 
-def _check_sizes_and_degrees(n, field, cap, cap_group, rng):
-    part = oracle.orbit_partition(n, field, "coadjoint", cap)
+def _check_sizes_and_degrees(ctx, cap_group, rng):
+    n, field, part = ctx.n, ctx.field, ctx.coadjoint
     sizes = part.orbit_sizes()
     total = 0
     for rep, size in zip(part.representatives, sizes):
@@ -125,14 +127,14 @@ def _check_sizes_and_degrees(n, field, cap, cap_group, rng):
                 f"cluster of {rep.text()} has {size} points,"
                 f" formula says {clusters.cluster_size(rep)}"
             )
-        left = len(oracle.bfs_left_orbit(rep.as_functional()))
+        left = len(ctx.left_orbit(rep))
         if left != field.q**inv.d:
             return False, f"left orbit of {rep.text()} has {left} points, degree says q^{inv.d}"
         total += size
     order = field.q ** (n * (n - 1) // 2)
     if total != order:
         return False, f"cluster sizes sum to {total}, space has {order} points"
-    nil_part = oracle.orbit_partition(n, field, "adjoint", cap)
+    nil_part = ctx.adjoint
     for rep, size in zip(nil_part.representatives, nil_part.orbit_sizes()):
         if size != clusters.adjoint_cluster_size(rep):
             return False, (
@@ -148,9 +150,9 @@ def _check_sizes_and_degrees(n, field, cap, cap_group, rng):
         expected = field.q ** clusters.invariants_of(tau).i
 
         def chi(g, tau=tau):
-            return oracle.brute_char_value(tau, g)
+            return oracle.brute_char_value(tau, g, ctx)
 
-        norm = oracle.brute_inner(chi, chi, n, field, cap_group)
+        norm = oracle.brute_inner(chi, chi, n, field, cap_group, ctx)
         if norm != Cyclotomic.from_rational(field.p, expected):
             return False, f"self-intertwining of {tau.text()} is {norm}, expected {expected}"
     return True, (
@@ -159,19 +161,18 @@ def _check_sizes_and_degrees(n, field, cap, cap_group, rng):
     )
 
 
-def _check_character_sum(n, field, cap, rng):
-    rows, cols, brute = oracle.brute_table(n, field, cap)
+def _check_character_sum(ctx, rng):
+    rows, cols, brute = ctx.table
     for r, tau in enumerate(rows):
         for c, x in enumerate(cols):
-            if char_value_sum(tau, UniMatrix(x.as_matrix())) != brute[r][c]:
+            if char_value_sum(tau, ctx.column(x)) != brute[r][c]:
                 return False, f"cluster-sum value differs at ({tau.text()}, {x.text()})"
-    part = oracle.orbit_partition(n, field, "adjoint", cap)
+    part = ctx.adjoint
     sample_rows = rows if len(rows) <= 12 else rng.sample(rows, 12)
-    for oid, rep in enumerate(part.representatives):
-        members = [x for x in part.points if part.orbit_of(x) == oid]
+    for rep, members in zip(part.representatives, part.members()):
         picks = members if len(members) <= 3 else rng.sample(members, 3)
         for tau in sample_rows:
-            base = char_value_sum(tau, UniMatrix(rep.as_matrix()))
+            base = char_value_sum(tau, ctx.column(rep))
             for x in picks:
                 if char_value_sum(tau, UniMatrix(x)) != base:
                     return False, (
@@ -181,25 +182,24 @@ def _check_character_sum(n, field, cap, rng):
     return True, f"cluster-sum route matches the trace on all {len(rows)}x{len(cols)} cells"
 
 
-def _check_closed_formula(n, field, cap):
-    rows, cols, brute = oracle.brute_table(n, field, cap)
+def _check_closed_formula(ctx):
+    rows, cols, brute = ctx.table
     for r, tau in enumerate(rows):
         for c, x in enumerate(cols):
             if char_value_closed(tau, x) != brute[r][c]:
                 return False, f"closed form differs at ({tau.text()}, {x.text()})"
-    duals = oracle.enumerate_dual(n, field, cap)
     for x in cols:
-        g = UniMatrix(x.as_matrix())
-        for lam in duals:
+        g = ctx.column(x)
+        for lam in ctx.dual:
             direct = fixes_left(g, lam)
-            if direct != oracle.fixed_by_template_action(lam, x.as_matrix()):
+            if direct != oracle.fixed_by_template_action(lam, g.off):
                 return False, f"support criterion wrong for ({lam!r}, {x.text()})"
     return True, f"closed form equals the trace on all {len(rows)}x{len(cols)} cells"
 
 
-def _check_axioms(n, field, cap):
-    table = build_table(n, field)
-    part = oracle.orbit_partition(n, field, "adjoint", cap)
+def _check_axioms(ctx):
+    table = build_table(ctx.n, ctx.field)
+    part = ctx.adjoint
     sizes = dict(zip(part.representatives, part.orbit_sizes()))
     for col, size in zip(table.cols, table.col_sizes):
         if sizes.get(col) != size:
@@ -213,8 +213,9 @@ def _check_axioms(n, field, cap):
     return True, "superclass partition, regular character, orthogonality, counts"
 
 
-def _check_primary_factorization(n, field, cap):
-    rows, cols, brute = oracle.brute_table(n, field, cap)
+def _check_primary_factorization(ctx):
+    n, field = ctx.n, ctx.field
+    rows, cols, brute = ctx.table
     index = {t: r for r, t in enumerate(rows)}
     for tau in rows:
         rewritten = tensor.tensor_rewrite(field, n, clusters.primary_components(tau))
@@ -229,8 +230,9 @@ def _check_primary_factorization(n, field, cap):
     return True, f"all {len(rows)} characters factor through their primary cells"
 
 
-def _check_tensor_ring(n, field, cap, pair_cap, sample_pairs, rng):
-    rows, cols, brute = oracle.brute_table(n, field, cap)
+def _check_tensor_ring(ctx, pair_cap, sample_pairs, rng):
+    n, field = ctx.n, ctx.field
+    rows, cols, brute = ctx.table
     index = {t: r for r, t in enumerate(rows)}
     all_pairs = [(t1, t2) for t1 in rows for t2 in rows]
     if len(all_pairs) <= EXHAUSTIVE_PAIR_LIMIT:
@@ -262,7 +264,7 @@ def _check_tensor_ring(n, field, cap, pair_cap, sample_pairs, rng):
         counted = tensor.tensor_by_counting(t1, t2, pair_cap)
         if counted != tensor.tensor_product(t1, t2):
             return False, f"counting route differs for [{t1.text()}] x [{t2.text()}]"
-        if oracle.brute_tensor(t1, t2, cap) != counted:
+        if oracle.brute_tensor(t1, t2, ctx=ctx) != counted:
             return False, f"brute solve differs for [{t1.text()}] x [{t2.text()}]"
     for t1 in rows:
         minus = Template(field, n, [(i, j, -v) for (i, j, v) in t1.cells])
@@ -278,10 +280,11 @@ def _check_tensor_ring(n, field, cap, pair_cap, sample_pairs, rng):
     return True, f"rewrite, counting and brute routes agree on {mode}"
 
 
-def _check_delta_value(n, field, cap, cap_group):
-    duals = [lam for lam in oracle.enumerate_dual(n, field, cap) if oracle.covers_rows(lam)]
+def _check_delta_value(ctx, cap_group):
+    field = ctx.field
+    duals = [lam for lam in ctx.dual if oracle.covers_rows(lam)]
     count = 0
-    for g in oracle.enumerate_group(n, field, cap_group):
+    for g in ctx.group(cap_group):
         formula = discrete.delta_value(g)
         traced = oracle.brute_delta_value(g, duals, prefiltered=True)
         if traced != Cyclotomic.from_rational(field.p, formula):
@@ -290,13 +293,14 @@ def _check_delta_value(n, field, cap, cap_group):
     return True, f"rank formula matches the trace at all {count} group elements"
 
 
-def _check_delta_decomposition(n, field, cap):
-    rows, cols, brute = oracle.brute_table(n, field, cap)
+def _check_delta_decomposition(ctx):
+    n, field = ctx.n, ctx.field
+    rows, cols, brute = ctx.table
     index = {t: r for r, t in enumerate(rows)}
     decomp = discrete.delta_decompose(n, field)
+    cluster_of = dict(zip(ctx.coadjoint.representatives, ctx.coadjoint.members()))
     for tau in rows:
-        psi = oracle.bfs_double_orbit(tau.as_functional(), "coadjoint")
-        pool = {lam for lam in psi if discrete.in_delta(lam)}
+        pool = {lam for lam in cluster_of[tau] if discrete.in_delta(lam)}
         orbits = 0
         while pool:
             orbit = oracle.bfs_left_orbit(next(iter(pool)))
@@ -315,7 +319,7 @@ def _check_delta_decomposition(n, field, cap):
         total = Cyclotomic.from_rational(field.p, 0)
         for tau, mult in decomp.terms.items():
             total = total + mult * brute[index[tau]][c]
-        expected = discrete.delta_value(UniMatrix(x.as_matrix()))
+        expected = discrete.delta_value(ctx.column(x))
         if total != Cyclotomic.from_rational(field.p, expected):
             return False, f"decomposition wrong at column {x.text()}"
     return True, (
@@ -332,20 +336,21 @@ def run_verify(
     sample_pairs: int = 200,
     seed: int = 0,
 ) -> VerifyReport:
-    """Run the full certification suite for one (n, q)."""
+    """Run the full certification suite for one (n, q) over one oracle context."""
     rng = random.Random(seed)
+    ctx = oracle.OracleContext(n, field, cap_orbit)
     checks = [
         ("Thm5.1", lambda: _check_counting(n, field)),
-        ("Thm4.1", lambda: _check_adjoint_classification(n, field, cap_orbit)),
-        ("Thm4.2", lambda: _check_coadjoint_classification(n, field, cap_orbit)),
-        ("Thm6.2", lambda: _check_sizes_and_degrees(n, field, cap_orbit, cap_group, rng)),
-        ("Thm3.5", lambda: _check_character_sum(n, field, cap_orbit, rng)),
-        ("A.1", lambda: _check_closed_formula(n, field, cap_orbit)),
-        ("A.2", lambda: _check_axioms(n, field, cap_orbit)),
-        ("Thm7.1", lambda: _check_primary_factorization(n, field, cap_orbit)),
-        ("Thm8.6", lambda: _check_tensor_ring(n, field, cap_orbit, cap_pairs, sample_pairs, rng)),
-        ("Thm9.1", lambda: _check_delta_value(n, field, cap_orbit, cap_group)),
-        ("Thm9.3", lambda: _check_delta_decomposition(n, field, cap_orbit)),
+        ("Thm4.1", lambda: _check_adjoint_classification(ctx)),
+        ("Thm4.2", lambda: _check_coadjoint_classification(ctx)),
+        ("Thm6.2", lambda: _check_sizes_and_degrees(ctx, cap_group, rng)),
+        ("Thm3.5", lambda: _check_character_sum(ctx, rng)),
+        ("A.1", lambda: _check_closed_formula(ctx)),
+        ("A.2", lambda: _check_axioms(ctx)),
+        ("Thm7.1", lambda: _check_primary_factorization(ctx)),
+        ("Thm8.6", lambda: _check_tensor_ring(ctx, cap_pairs, sample_pairs, rng)),
+        ("Thm9.1", lambda: _check_delta_value(ctx, cap_group)),
+        ("Thm9.3", lambda: _check_delta_decomposition(ctx)),
     ]
     results = []
     for key, fn in checks:
@@ -360,21 +365,22 @@ def run_verify(
 def emit_golden(n: int, field: Field, cap: int = oracle.DEFAULT_MAX_SPACE) -> dict:
     """Oracle-derived reference data, for committing as golden files.
 
-    Everything here comes from the brute routes: sizes from BFS partitions,
-    table values from fixed-point traces, discrete-series multiplicities
-    from orbit counts.
+    Everything here comes from the brute routes, read from one oracle
+    context: sizes from BFS partitions, table values from fixed-point
+    traces, discrete-series multiplicities from orbit counts inside each
+    row's cluster of the coadjoint partition.
     """
-    rows, cols, values = oracle.brute_table(n, field, cap)
-    dual_part = oracle.orbit_partition(n, field, "coadjoint", cap)
-    nil_part = oracle.orbit_partition(n, field, "adjoint", cap)
+    ctx = oracle.OracleContext(n, field, cap)
+    rows, cols, values = ctx.table
+    dual_part, nil_part = ctx.coadjoint, ctx.adjoint
     dual_sizes = dict(zip(dual_part.representatives, dual_part.orbit_sizes()))
     nil_sizes = dict(zip(nil_part.representatives, nil_part.orbit_sizes()))
+    cluster_of = dict(zip(dual_part.representatives, dual_part.members()))
     identity_col = cols.index(Template(field, n, []))
     delta_terms = []
     delta_identity = 0
     for r, tau in enumerate(rows):
-        psi = oracle.bfs_double_orbit(tau.as_functional(), "coadjoint")
-        pool = {lam for lam in psi if discrete.in_delta(lam)}
+        pool = {lam for lam in cluster_of[tau] if discrete.in_delta(lam)}
         orbits = 0
         while pool:
             pool -= oracle.bfs_left_orbit(next(iter(pool)))
@@ -393,7 +399,7 @@ def emit_golden(n: int, field: Field, cap: int = oracle.DEFAULT_MAX_SPACE) -> di
                 "template": tau.text(),
                 "cluster_size": dual_sizes[tau],
                 "adjoint_cluster_size": nil_sizes[tau],
-                "left_orbit_size": len(oracle.bfs_left_orbit(tau.as_functional())),
+                "left_orbit_size": len(ctx.left_orbit(tau)),
             }
             for tau in rows
         ],

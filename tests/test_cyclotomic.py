@@ -155,3 +155,12 @@ def test_integral_arithmetic_builds_no_fraction(monkeypatch):
             assert_canonical(value)
         assert a != b and a == a * 1 and a != 2 and hash(a) == hash(a + 0)
     assert made == []
+
+
+def test_from_bins_sums_the_powers_of_z():
+    z = Cyclotomic.zeta_power(3, 1)
+    assert Cyclotomic.from_bins(3, [2, 1, 1]) == 1  # 1 + (1 + z + z^2)
+    assert Cyclotomic.from_bins(3, [0, 4, 1]) == 4 * z + z * z
+    assert Cyclotomic.from_bins(3, [0, 1, 0], 6) == Fraction(1, 6) * z
+    assert Cyclotomic.from_bins(2, [3, 1]) == 2  # z = -1
+    assert Cyclotomic.from_bins(5, [0] * 5) == 0

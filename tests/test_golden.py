@@ -22,32 +22,41 @@ from supercluster.clusters import (
 from supercluster.discrete import delta_decompose
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-CASES = [(2, 2), (3, 2), (3, 3)]
+# (n, p, k): the field is GF(p^k); the file is nq_<n>_<q>.json
+CASES = [(2, 2, 1), (3, 2, 1), (3, 3, 1), (3, 2, 2), (3, 3, 2)]
 
 
-def load(n, q):
-    return json.loads((GOLDEN_DIR / f"nq_{n}_{q}.json").read_text())
+def case_id(case):
+    n, p, k = case
+    return f"{n}-{p}" if k == 1 else f"{n}-{p}^{k}"
 
 
-@pytest.mark.parametrize("n,q", CASES)
-def test_oracle_reproduces_golden(n, q):
-    assert verify.emit_golden(n, field_make(q, 1)) == load(n, q)
+cases = pytest.mark.parametrize("n,p,k", CASES, ids=[case_id(c) for c in CASES])
 
 
-@pytest.mark.parametrize("n,q", CASES)
-def test_fast_table_matches_golden(n, q):
-    golden = load(n, q)
-    table = build_table(n, field_make(q, 1))
+def load(n, p, k):
+    return json.loads((GOLDEN_DIR / f"nq_{n}_{p**k}.json").read_text())
+
+
+@cases
+def test_oracle_reproduces_golden(n, p, k):
+    assert verify.emit_golden(n, field_make(p, k)) == load(n, p, k)
+
+
+@cases
+def test_fast_table_matches_golden(n, p, k):
+    golden = load(n, p, k)
+    table = build_table(n, field_make(p, k))
     assert [t.text() for t in table.rows] == golden["table"]["rows"]
     assert [t.text() for t in table.cols] == golden["table"]["cols"]
     rendered = [[str(v) for v in row] for row in table.values]
     assert rendered == golden["table"]["values"]
 
 
-@pytest.mark.parametrize("n,q", CASES)
-def test_fast_sizes_match_golden(n, q):
-    golden = load(n, q)
-    field = field_make(q, 1)
+@cases
+def test_fast_sizes_match_golden(n, p, k):
+    golden = load(n, p, k)
+    field = field_make(p, k)
     by_text = {t["template"]: t for t in golden["templates"]}
     for tau in enumerate_templates(n, field):
         entry = by_text[tau.text()]
@@ -56,8 +65,8 @@ def test_fast_sizes_match_golden(n, q):
         assert field.q ** invariants_of(tau).d == entry["left_orbit_size"]
 
 
-@pytest.mark.parametrize("n,q", CASES)
-def test_fast_delta_matches_golden(n, q):
-    golden = load(n, q)
-    decomp = delta_decompose(n, field_make(q, 1))
+@cases
+def test_fast_delta_matches_golden(n, p, k):
+    golden = load(n, p, k)
+    decomp = delta_decompose(n, field_make(p, k))
     assert decomp.to_json() == golden["delta"]

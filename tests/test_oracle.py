@@ -1,11 +1,34 @@
-import pytest
+from fractions import Fraction
+from functools import lru_cache
 
-from supercluster import field_make
-from supercluster.clusters import enumerate_templates, parse_template
-from supercluster.core import Functional, UniMatrix, coact_left, e_ij, eps_ij
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from supercluster import field_make, oracle
+from supercluster.characters import char_value_sum
+from supercluster.clusters import (
+    cluster_elements,
+    enumerate_templates,
+    invariants_of,
+    parse_template,
+)
+from supercluster.core import (
+    Functional,
+    NilMatrix,
+    UniMatrix,
+    coact_left,
+    e_ij,
+    eps_ij,
+    evaluate,
+    fixes_left,
+    identity,
+    positions,
+)
 from supercluster.cyclotomic import Cyclotomic
 from supercluster.errors import ResourceCapExceeded
 from supercluster.oracle import (
+    OracleContext,
     bfs_double_orbit,
     bfs_left_orbit,
     brute_char_value,
@@ -13,6 +36,7 @@ from supercluster.oracle import (
     brute_inner,
     brute_table,
     brute_tensor,
+    covers_rows,
     enumerate_dual,
     enumerate_group,
     enumerate_nil,
@@ -155,7 +179,6 @@ def test_brute_tensor_equals_rewrite_on_every_pair(F3):
 
 def test_brute_delta_value_filters_unless_told_the_list_is_filtered(F3):
     from supercluster.discrete import delta_value
-    from supercluster.oracle import covers_rows
 
     duals = enumerate_dual(3, F3)
     covering = [lam for lam in duals if covers_rows(lam)]
@@ -165,3 +188,120 @@ def test_brute_delta_value_filters_unless_told_the_list_is_filtered(F3):
         assert brute_delta_value(g) == want
         assert brute_delta_value(g, duals) == want
         assert brute_delta_value(g, covering, prefiltered=True) == want
+
+
+# -- one context per run ---------------------------------------------------------
+
+@pytest.mark.parametrize("n,p,k", [(3, 3, 1), (4, 2, 1), (3, 2, 2)])
+def test_partition_keys_are_the_enumerated_points(n, p, k):
+    for side in ("adjoint", "coadjoint"):
+        part = orbit_partition(n, field_make(p, k), side)
+        assert len(part.orbit_id) == len(part.points)
+        assert {id(m) for m in part.orbit_id} == {id(m) for m in part.points}
+
+
+def test_members_group_the_points_by_orbit(F2, F3):
+    for field in (F2, F3):
+        part = orbit_partition(3, field, "adjoint")
+        members = part.members()
+        assert [len(m) for m in members] == part.orbit_sizes()
+        for oid, points in enumerate(members):
+            assert points == [x for x in part.points if part.orbit_of(x) == oid]
+
+
+def test_context_reads_the_enumerations_from_its_partitions(F3):
+    ctx = OracleContext(3, F3)
+    assert ctx.nil is ctx.adjoint.points and ctx.nil == enumerate_nil(3, F3)
+    assert ctx.dual is ctx.coadjoint.points and ctx.dual == enumerate_dual(3, F3)
+    group = ctx.group()
+    assert group == enumerate_group(3, F3)
+    assert all(g.off is x for g, x in zip(group, ctx.nil))
+    with pytest.raises(ResourceCapExceeded):
+        ctx.group(cap=26)
+    x = ctx.adjoint.representatives[-1]
+    assert ctx.column(x) is ctx.column(x) and ctx.column(x) == UniMatrix(x.as_matrix())
+    assert ctx.table == brute_table(3, F3)
+
+
+def test_free_calls_keep_at_most_one_context(F2, F3):
+    brute_table(3, F2)
+    brute_tensor(T(F3, 3, "(1,3)=1"), T(F3, 3, "0"))
+    assert brute_table(3, F3) is oracle._shared_context(3, F3, oracle.DEFAULT_MAX_SPACE).table
+    assert oracle._shared_context.cache_info().currsize == 1
+
+
+def test_brute_inner_evaluates_a_self_pairing_once_per_element(F2):
+    tau = T(F2, 3, "(1,3)=1")
+    calls = []
+
+    def chi(g):
+        calls.append(g)
+        return brute_char_value(tau, g)
+
+    assert brute_inner(chi, chi, 3, F2) == 1
+    assert len(calls) == 8
+    assert brute_inner(chi, chi, 3, F2, ctx=OracleContext(3, F2)) == 1
+    assert len(calls) == 16
+
+
+# -- traces summed in integer bins -----------------------------------------------
+
+PROPS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+# (n, p, k) over GF(2), GF(3), GF(4), GF(5), GF(9), n <= 4, at most 5^6 points
+SMALL = [
+    (n, p, k)
+    for (p, k) in ((2, 1), (3, 1), (2, 2), (5, 1), (3, 2))
+    for n in (2, 3, 4)
+    if (p**k) ** (n * (n - 1) // 2) <= 5**6
+]
+
+
+@lru_cache(maxsize=None)
+def covering_duals(n, p, k):
+    return [lam for lam in enumerate_dual(n, field_make(p, k)) if covers_rows(lam)]
+
+
+def summed_roots(p, values):
+    """The sum of z^trace(a) over values, one zeta_power term at a time."""
+    total = Cyclotomic.from_rational(p, 0)
+    for a in values:
+        total = total + Cyclotomic.zeta_power(p, a.trace())
+    return total
+
+
+@st.composite
+def trace_cases(draw):
+    """(n, p, k, tau, g): a row template and a group element, g - I sparse."""
+    n, p, k = draw(st.sampled_from(SMALL))
+    field = field_make(p, k)
+    templates = enumerate_templates(n, field)
+    # i > 0 only for the crossing (1,3), (2,4) at n <= 4; draw it half the time
+    crossing = [t for t in templates if invariants_of(t).i > 0]
+    tau = draw(st.sampled_from(crossing if crossing and draw(st.booleans()) else templates))
+    value = st.one_of(st.just(0), st.integers(0, field.q - 1))
+    count = len(positions(n))
+    indices = draw(st.lists(value, min_size=count, max_size=count))
+    off = NilMatrix(field, n, {pos: field.elements[m] for pos, m in zip(positions(n), indices)})
+    return n, p, k, tau, UniMatrix(off)
+
+
+@PROPS
+@given(trace_cases())
+def test_binned_traces_equal_summed_roots_of_unity(case):
+    """At g and at the identity, where every term is 1 and the q^(i-d)
+    scaling of the cluster sum shows whenever i > 0."""
+    n, p, k, tau, g = case
+    q = p**k
+    orbit = bfs_left_orbit(tau.as_functional())
+    covering = covering_duals(n, p, k)
+    inv = invariants_of(tau)
+    ctx = OracleContext(n, tau.field)
+    for h in (g, identity(tau.field, n)):
+        want = summed_roots(p, [evaluate(lam, h.off) for lam in orbit if fixes_left(h, lam)])
+        assert brute_char_value(tau, h) == want
+        assert brute_char_value(tau, h, ctx) == want
+        want = summed_roots(p, [evaluate(lam, h.off) for lam in covering if fixes_left(h, lam)])
+        assert brute_delta_value(h, covering, prefiltered=True) == want
+        total = summed_roots(p, [evaluate(lam, h.off) for lam in cluster_elements(tau)])
+        assert char_value_sum(tau, h) == Fraction(q**inv.i, q**inv.d) * total

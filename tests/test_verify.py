@@ -1,3 +1,5 @@
+import gc
+import weakref
 from collections import Counter
 
 from supercluster import core, field_make, oracle, verify
@@ -42,13 +44,13 @@ def test_delta_check_tests_each_covering_pair_once(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
+    ctx = oracle.OracleContext(4, field_make(2, 1))
+    ctx.dual  # the coadjoint partition walks its orbits with coact_left
     counted(oracle, "covers_rows")
     counted(oracle, "fixes_left")
     counted(oracle, "coact_left")
     counted(core, "coact_left")
-    ok, _ = verify._check_delta_value(
-        4, field_make(2, 1), oracle.DEFAULT_MAX_SPACE, oracle.DEFAULT_MAX_SPACE
-    )
+    ok, _ = verify._check_delta_value(ctx, oracle.DEFAULT_MAX_SPACE)
     assert ok
     assert calls["fixes_left"] == 64 * 21
     assert calls["coact_left"] == 0
@@ -66,7 +68,45 @@ def test_delta_check_filters_the_dual_space_once(monkeypatch):
 
     monkeypatch.setattr(oracle, "covers_rows", counted)
     ok, _ = verify._check_delta_value(
-        4, field_make(2, 1), oracle.DEFAULT_MAX_SPACE, oracle.DEFAULT_MAX_SPACE
+        oracle.OracleContext(4, field_make(2, 1)), oracle.DEFAULT_MAX_SPACE
     )
     assert ok
     assert calls["covers_rows"] == 64
+
+
+def test_run_verify_builds_each_partition_once(monkeypatch):
+    """One run at (4,2) partitions each side once; the checks share them."""
+    sides = []
+    orbit_partition = oracle.orbit_partition
+
+    def counted(n, field, side="coadjoint", cap=oracle.DEFAULT_MAX_SPACE):
+        sides.append(side)
+        return orbit_partition(n, field, side, cap)
+
+    monkeypatch.setattr(oracle, "orbit_partition", counted)
+    assert run_verify(4, field_make(2, 1)).passed
+    assert sorted(sides) == ["adjoint", "coadjoint"]
+
+
+def test_no_oracle_memo_survives_a_run(monkeypatch):
+    """The run's context is released when it returns, and no module-level
+    container of the oracle grows."""
+    made = []
+
+    class Recorded(oracle.OracleContext):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(weakref.ref(self))
+
+    def sizes():
+        return {
+            name: len(value) for name, value in vars(oracle).items()
+            if isinstance(value, (dict, list, set)) and not name.startswith("__")
+        }
+
+    monkeypatch.setattr(oracle, "OracleContext", Recorded)
+    before = sizes(), oracle._shared_context.cache_info()
+    assert run_verify(3, field_make(3, 1)).passed
+    gc.collect()
+    assert len(made) == 1 and made[0]() is None
+    assert (sizes(), oracle._shared_context.cache_info()) == before
