@@ -10,7 +10,9 @@ as_matrix()/as_functional().
 The six actions (left/right/adjoint on matrices, left/right/coadjoint on
 functionals) are pure functions; every value here is immutable and safe to
 share across workers.  fixes_left(g, lam) answers coact_left(g, lam) == lam
-from the same column-operation increments without building the image.
+from the same column-operation increments without building the image.  The
+coactions, fixes_left and evaluate raise ValueError on operands of
+different sizes or over different fields.
 
 A UniMatrix fills two index slots on first use and keeps them: the entries
 of g - I grouped by column and by row.  The one-sided coactions walk the
@@ -302,6 +304,8 @@ def coact_left(g: UniMatrix, lam: Functional) -> Functional:
     """
     if g.n != lam.n:
         raise ValueError("size mismatch")
+    if g.off.field is not lam.field and g.off.field != lam.field:
+        raise ValueError("field mismatch")
     out = dict(lam.entries)
     zero = lam.field.zero
     cols = g._col_index()
@@ -324,6 +328,8 @@ def fixes_left(g: UniMatrix, lam: Functional) -> bool:
     """
     if g.n != lam.n:
         raise ValueError("size mismatch")
+    if g.off.field is not lam.field and g.off.field != lam.field:
+        raise ValueError("field mismatch")
     cols = g._col_index()
     inc: dict = {}
     for (k, b), c in lam.entries.items():
@@ -343,6 +349,8 @@ def coact_right(lam: Functional, g: UniMatrix) -> Functional:
     """
     if g.n != lam.n:
         raise ValueError("size mismatch")
+    if g.off.field is not lam.field and g.off.field != lam.field:
+        raise ValueError("field mismatch")
     out = dict(lam.entries)
     zero = lam.field.zero
     rows = g._row_index()
@@ -366,6 +374,8 @@ def evaluate(lam: Functional, x: NilMatrix) -> FieldElement:
     """lam(x) = sum of c_ij * x_ij."""
     if lam.n != x.n:
         raise ValueError("size mismatch")
+    if lam.field is not x.field and lam.field != x.field:
+        raise ValueError("field mismatch")
     small, big = (lam.entries, x.entries) if len(lam.entries) <= len(x.entries) else (x.entries, lam.entries)
     total = lam.field.zero
     for pos, v in small.items():

@@ -10,20 +10,28 @@ sweeps, combinatorial indices, closed character formula) are used, so a bug
 there cannot leak into its own certification; only the Template value type
 is shared.
 
-Both traces (brute_char_value and brute_delta_value) still visit every
-(g, lam) pair and test lam with core.fixes_left, which sums the left
-action's own column-operation increments; they never use the support
-criterion fixed_by_template_action, which A.1 certifies against them.
-Every term of a trace is a p-th root of unity z^e with e = trace(lam(g-I)),
-so a trace counts its fixed functionals in p integer bins, one per
-exponent, and builds a single Cyclotomic from the bins at the end.
+Neither trace uses the support criterion fixed_by_template_action, which
+A.1 certifies against them; both test fixedness with the left action's own
+column-operation increments.  brute_char_value visits every (g, lam) pair
+of a left orbit and tests lam with core.fixes_left.  brute_delta_value
+works row by row: coact_left updates c_kl by sum_b y_lb * c_kb, so row k
+of the image depends on row k of lam alone, lam is fixed exactly when each
+of its rows is, and trace(lam(g-I)) is the sum over k of trace(c_k . x_k).
+The traced functionals sit in a row trie, keyed by one integer code per
+row, top row first, with multiplicities at the leaves; for each g every
+distinct (row, row vector) is decided once, and the walk drops a subtree
+at its first row that g moves.  Every term of a trace is a p-th root of
+unity z^e with e = trace(lam(g-I)), so a trace counts its fixed
+functionals in p integer bins, one per exponent, and builds a single
+Cyclotomic from the bins at the end.
 
 An OracleContext holds the brute data of one (n, field, cap), each piece
 built on first use: the adjoint and coadjoint partitions, the nil, dual and
 group enumerations read from the partitions' own point lists, one group
-element per column template, the left orbits of the row templates, and the
-brute table with its inverse.  verify.run_verify makes one per run and
-drops it when the run ends, so the whole suite builds each partition once.
+element per column template, the left orbits of the row templates, the
+row trie of the row-covering functionals, and the brute table with its
+inverse.  verify.run_verify makes one per run and drops it when the run
+ends, so the whole suite builds each partition once.
 brute_table and brute_tensor called without a context share one
 module-level context, a one-entry cache that keeps the last (n, field,
 cap) they saw and replaces it on a call for any other, so at most one is
@@ -257,6 +265,12 @@ class OracleContext:
         return orbit
 
     @cached_property
+    def row_trie(self) -> "_RowTrie":
+        """The row-covering functionals of the dual space in a row trie,
+        each tested with covers_rows once."""
+        return _RowTrie(self.n, self.field, self.dual)
+
+    @cached_property
     def table(self) -> tuple[list[Template], list[Template], list[list[Cyclotomic]]]:
         """(row templates, col templates, value matrix), from the partitions
         and fixed-point traces alone."""
@@ -345,26 +359,128 @@ def covers_rows(lam: Functional) -> bool:
     return len({i for (i, _) in lam.entries}) == lam.n - 1
 
 
+class _RowTrie:
+    """Functionals grouped by their rows, top row first, with multiplicities.
+
+    The code of row k of lam is sum of c_kl.index * q^(l-k-1) over its
+    entries.  root is nested dicts n-1 levels deep: the code of row 1 maps
+    to a node keyed by the code of row 2, and so on, and the last level
+    maps the code of row n-1 to the number of times the functional was
+    given (at n = 1, root is that number itself).  rows[k-1] maps each code
+    seen at row k to the row's entries ((l, c_kl), ...).  Unless the list
+    is prefiltered, functionals that do not cover every row are left out.
+    """
+
+    __slots__ = ("n", "field", "root", "rows")
+
+    def __init__(self, n: int, field: Field, duals, prefiltered: bool = False):
+        self.n = n
+        self.field = field
+        depth = n - 1
+        q = field.q
+        self.rows: list[dict[int, tuple]] = [{} for _ in range(depth)]
+        self.root = {} if depth else 0
+        for lam in duals:
+            if lam.n != n:
+                raise ValueError("size mismatch")
+            if lam.field is not field and lam.field != field:
+                raise ValueError("field mismatch")
+            if not prefiltered and not covers_rows(lam):
+                continue
+            if not depth:
+                self.root += 1
+                continue
+            codes = [0] * depth
+            entries = [[] for _ in range(depth)]
+            for (k, l), c in lam.entries.items():
+                codes[k - 1] += c.index * q ** (l - k - 1)
+                entries[k - 1].append((l, c))
+            for seen, code, row in zip(self.rows, codes, entries):
+                seen.setdefault(code, tuple(row))
+            node = self.root
+            for code in codes[:-1]:
+                node = node.setdefault(code, {})
+            node[codes[-1]] = node.get(codes[-1], 0) + 1
+
+    def bins(self, g: UniMatrix) -> list[int]:
+        """How many functionals g fixes, binned by trace(lam(g-I)) mod p."""
+        if g.n != self.n:
+            raise ValueError("size mismatch")
+        if g.field is not self.field and g.field != self.field:
+            raise ValueError("field mismatch")
+        cols, x = g._col_index(), g.off.entries
+        fixed = []
+        for k, row in enumerate(self.rows, 1):
+            memo = {}
+            for code, entries in row.items():
+                e = _decide_row(cols, x, k, entries)
+                if e is not None:
+                    memo[code] = e
+            fixed.append(memo)
+        frontier = [(self.root, 0)]
+        for memo in fixed:
+            frontier = [
+                (child, e + d)
+                for node, e in frontier
+                for code, d in memo.items()
+                if (child := node.get(code)) is not None
+            ]
+        p = self.field.p
+        bins = [0] * p
+        for mult, e in frontier:
+            bins[e % p] += mult
+        return bins
+
+
+def _decide_row(cols, x: dict, k: int, entries) -> int | None:
+    """trace(c_k . x_k) if g fixes row k of a functional, else None.
+
+    entries are the row's ((b, c_kb), ...), x holds the entries of g - I
+    and cols[b] its entries (l, y_lb) in column b, as g._col_index() gives
+    them.  The row is fixed when every sum of the increments y_lb * c_kb
+    that core.fixes_left adds up at (k, l) vanishes.
+    """
+    inc: dict = {}
+    for b, c in entries:
+        for l, y in cols[b]:
+            if k < l:
+                w = y * c
+                prev = inc.get(l)
+                inc[l] = w if prev is None else prev + w
+    if any(inc.values()):
+        return None
+    total = None
+    for b, c in entries:
+        y = x.get((k, b))
+        if y is not None:
+            total = c * y if total is None else total + c * y
+    return 0 if total is None else total.trace()
+
+
 def brute_delta_value(
-    g: UniMatrix, duals: list[Functional] | None = None, *, prefiltered: bool = False
+    g: UniMatrix,
+    duals: list[Functional] | None = None,
+    *,
+    prefiltered: bool = False,
+    ctx: OracleContext | None = None,
 ) -> Cyclotomic:
     """Trace of g on the span of the row-covering functionals, from scratch.
 
-    duals may be the whole dual space or any superset of its row-covering
-    part; the functionals that do not cover every row are skipped here.  A
-    caller that traces many elements over one list filters it once with
-    covers_rows and passes prefiltered=True, which skips the test.
+    A context supplies its row trie, built once over its dual space.
+    Without one, duals (default: the whole dual space) may be any list of
+    functionals in any order, duplicates counted; the members that do not
+    cover every row are skipped unless prefiltered=True, which skips the
+    test, and the trie is built for this call alone.
     """
-    if duals is None:
-        duals = enumerate_dual(g.n, g.field)
-    if not prefiltered:
-        duals = [lam for lam in duals if covers_rows(lam)]
-    p = g.field.p
-    bins = [0] * p
-    for lam in duals:
-        if fixes_left(g, lam):
-            bins[evaluate(lam, g.off).trace()] += 1
-    return Cyclotomic.from_bins(p, bins)
+    if ctx is not None:
+        if duals is not None:
+            raise ValueError("pass duals or a context, not both")
+        trie = ctx.row_trie
+    else:
+        if duals is None:
+            duals = enumerate_dual(g.n, g.field)
+        trie = _RowTrie(g.n, g.field, duals, prefiltered)
+    return Cyclotomic.from_bins(g.field.p, trie.bins(g))
 
 
 # -- brute tensor decomposition ----------------------------------------------

@@ -10,7 +10,8 @@ raising out of the run.
 run_verify makes one oracle.OracleContext per run and hands it to every
 check that reads the oracle, so the adjoint and coadjoint partitions, the
 enumerations taken from their point lists, the column group elements and
-the brute table are built once and dropped when the run ends.  Thm9.3
+the brute table are built once and dropped when the run ends; Thm9.1
+traces every group element over the context's one row trie.  Thm9.3
 and emit_golden read each row's cluster from the coadjoint partition
 instead of walking it again.
 """
@@ -282,11 +283,10 @@ def _check_tensor_ring(ctx, pair_cap, sample_pairs, rng):
 
 def _check_delta_value(ctx, cap_group):
     field = ctx.field
-    duals = [lam for lam in ctx.dual if oracle.covers_rows(lam)]
     count = 0
     for g in ctx.group(cap_group):
         formula = discrete.delta_value(g)
-        traced = oracle.brute_delta_value(g, duals, prefiltered=True)
+        traced = oracle.brute_delta_value(g, ctx=ctx)
         if traced != Cyclotomic.from_rational(field.p, formula):
             return False, f"rank formula wrong at {g!r}"
         count += 1

@@ -80,6 +80,26 @@ def test_size_mismatch_raises(F2):
         evaluate(eps_ij(F2, 3, 1, 2), e_ij(F2, 4, 1, 2))
 
 
+FIELD_MISMATCH = {
+    "fixes_left": lambda g, lam: fixes_left(g, lam),
+    "coact_left": lambda g, lam: coact_left(g, lam),
+    "coact_right": lambda g, lam: coact_right(lam, g),
+    "evaluate": lambda g, lam: evaluate(lam, g.off),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_MISMATCH))
+def test_field_mismatch_raises(name, F2, F3, F4):
+    """Operands over different fields, even of one characteristic, are rejected."""
+    call = FIELD_MISMATCH[name]
+    lam = eps_ij(F2, 3, 1, 3) + eps_ij(F2, 3, 1, 2)
+    for field in (F3, F4):
+        g = UniMatrix(e_ij(field, 3, 1, 2) + e_ij(field, 3, 2, 3))
+        with pytest.raises(ValueError, match="field mismatch"):
+            call(g, lam)
+    call(UniMatrix(e_ij(F2, 3, 1, 2) + e_ij(F2, 3, 2, 3)), lam)
+
+
 def test_act_left_example(F2):
     g = elementary(F2, 3, 1, 2, F2.one)
     assert act_left(g, e_ij(F2, 3, 2, 3)) == e_ij(F2, 3, 2, 3) + e_ij(F2, 3, 1, 3)

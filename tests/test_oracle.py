@@ -305,3 +305,101 @@ def test_binned_traces_equal_summed_roots_of_unity(case):
         assert brute_delta_value(h, covering, prefiltered=True) == want
         total = summed_roots(p, [evaluate(lam, h.off) for lam in cluster_elements(tau)])
         assert char_value_sum(tau, h) == Fraction(q**inv.i, q**inv.d) * total
+
+
+# -- the row trie of the discrete-series trace -----------------------------------
+
+def per_pair_delta(g, lams, prefiltered=False):
+    """The sum of z^trace(lam(g-I)) over the members fixes_left accepts,
+    one (g, lam) pair at a time, each accepted one checked against its image."""
+    fixed = []
+    for lam in lams:
+        if (prefiltered or covers_rows(lam)) and fixes_left(g, lam):
+            assert coact_left(g, lam) == lam
+            fixed.append(evaluate(lam, g.off))
+    return summed_roots(g.field.p, fixed)
+
+
+@pytest.mark.parametrize(
+    "n,p,k", [(1, 2, 1), (2, 3, 1), (4, 2, 1), (3, 3, 1), (3, 2, 2), (4, 3, 1)],
+    ids=["1-2", "2-3", "4-2", "3-3", "3-2^2", "4-3"],
+)
+def test_row_trie_trace_equals_the_per_pair_trace(n, p, k):
+    """At every group element, with the context's trie and with throwaway ones."""
+    ctx = OracleContext(n, field_make(p, k))
+    covering = covering_duals(n, p, k)
+    group = ctx.group()
+    for m, g in enumerate(group):
+        want = per_pair_delta(g, covering, prefiltered=True)
+        assert brute_delta_value(g, ctx=ctx) == want
+        assert brute_delta_value(g, covering, prefiltered=True) == want
+        if m % max(1, len(group) // 16) == 0:  # these two filter the whole dual space
+            assert brute_delta_value(g) == want
+            assert brute_delta_value(g, ctx.dual) == want
+
+
+# (n, p, k) over GF(2), GF(3), GF(4), GF(5), GF(8), GF(9), n <= 4, at most 4^6 points
+ROW_TRIE_CASES = [
+    (n, p, k)
+    for (p, k) in ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2))
+    for n in (1, 2, 3, 4)
+    if (p**k) ** (n * (n - 1) // 2) <= 4**6
+]
+
+
+@lru_cache(maxsize=None)
+def row_trie_context(n, p, k):
+    return OracleContext(n, field_make(p, k))
+
+
+@st.composite
+def delta_lists(draw):
+    """(g, lams, prefiltered): a group element and a shuffled list of
+    functionals drawn with repetition, covering ones and, unless the list
+    is prefiltered, any others."""
+    n, p, k = draw(st.sampled_from(ROW_TRIE_CASES))
+    field = field_make(p, k)
+    value = st.one_of(st.just(0), st.integers(0, field.q - 1))
+    count = len(positions(n))
+    indices = draw(st.lists(value, min_size=count, max_size=count))
+    off = NilMatrix(field, n, {pos: field.elements[m] for pos, m in zip(positions(n), indices)})
+    g = UniMatrix(off)
+    prefiltered = draw(st.booleans())
+    covering = covering_duals(n, p, k)
+    member = st.sampled_from(covering)
+    if not prefiltered:
+        member = st.one_of(member, st.sampled_from(row_trie_context(n, p, k).dual))
+    lams = draw(st.lists(member, max_size=24))
+    lams += draw(st.lists(st.sampled_from(lams), max_size=6)) if lams else []
+    return g, draw(st.permutations(lams)), prefiltered
+
+
+@PROPS
+@given(delta_lists())
+def test_row_trie_trace_of_any_list_equals_the_per_pair_trace(case):
+    """Duplicates count as often as they occur; order does not matter."""
+    g, lams, prefiltered = case
+    assert brute_delta_value(g, lams, prefiltered=prefiltered) == per_pair_delta(
+        g, lams, prefiltered
+    )
+    n, p, k = g.n, g.field.p, g.field.k
+    ctx = row_trie_context(n, p, k)
+    assert brute_delta_value(g, ctx=ctx) == per_pair_delta(g, covering_duals(n, p, k), True)
+
+
+def test_row_trie_rejects_mismatched_inputs(F2, F3, F4):
+    lam = eps_ij(F2, 3, 1, 3) + eps_ij(F2, 3, 2, 3)
+    for field in (F3, F4):
+        g = UniMatrix(e_ij(field, 3, 1, 2))
+        with pytest.raises(ValueError, match="field mismatch"):
+            brute_delta_value(g, [lam])
+        with pytest.raises(ValueError, match="field mismatch"):
+            brute_delta_value(g, [lam], prefiltered=True)
+        with pytest.raises(ValueError, match="field mismatch"):
+            brute_delta_value(g, ctx=OracleContext(3, F2))
+    with pytest.raises(ValueError, match="size mismatch"):
+        brute_delta_value(identity(F2, 4), [lam])
+    with pytest.raises(ValueError, match="size mismatch"):
+        brute_delta_value(identity(F2, 4), ctx=OracleContext(3, F2))
+    with pytest.raises(ValueError, match="not both"):
+        brute_delta_value(identity(F2, 3), [lam], ctx=OracleContext(3, F2))

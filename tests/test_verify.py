@@ -31,30 +31,35 @@ def test_verify_seed_changes_sampling_but_not_outcome():
     assert run_verify(3, f, seed=2).passed
 
 
-def test_delta_check_tests_each_covering_pair_once(monkeypatch):
-    """Thm9.1 at (4,2): 64 group elements, 21 of the 64 functionals cover rows 1..3."""
+def test_delta_check_decides_row_vectors_instead_of_pairs(monkeypatch):
+    """Thm9.1 at (4,2): one trace over the row trie for each of the 64 group
+    elements, no (g, lam) pair test, and at most one decision per row vector
+    of rows 1..3 (8 + 4 + 2 of them) for each element."""
     calls = Counter()
 
     def counted(module, name):
         fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[f"{module.__name__}.{name}"] += 1
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
     ctx = oracle.OracleContext(4, field_make(2, 1))
     ctx.dual  # the coadjoint partition walks its orbits with coact_left
-    counted(oracle, "covers_rows")
-    counted(oracle, "fixes_left")
-    counted(oracle, "coact_left")
-    counted(core, "coact_left")
+    for module in (oracle, core):
+        counted(module, "fixes_left")
+        counted(module, "coact_left")
+    counted(oracle, "brute_delta_value")
+    counted(oracle, "_decide_row")
     ok, _ = verify._check_delta_value(ctx, oracle.DEFAULT_MAX_SPACE)
     assert ok
-    assert calls["fixes_left"] == 64 * 21
-    assert calls["coact_left"] == 0
-    assert calls["covers_rows"] <= 64 + 64 * 21
+    assert calls["supercluster.oracle.brute_delta_value"] == 64
+    for module in ("supercluster.oracle", "supercluster.core"):
+        assert calls[f"{module}.fixes_left"] == 0
+        assert calls[f"{module}.coact_left"] == 0
+    assert 0 < calls["supercluster.oracle._decide_row"] <= 64 * (8 + 4 + 2)
 
 
 def test_delta_check_filters_the_dual_space_once(monkeypatch):
