@@ -38,14 +38,10 @@ CAPS_ENV = "SUPERCLUSTER_CAPS"
 @dataclass
 class RunConfig:
     n: int
-    p: int
-    k: int
+    field: Field
     fmt: str = "text"
     seed: int = 0
     caps: dict = dataclass_field(default_factory=lambda: dict(DEFAULT_CAPS))
-
-    def make_field(self) -> Field:
-        return field_make(self.p, self.k, max_q=self.caps["q"])
 
 
 def _caps_from_env(caps: dict) -> dict:
@@ -73,11 +69,13 @@ def _add_common(sub: argparse.ArgumentParser, with_n: bool = True) -> None:
 
 
 def _config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
+    """Validate the common options and build the field; a q over its cap
+    raises ResourceCapExceeded."""
+    if args.k < 1:
+        parser.error("--k must be >= 1")
     if args.q is not None:
         if args.p is not None:
             parser.error("give either --q or --p/--k, not both")
-        if not is_prime(args.q):
-            parser.error(f"--q {args.q} is not prime; use --p and --k for extensions")
         p, k = args.q, 1
     elif args.p is not None:
         p, k = args.p, args.k
@@ -95,11 +93,19 @@ def _config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunCon
         caps["orbit"] = args.cap_orbit
     if args.cap_group is not None:
         caps["group"] = args.cap_group
-    if not is_prime(p):
-        parser.error(f"--p {p} is not prime")
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    return RunConfig(n=n, p=p, k=k, fmt=args.format, seed=args.seed, caps=caps)
+    # The cap comes before the primality test, whose trial division runs to
+    # sqrt(p); with p >= 2, k >= cap.bit_length() puts p^k over the cap.
+    if p >= 2 and (k >= caps["q"].bit_length() or p**k > caps["q"]):
+        q = f"{p}^{k}" if k > 1 else p
+        raise ResourceCapExceeded(f"q={q} exceeds the field size cap {caps['q']}")
+    if not is_prime(p):
+        if args.q is not None:
+            parser.error(f"--q {p} is not prime; use --p and --k for extensions")
+        parser.error(f"--p {p} is not prime")
+    field = field_make(p, k, max_q=caps["q"])
+    return RunConfig(n=n, field=field, fmt=args.format, seed=args.seed, caps=caps)
 
 
 def _emit(text: str) -> None:
@@ -113,7 +119,7 @@ def _dump_json(data: dict) -> str:
 # -- subcommand bodies --------------------------------------------------------
 
 def _run_count(cfg: RunConfig) -> int:
-    q = cfg.p**cfg.k
+    q = cfg.field.q
     values = [bell_poly(m, q) for m in range(cfg.n + 1)]
     if cfg.fmt == "json":
         _emit(_dump_json({"n": cfg.n, "q": q, "values": [str(v) for v in values]}))
@@ -125,7 +131,7 @@ def _run_count(cfg: RunConfig) -> int:
 
 
 def _cluster_rows(cfg: RunConfig) -> list[dict]:
-    field = cfg.make_field()
+    field = cfg.field
     rows = []
     for tau in enumerate_templates(cfg.n, field):
         inv = invariants_of(tau)
@@ -145,7 +151,7 @@ def _cluster_rows(cfg: RunConfig) -> list[dict]:
 def _run_clusters(cfg: RunConfig) -> int:
     rows = _cluster_rows(cfg)
     if cfg.fmt == "json":
-        _emit(_dump_json({"n": cfg.n, "q": cfg.p**cfg.k, "templates": rows}))
+        _emit(_dump_json({"n": cfg.n, "q": cfg.field.q, "templates": rows}))
     elif cfg.fmt == "csv":
         head = ["template", "d", "i", "degree", "selfint", "size", "adjoint_size"]
         lines = [",".join(head)]
@@ -162,7 +168,7 @@ def _run_clusters(cfg: RunConfig) -> int:
 
 
 def _run_table(cfg: RunConfig) -> int:
-    table = build_table(cfg.n, cfg.make_field(), max_rows=cfg.caps["table"])
+    table = build_table(cfg.n, cfg.field, max_rows=cfg.caps["table"])
     if cfg.fmt == "json":
         _emit(table.to_json_text())
     elif cfg.fmt == "csv":
@@ -172,17 +178,20 @@ def _run_table(cfg: RunConfig) -> int:
     return 0
 
 
-def _parse_factor(field: Field, raw: str) -> tuple[int, int, object]:
+def _parse_factor(field: Field, n: int, raw: str) -> tuple[int, int, object]:
+    """One --factor i,j,a with 1 <= i < j <= n; ValueError otherwise."""
     try:
         i, j, a = raw.split(",", 2)
-        return int(i), int(j), field.parse(a)
-    except (ValueError, IndexError) as exc:
+        i, j, a = int(i), int(j), field.parse(a)
+    except ValueError as exc:
         raise ValueError(f"bad --factor {raw!r}; expected i,j,a") from exc
+    if not (1 <= i < j <= n):
+        raise ValueError(f"bad --factor {raw!r}; need 1 <= i < j <= {n}")
+    return i, j, a
 
 
-def _run_tensor(cfg: RunConfig, factors: list[str], check: bool) -> int:
-    field = cfg.make_field()
-    cells = [_parse_factor(field, raw) for raw in factors]
+def _run_tensor(cfg: RunConfig, cells: list[tuple], check: bool) -> int:
+    field = cfg.field
     result = tensor.tensor_rewrite(field, cfg.n, cells)
     if check:
         counted = tensor.fold_by_counting(field, cfg.n, cells, cfg.caps["pairs"])
@@ -200,7 +209,7 @@ def _run_tensor(cfg: RunConfig, factors: list[str], check: bool) -> int:
 
 
 def _run_discrete(cfg: RunConfig) -> int:
-    decomp = discrete.delta_decompose(cfg.n, cfg.make_field())
+    decomp = discrete.delta_decompose(cfg.n, cfg.field)
     if cfg.fmt == "json":
         _emit(_dump_json(decomp.to_json()))
     else:
@@ -211,7 +220,7 @@ def _run_discrete(cfg: RunConfig) -> int:
 
 
 def _run_verify(cfg: RunConfig, sample_pairs: int, emit_golden: str | None) -> int:
-    field = cfg.make_field()
+    field = cfg.field
     report = verify.run_verify(
         cfg.n,
         field,
@@ -273,10 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _config(parser, args)
-    if args.command in ("tensor", "discrete", "verify") and cfg.fmt == "csv":
+    if args.command in ("tensor", "discrete", "verify") and args.format == "csv":
         parser.error(f"{args.command} has no csv format")
     try:
+        cfg = _config(parser, args)
         if args.command == "count":
             return _run_count(cfg)
         if args.command == "clusters":
@@ -284,7 +293,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "table":
             return _run_table(cfg)
         if args.command == "tensor":
-            return _run_tensor(cfg, args.factor, args.check)
+            try:
+                cells = [_parse_factor(cfg.field, cfg.n, raw) for raw in args.factor]
+            except ValueError as exc:
+                parser.error(str(exc))
+            return _run_tensor(cfg, cells, args.check)
         if args.command == "discrete":
             return _run_discrete(cfg)
         if args.command == "verify":

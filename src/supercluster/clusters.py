@@ -9,7 +9,9 @@ return witness group elements, so each call certifies itself.
 Two integers control everything downstream: the dimension index d (total
 distance from the support to the second diagonal) and the intertwining
 index i (number of L-shaped hook corners).  For a template the orbit sizes
-are |left orbit| = q^d and |double orbit| = q^(2d-i).
+are |left orbit| = q^d and |double orbit| = q^(2d-i).  The adjoint double
+orbit of a template has q^|L ∪ R| points, where L holds the positions above
+a cell in its column and R those right of a cell in its row.
 """
 
 from __future__ import annotations
@@ -195,17 +197,7 @@ def coadjoint_template_of(lam: Functional) -> tuple[Template, UniMatrix, UniMatr
     return t, g, h
 
 
-_ADJ_MEMO: dict[NilMatrix, Template] = {}
 _COADJ_MEMO: dict[Functional, Template] = {}
-
-
-def adjoint_template(x: NilMatrix) -> Template:
-    """Template only, memoized (classification is called in bulk)."""
-    t = _ADJ_MEMO.get(x)
-    if t is None:
-        t = adjoint_template_of(x)[0]
-        _ADJ_MEMO[x] = t
-    return t
 
 
 def coadjoint_template(lam: Functional) -> Template:
@@ -325,44 +317,23 @@ def cluster_size(tau: Template) -> int:
     return tau.field.q ** (2 * inv.d - inv.i)
 
 
-def adjoint_cluster_size(x: NilMatrix | Template) -> int:
-    """|U.x| * |x.U| / |U.x ∩ x.U|, each factor by exact rank."""
-    if isinstance(x, Template):
-        x = x.as_matrix()
-    n = x.n
-    idx = _pos_index(n)
-    zero = x.field.zero
-    left_vecs = []  # images y.x over basis y = e_ab
-    right_vecs = []  # images x.y
-    for (a, b) in positions(n):
-        lv = None
-        for (b2, m), v in x.entries.items():
-            if b2 == b:
-                if lv is None:
-                    lv = [zero] * len(idx)
-                lv[idx[(a, m)]] = lv[idx[(a, m)]] + v
-        if lv is not None:
-            left_vecs.append(lv)
-        rv = None
-        for (k, a2), v in x.entries.items():
-            if a2 == a:
-                if rv is None:
-                    rv = [zero] * len(idx)
-                rv[idx[(k, b)]] = rv[idx[(k, b)]] + v
-        if rv is not None:
-            right_vecs.append(rv)
-    ra = linalg.rank(left_vecs)
-    rb = linalg.rank(right_vecs)
-    ri = linalg.intersection_dim(left_vecs, right_vecs)
-    return x.field.q ** (ra + rb - ri)
+def adjoint_cluster_size(tau: Template) -> int:
+    """Size of the adjoint cluster of tau: q^|L ∪ R|.
+
+    With one cell per row and per column, every entry of y.tau and of
+    tau.y (y nilpotent) is a single product y_ab * t_bm or t_bm * y_mc.  So
+    U.tau - tau is the coordinate subspace on L, the positions (a, m) above
+    a cell (b, m), and tau.U - tau the one on R, the positions (b, c) right
+    of a cell (b, m); |U.tau| * |tau.U| / |U.tau ∩ tau.U| = q^|L ∪ R|.
+    """
+    moved = set()
+    for b, m, _ in tau.cells:
+        moved.update((a, m) for a in range(1, b))
+        moved.update((b, c) for c in range(m + 1, tau.n + 1))
+    return tau.field.q ** len(moved)
 
 
 # -- explicit orbit and cluster elements --------------------------------------
-
-def _vec_to_functional(field: Field, n: int, vec) -> Functional:
-    pts = positions(n)
-    return Functional(field, n, {pts[k]: v for k, v in enumerate(vec) if v})
-
 
 def _span_translates(base: Functional, basis: list[list[FieldElement]]) -> list[Functional]:
     """base + every combination of the basis vectors."""
@@ -421,16 +392,8 @@ def cluster_elements(tau: Template) -> tuple[Functional, ...]:
 
 def clear_memos() -> None:
     """Empty the module's classification and cluster-element memos."""
-    _ADJ_MEMO.clear()
     _COADJ_MEMO.clear()
     _CLUSTER_MEMO.clear()
-
-
-# -- primary decomposition ----------------------------------------------------
-
-def primary_components(tau: Template) -> list[tuple[int, int, FieldElement]]:
-    """The cells of tau; their single-cell clusters sum to the cluster of tau."""
-    return list(tau.cells)
 
 
 # -- enumeration and counting -------------------------------------------------

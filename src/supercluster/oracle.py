@@ -367,13 +367,13 @@ class _RowTrie:
     to a node keyed by the code of row 2, and so on, and the last level
     maps the code of row n-1 to the number of times the functional was
     given (at n = 1, root is that number itself).  rows[k-1] maps each code
-    seen at row k to the row's entries ((l, c_kl), ...).  Unless the list
-    is prefiltered, functionals that do not cover every row are left out.
+    seen at row k to the row's entries ((l, c_kl), ...).  Functionals that
+    do not cover every row are left out.
     """
 
     __slots__ = ("n", "field", "root", "rows")
 
-    def __init__(self, n: int, field: Field, duals, prefiltered: bool = False):
+    def __init__(self, n: int, field: Field, duals):
         self.n = n
         self.field = field
         depth = n - 1
@@ -385,7 +385,7 @@ class _RowTrie:
                 raise ValueError("size mismatch")
             if lam.field is not field and lam.field != field:
                 raise ValueError("field mismatch")
-            if not prefiltered and not covers_rows(lam):
+            if not covers_rows(lam):
                 continue
             if not depth:
                 self.root += 1
@@ -461,7 +461,6 @@ def brute_delta_value(
     g: UniMatrix,
     duals: list[Functional] | None = None,
     *,
-    prefiltered: bool = False,
     ctx: OracleContext | None = None,
 ) -> Cyclotomic:
     """Trace of g on the span of the row-covering functionals, from scratch.
@@ -469,8 +468,7 @@ def brute_delta_value(
     A context supplies its row trie, built once over its dual space.
     Without one, duals (default: the whole dual space) may be any list of
     functionals in any order, duplicates counted; the members that do not
-    cover every row are skipped unless prefiltered=True, which skips the
-    test, and the trie is built for this call alone.
+    cover every row are skipped, and the trie is built for this call alone.
     """
     if ctx is not None:
         if duals is not None:
@@ -479,7 +477,7 @@ def brute_delta_value(
     else:
         if duals is None:
             duals = enumerate_dual(g.n, g.field)
-        trie = _RowTrie(g.n, g.field, duals, prefiltered)
+        trie = _RowTrie(g.n, g.field, duals)
     return Cyclotomic.from_bins(g.field.p, trie.bins(g))
 
 

@@ -1,21 +1,5 @@
-"""Process-pool helper for the embarrassingly parallel loops.
+"""Empty layer module.
 
-Results are returned in input order, so output is identical for any worker
-count.  Small workloads stay serial: pool startup costs more than the work.
+It held the process pool, which nothing in the engine uses any more.  The
+module stays because perfbench's tracer looks up every layer module by name.
 """
-
-from __future__ import annotations
-
-import multiprocessing
-
-
-def parallel_map(fn, items, jobs: int = 1, threshold: int = 16) -> list:
-    items = list(items)
-    if jobs <= 1 or len(items) < threshold:
-        return [fn(it) for it in items]
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        return [fn(it) for it in items]
-    with ctx.Pool(processes=min(jobs, len(items))) as pool:
-        return pool.map(fn, items)

@@ -219,7 +219,7 @@ def _check_primary_factorization(ctx):
     rows, cols, brute = ctx.table
     index = {t: r for r, t in enumerate(rows)}
     for tau in rows:
-        rewritten = tensor.tensor_rewrite(field, n, clusters.primary_components(tau))
+        rewritten = tensor.tensor_rewrite(field, n, tau.cells)
         if rewritten.terms != {tau: 1}:
             return False, f"rewrite of the primary factors of {tau.text()} is {rewritten!r}"
         for c in range(len(cols)):

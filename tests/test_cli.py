@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -19,6 +20,7 @@ def run(*args, env=None):
         capture_output=True,
         text=True,
         env=full_env,
+        timeout=300,
     )
 
 
@@ -145,12 +147,36 @@ def test_usage_errors_exit_2():
                "--format", "csv").returncode == 2
     assert run("count", "--n", "3", "--q", "3", "--p", "3").returncode == 2
     assert run("nonsense").returncode == 2
+    bad = [
+        ("count", "--n", "3", "--p", "2", "--k", "0"),
+        ("count", "--n", "3", "--p", "2", "--k", "-1"),
+        ("table", "--n", "2", "--p", "2", "--k", "0"),
+        ("tensor", "--n", "3", "--q", "2", "--factor", "1,3"),
+        ("tensor", "--n", "3", "--q", "2", "--factor", "1,4,1"),
+        ("tensor", "--n", "3", "--q", "3", "--factor", "1,3,x"),
+    ]
+    for argv in bad:
+        out = run(*argv)
+        assert out.returncode == 2, argv
+        assert "Traceback" not in out.stderr, argv
 
 
 def test_resource_cap_exit_3():
     out = run("verify", "--n", "4", "--q", "2", "--cap-orbit", "10")
     assert out.returncode == 3
     assert "resource cap" in out.stderr
+    over_cap = [  # q = 128, q = 2^(10^12) and a prime near 10^18 (no primality test)
+        ("table", "--n", "2", "--p", "2", "--k", "7"),
+        ("count", "--n", "2", "--p", "2", "--k", "7"),
+        ("count", "--n", "2", "--p", "2", "--k", "1000000000000"),
+        ("count", "--n", "2", "--q", "1000000000000000003"),
+    ]
+    for argv in over_cap:
+        out = run(*argv)
+        assert out.returncode == 3, argv
+        assert out.stdout == ""
+        assert out.stderr.startswith("resource cap exceeded: ")
+        assert out.stderr.count("\n") == 1
 
 
 def test_caps_env_override():
@@ -199,3 +225,21 @@ def test_parser_is_built_once_and_reused(capsys):
     for argv, got in zip(calls, together):
         cli.build_parser.cache_clear()
         assert _main_in_process(argv, capsys) == got
+
+
+# SHA-256 of `clusters --format csv` stdout, recorded from the exact-rank
+# route for the adjoint_size column that the closed form replaced.
+CLUSTERS_CSV_DIGESTS = {
+    "--n 8 --q 2": "09582554215603919080cd617fbb1812dd4ad30eeabd119dd64a349fd1019890",
+    "--n 6 --q 3": "eeee4405c7cb0b337a9c3e09674cf7873995b384f8bd84631cda58b39892beb5",
+    "--n 5 --p 2 --k 2": "ef079cff02695b432b20ee27b4e58f9d525b1cfa8546fc4b9378d8271d992559",
+    "--n 4 --q 7": "7a9365a94110a526bec8fad5ec8d841c580ce0b6725f77abd44a55a2f142b060",
+    "--n 4 --p 3 --k 2": "42f064c1ad00ea643b9c1531065484f4fff47c609365de56afd65959bf8f0976",
+}
+
+
+@pytest.mark.parametrize("args", list(CLUSTERS_CSV_DIGESTS))
+def test_clusters_csv_matches_the_rank_route(args, capsys):
+    code, out, err = _main_in_process(["clusters", *args.split(), "--format", "csv"], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CLUSTERS_CSV_DIGESTS[args]

@@ -14,7 +14,6 @@ from supercluster.clusters import (
     invariants_of,
     lhat_dim,
     parse_template,
-    primary_components,
     rank_invariant,
     rank_invariant_dual,
     rhat_dim,
@@ -198,6 +197,16 @@ def test_sizes_match_bfs(n, q):
         assert adjoint_cluster_size(tau) == len(bfs_double_orbit(tau.as_matrix(), "adjoint"))
 
 
+@pytest.mark.parametrize(
+    "n,p,k", [(4, 3, 1), (5, 2, 1), (3, 2, 2), (3, 3, 2), (4, 2, 2)],
+    ids=["4-3", "5-2", "3-2^2", "3-3^2", "4-2^2"],
+)
+def test_adjoint_sizes_match_the_adjoint_partition(n, p, k):
+    part = orbit_partition(n, field_make(p, k), "adjoint")
+    for rep, size in zip(part.representatives, part.orbit_sizes()):
+        assert adjoint_cluster_size(rep) == size, rep.text()
+
+
 def test_cluster_elements_match_bfs(F2, F3):
     for field in (F2, F3):
         for tau in enumerate_templates(3, field):
@@ -207,17 +216,17 @@ def test_cluster_elements_match_bfs(F2, F3):
 # -- primary decomposition ----------------------------------------------------
 
 def test_primary_components(F2, F3):
-    assert primary_components(T(F2, 3, "0")) == []
-    assert primary_components(T(F2, 3, "(1,3)=1")) == [(1, 3, F2.one)]
+    assert list(T(F2, 3, "0").cells) == []
+    assert list(T(F2, 3, "(1,3)=1").cells) == [(1, 3, F2.one)]
     two = F3.elements[2]
     tau = Template(F3, 3, [(1, 2, two), (2, 3, F3.one)])
-    assert primary_components(tau) == [(1, 2, two), (2, 3, F3.one)]
+    assert list(tau.cells) == [(1, 2, two), (2, 3, F3.one)]
 
 
 def test_primary_sum_reconstructs_cluster(F3):
     # the elementwise sums of the single-cell clusters fill the full cluster
     tau = Template(F3, 3, [(1, 2, F3.elements[2]), (2, 3, F3.one)])
-    parts = [Template(F3, 3, [c]) for c in primary_components(tau)]
+    parts = [Template(F3, 3, [c]) for c in tau.cells]
     sums = {a + b for a in cluster_elements(parts[0]) for b in cluster_elements(parts[1])}
     assert sums == set(cluster_elements(tau))
 

@@ -177,7 +177,7 @@ def test_brute_tensor_equals_rewrite_on_every_pair(F3):
             assert brute_tensor(t1, t2) == tensor_product(t1, t2)
 
 
-def test_brute_delta_value_filters_unless_told_the_list_is_filtered(F3):
+def test_brute_delta_value_filters_any_list(F3):
     from supercluster.discrete import delta_value
 
     duals = enumerate_dual(3, F3)
@@ -187,7 +187,7 @@ def test_brute_delta_value_filters_unless_told_the_list_is_filtered(F3):
         want = Cyclotomic.from_rational(3, delta_value(g))
         assert brute_delta_value(g) == want
         assert brute_delta_value(g, duals) == want
-        assert brute_delta_value(g, covering, prefiltered=True) == want
+        assert brute_delta_value(g, covering) == want
 
 
 # -- one context per run ---------------------------------------------------------
@@ -302,19 +302,20 @@ def test_binned_traces_equal_summed_roots_of_unity(case):
         assert brute_char_value(tau, h) == want
         assert brute_char_value(tau, h, ctx) == want
         want = summed_roots(p, [evaluate(lam, h.off) for lam in covering if fixes_left(h, lam)])
-        assert brute_delta_value(h, covering, prefiltered=True) == want
+        assert brute_delta_value(h, covering) == want
         total = summed_roots(p, [evaluate(lam, h.off) for lam in cluster_elements(tau)])
         assert char_value_sum(tau, h) == Fraction(q**inv.i, q**inv.d) * total
 
 
 # -- the row trie of the discrete-series trace -----------------------------------
 
-def per_pair_delta(g, lams, prefiltered=False):
-    """The sum of z^trace(lam(g-I)) over the members fixes_left accepts,
-    one (g, lam) pair at a time, each accepted one checked against its image."""
+def per_pair_delta(g, lams):
+    """The sum of z^trace(lam(g-I)) over the row-covering members fixes_left
+    accepts, one (g, lam) pair at a time, each accepted one checked against
+    its image."""
     fixed = []
     for lam in lams:
-        if (prefiltered or covers_rows(lam)) and fixes_left(g, lam):
+        if covers_rows(lam) and fixes_left(g, lam):
             assert coact_left(g, lam) == lam
             fixed.append(evaluate(lam, g.off))
     return summed_roots(g.field.p, fixed)
@@ -330,9 +331,9 @@ def test_row_trie_trace_equals_the_per_pair_trace(n, p, k):
     covering = covering_duals(n, p, k)
     group = ctx.group()
     for m, g in enumerate(group):
-        want = per_pair_delta(g, covering, prefiltered=True)
+        want = per_pair_delta(g, covering)
         assert brute_delta_value(g, ctx=ctx) == want
-        assert brute_delta_value(g, covering, prefiltered=True) == want
+        assert brute_delta_value(g, covering) == want
         if m % max(1, len(group) // 16) == 0:  # these two filter the whole dual space
             assert brute_delta_value(g) == want
             assert brute_delta_value(g, ctx.dual) == want
@@ -354,9 +355,8 @@ def row_trie_context(n, p, k):
 
 @st.composite
 def delta_lists(draw):
-    """(g, lams, prefiltered): a group element and a shuffled list of
-    functionals drawn with repetition, covering ones and, unless the list
-    is prefiltered, any others."""
+    """(g, lams): a group element and a shuffled list of functionals drawn
+    with repetition, covering ones and any others."""
     n, p, k = draw(st.sampled_from(ROW_TRIE_CASES))
     field = field_make(p, k)
     value = st.one_of(st.just(0), st.integers(0, field.q - 1))
@@ -364,27 +364,24 @@ def delta_lists(draw):
     indices = draw(st.lists(value, min_size=count, max_size=count))
     off = NilMatrix(field, n, {pos: field.elements[m] for pos, m in zip(positions(n), indices)})
     g = UniMatrix(off)
-    prefiltered = draw(st.booleans())
-    covering = covering_duals(n, p, k)
-    member = st.sampled_from(covering)
-    if not prefiltered:
-        member = st.one_of(member, st.sampled_from(row_trie_context(n, p, k).dual))
+    member = st.one_of(
+        st.sampled_from(covering_duals(n, p, k)),
+        st.sampled_from(row_trie_context(n, p, k).dual),
+    )
     lams = draw(st.lists(member, max_size=24))
     lams += draw(st.lists(st.sampled_from(lams), max_size=6)) if lams else []
-    return g, draw(st.permutations(lams)), prefiltered
+    return g, draw(st.permutations(lams))
 
 
 @PROPS
 @given(delta_lists())
 def test_row_trie_trace_of_any_list_equals_the_per_pair_trace(case):
     """Duplicates count as often as they occur; order does not matter."""
-    g, lams, prefiltered = case
-    assert brute_delta_value(g, lams, prefiltered=prefiltered) == per_pair_delta(
-        g, lams, prefiltered
-    )
+    g, lams = case
+    assert brute_delta_value(g, lams) == per_pair_delta(g, lams)
     n, p, k = g.n, g.field.p, g.field.k
     ctx = row_trie_context(n, p, k)
-    assert brute_delta_value(g, ctx=ctx) == per_pair_delta(g, covering_duals(n, p, k), True)
+    assert brute_delta_value(g, ctx=ctx) == per_pair_delta(g, covering_duals(n, p, k))
 
 
 def test_row_trie_rejects_mismatched_inputs(F2, F3, F4):
@@ -393,8 +390,6 @@ def test_row_trie_rejects_mismatched_inputs(F2, F3, F4):
         g = UniMatrix(e_ij(field, 3, 1, 2))
         with pytest.raises(ValueError, match="field mismatch"):
             brute_delta_value(g, [lam])
-        with pytest.raises(ValueError, match="field mismatch"):
-            brute_delta_value(g, [lam], prefiltered=True)
         with pytest.raises(ValueError, match="field mismatch"):
             brute_delta_value(g, ctx=OracleContext(3, F2))
     with pytest.raises(ValueError, match="size mismatch"):
