@@ -32,7 +32,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 from math import lcm
 from operator import mul
 from typing import Callable, Optional
@@ -369,7 +368,7 @@ def inner_product(table: CharacterTable, f: list[Cyclotomic], h: list[Cyclotomic
     total = Cyclotomic.from_rational(p, 0)
     for size, fv, hv in zip(table.col_sizes, f, h):
         total = total + size * (fv * hv.conjugate())
-    return Fraction(1, table.group_order()) * total
+    return Cyclotomic(p, total.num, total.den * table.group_order())
 
 
 @dataclass

@@ -306,7 +306,16 @@ def rhat_dim(lam: Functional) -> int:
 
 
 def intersection_dim(lam: Functional) -> int:
-    return linalg.intersection_dim(_lhat_vectors(lam), _rhat_vectors(lam))
+    return _hat_dims(lam)[2]
+
+
+def _hat_dims(lam: Functional) -> tuple[int, int, int]:
+    """(lhat_dim, rhat_dim, intersection_dim) of lam, each span ranked once:
+    dim(L ∩ R) = dim L + dim R - dim(L + R), and L + R is spanned by the
+    two echelon bases together."""
+    a = linalg.echelon(_lhat_vectors(lam))
+    b = linalg.echelon(_rhat_vectors(lam))
+    return len(a), len(b), len(a) + len(b) - linalg.rank(a + b)
 
 
 # -- sizes --------------------------------------------------------------------

@@ -6,9 +6,11 @@ form.  An element is stored as Z[z] numerators over one integer
 denominator: ``num`` is a tuple of p-1 ints over that basis and ``den`` a
 positive int with gcd(den, *num) = 1.  That form is unique, so equality and
 hashing compare plain int tuples, and every comparison in the engine is
-exact.  Every character value lies in Z[z], so den is 1 almost everywhere;
-the only divisions are the 1/|U| of an inner product and the q^(i-d) of the
-cluster sum, and arithmetic renormalises only when a denominator is not 1.
+exact.  Every character value lies in Z[z], so den is 1 almost everywhere.
+The engine divides only by rational integers, by putting them into den:
+the 1/|U| of an inner product, the q^(i-d) of the cluster sum and the
+row norms of the oracle's tensor projection.  Arithmetic renormalises only
+when a denominator is not 1.
 
 Fractions appear only at the edges: the constructor and from_rational
 accept ints or Fractions, and coeffs, rational_value, to_json and str give
@@ -168,21 +170,6 @@ class Cyclotomic:
         if self.p == 2:
             return self
         return self._galois(-1)
-
-    def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse: the product of the other Galois conjugates
-        divided by the (rational) norm."""
-        if not self:
-            raise ZeroDivisionError("inverse of 0")
-        p = self.p
-        rest = Cyclotomic.from_rational(p, 1)
-        for k in range(2, p):
-            rest = rest * self._galois(k)
-        norm = self * rest
-        n, d = norm.num[0], norm.den
-        if n < 0:
-            n, d = -n, -d
-        return Cyclotomic(p, tuple(a * d for a in rest.num), rest.den * n)
 
     # -- predicates and views --------------------------------------------
 

@@ -1,10 +1,8 @@
-"""Exact dense linear algebra over any small field.
+"""Exact dense linear algebra over a finite field.
 
-Works on lists of lists whose entries support +, -, *, bool() and
-.inverse(); both gf.FieldElement and cyclotomic.Cyclotomic qualify.
-Matrices here are small (orbit spans of dimension n(n-1)/2 <= 10, and the
-oracle's brute character matrix of a few dozen rows at the scales it
-enumerates), so plain Gaussian elimination is the whole story.
+Works on lists of lists of gf.FieldElement.  Matrices here are small
+(orbit spans of dimension n(n-1)/2 <= 10), so plain Gaussian elimination
+is the whole story.
 """
 
 from __future__ import annotations
@@ -40,38 +38,3 @@ def echelon(rows: list[list]) -> list[list]:
 
 def rank(rows: list[list]) -> int:
     return len(echelon(rows))
-
-
-def intersection_dim(rows_a: list[list], rows_b: list[list]) -> int:
-    """dim(span A ∩ span B) = dim A + dim B - dim(A + B)."""
-    a = rank(rows_a)
-    b = rank(rows_b)
-    return a + b - rank(list(rows_a) + list(rows_b))
-
-
-def inverse(matrix: list[list]) -> list[list]:
-    """Inverse of a square matrix by Gauss-Jordan elimination on [M | I].
-
-    Entries are from any ring of the kind described above; the identity is
-    built from the first non-zero entry.  Raises ValueError on a singular
-    matrix.
-    """
-    d = len(matrix)
-    entry = next((x for row in matrix for x in row if x), None)
-    if entry is None:
-        raise ValueError("singular matrix")
-    one = entry * entry.inverse()
-    zero = one - one
-    aug = [list(matrix[i]) + [one if j == i else zero for j in range(d)] for i in range(d)]
-    for c in range(d):
-        piv = next((r for r in range(c, d) if aug[r][c]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = aug[c][c].inverse()
-        aug[c] = [x * inv for x in aug[c]]
-        for r in range(d):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    return [row[d:] for row in aug]

@@ -4,11 +4,19 @@ Everything here works from first principles on explicitly enumerated
 spaces: orbits are breadth-first closures under the elementary generators
 I + a*e_ij, character values are fixed-point sums over an explicit left
 orbit, inner products sum over every group element, and tensor products are
-solved by exact linear algebra against the brute character rows, whose
-matrix is inverted once per (n, field).  None of the fast paths (reduction
-sweeps, combinatorial indices, closed character formula) are used, so a bug
-there cannot leak into its own certification; only the Template value type
-is shared.
+projected onto the brute character rows, weighted by the BFS sizes of the
+columns, then checked against the product at every column.  None of the
+fast paths (reduction sweeps, combinatorial indices, closed character
+formula) are used, so a bug there cannot leak into its own certification;
+only the Template value type is shared.
+
+The projection rests on orthogonality: with w_c the size of column c's
+adjoint orbit, sum_c w_c * chi_s(c) * conj(chi_t(c)) is 0 for s != t and a
+positive integer, |U| * q^i, for s = t.  So the multiplicity of t in a
+class function f is sum_c w_c * f(c) * conj(chi_t(c)) divided by that
+integer.  Orthogonality only decides whether a decomposition is found:
+brute_tensor returns one only after it has rebuilt f from it at every
+column.
 
 Neither trace uses the support criterion fixed_by_template_action, which
 A.1 certifies against them; both test fixedness with the left action's own
@@ -29,9 +37,9 @@ An OracleContext holds the brute data of one (n, field, cap), each piece
 built on first use: the adjoint and coadjoint partitions, the nil, dual and
 group enumerations read from the partitions' own point lists, one group
 element per column template, the left orbits of the row templates, the
-row trie of the row-covering functionals, and the brute table with its
-inverse.  verify.run_verify makes one per run and drops it when the run
-ends, so the whole suite builds each partition once.
+row trie of the row-covering functionals, the brute table and each row's
+projection data.  verify.run_verify makes one per run and drops it when
+the run ends, so the whole suite builds each partition once.
 brute_table and brute_tensor called without a context share one
 module-level context, a one-entry cache that keeps the last (n, field,
 cap) they saw and replaces it on a call for any other, so at most one is
@@ -42,11 +50,9 @@ context walks the left orbit afresh and keeps nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 
-from . import linalg
 from .clusters import Template
 from .core import (
     Functional,
@@ -285,19 +291,28 @@ class OracleContext:
         return rows, cols, values
 
     @cached_property
-    def inverse(self) -> list[list[Cyclotomic]]:
-        """Inverse of M with M[c][r] = values[r][c] of the brute table.
+    def projection(self) -> list[tuple[list[tuple[int, Cyclotomic]], int]]:
+        """Per row of the table: (cells, norm).
 
-        M applied to row multiplicities gives a class function's values on
-        the columns, so the inverse recovers the multiplicities of any such
-        function.
+        cells holds (c, w_c * conj(chi(c))) for the columns c where the row
+        is not 0, w_c the size of column c's orbit in the adjoint
+        partition, and norm is the integer sum_c w_c * |chi(c)|^2.  Raises
+        InvariantViolation if a norm is not a positive integer.
         """
         rows, cols, values = self.table
-        matrix = [[values[r][c] for r in range(len(rows))] for c in range(len(cols))]
-        try:
-            return linalg.inverse(matrix)
-        except ValueError as exc:
-            raise InvariantViolation(f"brute character rows are singular: {exc}") from exc
+        sizes = dict(zip(self.adjoint.representatives, self.adjoint.orbit_sizes()))
+        weights = [sizes[x] for x in cols]
+        zero = Cyclotomic.from_rational(self.field.p, 0)
+        out = []
+        for tau, row in zip(rows, values):
+            cells = [(c, w * v.conjugate()) for c, (w, v) in enumerate(zip(weights, row)) if v]
+            norm = sum((row[c] * wv for c, wv in cells), zero)
+            if not norm.is_rational() or norm.den != 1 or norm.num[0] <= 0:
+                raise InvariantViolation(
+                    f"weighted norm {norm} of the brute row {tau.text()} is not a positive integer"
+                )
+            out.append((cells, norm.num[0]))
+        return out
 
 
 @lru_cache(maxsize=1)
@@ -350,7 +365,7 @@ def brute_inner(
     for g in group:
         a = f(g)
         total = total + a * (a if h is f else h(g)).conjugate()
-    return Fraction(1, len(group)) * total
+    return Cyclotomic(field.p, total.num, total.den * len(group))
 
 
 def covers_rows(lam: Functional) -> bool:
@@ -491,31 +506,42 @@ def brute_table(n: int, field: Field, cap: int = DEFAULT_MAX_SPACE):
 def brute_tensor(
     t1: Template, t2: Template, cap: int = DEFAULT_MAX_SPACE, ctx: OracleContext | None = None
 ) -> "CharSum":
-    """Decompose a product by solving against the brute character rows."""
+    """Decompose a product by projecting it onto the brute character rows.
+
+    Raises InvariantViolation if a multiplicity is not a natural number or
+    if the decomposition does not give the product back at every column.
+    """
     from .tensor import CharSum  # local import keeps the oracle free of fast paths
 
     n, field = t1.n, t1.field
     if ctx is None:
         ctx = _shared_context(n, field, cap)
     rows, cols, values = ctx.table
-    inverse = ctx.inverse
-    r1 = rows.index(t1)
-    r2 = rows.index(t2)
-    rhs = [values[r1][c] * values[r2][c] for c in range(len(cols))]
+    product = [a * b for a, b in zip(values[rows.index(t1)], values[rows.index(t2)])]
     zero = Cyclotomic.from_rational(field.p, 0)
-    solution = [sum((a * b for a, b in zip(inv_row, rhs)), zero) for inv_row in inverse]
     terms: dict[Template, int] = {}
-    for tau, coeff in zip(rows, solution):
-        if coeff:
-            try:
-                mult = coeff.as_int()
-            except ValueError as exc:
-                raise InvariantViolation(
-                    f"multiplicity {coeff} for {tau.text()} is not an integer"
-                ) from exc
-            if mult < 0:
-                raise InvariantViolation(
-                    f"negative multiplicity {mult} for {tau.text()} in brute decomposition"
-                )
-            terms[tau] = mult
+    found = []
+    for r, (tau, (cells, norm)) in enumerate(zip(rows, ctx.projection)):
+        total = sum((product[c] * wv for c, wv in cells if product[c]), zero)
+        if not total:
+            continue
+        coeff = Cyclotomic(field.p, total.num, total.den * norm)
+        try:
+            mult = coeff.as_int()
+        except ValueError as exc:
+            raise InvariantViolation(
+                f"multiplicity {coeff} for {tau.text()} is not an integer"
+            ) from exc
+        if mult < 0:
+            raise InvariantViolation(
+                f"negative multiplicity {mult} for {tau.text()} in brute decomposition"
+            )
+        terms[tau] = mult
+        found.append((mult, values[r]))
+    for c, x in enumerate(cols):
+        if sum((mult * row[c] for mult, row in found), zero) != product[c]:
+            raise InvariantViolation(
+                f"brute decomposition of [{t1.text()}] x [{t2.text()}]"
+                f" misses the product at column {x.text()}"
+            )
     return CharSum(field, n, terms)

@@ -9,11 +9,13 @@ raising out of the run.
 
 run_verify makes one oracle.OracleContext per run and hands it to every
 check that reads the oracle, so the adjoint and coadjoint partitions, the
-enumerations taken from their point lists, the column group elements and
-the brute table are built once and dropped when the run ends; Thm9.1
-traces every group element over the context's one row trie.  Thm9.3
-and emit_golden read each row's cluster from the coadjoint partition
-instead of walking it again.
+enumerations taken from their point lists, the column group elements, the
+brute table and its projection data are built once and dropped when the
+run ends; Thm8.6 decomposes its deep pairs by projecting onto the brute
+rows and checking the result at every column, and Thm9.1 traces every
+group element over the context's one row trie.  Thm9.3 and emit_golden
+read each row's cluster from the coadjoint partition instead of walking
+it again, and count its left orbits with one helper.
 """
 
 from __future__ import annotations
@@ -108,11 +110,8 @@ def _check_coadjoint_classification(ctx):
                 base = ranks
             elif ranks != base:
                 return False, "window ranks vary inside a coadjoint cluster"
-            if (
-                clusters.lhat_dim(lam) != inv.d
-                or clusters.rhat_dim(lam) != inv.d
-                or clusters.intersection_dim(lam) != inv.i
-            ):
+            lhat, rhat, both = clusters._hat_dims(lam)
+            if lhat != inv.d or rhat != inv.d or both != inv.i:
                 return False, f"orbit-space dimensions vary inside the cluster of {rep.text()}"
     return True, f"{len(part.representatives)} coadjoint clusters over {len(part.points)} points"
 
@@ -293,6 +292,25 @@ def _check_delta_value(ctx, cap_group):
     return True, f"rank formula matches the trace at all {count} group elements"
 
 
+def _delta_orbit_count(tau, members) -> int:
+    """How many left orbits the row-covering points of tau's cluster fill.
+
+    members are the cluster's points.  Raises InvariantViolation if a left
+    orbit leaves the row-covering part.
+    """
+    pool = {lam for lam in members if discrete.in_delta(lam)}
+    orbits = 0
+    while pool:
+        orbit = oracle.bfs_left_orbit(next(iter(pool)))
+        if not orbit <= pool:
+            raise InvariantViolation(
+                f"row-covering part of {tau.text()}'s cluster is not left-closed"
+            )
+        pool -= orbit
+        orbits += 1
+    return orbits
+
+
 def _check_delta_decomposition(ctx):
     n, field = ctx.n, ctx.field
     rows, cols, brute = ctx.table
@@ -300,14 +318,7 @@ def _check_delta_decomposition(ctx):
     decomp = discrete.delta_decompose(n, field)
     cluster_of = dict(zip(ctx.coadjoint.representatives, ctx.coadjoint.members()))
     for tau in rows:
-        pool = {lam for lam in cluster_of[tau] if discrete.in_delta(lam)}
-        orbits = 0
-        while pool:
-            orbit = oracle.bfs_left_orbit(next(iter(pool)))
-            if not orbit <= pool:
-                return False, f"row-covering part of {tau.text()}'s cluster is not left-closed"
-            pool -= orbit
-            orbits += 1
+        orbits = _delta_orbit_count(tau, cluster_of[tau])
         if orbits != decomp.terms.get(tau, 0):
             return False, (
                 f"multiplicity of {tau.text()} is {decomp.terms.get(tau, 0)},"
@@ -380,11 +391,7 @@ def emit_golden(n: int, field: Field, cap: int = oracle.DEFAULT_MAX_SPACE) -> di
     delta_terms = []
     delta_identity = 0
     for r, tau in enumerate(rows):
-        pool = {lam for lam in cluster_of[tau] if discrete.in_delta(lam)}
-        orbits = 0
-        while pool:
-            pool -= oracle.bfs_left_orbit(next(iter(pool)))
-            orbits += 1
+        orbits = _delta_orbit_count(tau, cluster_of[tau])
         if orbits:
             delta_terms.append({"template": tau.text(), "mult": orbits})
             delta_identity += orbits * values[r][identity_col].as_int()

@@ -29,6 +29,7 @@ from supercluster.core import (
     coact_right,
     e_ij,
     eps_ij,
+    nil_mul,
     positions,
 )
 from supercluster.oracle import bfs_double_orbit, enumerate_dual, enumerate_nil, orbit_partition
@@ -160,6 +161,21 @@ def test_combinatorial_indices_match_rank_computation(n, q):
         assert lhat_dim(lam) == inv.d
         assert rhat_dim(lam) == inv.d
         assert intersection_dim(lam) == inv.i
+
+
+@pytest.mark.parametrize("n,q", [(3, 3), (4, 2)])
+def test_orbit_space_dims_count_the_spans(n, q):
+    # L-hat = {x -> lam(x.y)} and R-hat = {x -> lam(y.x)} over every nilpotent
+    # y, enumerated as value vectors: each set has q^dim points
+    field = field_make(q, 1)
+    nil = enumerate_nil(n, field)
+    basis = [e_ij(field, n, a, b) for (a, b) in positions(n)]
+    for lam in enumerate_dual(n, field):
+        lhat = {tuple(lam(nil_mul(e, y)) for e in basis) for y in nil}
+        rhat = {tuple(lam(nil_mul(y, e)) for e in basis) for y in nil}
+        assert (len(lhat), len(rhat), len(lhat & rhat)) == (
+            q ** lhat_dim(lam), q ** rhat_dim(lam), q ** intersection_dim(lam)
+        )
 
 
 # -- sizes --------------------------------------------------------------------

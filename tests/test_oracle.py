@@ -26,7 +26,7 @@ from supercluster.core import (
     positions,
 )
 from supercluster.cyclotomic import Cyclotomic
-from supercluster.errors import ResourceCapExceeded
+from supercluster.errors import InvariantViolation, ResourceCapExceeded
 from supercluster.oracle import (
     OracleContext,
     bfs_double_orbit,
@@ -167,14 +167,44 @@ def test_brute_tensor_example(F2):
     }
 
 
-def test_brute_tensor_equals_rewrite_on_every_pair(F3):
+def test_brute_tensor_equals_rewrite_on_every_pair():
     from supercluster.tensor import tensor_product
 
-    rows, _, _ = brute_table(3, F3)
-    assert len(rows) == 11
-    for t1 in rows:
-        for t2 in rows:
-            assert brute_tensor(t1, t2) == tensor_product(t1, t2)
+    # one test over the three cases, so its id does not change
+    for n, p, k, size in ((3, 3, 1, 11), (3, 2, 2, 19), (4, 2, 1, 15)):
+        ctx = OracleContext(n, field_make(p, k))
+        rows, _, _ = ctx.table
+        assert len(rows) == size
+        for t1 in rows:
+            for t2 in rows:
+                assert brute_tensor(t1, t2, ctx=ctx) == tensor_product(t1, t2)
+
+
+def test_brute_tensor_checks_its_projection_at_every_column(F2):
+    # flipping the sign of the trivial row at a column where the product
+    # vanishes leaves every norm and projection as it was; only the
+    # pointwise check sees it
+    t13 = T(F2, 3, "(1,3)=1")
+    ctx = OracleContext(3, F2)
+    rows, cols, values = ctx.table
+    c0 = cols.index(T(F2, 3, "(1,2)=1"))
+    r1, r0 = rows.index(t13), rows.index(T(F2, 3, "0"))
+    assert values[r1][c0] == 0 and values[r0][c0] == 1
+    values[r0][c0] = -values[r0][c0]
+    with pytest.raises(InvariantViolation, match="misses the product at column"):
+        brute_tensor(t13, t13, ctx=ctx)
+
+
+def test_brute_tensor_rejects_a_fractional_multiplicity(F2):
+    # doubling the trivial row at (1,3), where the product is 4, makes its
+    # projection 12/11
+    t13 = T(F2, 3, "(1,3)=1")
+    ctx = OracleContext(3, F2)
+    rows, cols, values = ctx.table
+    r0, c0 = rows.index(T(F2, 3, "0")), cols.index(t13)
+    values[r0][c0] = 2 * values[r0][c0]
+    with pytest.raises(InvariantViolation, match="multiplicity 12/11 for 0 is not an integer"):
+        brute_tensor(t13, t13, ctx=ctx)
 
 
 def test_brute_delta_value_filters_any_list(F3):
