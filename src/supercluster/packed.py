@@ -1,0 +1,436 @@
+"""The brute oracle's integer encoding of points, and its rules.
+
+A point, matrix or functional, is the integer code sum of
+index(x_ij) * q^(N-1-m) over the N strictly upper positions, m the lex
+number of (i, j), so code order is enumeration order and the code of a
+point is its place in oracle.enumerate_nil or oracle.enumerate_dual.  Row
+k of a point is the block of its n-k digits at columns k+1..n, column b at
+weight q^(n-b).  The arithmetic is the field's index tables; at p = 2 an
+index is the bit vector of its coefficients, so adding codes is XOR.
+
+The rules are written from the coefficient formulas of core's docstrings,
+and the module imports from core only the value types and positions, so
+a bug in core's actions cannot reach the oracle:
+- a generator I + a*e_ij adds a times one line of the point to another:
+  on a functional, column i += a * column j over rows k < i (left) or row
+  j += a * row i over columns l > j (right); on a matrix, row i += a * row
+  j (left) or column j += a * column i (right).  Each line sits at a fixed
+  shift from the other, so at p = 2 a move is a mask, a shift and an XOR,
+  one bit-plane at a time for GF(2^k).  Orbits are closures under the
+  generators I + a*e_(i,i+1) with a running over a basis of F_q over F_p,
+  which generate U.
+- g = I + y fixes lam exactly when the sum over b of y_lb * c_kb vanishes
+  for every k < l, and then contributes z^e with e = trace(lam(y)), the sum
+  over k of trace(c_k . y_k).  Both split by rows: for a fixed g, row k of
+  lam is decided by its dot products with the rows y_l, l > k, and with
+  y_k (a row decision); for a fixed lam, row l of y is decided by its dot
+  products with the rows c_k, k < l, and with c_l.  At p = 2 each dot
+  product is an AND and a popcount parity, one per bit-plane.
+
+Codes partitions a space into double orbits, checking one rook point per
+orbit, and traces a list of functionals with per-row bit masks over them,
+so a character value costs a few big-int operations per row of g - I.
+RowTrie keeps row codes with their multiplicities, shares equal subtrees,
+decides each (g, row code) once and sums the surviving subtrees in p
+integer bins.  Everything here is built per (n, field) by its caller and
+kept nowhere else.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+from .clusters import Template
+from .core import Functional, NilMatrix, positions
+from .errors import InvariantViolation
+from .gf import Field
+
+
+# (src, tgt) position pairs of the line operation of the generator I + a*e_ij:
+# the target entry gains a times the source entry.
+_LINES = {
+    ("coadjoint", "left"): lambda n, i, j: [((k, j), (k, i)) for k in range(1, i)],
+    ("coadjoint", "right"): lambda n, i, j: [((i, l), (j, l)) for l in range(j + 1, n + 1)],
+    ("adjoint", "left"): lambda n, i, j: [((j, l), (i, l)) for l in range(j + 1, n + 1)],
+    ("adjoint", "right"): lambda n, i, j: [((k, i), (k, j)) for k in range(1, i)],
+}
+
+
+class Codes:
+    """The integer encoding of the points of one (n, field), and its rules."""
+
+    def __init__(self, n: int, field: Field):
+        self.n = n
+        self.field = field
+        self.p = field.p
+        q = self.q = field.q
+        els = field.elements
+        self.add = [[(a + b).index for b in els] for a in els]
+        self.mul = [[(a * b).index for b in els] for a in els]
+        self.trace = [a.trace() for a in els]
+        pts = positions(n)
+        self.size = q ** len(pts)
+        self.weight = {pos: q ** (len(pts) - 1 - m) for m, pos in enumerate(pts)}
+        # row k of a code is code // base % size, for (base, size) at [k-1]
+        self.row_blocks = [(self.weight[(k, n)], q ** (n - k)) for k in range(1, n)]
+        self.rooks = self._rook_codes()
+
+    # -- points ------------------------------------------------------------------
+
+    def _entries_of(self, x) -> dict:
+        """The entries of a NilMatrix or Functional of this size and field."""
+        if x.n != self.n:
+            raise ValueError("size mismatch")
+        if x.field is not self.field and x.field != self.field:
+            raise ValueError("field mismatch")
+        return x.entries
+
+    def encode(self, x) -> int:
+        w = self.weight
+        return sum(v.index * w[pos] for pos, v in self._entries_of(x).items())
+
+    def encode_template(self, t: Template) -> int:
+        return sum(v.index * self.weight[(i, j)] for i, j, v in t.cells)
+
+    def entries(self, code: int) -> dict:
+        els, q = self.field.elements, self.q
+        out = {}
+        for pos, w in self.weight.items():
+            d = code // w % q
+            if d:
+                out[pos] = els[d]
+        return out
+
+    def point(self, side: str, code: int):
+        """The Functional (coadjoint side) or NilMatrix (adjoint) of a code."""
+        kind = Functional if side == "coadjoint" else NilMatrix
+        return kind(self.field, self.n, self.entries(code))
+
+    def template(self, code: int) -> Template:
+        return Template(self.field, self.n, [(i, j, v) for (i, j), v in self.entries(code).items()])
+
+    def rows(self, code: int) -> tuple[int, ...]:
+        """The codes of rows 1 .. n-1."""
+        return tuple(code // base % size for base, size in self.row_blocks)
+
+    def row_codes(self, x) -> tuple[int, ...]:
+        """rows(encode(x)), read off the entries."""
+        rows = [0] * (self.n - 1)
+        q, n = self.q, self.n
+        for (i, j), v in self._entries_of(x).items():
+            rows[i - 1] += v.index * q ** (n - j)
+        return tuple(rows)
+
+    def _rook_codes(self) -> set[int]:
+        """The codes of every point with at most one non-zero entry per row and column."""
+        placed = [(0, ())]
+        for i in range(1, self.n):
+            grown = []
+            for code, used in placed:
+                grown.append((code, used))
+                for j in range(i + 1, self.n + 1):
+                    if j not in used:
+                        w = self.weight[(i, j)]
+                        grown.extend((code + a * w, used + (j,)) for a in range(1, self.q))
+            placed = grown
+        return {code for code, _ in placed}
+
+    # -- generators ----------------------------------------------------------------
+
+    def move(self, side: str, hand: str, i: int, j: int, a: int):
+        """code -> code of the image under the generator I + a*e_ij, a an index.
+
+        side is "coadjoint" (functionals) or "adjoint" (matrices), hand
+        "left" or "right", as core's coact_left/coact_right and
+        act_left/act_right.
+        """
+        try:
+            lines = _LINES[(side, hand)](self.n, i, j)
+        except KeyError:
+            raise ValueError(f"unknown side {side!r} or hand {hand!r}") from None
+        pairs = [(self.weight[s], self.weight[t]) for s, t in lines]
+        if not pairs or not a:
+            return lambda code: code
+        if self.p == 2:
+            return self._xor_move(pairs, a)
+        add, row, q = self.add, self.mul[a], self.q
+
+        def move(code):
+            out = code
+            for ws, wt in pairs:
+                s = code // ws % q
+                if s:
+                    t = code // wt % q
+                    out += (add[t][row[s]] - t) * wt
+            return out
+
+        return move
+
+    def _xor_move(self, pairs, a: int):
+        """A move at p = 2: every source digit sits at the same shift from
+        its target, so the sources are masked, shifted, multiplied by a one
+        bit-plane at a time and XORed in."""
+        k = self.field.k
+        ws, wt = pairs[0]
+        shift = wt.bit_length() - ws.bit_length()
+        mask = sum((self.q - 1) * s for s, _ in pairs)
+        if a == 1:
+            if shift > 0:
+                return lambda code: code ^ ((code & mask) << shift)
+            return lambda code: code ^ ((code & mask) >> -shift)
+        low = sum(t for _, t in pairs)
+        planes = [(m, self.mul[a][1 << m]) for m in range(k)]
+
+        def move(code):
+            v = (code & mask) << shift if shift > 0 else (code & mask) >> -shift
+            for m, image in planes:
+                code ^= ((v >> m) & low) * image
+            return code
+
+        return move
+
+    def generators(self, side: str, hands=("left", "right")) -> list:
+        """The moves of I + a*e_(i,i+1), a over the basis 1, x, ..., x^(k-1)."""
+        basis = [self.p**s for s in range(self.field.k)]
+        return [
+            self.move(side, hand, i, i + 1, a)
+            for hand in hands for i in range(1, self.n) for a in basis
+        ]
+
+    def closure(self, start: int, moves) -> set[int]:
+        seen = {start}
+        stack = [start]
+        while stack:
+            code = stack.pop()
+            for move in moves:
+                image = move(code)
+                if image not in seen:
+                    seen.add(image)
+                    stack.append(image)
+        return seen
+
+    def partition(self, side: str) -> tuple[list[int], list[int]]:
+        """(ids, rooks): the double orbit of every code, numbered in order of
+        each orbit's first code, and the rook code of each orbit.
+
+        Raises InvariantViolation unless every orbit holds exactly one rook
+        point.
+        """
+        moves = self.generators(side)
+        rook_codes = self.rooks
+        ids = [-1] * self.size
+        rooks = []
+        for start in range(self.size):
+            if ids[start] >= 0:
+                continue
+            oid = len(rooks)
+            ids[start] = oid
+            stack = [start]
+            found = []
+            while stack:
+                code = stack.pop()
+                if code in rook_codes:
+                    found.append(code)
+                for move in moves:
+                    image = move(code)
+                    if ids[image] < 0:
+                        ids[image] = oid
+                        stack.append(image)
+            if len(found) != 1:
+                raise InvariantViolation(
+                    f"orbit of {self.point(side, start)!r} contains {len(found)} rook points,"
+                    " expected 1"
+                )
+            rooks.append(found[0])
+        return ids, rooks
+
+    # -- fixed points ----------------------------------------------------------------
+
+    def rule(self, checks, trace_row: int):
+        """row code r -> None if some dot(v, r), v in checks, is not 0, else
+        trace(dot(trace_row, r)).
+
+        All rows are row codes over the same columns; dot(u, v) is the sum
+        of u_b * v_b over the columns b.
+        """
+        q, mul = self.q, self.mul
+        if self.p == 2:
+            k = self.field.k
+
+            def masks(v):
+                """Bit r of dot(v, c) is the parity of c & masks(v)[r]."""
+                out = [0] * k
+                shift = 0
+                while v:
+                    d = v % q
+                    for s in range(k):
+                        image = mul[d][1 << s]
+                        for r in range(k):
+                            if image >> r & 1:
+                                out[r] |= 1 << (shift + s)
+                    v //= q
+                    shift += k
+                return out
+
+            zero = [m for v in checks if v for m in masks(v) if m]
+            tmask = 0
+            for r, m in enumerate(masks(trace_row)):
+                if self.trace[1 << r]:
+                    tmask ^= m
+
+            def decide(c):
+                for m in zero:
+                    if (c & m).bit_count() & 1:
+                        return None
+                return (c & tmask).bit_count() & 1
+
+            return decide
+
+        def terms(v):
+            out = []
+            w = 1
+            while v:
+                if v % q:
+                    out.append((w, v % q))
+                v //= q
+                w *= q
+            return out
+
+        zero = [terms(v) for v in checks if v]
+        tterms = terms(trace_row)
+        add, trace = self.add, self.trace
+
+        def decide(c):
+            for ts in zero:
+                s = 0
+                for w, d in ts:
+                    x = c // w % q
+                    if x:
+                        s = add[s][mul[d][x]]
+                if s:
+                    return None
+            s = 0
+            for w, d in tterms:
+                x = c // w % q
+                if x:
+                    s = add[s][mul[d][x]]
+            return trace[s]
+
+        return decide
+
+    def trace_masks(self, points) -> tuple[int, list]:
+        """(everyone, tables) for the functionals lam_0, lam_1, ... with these
+        codes: everyone has a bit per point, and tables holds one table per
+        row l of y = g - I.  Entry y_l is p bit masks: bit i of mask e is set
+        when every dot(c_k, y_l), k < l, of lam_i is 0 and
+        trace(dot(c_l, y_l)) is e.  g fixes lam_i exactly when bit i is set
+        in some mask at each row of y, and trace(lam_i(y)) is the sum of
+        those masks' e."""
+        p = self.p
+        tables = [[[0] * p for _ in range(size)] for _, size in self.row_blocks]
+        for i, code in enumerate(points):
+            bit = 1 << i
+            cs = self.rows(code)
+            for l, (_, size) in enumerate(self.row_blocks):
+                decide = self.rule([c % size for c in cs[:l]], cs[l])
+                table = tables[l]
+                for y in range(size):
+                    e = decide(y)
+                    if e is not None:
+                        table[y][e] |= bit
+        return (1 << len(points)) - 1, tables
+
+    def trace_bins(self, traced, ys) -> list[int]:
+        """How many of the functionals of trace_masks g = I + y fixes,
+        binned by trace(lam(y)) mod p; ys are the row codes of y."""
+        p = self.p
+        everyone, tables = traced
+        acc = [everyone] + [0] * (p - 1)
+        for table, y in zip(tables, ys):
+            new = [0] * p
+            for a, m in enumerate(acc):
+                if m:
+                    for b, c in enumerate(table[y]):
+                        if c:
+                            new[(a + b) % p] |= m & c
+            if not any(new):
+                return new
+            acc = new
+        return [m.bit_count() for m in acc]
+
+
+class RowTrie:
+    """Functionals by their row codes, top row first, with multiplicities.
+
+    levels[k-1] lists the distinct nodes of row k, each a tuple of
+    (row code, child) pairs: the child is a node of row k+1 by its place
+    in levels[k], or at the last row the number of times the functional
+    was given.  Equal subtrees are one node, so the row-covering part of
+    the whole dual space, a product of its rows, has one node per row.
+    levels[0] holds the root, unless no functional was given; at n = 1
+    there are no rows and total counts the functionals.
+    """
+
+    __slots__ = ("codes", "levels", "level_codes", "total")
+
+    def __init__(self, codes: Codes, row_codes):
+        self.codes = codes
+        counts = Counter(row_codes)
+        depth = codes.n - 1
+        self.total = sum(counts.values())
+        levels = []
+        below: dict[tuple, dict] = {}
+        for rows, mult in counts.items():
+            if depth:
+                below.setdefault(rows[:-1], {})[rows[-1]] = mult
+        for _ in range(depth):
+            nodes: dict[tuple, int] = {}
+            above: dict[tuple, dict] = {}
+            for prefix, node in below.items():
+                key = tuple(sorted(node.items()))
+                nid = nodes.setdefault(key, len(nodes))
+                if prefix:
+                    above.setdefault(prefix[:-1], {})[prefix[-1]] = nid
+            levels.append(list(nodes))
+            below = above
+        levels.reverse()
+        self.levels = levels
+        self.level_codes = [sorted({c for node in nodes for c, _ in node}) for nodes in levels]
+
+    def bins(self, ys) -> list[int]:
+        """How many functionals g = I + y fixes, binned by trace(lam(y)) mod
+        p; ys are the row codes of y.  Each (g, row code) is decided once."""
+        codes = self.codes
+        p = codes.p
+        if not self.levels:
+            return [self.total] + [0] * (p - 1)
+        below = None
+        for k in range(len(self.levels), 0, -1):
+            decide = codes.rule(ys[k:], ys[k - 1])
+            fixed = {}
+            for c in self.level_codes[k - 1]:
+                e = decide_row(decide, c)
+                if e is not None:
+                    fixed[c] = e
+            here = []
+            for node in self.levels[k - 1]:
+                bins = [0] * p
+                for c, child in node:
+                    e = fixed.get(c)
+                    if e is None:
+                        continue
+                    if below is None:
+                        bins[e] += child
+                    else:
+                        for t, m in enumerate(below[child]):
+                            if m:
+                                bins[(t + e) % p] += m
+                here.append(bins)
+            below = here
+        return below[0] if below else [0] * p
+
+
+def decide_row(decide, c: int) -> int | None:
+    """trace(c . y_k) if g fixes a row k with code c, else None; decide is
+    the rule of row k for g."""
+    return decide(c)

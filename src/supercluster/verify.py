@@ -5,7 +5,9 @@ single (n, q) and yields one pass/fail line.  Exhaustive wherever the space
 allows; seeded sampling takes over only where pair counts explode, and the
 sample size is part of the reported detail.  A falsified identity is
 reported as a failure (the CLI turns it into exit code 4) rather than
-raising out of the run.
+raising out of the run, and so is any other exception a check raises, as
+"<type>: <text>" with its traceback on stderr; only ResourceCapExceeded
+ends the run (exit 3).
 
 run_verify makes one oracle.OracleContext per run and hands it to every
 check that reads the oracle, so the adjoint and coadjoint partitions, the
@@ -13,9 +15,11 @@ enumerations taken from their point lists, the column group elements, the
 brute table and its projection data are built once and dropped when the
 run ends; Thm8.6 decomposes its deep pairs by projecting onto the brute
 rows and checking the result at every column, and Thm9.1 traces every
-group element over the context's one row trie.  Thm9.3 and emit_golden
-read each row's cluster from the coadjoint partition instead of walking
-it again, and count its left orbits with one helper.
+group element over the context's one row trie.  A.1 asks the context
+for a functional on which the support criterion and the fixed-point test
+disagree.  Thm9.3 and emit_golden count the left orbits in the
+row-covering part of each row's cluster with the context, which reads the
+cluster from the coadjoint partition instead of walking it again.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ from dataclasses import dataclass
 from . import clusters, discrete, oracle, tensor
 from .characters import build_table, char_value_closed, char_value_sum, verify_axioms
 from .clusters import Template
-from .core import UniMatrix, act_left, act_right, coact_left, coact_right, fixes_left, positions
+from .core import UniMatrix, act_left, act_right, coact_left, coact_right, positions
 from .cyclotomic import Cyclotomic
-from .errors import InvariantViolation
+from .errors import InvariantViolation, ResourceCapExceeded
 from .gf import Field
 
 EXHAUSTIVE_PAIR_LIMIT = 240
@@ -189,11 +193,9 @@ def _check_closed_formula(ctx):
             if char_value_closed(tau, x) != brute[r][c]:
                 return False, f"closed form differs at ({tau.text()}, {x.text()})"
     for x in cols:
-        g = ctx.column(x)
-        for lam in ctx.dual:
-            direct = fixes_left(g, lam)
-            if direct != oracle.fixed_by_template_action(lam, g.off):
-                return False, f"support criterion wrong for ({lam!r}, {x.text()})"
+        lam = ctx.criterion_counterexample(x)
+        if lam is not None:
+            return False, f"support criterion wrong for ({lam!r}, {x.text()})"
     return True, f"closed form equals the trace on all {len(rows)}x{len(cols)} cells"
 
 
@@ -292,33 +294,13 @@ def _check_delta_value(ctx, cap_group):
     return True, f"rank formula matches the trace at all {count} group elements"
 
 
-def _delta_orbit_count(tau, members) -> int:
-    """How many left orbits the row-covering points of tau's cluster fill.
-
-    members are the cluster's points.  Raises InvariantViolation if a left
-    orbit leaves the row-covering part.
-    """
-    pool = {lam for lam in members if discrete.in_delta(lam)}
-    orbits = 0
-    while pool:
-        orbit = oracle.bfs_left_orbit(next(iter(pool)))
-        if not orbit <= pool:
-            raise InvariantViolation(
-                f"row-covering part of {tau.text()}'s cluster is not left-closed"
-            )
-        pool -= orbit
-        orbits += 1
-    return orbits
-
-
 def _check_delta_decomposition(ctx):
     n, field = ctx.n, ctx.field
     rows, cols, brute = ctx.table
     index = {t: r for r, t in enumerate(rows)}
     decomp = discrete.delta_decompose(n, field)
-    cluster_of = dict(zip(ctx.coadjoint.representatives, ctx.coadjoint.members()))
     for tau in rows:
-        orbits = _delta_orbit_count(tau, cluster_of[tau])
+        orbits = ctx.covering_left_orbits(tau)
         if orbits != decomp.terms.get(tau, 0):
             return False, (
                 f"multiplicity of {tau.text()} is {decomp.terms.get(tau, 0)},"
@@ -369,6 +351,13 @@ def run_verify(
             ok, detail = fn()
         except InvariantViolation as exc:
             ok, detail = False, str(exc)
+        except ResourceCapExceeded:
+            raise
+        except Exception as exc:  # a crashing fast path fails its check, not the run
+            import traceback  # loaded only on this path, off the CLI's start-up
+
+            traceback.print_exc()
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
         results.append(VerifyCheck(key=key, passed=ok, detail=detail))
     return VerifyReport(n=n, p=field.p, k=field.k, checks=results)
 
@@ -386,12 +375,11 @@ def emit_golden(n: int, field: Field, cap: int = oracle.DEFAULT_MAX_SPACE) -> di
     dual_part, nil_part = ctx.coadjoint, ctx.adjoint
     dual_sizes = dict(zip(dual_part.representatives, dual_part.orbit_sizes()))
     nil_sizes = dict(zip(nil_part.representatives, nil_part.orbit_sizes()))
-    cluster_of = dict(zip(dual_part.representatives, dual_part.members()))
     identity_col = cols.index(Template(field, n, []))
     delta_terms = []
     delta_identity = 0
     for r, tau in enumerate(rows):
-        orbits = _delta_orbit_count(tau, cluster_of[tau])
+        orbits = ctx.covering_left_orbits(tau)
         if orbits:
             delta_terms.append({"template": tau.text(), "mult": orbits})
             delta_identity += orbits * values[r][identity_col].as_int()

@@ -23,7 +23,9 @@ from supercluster.discrete import delta_decompose
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 # (n, p, k): the field is GF(p^k); the file is nq_<n>_<q>.json
-CASES = [(2, 2, 1), (3, 2, 1), (3, 3, 1), (3, 2, 2), (3, 3, 2)]
+CASES = [
+    (2, 2, 1), (3, 2, 1), (3, 3, 1), (3, 2, 2), (3, 3, 2), (3, 5, 1), (3, 7, 1), (3, 2, 3),
+]
 
 
 def case_id(case):

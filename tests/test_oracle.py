@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supercluster import field_make, oracle
+from supercluster import field_make, oracle, packed
 from supercluster.characters import char_value_sum
 from supercluster.clusters import (
     cluster_elements,
@@ -17,7 +17,10 @@ from supercluster.core import (
     Functional,
     NilMatrix,
     UniMatrix,
+    act_left,
+    act_right,
     coact_left,
+    coact_right,
     e_ij,
     eps_ij,
     evaluate,
@@ -428,3 +431,114 @@ def test_row_trie_rejects_mismatched_inputs(F2, F3, F4):
         brute_delta_value(identity(F2, 4), ctx=OracleContext(3, F2))
     with pytest.raises(ValueError, match="not both"):
         brute_delta_value(identity(F2, 3), [lam], ctx=OracleContext(3, F2))
+
+
+# -- the oracle's integer encoding, pinned to core ------------------------------------
+
+# (n, p, k) over GF(2), GF(3), GF(4), GF(5), GF(9) at n = 3, 4
+CODE_CASES = [(n, p, k) for (p, k) in ((2, 1), (3, 1), (2, 2), (5, 1), (3, 2)) for n in (3, 4)]
+ACTIONS = {
+    ("coadjoint", "left"): lambda g, lam: coact_left(g, lam),
+    ("coadjoint", "right"): lambda g, lam: coact_right(lam, g),
+    ("adjoint", "left"): lambda g, x: act_left(g, x),
+    ("adjoint", "right"): lambda g, x: act_right(x, g),
+}
+
+
+@lru_cache(maxsize=None)
+def codes_of(n, p, k):
+    return packed.Codes(n, field_make(p, k))
+
+
+@st.composite
+def code_points(draw):
+    """(codes, u, v): an encoding and two codes, each digit 0 half the time."""
+    n, p, k = draw(st.sampled_from(CODE_CASES))
+    codes = codes_of(n, p, k)
+    digit = st.one_of(st.just(0), st.integers(0, codes.q - 1))
+
+    def code():
+        return sum(d * w for d, w in zip(draw(st.lists(digit, min_size=len(codes.weight),
+                                                         max_size=len(codes.weight))),
+                                         codes.weight.values()))
+
+    return codes, code(), code()
+
+
+@PROPS
+@given(code_points())
+def test_codes_round_trip(case):
+    codes, u, _ = case
+    for side in ("adjoint", "coadjoint"):
+        point = codes.point(side, u)
+        assert codes.encode(point) == u
+        assert codes.point(side, codes.encode(point)) == point
+    entries = codes.point("coadjoint", u).entries
+    assert codes.rows(u) == tuple(
+        sum(v.index * codes.q ** (codes.n - l) for (k, l), v in entries.items() if k == row)
+        for row in range(1, codes.n)
+    )
+
+
+def test_codes_follow_the_enumeration_order(F3, F4):
+    for field in (F3, F4):
+        codes = packed.Codes(3, field)
+        assert [codes.encode(lam) for lam in enumerate_dual(3, field)] == list(range(codes.size))
+        assert [codes.encode(x) for x in enumerate_nil(3, field)] == list(range(codes.size))
+
+
+@PROPS
+@given(code_points())
+def test_every_generator_moves_codes_as_core_acts(case):
+    """Every I + a*e_ij, a != 0, on each side of both actions."""
+    codes, u, _ = case
+    field, n = codes.field, codes.n
+    for (side, hand), act in ACTIONS.items():
+        point = codes.point(side, u)
+        for (i, j) in positions(n):
+            for a in field.nonzero:
+                g = UniMatrix(e_ij(field, n, i, j, a))
+                assert codes.move(side, hand, i, j, a.index)(u) == codes.encode(act(g, point))
+
+
+@PROPS
+@given(code_points())
+def test_fixed_points_and_exponents_match_core(case):
+    """The trace masks of a point and the row decisions of the
+    discrete-series trace, against fixes_left, coact_left and evaluate."""
+    codes, y, c = case
+    g = UniMatrix(codes.point("adjoint", y))
+    lam = codes.point("coadjoint", c)
+    p, n = codes.p, codes.n
+    fixed = fixes_left(g, lam)
+    exponent = evaluate(lam, g.off).trace()
+    ys, cs = codes.rows(y), codes.rows(c)
+    want = [0] * p
+    if fixed:
+        want[exponent] = 1
+    assert codes.trace_bins(codes.trace_masks([c]), ys) == want
+    image = coact_left(g, lam)
+    total = 0
+    for k in range(1, n):
+        e = packed.decide_row(codes.rule(ys[k:], ys[k - 1]), cs[k - 1])
+        moved = any(image.get(k, l) != lam.get(k, l) for l in range(k + 1, n + 1))
+        assert (e is None) == moved
+        total += e or 0
+    if fixed:
+        assert total % p == exponent
+
+
+@pytest.mark.parametrize("module", [oracle, packed], ids=["oracle", "packed"])
+def test_oracle_imports_no_action_from_core(module):
+    import ast
+    from pathlib import Path
+
+    imported = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").endswith("core"):
+                imported |= {alias.name for alias in node.names}
+            assert "core" not in {alias.name for alias in node.names}
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.endswith("core") for alias in node.names)
+    assert imported <= {"Functional", "NilMatrix", "UniMatrix", "positions"}

@@ -2,7 +2,7 @@ import gc
 import weakref
 from collections import Counter
 
-from supercluster import core, field_make, oracle, verify
+from supercluster import core, field_make, oracle, packed, verify
 from supercluster.verify import run_verify
 
 REQUIRED_KEYS = {
@@ -47,19 +47,18 @@ def test_delta_check_decides_row_vectors_instead_of_pairs(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     ctx = oracle.OracleContext(4, field_make(2, 1))
-    ctx.dual  # the coadjoint partition walks its orbits with coact_left
-    for module in (oracle, core):
-        counted(module, "fixes_left")
-        counted(module, "coact_left")
+    ctx.dual  # the partition is built before the count starts
+    for name in ("fixes_left", "coact_left"):
+        assert not hasattr(oracle, name) and not hasattr(packed, name)
+        counted(core, name)
     counted(oracle, "brute_delta_value")
-    counted(oracle, "_decide_row")
+    counted(packed, "decide_row")
     ok, _ = verify._check_delta_value(ctx, oracle.DEFAULT_MAX_SPACE)
     assert ok
     assert calls["supercluster.oracle.brute_delta_value"] == 64
-    for module in ("supercluster.oracle", "supercluster.core"):
-        assert calls[f"{module}.fixes_left"] == 0
-        assert calls[f"{module}.coact_left"] == 0
-    assert 0 < calls["supercluster.oracle._decide_row"] <= 64 * (8 + 4 + 2)
+    assert calls["supercluster.core.fixes_left"] == 0
+    assert calls["supercluster.core.coact_left"] == 0
+    assert 0 < calls["supercluster.packed.decide_row"] <= 64 * (8 + 4 + 2)
 
 
 def test_delta_check_filters_the_dual_space_once(monkeypatch):
@@ -115,3 +114,32 @@ def test_no_oracle_memo_survives_a_run(monkeypatch):
     gc.collect()
     assert len(made) == 1 and made[0]() is None
     assert (sizes(), oracle._shared_context.cache_info()) == before
+
+
+def test_a_crashing_check_fails_and_the_rest_still_run(monkeypatch, capsys):
+    """A fast path that raises fails its own check, as "<type>: <text>";
+    every other check still runs, and the CLI exits 4."""
+    from supercluster import cli, clusters
+
+    def broken(lam):
+        raise ValueError("cells do not form a rook placement")
+
+    monkeypatch.setattr(clusters, "coadjoint_template_of", broken)
+    assert cli.main(["verify", "--n", "3", "--q", "3"]) == 4
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert "Thm4.2 FAIL ValueError: cells do not form a rook placement" in lines
+    assert "in broken" in err  # the traceback names the raising frame
+    assert len(lines) == 12 and lines[-1] == "overall FAIL"
+    assert sum(" FAIL " in line for line in lines) == 1
+
+
+def test_a_cap_inside_a_check_still_ends_the_run(monkeypatch):
+    from supercluster import cli, clusters
+    from supercluster.errors import ResourceCapExceeded
+
+    def capped(lam):
+        raise ResourceCapExceeded("too big")
+
+    monkeypatch.setattr(clusters, "coadjoint_template_of", capped)
+    assert cli.main(["verify", "--n", "3", "--q", "3"]) == 3
