@@ -22,7 +22,7 @@ from math import comb
 
 from . import linalg
 from .errors import InvariantViolation
-from .gf import Field, FieldElement
+from .gf import Field
 from .core import (
     Functional,
     NilMatrix,
@@ -209,29 +209,75 @@ def coadjoint_template(lam: Functional) -> Template:
 
 
 # -- rank invariants ----------------------------------------------------------
+#
+# Window (i, j) of a matrix keeps the entries (k, l) with i <= k < l <= j;
+# window (i, j) of a functional keeps those with k <= i < j <= l.  Their
+# ranks are constant on clusters, and on a template they count the cells
+# inside the window.  Both sides are computed from the point itself: the
+# windows with one j nest in i, so one basis per j, fed a row at a time,
+# gives all of them.
 
-def _matrix_rank(field: Field, n: int, entries: dict) -> int:
-    rows = {}
-    for (i, j), v in entries.items():
-        rows.setdefault(i, {})[j] = v
-    dense = [[row.get(j, field.zero) for j in range(1, n + 1)] for row in rows.values()]
-    return linalg.rank(dense)
+def _lex(n: int, i: int, j: int) -> int:
+    """Place of (i, j) in positions(n)."""
+    return (i - 1) * n - i * (i - 1) // 2 + j - i - 1
+
+
+def _index_rows(p: NilMatrix | Functional) -> list[list[int]]:
+    """Rows 1..n of p as lists of field indices over columns 1..n."""
+    rows = [[0] * p.n for _ in range(p.n)]
+    for (i, j), v in p.entries.items():
+        rows[i - 1][j - 1] = v.index
+    return rows
+
+
+def window_ranks(x: NilMatrix) -> tuple[int, ...]:
+    """Rank of every window (i, j) of x, in positions(n) order.
+
+    Window (i, j) is rows i..j-1 over columns up to j.  For each j one
+    basis takes rows j-1, j-2, ..., 1 in turn; its rank after row i is the
+    rank of window (i, j).
+    """
+    n = x.n
+    rows = _index_rows(x)
+    ranks = [0] * (n * (n - 1) // 2)
+    for j in range(2, n + 1):
+        basis = linalg.Echelon(x.field)
+        for i in range(j - 1, 0, -1):
+            basis.insert(rows[i - 1][:j])
+            ranks[_lex(n, i, j)] = len(basis)
+    return tuple(ranks)
+
+
+def window_ranks_dual(lam: Functional) -> tuple[int, ...]:
+    """Rank of every window (i, j) of lam, in positions(n) order.
+
+    Window (i, j) is rows 1..i over columns j and up.  For each j one basis
+    takes rows 1, 2, ..., j-1 in turn; its rank after row i is the rank of
+    window (i, j).
+    """
+    n = lam.n
+    rows = _index_rows(lam)
+    ranks = [0] * (n * (n - 1) // 2)
+    for j in range(2, n + 1):
+        basis = linalg.Echelon(lam.field)
+        for i in range(1, j):
+            basis.insert(rows[i - 1][j - 1:])
+            ranks[_lex(n, i, j)] = len(basis)
+    return tuple(ranks)
 
 
 def rank_invariant(i: int, j: int, x: NilMatrix) -> int:
     """Rank of the window keeping entries (k,l) with i <= k < l <= j."""
     if not (1 <= i < j <= x.n):
         raise ValueError(f"bad window ({i},{j})")
-    win = {(k, l): v for (k, l), v in x.entries.items() if i <= k and l <= j}
-    return _matrix_rank(x.field, x.n, win)
+    return window_ranks(x)[_lex(x.n, i, j)]
 
 
 def rank_invariant_dual(i: int, j: int, lam: Functional) -> int:
     """Rank of the window keeping entries (k,l) with k <= i < j <= l."""
     if not (1 <= i < j <= lam.n):
         raise ValueError(f"bad window ({i},{j})")
-    win = {(k, l): v for (k, l), v in lam.entries.items() if k <= i and j <= l}
-    return _matrix_rank(lam.field, lam.n, win)
+    return window_ranks_dual(lam)[_lex(lam.n, i, j)]
 
 
 # -- the two indices ----------------------------------------------------------
@@ -256,53 +302,52 @@ def invariants_of(tau: Template) -> ClusterInvariants:
 
 
 # -- the orbit subspaces, for arbitrary functionals ---------------------------
+#
+# Vectors are index rows over positions(n), in no fixed order; lam(x.y) and
+# lam(y.x) for a matrix unit y meet each position at most once, so no entry
+# is a sum.
 
-def _pos_index(n: int) -> dict[tuple[int, int], int]:
-    return {pos: k for k, pos in enumerate(positions(n))}
+def _lhat_vectors(lam: Functional) -> list[list[int]]:
+    """Spanning vectors of {x -> lam(x.y) : y nilpotent}, one per basis y.
 
-
-def _lhat_vectors(lam: Functional) -> list[list[FieldElement]]:
-    """Spanning vectors of {x -> lam(x.y) : y nilpotent}, one per basis y."""
+    y = e_ij gives x -> sum over k < i of lam(k, j) * x_ki, so an entry
+    (k, j) of lam lands at position (k, i) of the vector of each k < i < j.
+    """
     n = lam.n
-    idx = _pos_index(n)
-    zero = lam.field.zero
-    vecs = []
-    for (i, j) in positions(n):
-        vec = None
-        for (k, j2), c in lam.entries.items():
-            if j2 == j and k < i:
-                if vec is None:
-                    vec = [zero] * len(idx)
-                vec[idx[(k, i)]] = vec[idx[(k, i)]] + c
-        if vec is not None:
-            vecs.append(vec)
-    return vecs
+    vecs: dict[tuple[int, int], list[int]] = {}
+    for (k, j), c in lam.entries.items():
+        at = _lex(n, k, k + 1)  # (k, i) for i = k+1, k+2, ... are consecutive
+        for i in range(k + 1, j):
+            vec = vecs.get((i, j))
+            if vec is None:
+                vec = vecs[i, j] = [0] * (n * (n - 1) // 2)
+            vec[at + i - k - 1] = c.index
+    return list(vecs.values())
 
 
-def _rhat_vectors(lam: Functional) -> list[list[FieldElement]]:
-    """Spanning vectors of {x -> lam(y.x) : y nilpotent}."""
+def _rhat_vectors(lam: Functional) -> list[list[int]]:
+    """Spanning vectors of {x -> lam(y.x) : y nilpotent}.
+
+    y = e_ij gives x -> sum over l > j of lam(i, l) * x_jl, so an entry
+    (i, l) of lam lands at position (j, l) of the vector of each i < j < l.
+    """
     n = lam.n
-    idx = _pos_index(n)
-    zero = lam.field.zero
-    vecs = []
-    for (i, j) in positions(n):
-        vec = None
-        for (i2, l), c in lam.entries.items():
-            if i2 == i and l > j:
-                if vec is None:
-                    vec = [zero] * len(idx)
-                vec[idx[(j, l)]] = vec[idx[(j, l)]] + c
-        if vec is not None:
-            vecs.append(vec)
-    return vecs
+    vecs: dict[tuple[int, int], list[int]] = {}
+    for (i, l), c in lam.entries.items():
+        for j in range(i + 1, l):
+            vec = vecs.get((i, j))
+            if vec is None:
+                vec = vecs[i, j] = [0] * (n * (n - 1) // 2)
+            vec[_lex(n, j, l)] = c.index
+    return list(vecs.values())
 
 
 def lhat_dim(lam: Functional) -> int:
-    return linalg.rank(_lhat_vectors(lam))
+    return linalg.rank(lam.field, _lhat_vectors(lam))
 
 
 def rhat_dim(lam: Functional) -> int:
-    return linalg.rank(_rhat_vectors(lam))
+    return linalg.rank(lam.field, _rhat_vectors(lam))
 
 
 def intersection_dim(lam: Functional) -> int:
@@ -311,11 +356,17 @@ def intersection_dim(lam: Functional) -> int:
 
 def _hat_dims(lam: Functional) -> tuple[int, int, int]:
     """(lhat_dim, rhat_dim, intersection_dim) of lam, each span ranked once:
-    dim(L ∩ R) = dim L + dim R - dim(L + R), and L + R is spanned by the
-    two echelon bases together."""
-    a = linalg.echelon(_lhat_vectors(lam))
-    b = linalg.echelon(_rhat_vectors(lam))
-    return len(a), len(b), len(a) + len(b) - linalg.rank(a + b)
+    dim(L ∩ R) = dim L + dim R - dim(L + R), and the L basis grows into one
+    of L + R by inserting the echelon rows of R."""
+    left, right = linalg.Echelon(lam.field), linalg.Echelon(lam.field)
+    for vec in _lhat_vectors(lam):
+        left.insert(vec)
+    for vec in _rhat_vectors(lam):
+        right.insert(vec)
+    dl, dr = len(left), len(right)
+    for vec in right.by_pivot.values():
+        left.insert(vec)
+    return dl, dr, dl + dr - len(left)
 
 
 # -- sizes --------------------------------------------------------------------
@@ -344,35 +395,32 @@ def adjoint_cluster_size(tau: Template) -> int:
 
 # -- explicit orbit and cluster elements --------------------------------------
 
-def _span_translates(base: Functional, basis: list[list[FieldElement]]) -> list[Functional]:
-    """base + every combination of the basis vectors."""
+def _span_translates(base: Functional, basis: list[list[int]]) -> list[Functional]:
+    """base + every combination of the basis index rows."""
     field, n = base.field, base.n
+    add, mul, els = field.add_idx, field.mul_idx, field.elements
     pts = positions(n)
+    start = [0] * len(pts)
+    for (i, j), v in base.entries.items():
+        start[_lex(n, i, j)] = v.index
     out = []
-    for coeffs in product(field.elements, repeat=len(basis)):
-        entries = dict(base.entries)
+    for coeffs in product(range(field.q), repeat=len(basis)):
+        vec = start
         for c, row in zip(coeffs, basis):
-            if not c:
-                continue
-            for k, v in enumerate(row):
-                if v:
-                    pos = pts[k]
-                    w = entries.get(pos, field.zero) + c * v
-                    if w:
-                        entries[pos] = w
-                    else:
-                        entries.pop(pos, None)
-        out.append(Functional(field, n, entries))
+            if c:
+                scale = mul[c]
+                vec = [add[x][scale[y]] for x, y in zip(vec, row)]
+        out.append(Functional(field, n, {pos: els[v] for pos, v in zip(pts, vec) if v}))
     return out
 
 
 def left_orbit_elements(lam: Functional) -> list[Functional]:
     """The left orbit lam + L-hat(lam), enumerated explicitly."""
-    return _span_translates(lam, linalg.echelon(_lhat_vectors(lam)))
+    return _span_translates(lam, linalg.echelon(lam.field, _lhat_vectors(lam)))
 
 
 def right_orbit_elements(lam: Functional) -> list[Functional]:
-    return _span_translates(lam, linalg.echelon(_rhat_vectors(lam)))
+    return _span_translates(lam, linalg.echelon(lam.field, _rhat_vectors(lam)))
 
 
 _CLUSTER_MEMO: dict[Template, tuple[Functional, ...]] = {}

@@ -29,8 +29,8 @@ def delta_value(g: UniMatrix) -> int:
     """(-1)^r * (q-1)(q^2-1)...(q^(n-1-r)-1) with r = rank(g - I)."""
     n = g.n
     field = g.field
-    rows = [[g.off.get(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    r = linalg.rank(rows)
+    rows = [[g.off.get(i, j).index for j in range(1, n + 1)] for i in range(1, n + 1)]
+    r = linalg.rank(field, rows)
     value = 1
     for m in range(1, n - r):
         value *= field.q**m - 1

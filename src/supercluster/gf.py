@@ -13,6 +13,8 @@ and elements are immutable and safe to share between workers.
 
 Each element also carries an integer index sum(c_m * p^m); the index order
 is the canonical element order used everywhere for deterministic output.
+The same tables are kept on indices too (add_idx, mul_idx, neg_idx,
+inv_idx), for code that does its arithmetic on lists of ints.
 """
 
 from __future__ import annotations
@@ -153,6 +155,7 @@ class Field:
 
     __slots__ = (
         "p", "k", "q", "modulus", "elements", "zero", "one",
+        "add_idx", "mul_idx", "neg_idx", "inv_idx",
         "_add", "_mul", "_neg", "_inv", "_trace",
     )
 
@@ -173,27 +176,29 @@ class Field:
         def idx(coeffs):
             return sum(c * p**e for e, c in enumerate(coeffs))
 
-        add_idx = [
+        # index tables: add_idx[a][b] is the index of a + b, and so on;
+        # inv_idx[0] is None
+        add_idx = self.add_idx = [
             [idx([(a + b) % p for a, b in zip(x.coeffs, y.coeffs)]) for y in self.elements]
             for x in self.elements
         ]
-        mul_idx = [
+        mul_idx = self.mul_idx = [
             [idx(_poly_rem(_poly_mul(x.coeffs, y.coeffs, p), modulus, p)) for y in self.elements]
             for x in self.elements
         ]
-        self._add = [[self.elements[j] for j in row] for row in add_idx]
-        self._mul = [[self.elements[j] for j in row] for row in mul_idx]
-        self._neg = [self.elements[idx([(-c) % p for c in x.coeffs])] for x in self.elements]
-
-        inv = [None] * q
+        self.neg_idx = [idx([(-c) % p for c in x.coeffs]) for x in self.elements]
+        inv = self.inv_idx = [None] * q
         for a in range(1, q):
             for b in range(1, q):
                 if mul_idx[a][b] == 1:
-                    inv[a] = self.elements[b]
+                    inv[a] = b
                     break
             if inv[a] is None:
                 raise RuntimeError(f"element {a} has no inverse; modulus not irreducible?")
-        self._inv = inv
+        self._add = [[self.elements[j] for j in row] for row in add_idx]
+        self._mul = [[self.elements[j] for j in row] for row in mul_idx]
+        self._neg = [self.elements[j] for j in self.neg_idx]
+        self._inv = [None] + [self.elements[j] for j in inv[1:]]
 
         trace = []
         for x in self.elements:

@@ -78,27 +78,34 @@ def _check_counting(n, field):
     return True, f"template count {count} matches the recurrence"
 
 
+def _cells_per_window(rep, inside):
+    """Cells of the rook placement rep inside each window (i, j), in positions
+    order: the rank every point of rep's cluster must have there."""
+    return tuple(
+        sum(1 for k, l, _ in rep.cells if inside(i, j, k, l)) for (i, j) in positions(rep.n)
+    )
+
+
 def _check_adjoint_classification(ctx):
-    n, part = ctx.n, ctx.adjoint
+    part = ctx.adjoint
     for x in part.points:
         t, g, h = clusters.adjoint_template_of(x)
         if t != part.representatives[part.orbit_of(x)]:
             return False, f"sweep template of {x!r} disagrees with its orbit's rook point"
         if clusters.template_of_matrix(act_right(act_left(g, x), h)) != t:
             return False, f"witnesses for {x!r} do not reproduce the template"
-    for members in part.members():
-        base = None
+    for rep, members in zip(part.representatives, part.members()):
+        cells = _cells_per_window(rep, lambda i, j, k, l: i <= k and l <= j)
         for x in members:
-            ranks = tuple(clusters.rank_invariant(i, j, x) for (i, j) in positions(n))
-            if base is None:
-                base = ranks
-            elif ranks != base:
-                return False, "window ranks vary inside an adjoint cluster"
+            if clusters.window_ranks(x) != cells:
+                return False, (
+                    f"window ranks of {x!r} differ from the cell counts of {rep.text()}"
+                )
     return True, f"{len(part.representatives)} adjoint clusters over {len(part.points)} points"
 
 
 def _check_coadjoint_classification(ctx):
-    n, part = ctx.n, ctx.coadjoint
+    part = ctx.coadjoint
     for lam in part.points:
         t, g, h = clusters.coadjoint_template_of(lam)
         if t != part.representatives[part.orbit_of(lam)]:
@@ -107,13 +114,12 @@ def _check_coadjoint_classification(ctx):
             return False, f"witnesses for {lam!r} do not reproduce the template"
     for rep, members in zip(part.representatives, part.members()):
         inv = clusters.invariants_of(rep)
-        base = None
+        cells = _cells_per_window(rep, lambda i, j, k, l: k <= i and j <= l)
         for lam in members:
-            ranks = tuple(clusters.rank_invariant_dual(i, j, lam) for (i, j) in positions(n))
-            if base is None:
-                base = ranks
-            elif ranks != base:
-                return False, "window ranks vary inside a coadjoint cluster"
+            if clusters.window_ranks_dual(lam) != cells:
+                return False, (
+                    f"window ranks of {lam!r} differ from the cell counts of {rep.text()}"
+                )
             lhat, rhat, both = clusters._hat_dims(lam)
             if lhat != inv.d or rhat != inv.d or both != inv.i:
                 return False, f"orbit-space dimensions vary inside the cluster of {rep.text()}"

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supercluster import field_make
 from supercluster.clusters import (
@@ -19,10 +21,13 @@ from supercluster.clusters import (
     rhat_dim,
     template_of_functional,
     template_of_matrix,
+    window_ranks,
+    window_ranks_dual,
 )
 from supercluster.core import (
     Functional,
     NilMatrix,
+    UniMatrix,
     act_left,
     act_right,
     coact_left,
@@ -119,6 +124,42 @@ def test_rank_invariant_constant_on_clusters(F2):
         base = [rank_invariant_dual(i, j, start) for (i, j) in positions(3)]
         for lam in bfs_double_orbit(start, "coadjoint"):
             assert [rank_invariant_dual(i, j, lam) for (i, j) in positions(3)] == base
+
+
+MOVES = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+@st.composite
+def moved_point(draw):
+    """(x, g, h) over GF(3), GF(4) or GF(5), n = 3..5: a point and two group
+    elements, as index lists over positions(n), about half of them 0."""
+    field = draw(st.sampled_from([field_make(3, 1), field_make(2, 2), field_make(5, 1)]))
+    n = draw(st.sampled_from((3, 4, 5)))
+    digit = st.one_of(st.just(0), st.integers(0, field.q - 1))
+
+    def draw_entries():
+        values = draw(st.lists(digit, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+        return {pos: field.elements[v] for pos, v in zip(positions(n), values)}
+
+    x = draw_entries()
+    g, h = (UniMatrix(NilMatrix(field, n, draw_entries())) for _ in range(2))
+    return field, n, x, g, h
+
+
+@MOVES
+@given(moved_point())
+def test_window_ranks_and_indices_survive_one_sided_moves(point):
+    # g.x.h and g.lam.h stay in the cluster, so every window rank, and the
+    # L-hat/R-hat dimensions d, d and i, are those of the point itself
+    field, n, entries, g, h = point
+    x = NilMatrix(field, n, entries)
+    assert window_ranks(act_right(act_left(g, x), h)) == window_ranks(x)
+    lam = Functional(field, n, entries)
+    moved = coact_left(g, coact_right(lam, h))
+    assert window_ranks_dual(moved) == window_ranks_dual(lam)
+    dims = (lhat_dim(lam), rhat_dim(lam), intersection_dim(lam))
+    assert (lhat_dim(moved), rhat_dim(moved), intersection_dim(moved)) == dims
+    assert dims[0] == dims[1]
 
 
 # -- invariants ---------------------------------------------------------------

@@ -143,3 +143,20 @@ def test_a_cap_inside_a_check_still_ends_the_run(monkeypatch):
 
     monkeypatch.setattr(clusters, "coadjoint_template_of", capped)
     assert cli.main(["verify", "--n", "3", "--q", "3"]) == 3
+
+
+def test_zero_window_ranks_fail_the_classification_checks(monkeypatch):
+    """Each window rank must equal the cell count of the cluster's rook point
+    there, so a rank routine that answers 0 everywhere fails Thm4.1 and
+    Thm4.2 even though it is constant on every cluster."""
+    from supercluster import clusters
+
+    def zeros(point):
+        return (0,) * (point.n * (point.n - 1) // 2)
+
+    monkeypatch.setattr(clusters, "window_ranks", zeros)
+    monkeypatch.setattr(clusters, "window_ranks_dual", zeros)
+    report = run_verify(3, field_make(3, 1))
+    failed = {c.key: c.detail for c in report.checks if not c.passed}
+    assert set(failed) == {"Thm4.1", "Thm4.2"}
+    assert "differ from the cell counts of" in failed["Thm4.1"]
