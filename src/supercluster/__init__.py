@@ -5,8 +5,8 @@ The public surface, by layer: gf (exact GF(p^k)), core (matrices,
 functionals, the six actions), clusters (template classification and the
 d/i indices), characters (cyclotomic character tables), tensor (the product
 ring), discrete (the discrete-series decomposition), oracle + verify
-(brute-force certification; packed is the oracle's integer encoding), cli
-(the command line).
+(brute-force certification; packed is the oracle's integer encoding, lanes
+runs verify's checks in two processes), cli (the command line).
 """
 
 from .gf import Field, FieldElement, field_make

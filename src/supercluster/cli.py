@@ -62,7 +62,8 @@ def _add_common(sub: argparse.ArgumentParser, with_n: bool = True) -> None:
     sub.add_argument("--q", type=int, help="shorthand for a prime field of size q")
     sub.add_argument("--format", choices=["json", "csv", "text"], default="text")
     sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                     help="accepted for compatibility; every command runs in one process")
+                     help="verify splits its checks over two processes when N >= 2;"
+                          " every other command runs in one; output is the same for every N")
     sub.add_argument("--cap-orbit", type=int, help="max enumerated space size")
     sub.add_argument("--cap-group", type=int, help="max enumerated group size")
     sub.add_argument("--seed", type=int, default=0, help="seed for sampled verification")
@@ -219,7 +220,7 @@ def _run_discrete(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_verify(cfg: RunConfig, sample_pairs: int, emit_golden: str | None) -> int:
+def _run_verify(cfg: RunConfig, sample_pairs: int, emit_golden: str | None, jobs: int) -> int:
     field = cfg.field
     report = verify.run_verify(
         cfg.n,
@@ -229,6 +230,7 @@ def _run_verify(cfg: RunConfig, sample_pairs: int, emit_golden: str | None) -> i
         cap_pairs=cfg.caps["pairs"],
         sample_pairs=sample_pairs,
         seed=cfg.seed,
+        jobs=jobs,
     )
     if emit_golden:
         verify.write_golden(emit_golden, verify.emit_golden(cfg.n, field, cfg.caps["orbit"]))
@@ -301,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "discrete":
             return _run_discrete(cfg)
         if args.command == "verify":
-            return _run_verify(cfg, args.sample_pairs, args.emit_golden)
+            return _run_verify(cfg, args.sample_pairs, args.emit_golden, args.jobs)
     except ResourceCapExceeded as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return 3

@@ -20,12 +20,26 @@ for a functional on which the support criterion and the fixed-point test
 disagree.  Thm9.3 and emit_golden count the left orbits in the
 row-covering part of each row's cluster with the context, which reads the
 cluster from the coadjoint partition instead of walking it again.
+
+No check reads another's result, so with jobs >= 2 (and os.fork) the
+checks run in two fixed lanes (supercluster.lanes).  Lane A, in the calling
+process, holds the only checks that draw from the run's one
+random.Random(seed), RNG_CHECKS, in their usual order, so every sample is
+the one a single lane takes; lane B, the other eight, runs in one forked
+child over the context the parent warmed before the fork.  The report is
+the same for every jobs, and so is the exit: a cap in either lane ends the
+run with the cap a single lane would have met first.  jobs = 1 runs every
+check in the calling process.  The engine starts no thread; fork copies
+only the calling thread, so a caller running threads of its own passes
+jobs = 1.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import random
+import sys
 from dataclasses import dataclass
 
 from . import clusters, discrete, oracle, tensor
@@ -177,12 +191,16 @@ def _check_character_sum(ctx, rng):
         for c, x in enumerate(cols):
             if char_value_sum(tau, ctx.column(x)) != brute[r][c]:
                 return False, f"cluster-sum value differs at ({tau.text()}, {x.text()})"
+    # The loop above proved char_value_sum equal to the brute value at every
+    # cell, so the picks are held to the brute value at their rep's column.
     part = ctx.adjoint
+    index = {t: r for r, t in enumerate(rows)}
+    col_index = {x: c for c, x in enumerate(cols)}
     sample_rows = rows if len(rows) <= 12 else rng.sample(rows, 12)
     for rep, members in zip(part.representatives, part.members()):
         picks = members if len(members) <= 3 else rng.sample(members, 3)
         for tau in sample_rows:
-            base = char_value_sum(tau, ctx.column(rep))
+            base = brute[index[tau]][col_index[rep]]
             for x in picks:
                 if char_value_sum(tau, UniMatrix(x)) != base:
                     return False, (
@@ -326,6 +344,45 @@ def _check_delta_decomposition(ctx):
     )
 
 
+# The checks that draw from the rng, in the order they draw; with two lanes
+# they run in the parent, so every sample is the one a single lane takes.
+RNG_CHECKS = ("Thm6.2", "Thm3.5", "Thm8.6")
+
+
+def _outcomes(lane):
+    """Run each (key, check) of lane in turn and yield (key, passed, detail,
+    traceback text) for it.  A check that hits a resource cap yields
+    (key, None, the ResourceCapExceeded, "") and ends the lane."""
+    for key, check in lane:
+        tb, capped = "", None
+        try:
+            ok, detail = check()
+        except InvariantViolation as exc:
+            ok, detail = False, str(exc)
+        except ResourceCapExceeded as exc:
+            capped = exc
+        except Exception as exc:  # a crashing fast path fails its check, not the run
+            import traceback  # loaded only on this path, off the CLI's start-up
+
+            ok, detail, tb = False, f"{type(exc).__name__}: {exc}", traceback.format_exc()
+        if capped is not None:
+            yield key, None, capped, ""
+            return
+        yield key, ok, detail, tb
+
+
+def _run_here(lane, outcomes: dict):
+    """Run lane in this process into outcomes[key] = (passed, detail), each
+    traceback to stderr.  Returns (key, ResourceCapExceeded) of a cap that
+    ended the lane, else None."""
+    for key, ok, detail, tb in _outcomes(lane):
+        if ok is None:
+            return key, detail
+        sys.stderr.write(tb)
+        outcomes[key] = (ok, detail)
+    return None
+
+
 def run_verify(
     n: int,
     field: Field,
@@ -334,8 +391,13 @@ def run_verify(
     cap_pairs: int = tensor.DEFAULT_MAX_PAIRS,
     sample_pairs: int = 200,
     seed: int = 0,
+    jobs: int = 1,
 ) -> VerifyReport:
-    """Run the full certification suite for one (n, q) over one oracle context."""
+    """Run the full certification suite for one (n, q) over one oracle context.
+
+    With jobs >= 2, where os.fork exists, the checks run in two lanes (see
+    the module docstring); the report is the same for every jobs.
+    """
     rng = random.Random(seed)
     ctx = oracle.OracleContext(n, field, cap_orbit)
     checks = [
@@ -351,20 +413,17 @@ def run_verify(
         ("Thm9.1", lambda: _check_delta_value(ctx, cap_group)),
         ("Thm9.3", lambda: _check_delta_decomposition(ctx)),
     ]
-    results = []
-    for key, fn in checks:
-        try:
-            ok, detail = fn()
-        except InvariantViolation as exc:
-            ok, detail = False, str(exc)
-        except ResourceCapExceeded:
-            raise
-        except Exception as exc:  # a crashing fast path fails its check, not the run
-            import traceback  # loaded only on this path, off the CLI's start-up
+    if jobs >= 2 and hasattr(os, "fork"):
+        from . import lanes  # loaded only on this path, off the CLI's start-up
 
-            traceback.print_exc()
-            ok, detail = False, f"{type(exc).__name__}: {exc}"
-        results.append(VerifyCheck(key=key, passed=ok, detail=detail))
+        lanes.warm_up(ctx, cap_group)
+        outcomes = lanes.run_in_lanes(checks, RNG_CHECKS)
+    else:
+        outcomes = {}
+        capped = _run_here(checks, outcomes)
+        if capped is not None:
+            raise capped[1]
+    results = [VerifyCheck(key, *outcomes[key]) for key, _ in checks]
     return VerifyReport(n=n, p=field.p, k=field.k, checks=results)
 
 

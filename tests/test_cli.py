@@ -243,3 +243,50 @@ def test_clusters_csv_matches_the_rank_route(args, capsys):
     code, out, err = _main_in_process(["clusters", *args.split(), "--format", "csv"], capsys)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == CLUSTERS_CSV_DIGESTS[args]
+
+
+VERIFY_CASES = ["--n 2 --q 2", "--n 3 --q 3", "--n 4 --q 2", "--n 3 --p 2 --k 2"]
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+@pytest.mark.parametrize("args", VERIFY_CASES)
+def test_verify_output_is_the_same_for_one_and_two_jobs(args, seed, capsys):
+    for fmt in ("text", "json"):
+        argv = ["verify", *args.split(), "--seed", seed, "--format", fmt]
+        one = _main_in_process([*argv, "--jobs", "1"], capsys)
+        two = _main_in_process([*argv, "--jobs", "2"], capsys)
+        assert one == two
+        assert one[0] == 0 and one[2] == ""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_cli_import_loads_no_pool_or_process_module():
+    """Every command pays for what `import supercluster.cli` loads; the
+    two verify lanes need os.fork and a pipe, not these, and their own
+    module is loaded only by a verify run that forks."""
+    names = ("pickle", "multiprocessing", "subprocess", "supercluster.lanes")
+    code = f"import sys, supercluster.cli; print(sorted(m for m in {names} if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout) == (0, "[]\n")
+
+
+def test_two_job_verify_starts_no_thread(monkeypatch, capsys):
+    """The benchmark's speed probe runs only while threading.active_count()
+    is 1; a verify in two lanes must keep it so in the parent's lane."""
+    import threading
+
+    from supercluster import verify
+
+    before = threading.active_count()
+    seen = []
+    tensor_ring = verify._check_tensor_ring
+
+    def counted(*args):
+        seen.append(threading.active_count())
+        return tensor_ring(*args)
+
+    monkeypatch.setattr(verify, "_check_tensor_ring", counted)
+    code, out, _ = _main_in_process(["verify", "--n", "3", "--q", "2", "--jobs", "2"], capsys)
+    assert code == 0 and out.endswith("overall PASS\n")
+    assert seen == [before] and threading.active_count() == before

@@ -1,6 +1,9 @@
 import gc
+import os
 import weakref
 from collections import Counter
+
+import pytest
 
 from supercluster import core, field_make, oracle, packed, verify
 from supercluster.verify import run_verify
@@ -160,3 +163,148 @@ def test_zero_window_ranks_fail_the_classification_checks(monkeypatch):
     failed = {c.key: c.detail for c in report.checks if not c.passed}
     assert set(failed) == {"Thm4.1", "Thm4.2"}
     assert "differ from the cell counts of" in failed["Thm4.1"]
+
+
+# -- two lanes ----------------------------------------------------------------
+
+LANE_B = ["Thm5.1", "Thm4.1", "Thm4.2", "A.1", "A.2", "Thm7.1", "Thm9.1", "Thm9.3"]
+
+
+def _verify_cli(capsys, *extra, args=("--n", "3", "--q", "3")):
+    from supercluster import cli
+
+    code = cli.main(["verify", *args, *extra])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """Fail, instead of hanging, a run that waits on its child for 60 s."""
+    import signal
+
+    def expired(signum, frame):
+        raise TimeoutError("verify waited 60 s on its child")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_the_rng_checks_draw_in_the_parent_as_in_one_lane(monkeypatch, seed):
+    """Thm6.2, Thm3.5 and Thm8.6 take the rng in the same state, in the
+    same order and in the calling process, with one job or two."""
+    seen = []
+
+    def recorded(name):
+        check = getattr(verify, name)
+
+        def wrapper(*args):
+            rng = args[-1]
+            seen.append((name, rng.getstate()))
+            return check(*args)
+
+        monkeypatch.setattr(verify, name, wrapper)
+
+    for name in ("_check_sizes_and_degrees", "_check_character_sum", "_check_tensor_ring"):
+        recorded(name)
+    runs = []
+    for jobs in (1, 2):
+        seen.clear()
+        report = run_verify(4, field_make(2, 1), seed=seed, jobs=jobs)
+        runs.append((list(seen), report))
+    assert runs[0] == runs[1]
+    assert [name for name, _ in runs[0][0]] == [
+        "_check_sizes_and_degrees", "_check_character_sum", "_check_tensor_ring"
+    ]
+    assert runs[0][1].passed
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_crashing_check_in_the_child_lane_fails_and_reports(monkeypatch, capsys, jobs):
+    """A lane-B check that raises gives its "<type>: <text>" FAIL line, its
+    traceback on the caller's stderr and exit 4; every other check reports."""
+    from supercluster import clusters
+
+    def broken(lam):  # only Thm4.2 calls it, whatever the module memos hold
+        raise ValueError("no orbit-space dimensions")
+
+    monkeypatch.setattr(clusters, "_hat_dims", broken)
+    code, out, err = _verify_cli(capsys, "--jobs", jobs)
+    lines = out.splitlines()
+    assert code == 4
+    assert "Thm4.2 FAIL ValueError: no orbit-space dimensions" in lines
+    assert "in broken" in err and "Traceback" in err
+    assert len(lines) == 12 and lines[-1] == "overall FAIL"
+    assert sum(" FAIL " in line for line in lines) == 1
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="os._exit would end the test run")
+@pytest.mark.parametrize("dies_in", ["_check_counting", "_check_delta_decomposition"])
+def test_a_dead_child_fails_the_checks_it_did_not_report(monkeypatch, capsys, deadline, dies_in):
+    """A child that exits before its report is done fails each check it did
+    not report with its exit status; the run neither hangs nor leaves it."""
+    monkeypatch.setattr(verify, dies_in, lambda *args: os._exit(7))
+    code, out, _ = _verify_cli(capsys, "--jobs", "2")
+    assert code == 4
+    status = "check process exited with status 7 before reporting"
+    failed = [line.split()[0] for line in out.splitlines() if " FAIL " in line]
+    assert failed == (LANE_B if dies_in == "_check_counting" else ["Thm9.3"])
+    assert f"Thm9.3 FAIL {status}" in out.splitlines()
+    assert out.endswith("overall FAIL\n")
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("caps", [
+    ("--cap-orbit", "10"),  # the partitions of the warm-up
+    ("--cap-group", "10"),  # the group of the warm-up
+])
+def test_a_cap_in_the_warm_up_ends_the_run_as_with_one_job(monkeypatch, capsys, caps):
+    one = _verify_cli(capsys, *caps, "--jobs", "1")
+    started = []
+    sizes_and_degrees = verify._check_sizes_and_degrees
+    monkeypatch.setattr(
+        verify, "_check_sizes_and_degrees", lambda *a: started.append(1) or sizes_and_degrees(*a)
+    )
+    two = _verify_cli(capsys, *caps, "--jobs", "2")
+    assert one == two and started == []  # no lane started
+    assert one[0] == 3 and one[1] == "" and one[2].startswith("resource cap exceeded: ")
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("capped, message", [
+    ({"_check_adjoint_classification": "lane B"}, "lane B"),
+    ({"_check_tensor_ring": "lane A"}, "lane A"),
+    # caps in both lanes: the one earlier in check order ends a one-lane run
+    ({"_check_adjoint_classification": "B", "_check_sizes_and_degrees": "A"}, "B"),
+    ({"_check_sizes_and_degrees": "A", "_check_axioms": "B"}, "A"),
+])
+def test_a_cap_inside_a_lane_ends_the_run_as_with_one_job(
+    monkeypatch, capsys, deadline, capped, message
+):
+    from supercluster.errors import ResourceCapExceeded
+
+    def capping(text):
+        def check(*args):
+            raise ResourceCapExceeded(text)
+
+        return check
+
+    for name, text in capped.items():
+        monkeypatch.setattr(verify, name, capping(text))
+    one = _verify_cli(capsys, "--jobs", "1")
+    assert one == (3, "", f"resource cap exceeded: {message}\n")
+    assert _verify_cli(capsys, "--jobs", "2") == one
+    _assert_no_child_left()
