@@ -10,7 +10,9 @@ as_matrix()/as_functional().
 The six actions (left/right/adjoint on matrices, left/right/coadjoint on
 functionals) are pure functions; every value here is immutable and safe to
 share across workers.  fixes_left(g, lam) answers coact_left(g, lam) == lam
-from the same column-operation increments without building the image.  The
+from the same column-operation increments without building the image; no
+engine path calls it, and it is kept as the tests' witness for the oracle's
+fixed-point rule, which packed writes from the same formula.  The
 coactions, fixes_left and evaluate raise ValueError on operands of
 different sizes or over different fields.
 

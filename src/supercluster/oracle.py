@@ -41,20 +41,21 @@ one group element per column template, the left orbits of the row
 templates, the row trie of the row-covering functionals, the brute table
 and each row's projection data.  It also answers A.1 (a functional on
 which the support criterion and the fixed-point test disagree) and Thm9.3
-(the left orbits in the row-covering part of a cluster).
-verify.run_verify makes one per run and drops it when the run ends, so the
-whole suite builds each partition once.  brute_table and brute_tensor
-called without a context share one module-level context, a one-entry
-cache that keeps the last (n, field, cap) they saw and replaces it on a
-call for any other, so at most one is ever held there; run_verify never
-uses it.  The other functions called without a context build what they
-need afresh and keep nothing.
+(the left orbits in the row-covering part of a cluster).  Every entry
+point that reads a whole space (brute_char_value, brute_inner,
+brute_delta_value, brute_tensor, product_mismatch) takes a context, and
+the module keeps none: verify.run_verify makes one per run and drops it
+when the run ends, so the whole suite builds each partition once.
+
+product_mismatch is the one check that a sum of brute rows gives a product
+of brute rows back at every column, in p integer bins; brute_tensor's
+rebuild, Thm7.1 and Thm8.6 all ask it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
 from typing import TYPE_CHECKING
 
@@ -128,25 +129,24 @@ class OrbitDecomposition:
     """
 
     points: list
-    orbit_id: dict
     representatives: list[Template]
     ids: list[int]
 
-    def orbit_of(self, point) -> int:
-        return self.orbit_id[point]
+    @cached_property
+    def orbit_codes(self) -> list[list[int]]:
+        """The codes of each orbit, indexed by orbit id, in code order."""
+        out = [[] for _ in self.representatives]
+        for code, oid in enumerate(self.ids):
+            out[oid].append(code)
+        return out
 
     def orbit_sizes(self) -> list[int]:
-        sizes = [0] * len(self.representatives)
-        for oid in self.ids:
-            sizes[oid] += 1
-        return sizes
+        return [len(codes) for codes in self.orbit_codes]
 
     def members(self) -> list[list]:
         """The points of each orbit, indexed by orbit id, in points order."""
-        out = [[] for _ in self.representatives]
-        for point, oid in zip(self.points, self.ids):
-            out[oid].append(point)
-        return out
+        points = self.points
+        return [[points[c] for c in codes] for codes in self.orbit_codes]
 
 
 def orbit_partition(
@@ -156,8 +156,7 @@ def orbit_partition(
 
     Raises InvariantViolation unless every orbit contains exactly one rook
     point (the uniqueness half of the classification).  Orbits are numbered
-    in enumeration order of their first point; the keys of orbit_id are the
-    objects in points.
+    in enumeration order of their first point.
     """
     if side not in ("adjoint", "coadjoint"):
         raise ValueError(f"unknown side {side!r}")
@@ -166,7 +165,6 @@ def orbit_partition(
     ids, rooks = codes.partition(side)
     return OrbitDecomposition(
         points=points,
-        orbit_id=dict(zip(points, ids)),
         representatives=[codes.template(c) for c in rooks],
         ids=ids,
     )
@@ -262,10 +260,7 @@ class OracleContext:
     def _clusters(self) -> dict[Template, list[int]]:
         """The codes of each coadjoint orbit, by representative."""
         part = self.coadjoint
-        out = [[] for _ in part.representatives]
-        for code, oid in enumerate(part.ids):
-            out[oid].append(code)
-        return dict(zip(part.representatives, out))
+        return dict(zip(part.representatives, part.orbit_codes))
 
     def covering_left_orbits(self, tau: Template) -> int:
         """How many left orbits the row-covering points of tau's cluster fill.
@@ -328,6 +323,11 @@ class OracleContext:
         return rows, cols, values
 
     @cached_property
+    def _row_index(self) -> dict[Template, int]:
+        """The place of each row template in the table."""
+        return {t: r for r, t in enumerate(self.table[0])}
+
+    @cached_property
     def projection(self) -> list[tuple[list[tuple[int, Cyclotomic]], int]]:
         """Per row of the table: (cells, norm).
 
@@ -355,30 +355,39 @@ class OracleContext:
         return out
 
 
-@lru_cache(maxsize=1)
-def _shared_context(n: int, field: Field, cap: int) -> OracleContext:
-    """The context brute_table and brute_tensor use when given none."""
-    return OracleContext(n, field, cap)
-
-
 # -- brute character values ---------------------------------------------------
 
-def brute_char_value(
-    tau: Template, g: UniMatrix, ctx: OracleContext | None = None
-) -> Cyclotomic:
+def _convolve(bins: list[int], a, b, sign: int = 1) -> None:
+    """Add the product of two Z[z] coefficient sequences to bins: a[i] * b[j]
+    lands in bin (i + sign * j) mod len(bins), so sign -1 conjugates b."""
+    p = len(bins)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    bins[(i + sign * j) % p] += x * y
+
+
+def _product_bins(p: int, values) -> list[int]:
+    """The product of the Z[z] values as p bins over z^0 .. z^(p-1)."""
+    bins = [1] + [0] * (p - 1)
+    for v in values:
+        out = [0] * p
+        _convolve(out, bins, v.num)
+        bins = out
+    return bins
+
+
+def brute_char_value(tau: Template, g: UniMatrix, ctx: OracleContext) -> Cyclotomic:
     """Trace on the span of the left orbit: sum of v(lam)(g) over fixed lam.
 
-    With a context the left orbit is walked once per template and its
-    tables are kept for the last template traced; without one both are
-    built on every call.
+    The context walks the left orbit once per template and keeps its tables
+    for the last template traced.
     """
-    if ctx is None:
-        codes = _packed().Codes(tau.n, tau.field)
-        orbit = codes.closure(codes.encode_template(tau), codes.generators("coadjoint", ("left",)))
-        traced = codes.trace_masks(list(orbit))
-    else:
-        codes, traced = ctx.codes, ctx._trace_masks(tau)
-    return Cyclotomic.from_bins(tau.field.p, codes.trace_bins(traced, codes.row_codes(g.off)))
+    codes = ctx.codes
+    return Cyclotomic.from_bins(
+        tau.field.p, codes.trace_bins(ctx._trace_masks(tau), codes.row_codes(g.off))
+    )
 
 
 def fixed_by_template_action(lam: Functional, x: NilMatrix) -> bool:
@@ -395,17 +404,15 @@ def fixed_by_template_action(lam: Functional, x: NilMatrix) -> bool:
     return True
 
 
-def brute_inner(
-    f, h, n: int, field: Field, cap: int = DEFAULT_MAX_SPACE, ctx: OracleContext | None = None
-) -> Cyclotomic:
+def brute_inner(f, h, ctx: OracleContext, cap: int = DEFAULT_MAX_SPACE) -> Cyclotomic:
     """(1/|U|) sum over every group element of f(g) * conj(h(g)).
 
+    The group is the context's, capped by cap as in OracleContext.group.
     f is evaluated once per element when h is f.  The products are summed
-    in p integer bins per denominator.  A context supplies its group
-    instead of a fresh enumeration.
+    in p integer bins per denominator.
     """
-    group = enumerate_group(n, field, cap) if ctx is None else ctx.group(cap)
-    p = field.p
+    group = ctx.group(cap)
+    p = ctx.field.p
     sums: dict[int, list[int]] = {}
     for g in group:
         a = f(g)
@@ -414,11 +421,7 @@ def brute_inner(
         bins = sums.get(den)
         if bins is None:
             bins = sums[den] = [0] * p
-        for i, x in enumerate(a.num):
-            if x:
-                for j, y in enumerate(b.num):
-                    if y:
-                        bins[(i - j) % p] += x * y
+        _convolve(bins, a.num, b.num, -1)
     total = Cyclotomic.from_rational(p, 0)
     for den, bins in sums.items():
         total = total + Cyclotomic.from_bins(p, bins, den * len(group))
@@ -431,49 +434,38 @@ def covers_rows(lam: Functional) -> bool:
     return len({i for (i, _) in lam.entries}) == lam.n - 1
 
 
-def brute_delta_value(
-    g: UniMatrix,
-    duals: list[Functional] | None = None,
-    *,
-    ctx: OracleContext | None = None,
-) -> Cyclotomic:
-    """Trace of g on the span of the row-covering functionals, from scratch.
-
-    A context supplies its row trie, built once over its dual space.
-    Without one, duals (default: the whole dual space) may be any list of
-    functionals in any order, duplicates counted; the members that do not
-    cover every row are skipped, and the trie is built for this call alone.
-    """
-    if ctx is not None:
-        if duals is not None:
-            raise ValueError("pass duals or a context, not both")
-        codes = ctx.codes
-        ys = codes.row_codes(g.off)
-        trie = ctx.row_trie
-    else:
-        codes = _packed().Codes(g.n, g.field)
-        ys = codes.row_codes(g.off)
-        if duals is None:
-            duals = enumerate_dual(g.n, g.field)
-        rows = []
-        for lam in duals:
-            cs = codes.row_codes(lam)
-            if covers_rows(lam):
-                rows.append(cs)
-        trie = _packed().RowTrie(codes, rows)
-    return Cyclotomic.from_bins(g.field.p, trie.bins(ys))
+def brute_delta_value(g: UniMatrix, ctx: OracleContext) -> Cyclotomic:
+    """Trace of g on the span of the row-covering functionals, over the
+    context's row trie."""
+    return Cyclotomic.from_bins(g.field.p, ctx.row_trie.bins(ctx.codes.row_codes(g.off)))
 
 
 # -- brute tensor decomposition ----------------------------------------------
 
-def brute_table(n: int, field: Field, cap: int = DEFAULT_MAX_SPACE):
-    """(row templates, col templates, value matrix) derived purely by BFS + traces."""
-    return _shared_context(n, field, cap).table
+def product_mismatch(ctx: OracleContext, terms, factors) -> Template | None:
+    """The first column, in column order, where the sum of mult * chi_t over
+    terms (template -> multiplicity) differs from the product of chi_f over
+    factors (templates, repeats counted; an empty product is 1), or
+    None.  Every chi is a row of the context's brute table, whose values are
+    traces, so both sides are summed in p integer bins over Z[z].
+    """
+    _, cols, values = ctx.table
+    index = ctx._row_index
+    p = ctx.field.p
+    summed = [(mult, values[index[t]]) for t, mult in terms.items()]
+    multiplied = [values[index[f]] for f in factors]
+    for c, x in enumerate(cols):
+        total = [0] * (p - 1)
+        for mult, row in summed:
+            for j, y in enumerate(row[c].num):
+                total[j] += mult * y
+        bins = _product_bins(p, [row[c] for row in multiplied])
+        if total != [b - bins[p - 1] for b in bins[: p - 1]]:
+            return x
+    return None
 
 
-def brute_tensor(
-    t1: Template, t2: Template, cap: int = DEFAULT_MAX_SPACE, ctx: OracleContext | None = None
-) -> "CharSum":
+def brute_tensor(t1: Template, t2: Template, ctx: OracleContext) -> "CharSum":
     """Decompose a product by projecting it onto the brute character rows.
 
     Every sum is taken in p integer bins over the Z[z] coefficients of the
@@ -483,32 +475,16 @@ def brute_tensor(
     """
     from .tensor import CharSum  # local import keeps the oracle free of fast paths
 
-    n, field = t1.n, t1.field
-    p = field.p
-    if ctx is None:
-        ctx = _shared_context(n, field, cap)
-    rows, cols, values = ctx.table
-    projection = ctx.projection
+    p = ctx.field.p
+    rows, _, values = ctx.table
+    index = ctx._row_index
     # the product at each column, as p bins over z^0 .. z^(p-1)
-    product = []
-    for a, b in zip(values[rows.index(t1)], values[rows.index(t2)]):
-        bins = [0] * p
-        for i, x in enumerate(a.num):
-            if x:
-                for j, y in enumerate(b.num):
-                    if y:
-                        bins[(i + j) % p] += x * y
-        product.append(bins)
+    product = [_product_bins(p, pair) for pair in zip(values[index[t1]], values[index[t2]])]
     terms: dict[Template, int] = {}
-    rebuilt = [[0] * (p - 1) for _ in cols]
-    for r, (tau, (cells, norm)) in enumerate(zip(rows, projection)):
+    for tau, (cells, norm) in zip(rows, ctx.projection):
         total = [0] * p
         for c, wv in cells:
-            for i, x in enumerate(product[c]):
-                if x:
-                    for j, y in enumerate(wv.num):
-                        if y:
-                            total[(i + j) % p] += x * y
+            _convolve(total, product[c], wv.num)
         coeff = Cyclotomic.from_bins(p, total, norm)
         if not coeff:
             continue
@@ -523,15 +499,10 @@ def brute_tensor(
                 f"negative multiplicity {mult} for {tau.text()} in brute decomposition"
             )
         terms[tau] = mult
-        for c, v in enumerate(values[r]):
-            acc = rebuilt[c]
-            for j, y in enumerate(v.num):
-                acc[j] += mult * y
-    for c, x in enumerate(cols):
-        bins = product[c]
-        if rebuilt[c] != [b - bins[p - 1] for b in bins[: p - 1]]:
-            raise InvariantViolation(
-                f"brute decomposition of [{t1.text()}] x [{t2.text()}]"
-                f" misses the product at column {x.text()}"
-            )
-    return CharSum(field, n, terms)
+    x = product_mismatch(ctx, terms, (t1, t2))
+    if x is not None:
+        raise InvariantViolation(
+            f"brute decomposition of [{t1.text()}] x [{t2.text()}]"
+            f" misses the product at column {x.text()}"
+        )
+    return CharSum(ctx.field, ctx.n, terms)

@@ -10,11 +10,14 @@ raising out of the run, and so is any other exception a check raises, as
 ends the run (exit 3).
 
 run_verify makes one oracle.OracleContext per run and hands it to every
-check that reads the oracle, so the adjoint and coadjoint partitions, the
+check that reads the oracle, since every oracle entry point that reads a
+whole space takes one: the adjoint and coadjoint partitions, the
 enumerations taken from their point lists, the column group elements, the
 brute table and its projection data are built once and dropped when the
-run ends; Thm8.6 decomposes its deep pairs by projecting onto the brute
-rows and checking the result at every column, and Thm9.1 traces every
+run ends.  Thm7.1 (a row against its primary factors) and Thm8.6 (a
+product against its decomposition) ask oracle.product_mismatch for the
+first column where brute rows disagree; Thm8.6 also decomposes its deep
+pairs by projecting onto the brute rows, and Thm9.1 traces every
 group element over the context's one row trie.  A.1 asks the context
 for a functional on which the support criterion and the fixed-point test
 disagree.  Thm9.3 and emit_golden count the left orbits in the
@@ -102,9 +105,9 @@ def _cells_per_window(rep, inside):
 
 def _check_adjoint_classification(ctx):
     part = ctx.adjoint
-    for x in part.points:
+    for x, oid in zip(part.points, part.ids):
         t, g, h = clusters.adjoint_template_of(x)
-        if t != part.representatives[part.orbit_of(x)]:
+        if t != part.representatives[oid]:
             return False, f"sweep template of {x!r} disagrees with its orbit's rook point"
         if clusters.template_of_matrix(act_right(act_left(g, x), h)) != t:
             return False, f"witnesses for {x!r} do not reproduce the template"
@@ -120,9 +123,9 @@ def _check_adjoint_classification(ctx):
 
 def _check_coadjoint_classification(ctx):
     part = ctx.coadjoint
-    for lam in part.points:
+    for lam, oid in zip(part.points, part.ids):
         t, g, h = clusters.coadjoint_template_of(lam)
-        if t != part.representatives[part.orbit_of(lam)]:
+        if t != part.representatives[oid]:
             return False, f"sweep template of {lam!r} disagrees with its orbit's rook point"
         if clusters.template_of_functional(coact_left(g, coact_right(lam, h))) != t:
             return False, f"witnesses for {lam!r} do not reproduce the template"
@@ -176,7 +179,7 @@ def _check_sizes_and_degrees(ctx, cap_group, rng):
         def chi(g, tau=tau):
             return oracle.brute_char_value(tau, g, ctx)
 
-        norm = oracle.brute_inner(chi, chi, n, field, cap_group, ctx)
+        norm = oracle.brute_inner(chi, chi, ctx, cap_group)
         if norm != Cyclotomic.from_rational(field.p, expected):
             return False, f"self-intertwining of {tau.text()} is {norm}, expected {expected}"
     return True, (
@@ -241,25 +244,20 @@ def _check_axioms(ctx):
 
 def _check_primary_factorization(ctx):
     n, field = ctx.n, ctx.field
-    rows, cols, brute = ctx.table
-    index = {t: r for r, t in enumerate(rows)}
+    rows = ctx.table[0]
     for tau in rows:
         rewritten = tensor.tensor_rewrite(field, n, tau.cells)
         if rewritten.terms != {tau: 1}:
             return False, f"rewrite of the primary factors of {tau.text()} is {rewritten!r}"
-        for c in range(len(cols)):
-            prod = Cyclotomic.from_rational(field.p, 1)
-            for (i, j, a) in tau.cells:
-                prod = prod * brute[index[Template(field, n, [(i, j, a)])]][c]
-            if prod != brute[index[tau]][c]:
-                return False, f"primary factors of {tau.text()} do not multiply to it"
+        primaries = [Template(field, n, [cell]) for cell in tau.cells]
+        if oracle.product_mismatch(ctx, {tau: 1}, primaries) is not None:
+            return False, f"primary factors of {tau.text()} do not multiply to it"
     return True, f"all {len(rows)} characters factor through their primary cells"
 
 
 def _check_tensor_ring(ctx, pair_cap, sample_pairs, rng):
     n, field = ctx.n, ctx.field
-    rows, cols, brute = ctx.table
-    index = {t: r for r, t in enumerate(rows)}
+    rows = ctx.table[0]
     all_pairs = [(t1, t2) for t1 in rows for t2 in rows]
     if len(all_pairs) <= EXHAUSTIVE_PAIR_LIMIT:
         pairs = all_pairs
@@ -277,20 +275,17 @@ def _check_tensor_ring(ctx, pair_cap, sample_pairs, rng):
             return False, f"degree not conserved for [{t1.text()}] x [{t2.text()}]"
         if got != tensor.tensor_product(t2, t1):
             return False, f"product not symmetric for [{t1.text()}] x [{t2.text()}]"
-        for c in range(len(cols)):
-            lhs = Cyclotomic.from_rational(field.p, 0)
-            for term, mult in got.terms.items():
-                lhs = lhs + mult * brute[index[term]][c]
-            if lhs != brute[index[t1]][c] * brute[index[t2]][c]:
-                return False, (
-                    f"pointwise product mismatch for [{t1.text()}] x [{t2.text()}]"
-                    f" at column {cols[c].text()}"
-                )
+        x = oracle.product_mismatch(ctx, got.terms, (t1, t2))
+        if x is not None:
+            return False, (
+                f"pointwise product mismatch for [{t1.text()}] x [{t2.text()}]"
+                f" at column {x.text()}"
+            )
     for t1, t2 in deep_pairs:
         counted = tensor.tensor_by_counting(t1, t2, pair_cap)
         if counted != tensor.tensor_product(t1, t2):
             return False, f"counting route differs for [{t1.text()}] x [{t2.text()}]"
-        if oracle.brute_tensor(t1, t2, ctx=ctx) != counted:
+        if oracle.brute_tensor(t1, t2, ctx) != counted:
             return False, f"brute solve differs for [{t1.text()}] x [{t2.text()}]"
     for t1 in rows:
         minus = Template(field, n, [(i, j, -v) for (i, j, v) in t1.cells])
@@ -311,7 +306,7 @@ def _check_delta_value(ctx, cap_group):
     count = 0
     for g in ctx.group(cap_group):
         formula = discrete.delta_value(g)
-        traced = oracle.brute_delta_value(g, ctx=ctx)
+        traced = oracle.brute_delta_value(g, ctx)
         if traced != Cyclotomic.from_rational(field.p, formula):
             return False, f"rank formula wrong at {g!r}"
         count += 1

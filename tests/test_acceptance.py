@@ -33,13 +33,11 @@ from supercluster.discrete import (
     is_degenerate,
 )
 from supercluster.oracle import (
+    OracleContext,
     bfs_double_orbit,
     bfs_left_orbit,
     brute_delta_value,
-    brute_table,
     brute_tensor,
-    enumerate_dual,
-    enumerate_group,
     orbit_partition,
 )
 from supercluster.tensor import tensor_by_counting, tensor_product
@@ -74,13 +72,13 @@ def test_criterion_2_classification():
     for n, q in CLASSIFICATION_SET:
         field = field_make(q, 1)
         dual_part = orbit_partition(n, field, "coadjoint")  # raises unless one template per orbit
-        for lam in dual_part.points:
+        for lam, oid in zip(dual_part.points, dual_part.ids):
             t, _, _ = coadjoint_template_of(lam)
-            assert t == dual_part.representatives[dual_part.orbit_of(lam)]
+            assert t == dual_part.representatives[oid]
         nil_part = orbit_partition(n, field, "adjoint")
-        for x in nil_part.points:
+        for x, oid in zip(nil_part.points, nil_part.ids):
             t, _, _ = adjoint_template_of(x)
-            assert t == nil_part.representatives[nil_part.orbit_of(x)]
+            assert t == nil_part.representatives[oid]
         points += 2 * len(dual_part.points)
     report(2, started, f"both-side classification over {points} points")
 
@@ -103,7 +101,7 @@ def test_criterion_4_character_table():
     cells = 0
     for n, q in CLASSIFICATION_SET:
         field = field_make(q, 1)
-        rows, cols, brute = brute_table(n, field)
+        rows, cols, brute = OracleContext(n, field).table
         for r, tau in enumerate(rows):
             for c, x in enumerate(cols):
                 closed = char_value_closed(tau, x)
@@ -135,10 +133,11 @@ def test_criterion_6_tensor_ring():
     for q in (2, 3):
         field = field_make(q, 1)
         templates = enumerate_templates(3, field)
+        ctx = OracleContext(3, field)
         for t1 in templates:
             for t2 in templates:
                 counted = tensor_by_counting(t1, t2)  # asserts the rewrite agreement
-                assert counted == brute_tensor(t1, t2)
+                assert counted == brute_tensor(t1, t2, ctx)
                 d1 = field.q ** invariants_of(t1).d
                 d2 = field.q ** invariants_of(t2).d
                 assert counted.total_degree == d1 * d2
@@ -155,10 +154,11 @@ def test_criterion_6_tensor_ring():
     field = field_make(2, 1)
     templates = enumerate_templates(4, field)
     rng = random.Random(20260810)
+    ctx = OracleContext(4, field)
     for _ in range(200):
         t1, t2 = rng.choice(templates), rng.choice(templates)
         counted = tensor_by_counting(t1, t2)
-        assert counted == brute_tensor(t1, t2)
+        assert counted == brute_tensor(t1, t2, ctx)
         d1 = field.q ** invariants_of(t1).d
         d2 = field.q ** invariants_of(t2).d
         assert counted.total_degree == d1 * d2
@@ -172,10 +172,10 @@ def test_criterion_7_discrete_series():
     for n in (2, 3, 4):
         for q in (2, 3):
             field = field_make(q, 1)
-            duals = enumerate_dual(n, field)
-            for g in enumerate_group(n, field):
+            ctx = OracleContext(n, field)
+            for g in ctx.group():
                 formula = delta_value(g)
-                assert brute_delta_value(g, duals) == Cyclotomic.from_rational(field.p, formula)
+                assert brute_delta_value(g, ctx) == Cyclotomic.from_rational(field.p, formula)
                 elements += 1
             decomp = delta_decompose(n, field)
             identity = 1

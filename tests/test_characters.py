@@ -20,7 +20,7 @@ from supercluster.clusters import enumerate_templates, invariants_of, parse_temp
 from supercluster.core import UniMatrix, e_ij, elementary, eps_ij, identity
 from supercluster.cyclotomic import Cyclotomic
 from supercluster.errors import ResourceCapExceeded
-from supercluster.oracle import brute_char_value, brute_inner, brute_table, enumerate_group
+from supercluster.oracle import OracleContext, brute_char_value, brute_inner, enumerate_group
 
 
 def T(field, n, text):
@@ -138,12 +138,13 @@ def test_sum_route_examples(F2):
 def test_three_routes_agree_n3(q):
     field = field_make(q, 1)
     templates = enumerate_templates(3, field)
+    ctx = OracleContext(3, field)
     for tau in templates:
         for x in templates:
             g = UniMatrix(x.as_matrix())
             closed = char_value_closed(tau, x)
             assert closed == char_value_sum(tau, g)
-            assert closed == brute_char_value(tau, g)
+            assert closed == brute_char_value(tau, g, ctx)
 
 
 # -- the table ----------------------------------------------------------------
@@ -238,11 +239,12 @@ def test_rows_span_class_functions(F3):
 def test_irreducible_iff_no_hooks(F2):
     # norm-1 exactly when the intertwining index vanishes
     table = build_table(3, F2)
+    ctx = OracleContext(3, F2)
     for r, tau in enumerate(table.rows):
         inv = invariants_of(tau)
         def chi(g, tau=tau):
-            return brute_char_value(tau, g)
-        norm = brute_inner(chi, chi, 3, F2)
+            return brute_char_value(tau, g, ctx)
+        norm = brute_inner(chi, chi, ctx)
         assert (norm == 1) == (inv.i == 0)
         assert norm == table.row_selfint[r]
 

@@ -73,9 +73,9 @@ def test_coadjoint_template_examples(F2):
 def test_coadjoint_witnesses_and_bfs_uniqueness(q):
     field = field_make(q, 1)
     part = orbit_partition(3, field, "coadjoint")
-    for lam in part.points:
+    for lam, oid in zip(part.points, part.ids):
         t, g, h = coadjoint_template_of(lam)
-        assert t == part.representatives[part.orbit_of(lam)]
+        assert t == part.representatives[oid]
         assert template_of_functional(coact_left(g, coact_right(lam, h))) == t
 
 
@@ -83,9 +83,9 @@ def test_coadjoint_witnesses_and_bfs_uniqueness(q):
 def test_adjoint_witnesses_and_bfs_uniqueness(q):
     field = field_make(q, 1)
     part = orbit_partition(3, field, "adjoint")
-    for x in part.points:
+    for x, oid in zip(part.points, part.ids):
         t, g, h = adjoint_template_of(x)
-        assert t == part.representatives[part.orbit_of(x)]
+        assert t == part.representatives[oid]
         assert template_of_matrix(act_right(act_left(g, x), h)) == t
 
 

@@ -37,7 +37,6 @@ from supercluster.oracle import (
     brute_char_value,
     brute_delta_value,
     brute_inner,
-    brute_table,
     brute_tensor,
     covers_rows,
     enumerate_dual,
@@ -45,6 +44,7 @@ from supercluster.oracle import (
     enumerate_nil,
     fixed_by_template_action,
     orbit_partition,
+    product_mismatch,
 )
 
 
@@ -99,10 +99,11 @@ def test_orbit_partition_structure(F2):
 
 def test_brute_char_rows_n3_q2(F2):
     cols = ["0", "(1,2)=1", "(2,3)=1", "(1,3)=1", "(1,2)=1;(2,3)=1"]
+    ctx = OracleContext(3, F2)
     def row(tau_text):
         tau = T(F2, 3, tau_text)
         return [
-            brute_char_value(tau, UniMatrix(T(F2, 3, c).as_matrix())) for c in cols
+            brute_char_value(tau, UniMatrix(T(F2, 3, c).as_matrix()), ctx) for c in cols
         ]
     assert row("(1,3)=1") == [2, 0, 0, -2, 0]
     assert row("(1,2)=1;(2,3)=1") == [1, -1, -1, 1, 1]
@@ -112,11 +113,14 @@ def test_brute_char_rows_n3_q2(F2):
 def test_brute_inner_examples(F2):
     t0 = T(F2, 3, "0")
     t13 = T(F2, 3, "(1,3)=1")
+    ctx = OracleContext(3, F2)
     def chi(tau):
-        return lambda g: brute_char_value(tau, g)
-    assert brute_inner(chi(t0), chi(t0), 3, F2) == 1
-    assert brute_inner(chi(t13), chi(t13), 3, F2) == 1
-    assert brute_inner(chi(t0), chi(t13), 3, F2) == 0
+        return lambda g: brute_char_value(tau, g, ctx)
+    assert brute_inner(chi(t0), chi(t0), ctx) == 1
+    assert brute_inner(chi(t13), chi(t13), ctx) == 1
+    assert brute_inner(chi(t0), chi(t13), ctx) == 0
+    with pytest.raises(ResourceCapExceeded):
+        brute_inner(chi(t0), chi(t0), ctx, cap=7)
 
 
 def test_left_orbit_spans_group_algebra_dimension(F2, F3):
@@ -148,20 +152,20 @@ def test_fixed_point_criterion_exhaustive(F2, F3):
 def test_brute_delta_matches_rank_formula(F2):
     from supercluster.discrete import delta_value
 
-    duals = enumerate_dual(3, F2)
+    ctx = OracleContext(3, F2)
     for g in enumerate_group(3, F2):
-        assert brute_delta_value(g, duals) == Cyclotomic.from_rational(2, delta_value(g))
+        assert brute_delta_value(g, ctx) == Cyclotomic.from_rational(2, delta_value(g))
 
 
 def test_brute_table_is_square_and_consistent(F3):
-    rows, cols, values = brute_table(3, F3)
+    rows, cols, values = OracleContext(3, F3).table
     assert len(rows) == len(cols) == 11
     assert values[0] == [Cyclotomic.from_rational(3, 1)] * 11
 
 
 def test_brute_tensor_example(F2):
     t13 = T(F2, 3, "(1,3)=1")
-    got = brute_tensor(t13, t13)
+    got = brute_tensor(t13, t13, OracleContext(3, F2))
     assert {t.text(): m for t, m in got.items()} == {
         "0": 1,
         "(1,2)=1": 1,
@@ -180,7 +184,7 @@ def test_brute_tensor_equals_rewrite_on_every_pair():
         assert len(rows) == size
         for t1 in rows:
             for t2 in rows:
-                assert brute_tensor(t1, t2, ctx=ctx) == tensor_product(t1, t2)
+                assert brute_tensor(t1, t2, ctx) == tensor_product(t1, t2)
 
 
 def test_brute_tensor_checks_its_projection_at_every_column(F2):
@@ -195,7 +199,7 @@ def test_brute_tensor_checks_its_projection_at_every_column(F2):
     assert values[r1][c0] == 0 and values[r0][c0] == 1
     values[r0][c0] = -values[r0][c0]
     with pytest.raises(InvariantViolation, match="misses the product at column"):
-        brute_tensor(t13, t13, ctx=ctx)
+        brute_tensor(t13, t13, ctx)
 
 
 def test_brute_tensor_rejects_a_fractional_multiplicity(F2):
@@ -207,30 +211,134 @@ def test_brute_tensor_rejects_a_fractional_multiplicity(F2):
     r0, c0 = rows.index(T(F2, 3, "0")), cols.index(t13)
     values[r0][c0] = 2 * values[r0][c0]
     with pytest.raises(InvariantViolation, match="multiplicity 12/11 for 0 is not an integer"):
-        brute_tensor(t13, t13, ctx=ctx)
+        brute_tensor(t13, t13, ctx)
+
+
+def trie_delta(g, lams):
+    """The discrete-series trace of g over the row-covering members of lams,
+    duplicates counted, through a row trie built for this call alone."""
+    codes = packed.Codes(g.n, g.field)
+    rows = []
+    for lam in lams:
+        cs = codes.row_codes(lam)
+        if covers_rows(lam):
+            rows.append(cs)
+    trie = packed.RowTrie(codes, rows)
+    return Cyclotomic.from_bins(g.field.p, trie.bins(codes.row_codes(g.off)))
 
 
 def test_brute_delta_value_filters_any_list(F3):
+    """The context's trie over the dual space, and tries over the whole
+    dual space and over its row-covering part, give the rank formula."""
     from supercluster.discrete import delta_value
 
+    ctx = OracleContext(3, F3)
     duals = enumerate_dual(3, F3)
     covering = [lam for lam in duals if covers_rows(lam)]
     assert 0 < len(covering) < len(duals)
     for g in enumerate_group(3, F3):
         want = Cyclotomic.from_rational(3, delta_value(g))
-        assert brute_delta_value(g) == want
-        assert brute_delta_value(g, duals) == want
-        assert brute_delta_value(g, covering) == want
+        assert brute_delta_value(g, ctx) == want
+        assert trie_delta(g, duals) == want
+        assert trie_delta(g, covering) == want
+
+
+# -- one row-product check -------------------------------------------------------
+
+def first_wrong_column(ctx, terms, factors):
+    """The first column where sum of mult * chi_t differs from the product of
+    chi_f, in Cyclotomic arithmetic, or None."""
+    rows, cols, values = ctx.table
+    index = {t: r for r, t in enumerate(rows)}
+    p = ctx.field.p
+    for c, x in enumerate(cols):
+        lhs = Cyclotomic.from_rational(p, 0)
+        for t, mult in terms.items():
+            lhs = lhs + mult * values[index[t]][c]
+        rhs = Cyclotomic.from_rational(p, 1)
+        for f in factors:
+            rhs = rhs * values[index[f]][c]
+        if lhs != rhs:
+            return x
+    return None
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (2, 2)], ids=["3", "2^2"])
+def test_product_mismatch_finds_the_first_wrong_column(p, k):
+    """None for every true product and every primary factorization; for a
+    product with one multiplicity changed, or one term swapped for another
+    of the same degree, the first column the Cyclotomic sums tell apart."""
+    from supercluster.clusters import Template
+    from supercluster.tensor import tensor_product
+
+    field = field_make(p, k)
+    ctx = OracleContext(3, field)
+    rows, cols, _ = ctx.table
+    degree = {t: invariants_of(t).d for t in rows}
+    later = 0
+    for t1 in rows:
+        primaries = [Template(field, 3, [cell]) for cell in t1.cells]
+        assert product_mismatch(ctx, {t1: 1}, primaries) is None
+        assert product_mismatch(ctx, {t1: 2}, primaries) == cols[0]
+        for t2 in rows:
+            terms = tensor_product(t1, t2).terms
+            assert product_mismatch(ctx, terms, (t1, t2)) is None
+            assert product_mismatch(ctx, terms, (t2, t1)) is None
+            first = min(terms, key=lambda t: t.sort_key())
+            for step in (1, -1):
+                changed = dict(terms)
+                changed[first] += step
+                got = product_mismatch(ctx, changed, (t1, t2))
+                assert got is not None and got == first_wrong_column(ctx, changed, (t1, t2))
+            other = next(t for t in rows if t != first and degree[t] == degree[first])
+            swapped = dict(terms)
+            mult = swapped.pop(first)
+            swapped[other] = swapped.get(other, 0) + mult
+            got = product_mismatch(ctx, swapped, (t1, t2))
+            assert got is not None and got == first_wrong_column(ctx, swapped, (t1, t2))
+            later += got != cols[0]
+    assert later > 0  # the identity column alone would not show "first"
+
+
+N3_FIELDS = [(2, 2), (2, 3), (3, 2)]
+
+
+@pytest.fixture(scope="module")
+def n3_contexts():
+    """One context per field at n = 3, shared by every example."""
+    return {(p, k): OracleContext(3, field_make(p, k)) for p, k in N3_FIELDS}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(data=st.data())
+def test_rewrite_counting_and_brute_routes_agree_on_random_pairs(n3_contexts, data):
+    """At n = 3 over GF(4), GF(8) and GF(9)."""
+    from supercluster.tensor import tensor_by_counting, tensor_product
+
+    ctx = n3_contexts[data.draw(st.sampled_from(N3_FIELDS))]
+    rows = ctx.table[0]
+    t1, t2 = data.draw(st.sampled_from(rows)), data.draw(st.sampled_from(rows))
+    rewritten = tensor_product(t1, t2)
+    assert tensor_by_counting(t1, t2) == rewritten
+    assert brute_tensor(t1, t2, ctx) == rewritten
 
 
 # -- one context per run ---------------------------------------------------------
 
 @pytest.mark.parametrize("n,p,k", [(3, 3, 1), (4, 2, 1), (3, 2, 2)])
 def test_partition_keys_are_the_enumerated_points(n, p, k):
+    """A point's key is its code, its place in points; ids[c] is its orbit,
+    the one whose representative its BFS double orbit holds."""
+    field = field_make(p, k)
+    codes = packed.Codes(n, field)
     for side in ("adjoint", "coadjoint"):
-        part = orbit_partition(n, field_make(p, k), side)
-        assert len(part.orbit_id) == len(part.points)
-        assert {id(m) for m in part.orbit_id} == {id(m) for m in part.points}
+        part = orbit_partition(n, field, side)
+        assert len(part.ids) == len(part.points) == codes.size
+        assert [codes.encode(x) for x in part.points] == list(range(codes.size))
+        for x, oid in list(zip(part.points, part.ids))[:: max(1, codes.size // 40)]:
+            rep = part.representatives[oid]
+            rook = rep.as_matrix() if side == "adjoint" else rep.as_functional()
+            assert rook in bfs_double_orbit(x, side)
 
 
 def test_members_group_the_points_by_orbit(F2, F3):
@@ -239,7 +347,8 @@ def test_members_group_the_points_by_orbit(F2, F3):
         members = part.members()
         assert [len(m) for m in members] == part.orbit_sizes()
         for oid, points in enumerate(members):
-            assert points == [x for x in part.points if part.orbit_of(x) == oid]
+            assert points == [x for x, i in zip(part.points, part.ids) if i == oid]
+            assert part.orbit_codes[oid] == [i for i, x in enumerate(part.ids) if x == oid]
 
 
 def test_context_reads_the_enumerations_from_its_partitions(F3):
@@ -253,14 +362,33 @@ def test_context_reads_the_enumerations_from_its_partitions(F3):
         ctx.group(cap=26)
     x = ctx.adjoint.representatives[-1]
     assert ctx.column(x) is ctx.column(x) and ctx.column(x) == UniMatrix(x.as_matrix())
-    assert ctx.table == brute_table(3, F3)
 
 
-def test_free_calls_keep_at_most_one_context(F2, F3):
-    brute_table(3, F2)
-    brute_tensor(T(F3, 3, "(1,3)=1"), T(F3, 3, "0"))
-    assert brute_table(3, F3) is oracle._shared_context(3, F3, oracle.DEFAULT_MAX_SPACE).table
-    assert oracle._shared_context.cache_info().currsize == 1
+def test_the_oracle_module_keeps_no_context(F3):
+    """Every space-wide entry point takes its context; the module holds
+    none, and no module-level memo of the oracle grows with a call."""
+    import gc
+    import weakref
+
+    def held():
+        return {
+            name: len(value) if isinstance(value, (dict, list, set)) else None
+            for name, value in vars(oracle).items()
+            if not name.startswith("__") and not isinstance(value, type(oracle))
+        }
+
+    before = held()
+    ctx = OracleContext(3, F3)
+    t13 = T(F3, 3, "(1,3)=1")
+    brute_tensor(t13, t13, ctx)
+    brute_delta_value(UniMatrix(t13.as_matrix()), ctx)
+    assert held() == before
+    assert not any(isinstance(v, OracleContext) for v in vars(oracle).values())
+    assert not any(hasattr(v, "cache_info") for v in vars(oracle).values())
+    ref = weakref.ref(ctx)
+    del ctx
+    gc.collect()
+    assert ref() is None
 
 
 def test_brute_inner_evaluates_a_self_pairing_once_per_element(F2):
@@ -269,11 +397,12 @@ def test_brute_inner_evaluates_a_self_pairing_once_per_element(F2):
 
     def chi(g):
         calls.append(g)
-        return brute_char_value(tau, g)
+        return brute_char_value(tau, g, ctx)
 
-    assert brute_inner(chi, chi, 3, F2) == 1
+    ctx = OracleContext(3, F2)
+    assert brute_inner(chi, chi, ctx) == 1
     assert len(calls) == 8
-    assert brute_inner(chi, chi, 3, F2, ctx=OracleContext(3, F2)) == 1
+    assert brute_inner(chi, chi, ctx) == 1
     assert len(calls) == 16
 
 
@@ -332,10 +461,9 @@ def test_binned_traces_equal_summed_roots_of_unity(case):
     ctx = OracleContext(n, tau.field)
     for h in (g, identity(tau.field, n)):
         want = summed_roots(p, [evaluate(lam, h.off) for lam in orbit if fixes_left(h, lam)])
-        assert brute_char_value(tau, h) == want
         assert brute_char_value(tau, h, ctx) == want
         want = summed_roots(p, [evaluate(lam, h.off) for lam in covering if fixes_left(h, lam)])
-        assert brute_delta_value(h, covering) == want
+        assert trie_delta(h, covering) == want
         total = summed_roots(p, [evaluate(lam, h.off) for lam in cluster_elements(tau)])
         assert char_value_sum(tau, h) == Fraction(q**inv.i, q**inv.d) * total
 
@@ -365,11 +493,10 @@ def test_row_trie_trace_equals_the_per_pair_trace(n, p, k):
     group = ctx.group()
     for m, g in enumerate(group):
         want = per_pair_delta(g, covering)
-        assert brute_delta_value(g, ctx=ctx) == want
-        assert brute_delta_value(g, covering) == want
-        if m % max(1, len(group) // 16) == 0:  # these two filter the whole dual space
-            assert brute_delta_value(g) == want
-            assert brute_delta_value(g, ctx.dual) == want
+        assert brute_delta_value(g, ctx) == want
+        assert trie_delta(g, covering) == want
+        if m % max(1, len(group) // 16) == 0:  # this one filters the whole dual space
+            assert trie_delta(g, ctx.dual) == want
 
 
 # (n, p, k) over GF(2), GF(3), GF(4), GF(5), GF(8), GF(9), n <= 4, at most 4^6 points
@@ -411,10 +538,10 @@ def delta_lists(draw):
 def test_row_trie_trace_of_any_list_equals_the_per_pair_trace(case):
     """Duplicates count as often as they occur; order does not matter."""
     g, lams = case
-    assert brute_delta_value(g, lams) == per_pair_delta(g, lams)
+    assert trie_delta(g, lams) == per_pair_delta(g, lams)
     n, p, k = g.n, g.field.p, g.field.k
     ctx = row_trie_context(n, p, k)
-    assert brute_delta_value(g, ctx=ctx) == per_pair_delta(g, covering_duals(n, p, k))
+    assert brute_delta_value(g, ctx) == per_pair_delta(g, covering_duals(n, p, k))
 
 
 def test_row_trie_rejects_mismatched_inputs(F2, F3, F4):
@@ -422,15 +549,13 @@ def test_row_trie_rejects_mismatched_inputs(F2, F3, F4):
     for field in (F3, F4):
         g = UniMatrix(e_ij(field, 3, 1, 2))
         with pytest.raises(ValueError, match="field mismatch"):
-            brute_delta_value(g, [lam])
+            trie_delta(g, [lam])
         with pytest.raises(ValueError, match="field mismatch"):
-            brute_delta_value(g, ctx=OracleContext(3, F2))
+            brute_delta_value(g, OracleContext(3, F2))
     with pytest.raises(ValueError, match="size mismatch"):
-        brute_delta_value(identity(F2, 4), [lam])
+        trie_delta(identity(F2, 4), [lam])
     with pytest.raises(ValueError, match="size mismatch"):
-        brute_delta_value(identity(F2, 4), ctx=OracleContext(3, F2))
-    with pytest.raises(ValueError, match="not both"):
-        brute_delta_value(identity(F2, 3), [lam], ctx=OracleContext(3, F2))
+        brute_delta_value(identity(F2, 4), OracleContext(3, F2))
 
 
 # -- the oracle's integer encoding, pinned to core ------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from supercluster import clusters, field_make, tensor
 from supercluster.clusters import Template, enumerate_templates, invariants_of, parse_template
 from supercluster.errors import InvariantViolation, ResourceCapExceeded
-from supercluster.oracle import brute_tensor
+from supercluster.oracle import OracleContext, brute_tensor
 from supercluster.tensor import (
     CharSum,
     c_count,
@@ -112,10 +112,11 @@ def test_three_factor_product_degree(F2):
 def brute_tensor_matches(field, result, cells):
     # check against iterated brute pairwise products
     acc = CharSum.trivial(field, 3)
+    ctx = OracleContext(3, field)
     for cell in cells:
         nxt = CharSum(field, 3, {})
         for tau, mult in acc.items():
-            nxt = nxt + brute_tensor(tau, Template(field, 3, [cell])).scale(mult)
+            nxt = nxt + brute_tensor(tau, Template(field, 3, [cell]), ctx).scale(mult)
         acc = nxt
     return acc == result
 
@@ -137,10 +138,11 @@ def test_c_count_examples(F2):
 def test_counting_equals_rewrite_equals_brute_n3(q):
     field = field_make(q, 1)
     templates = enumerate_templates(3, field)
+    ctx = OracleContext(3, field)
     for t1 in templates:
         for t2 in templates:
             counted = tensor_by_counting(t1, t2)  # self-checks against rewrite
-            assert counted == brute_tensor(t1, t2)
+            assert counted == brute_tensor(t1, t2, ctx)
             d1 = field.q ** invariants_of(t1).d
             d2 = field.q ** invariants_of(t2).d
             assert counted.total_degree == d1 * d2

@@ -112,11 +112,11 @@ def test_no_oracle_memo_survives_a_run(monkeypatch):
         }
 
     monkeypatch.setattr(oracle, "OracleContext", Recorded)
-    before = sizes(), oracle._shared_context.cache_info()
+    before = sizes()
     assert run_verify(3, field_make(3, 1)).passed
     gc.collect()
     assert len(made) == 1 and made[0]() is None
-    assert (sizes(), oracle._shared_context.cache_info()) == before
+    assert sizes() == before
 
 
 def test_a_crashing_check_fails_and_the_rest_still_run(monkeypatch, capsys):
@@ -124,17 +124,53 @@ def test_a_crashing_check_fails_and_the_rest_still_run(monkeypatch, capsys):
     every other check still runs, and the CLI exits 4."""
     from supercluster import cli, clusters
 
-    def broken(lam):
-        raise ValueError("cells do not form a rook placement")
+    def broken(lam):  # only Thm4.2 calls it, whatever the module memos hold
+        raise ValueError("no window ranks")
 
-    monkeypatch.setattr(clusters, "coadjoint_template_of", broken)
+    monkeypatch.setattr(clusters, "window_ranks_dual", broken)
     assert cli.main(["verify", "--n", "3", "--q", "3"]) == 4
     out, err = capsys.readouterr()
     lines = out.splitlines()
-    assert "Thm4.2 FAIL ValueError: cells do not form a rook placement" in lines
+    assert "Thm4.2 FAIL ValueError: no window ranks" in lines
     assert "in broken" in err  # the traceback names the raising frame
     assert len(lines) == 12 and lines[-1] == "overall FAIL"
     assert sum(" FAIL " in line for line in lines) == 1
+
+
+def test_a_wrong_product_of_the_right_degree_fails_thm86(monkeypatch):
+    """A product route that keeps the degree and the symmetry but swaps one
+    term for another of the same degree fails Thm8.6 at the first column
+    where the two terms differ."""
+    from supercluster import clusters, tensor
+
+    field = field_make(3, 1)
+    rows, cols, values = oracle.OracleContext(3, field).table
+    degree = {t: clusters.invariants_of(t).d for t in rows}
+    product = tensor.tensor_product
+
+    def swap(terms):
+        first = min(terms, key=lambda t: t.sort_key())
+        other = next(t for t in rows if t != first and degree[t] == degree[first])
+        out = dict(terms)
+        mult = out.pop(first)
+        out[other] = out.get(other, 0) + mult
+        return first, other, out
+
+    def swapped(t1, t2):
+        got = product(t1, t2)
+        return tensor.CharSum(got.field, got.n, swap(got.terms)[2])
+
+    monkeypatch.setattr(tensor, "tensor_product", swapped)
+    report = run_verify(3, field)
+    failed = {c.key: c.detail for c in report.checks if not c.passed}
+    assert "Thm8.6" in failed
+    t1 = rows[0]  # the first pair is the trivial character squared
+    first, other, _ = swap(product(t1, t1).terms)
+    r1, r2 = rows.index(first), rows.index(other)
+    column = next(x for c, x in enumerate(cols) if values[r1][c] != values[r2][c])
+    assert failed["Thm8.6"] == (
+        f"pointwise product mismatch for [{t1.text()}] x [{t1.text()}] at column {column.text()}"
+    )
 
 
 def test_a_cap_inside_a_check_still_ends_the_run(monkeypatch):
