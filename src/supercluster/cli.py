@@ -18,18 +18,18 @@ import os
 import sys
 from dataclasses import dataclass, field as dataclass_field
 
-from . import clusters, discrete, tensor, verify
-from .characters import build_table
+from . import clusters, discrete, oracle, tensor, verify
+from .characters import DEFAULT_MAX_TABLE, build_table
 from .clusters import Template, bell_poly, enumerate_templates, invariants_of
 from .errors import InvariantViolation, ResourceCapExceeded
-from .gf import Field, field_make, is_prime
+from .gf import DEFAULT_MAX_Q, Field, field_make, is_prime
 
 DEFAULT_CAPS = {
-    "orbit": 2**20,   # points in an enumerated algebra/dual space
-    "group": 2**20,   # group elements in brute sums
-    "pairs": 2**24,   # cluster-pair products in the counting route
-    "table": 5000,    # character table rows
-    "q": 64,          # field size
+    "orbit": oracle.DEFAULT_MAX_SPACE,  # points in an enumerated algebra/dual space
+    "group": oracle.DEFAULT_MAX_SPACE,  # group elements in brute sums
+    "pairs": tensor.DEFAULT_MAX_PAIRS,  # cluster-pair products in the counting route
+    "table": DEFAULT_MAX_TABLE,         # character table rows
+    "q": DEFAULT_MAX_Q,                 # field size
 }
 
 CAPS_ENV = "SUPERCLUSTER_CAPS"

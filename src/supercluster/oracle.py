@@ -18,13 +18,13 @@ cannot leak into its own certification; only the Template value type is
 shared.  The public functions take and return core's value types, decoding
 codes to them only where a caller asks for points.
 
-Neither trace uses the support criterion (fixed_by_template_action on
-points, OracleContext.criterion_counterexample on row codes), which A.1
-certifies against them: both test fixedness with the left action's own
-coefficient formula.  brute_char_value traces a left orbit with per-row
-bit masks over its points.  brute_delta_value keeps the row codes of the
-row-covering functionals in a row trie, decides each (g, row code) once
-and sums the subtrees that survive.
+Neither trace uses the support criterion, which A.1 certifies against
+them through OracleContext.criterion_counterexample: both test fixedness
+with the left action's own coefficient formula.  They are one trace,
+packed.Codes.trace_bins over the per-row bit masks of a left-invariant
+set of functionals: brute_char_value's set is a left orbit,
+brute_delta_value's the row-covering functionals, the codes with no zero
+row.
 
 The projection rests on orthogonality: with w_c the size of column c's
 adjoint orbit, sum_c w_c * chi_s(c) * conj(chi_t(c)) is 0 for s != t and a
@@ -38,18 +38,21 @@ An OracleContext holds the brute data of one (n, field, cap), each piece
 built on first use: the encoding, the adjoint and coadjoint partitions, the
 nil, dual and group enumerations read from the partitions' own point lists,
 one group element per column template, the left orbits of the row
-templates, the row trie of the row-covering functionals, the brute table
-and each row's projection data.  It also answers A.1 (a functional on
-which the support criterion and the fixed-point test disagree) and Thm9.3
-(the left orbits in the row-covering part of a cluster).  Every entry
-point that reads a whole space (brute_char_value, brute_inner,
-brute_delta_value, brute_tensor, product_mismatch) takes a context, and
-the module keeps none: verify.run_verify makes one per run and drops it
-when the run ends, so the whole suite builds each partition once.
+templates, the trace masks of the row-covering functionals, the brute
+table and each row's projection data.  It also answers A.1 (a functional
+on which the support criterion and the fixed-point test disagree) and
+Thm9.3 (the left orbits in the row-covering part of a cluster).  Every
+entry point that reads a whole space (brute_char_value, brute_inner,
+brute_delta_value, brute_tensor, column_products, sum_mismatch,
+product_mismatch) takes a context, and the module keeps none:
+verify.run_verify makes one per run and drops it when the run ends, so
+the whole suite builds each partition once.
 
-product_mismatch is the one check that a sum of brute rows gives a product
-of brute rows back at every column, in p integer bins; brute_tensor's
-rebuild, Thm7.1 and Thm8.6 all ask it.
+sum_mismatch is the one check that a sum of brute rows gives target values
+back at every column, in p integer bins.  product_mismatch asks it with
+the column_products of some brute rows as the target; brute_tensor's
+rebuild, Thm7.1 and Thm8.6 ask that, and Thm9.3 asks sum_mismatch with
+the discrete series' values as the target.
 """
 
 from __future__ import annotations
@@ -249,12 +252,16 @@ class OracleContext:
         return self._traced[1]
 
     @cached_property
-    def row_trie(self) -> packed.RowTrie:
-        """The row-covering functionals of the dual space in a row trie,
-        each tested with covers_rows once."""
+    def covering_masks(self) -> tuple:
+        """The trace_masks of the row-covering functionals, the codes with
+        no zero row, in code order.
+
+        Raises ResourceCapExceeded, as the partitions do, when the dual
+        space is larger than the context's cap.
+        """
+        _check_space(self.n, self.field, self.cap)
         codes = self.codes
-        covering = (codes.rows(c) for c, lam in enumerate(self.dual) if covers_rows(lam))
-        return _packed().RowTrie(codes, covering)
+        return codes.trace_masks([c for c in range(codes.size) if all(codes.rows(c))])
 
     @cached_property
     def _clusters(self) -> dict[Template, list[int]]:
@@ -390,20 +397,6 @@ def brute_char_value(tau: Template, g: UniMatrix, ctx: OracleContext) -> Cycloto
     )
 
 
-def fixed_by_template_action(lam: Functional, x: NilMatrix) -> bool:
-    """Support criterion for (I+x) * lam = lam, valid when x is a rook point:
-    no support position of lam sits above a non-zero entry of x."""
-    rows = [i for i, _ in x.entries]
-    cols = [j for _, j in x.entries]
-    if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
-        raise ValueError("criterion only applies to rook points")
-    for (i, j) in x.entries:
-        for (k, l) in lam.entries:
-            if l == j and k < i:
-                return False
-    return True
-
-
 def brute_inner(f, h, ctx: OracleContext, cap: int = DEFAULT_MAX_SPACE) -> Cyclotomic:
     """(1/|U|) sum over every group element of f(g) * conj(h(g)).
 
@@ -428,41 +421,53 @@ def brute_inner(f, h, ctx: OracleContext, cap: int = DEFAULT_MAX_SPACE) -> Cyclo
     return total
 
 
-def covers_rows(lam: Functional) -> bool:
-    """True iff the support of lam meets every row 1 .. n-1."""
-    # every support row is in 1 .. n-1, so n-1 distinct rows cover them all
-    return len({i for (i, _) in lam.entries}) == lam.n - 1
-
-
 def brute_delta_value(g: UniMatrix, ctx: OracleContext) -> Cyclotomic:
     """Trace of g on the span of the row-covering functionals, over the
-    context's row trie."""
-    return Cyclotomic.from_bins(g.field.p, ctx.row_trie.bins(ctx.codes.row_codes(g.off)))
+    context's covering_masks, as brute_char_value traces a left orbit."""
+    codes = ctx.codes
+    ys = codes.row_codes(g.off)
+    return Cyclotomic.from_bins(g.field.p, codes.trace_bins(ctx.covering_masks, ys))
 
 
 # -- brute tensor decomposition ----------------------------------------------
 
-def product_mismatch(ctx: OracleContext, terms, factors) -> Template | None:
+def column_products(ctx: OracleContext, factors) -> list[list[int]]:
+    """The product of chi_f over factors (templates, repeats counted; an
+    empty product is 1) at each column, in column order, as p integer bins
+    over z^0 .. z^(p-1).  Every chi is a row of the context's brute table."""
+    _, cols, values = ctx.table
+    index = ctx._row_index
+    p = ctx.field.p
+    multiplied = [values[index[f]] for f in factors]
+    return [_product_bins(p, [row[c] for row in multiplied]) for c in range(len(cols))]
+
+
+def sum_mismatch(ctx: OracleContext, terms, target) -> Template | None:
     """The first column, in column order, where the sum of mult * chi_t over
-    terms (template -> multiplicity) differs from the product of chi_f over
-    factors (templates, repeats counted; an empty product is 1), or
-    None.  Every chi is a row of the context's brute table, whose values are
-    traces, so both sides are summed in p integer bins over Z[z].
+    terms (template -> multiplicity) differs from target, p integer bins
+    over z^0 .. z^(p-1) per column, or None.  Every chi is a row of the
+    context's brute table, whose values are traces, so the sum is taken in
+    integer bins over Z[z] too.
     """
     _, cols, values = ctx.table
     index = ctx._row_index
     p = ctx.field.p
     summed = [(mult, values[index[t]]) for t, mult in terms.items()]
-    multiplied = [values[index[f]] for f in factors]
-    for c, x in enumerate(cols):
+    for c, (x, bins) in enumerate(zip(cols, target)):
         total = [0] * (p - 1)
         for mult, row in summed:
             for j, y in enumerate(row[c].num):
                 total[j] += mult * y
-        bins = _product_bins(p, [row[c] for row in multiplied])
         if total != [b - bins[p - 1] for b in bins[: p - 1]]:
             return x
     return None
+
+
+def product_mismatch(ctx: OracleContext, terms, factors) -> Template | None:
+    """The first column, in column order, where the sum of mult * chi_t over
+    terms differs from the product of chi_f over factors, or None: the
+    sum_mismatch of terms against the column_products of factors."""
+    return sum_mismatch(ctx, terms, column_products(ctx, factors))
 
 
 def brute_tensor(t1: Template, t2: Template, ctx: OracleContext) -> "CharSum":
@@ -476,10 +481,8 @@ def brute_tensor(t1: Template, t2: Template, ctx: OracleContext) -> "CharSum":
     from .tensor import CharSum  # local import keeps the oracle free of fast paths
 
     p = ctx.field.p
-    rows, _, values = ctx.table
-    index = ctx._row_index
-    # the product at each column, as p bins over z^0 .. z^(p-1)
-    product = [_product_bins(p, pair) for pair in zip(values[index[t1]], values[index[t2]])]
+    rows = ctx.table[0]
+    product = column_products(ctx, (t1, t2))
     terms: dict[Template, int] = {}
     for tau, (cells, norm) in zip(rows, ctx.projection):
         total = [0] * p
@@ -499,7 +502,7 @@ def brute_tensor(t1: Template, t2: Template, ctx: OracleContext) -> "CharSum":
                 f"negative multiplicity {mult} for {tau.text()} in brute decomposition"
             )
         terms[tau] = mult
-    x = product_mismatch(ctx, terms, (t1, t2))
+    x = sum_mismatch(ctx, terms, product)
     if x is not None:
         raise InvariantViolation(
             f"brute decomposition of [{t1.text()}] x [{t2.text()}]"

@@ -29,16 +29,14 @@ a bug in core's actions cannot reach the oracle:
 
 Codes partitions a space into double orbits, checking one rook point per
 orbit, and traces a list of functionals with per-row bit masks over them,
-so a character value costs a few big-int operations per row of g - I.
-RowTrie keeps row codes with their multiplicities, shares equal subtrees,
-decides each (g, row code) once and sums the surviving subtrees in p
-integer bins.  Everything here is built per (n, field) by its caller and
-kept nowhere else.
+so a trace costs a few big-int operations per row of g - I.  The one
+trace serves every left-invariant list: a left orbit for a cluster
+character, the row-covering functionals for the discrete series.
+Everything here is built per (n, field) by its caller and kept nowhere
+else.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 from .clusters import Template
 from .core import Functional, NilMatrix, positions
@@ -64,10 +62,8 @@ class Codes:
         self.field = field
         self.p = field.p
         q = self.q = field.q
-        els = field.elements
-        self.add = [[(a + b).index for b in els] for a in els]
-        self.mul = [[(a * b).index for b in els] for a in els]
-        self.trace = [a.trace() for a in els]
+        self.add, self.mul = field.add_idx, field.mul_idx
+        self.trace = [a.trace() for a in field.elements]
         pts = positions(n)
         self.size = q ** len(pts)
         self.weight = {pos: q ** (len(pts) - 1 - m) for m, pos in enumerate(pts)}
@@ -325,19 +321,29 @@ class Codes:
         when every dot(c_k, y_l), k < l, of lam_i is 0 and
         trace(dot(c_l, y_l)) is e.  g fixes lam_i exactly when bit i is set
         in some mask at each row of y, and trace(lam_i(y)) is the sum of
-        those masks' e."""
+        those masks' e.
+
+        Row l's entries depend only on c_l and on the c_k, k < l, cut to
+        row l's columns, so the points are grouped by those and each group
+        is decided once per y_l."""
         p = self.p
-        tables = [[[0] * p for _ in range(size)] for _, size in self.row_blocks]
+        groups = [{} for _ in self.row_blocks]
         for i, code in enumerate(points):
             bit = 1 << i
             cs = self.rows(code)
             for l, (_, size) in enumerate(self.row_blocks):
-                decide = self.rule([c % size for c in cs[:l]], cs[l])
-                table = tables[l]
+                key = (tuple(c % size for c in cs[:l]), cs[l])
+                groups[l][key] = groups[l].get(key, 0) | bit
+        tables = []
+        for (_, size), group in zip(self.row_blocks, groups):
+            table = [[0] * p for _ in range(size)]
+            for (checks, trace_row), mask in group.items():
+                decide = self.rule(checks, trace_row)
                 for y in range(size):
                     e = decide(y)
                     if e is not None:
-                        table[y][e] |= bit
+                        table[y][e] |= mask
+            tables.append(table)
         return (1 << len(points)) - 1, tables
 
     def trace_bins(self, traced, ys) -> list[int]:
@@ -358,79 +364,3 @@ class Codes:
             acc = new
         return [m.bit_count() for m in acc]
 
-
-class RowTrie:
-    """Functionals by their row codes, top row first, with multiplicities.
-
-    levels[k-1] lists the distinct nodes of row k, each a tuple of
-    (row code, child) pairs: the child is a node of row k+1 by its place
-    in levels[k], or at the last row the number of times the functional
-    was given.  Equal subtrees are one node, so the row-covering part of
-    the whole dual space, a product of its rows, has one node per row.
-    levels[0] holds the root, unless no functional was given; at n = 1
-    there are no rows and total counts the functionals.
-    """
-
-    __slots__ = ("codes", "levels", "level_codes", "total")
-
-    def __init__(self, codes: Codes, row_codes):
-        self.codes = codes
-        counts = Counter(row_codes)
-        depth = codes.n - 1
-        self.total = sum(counts.values())
-        levels = []
-        below: dict[tuple, dict] = {}
-        for rows, mult in counts.items():
-            if depth:
-                below.setdefault(rows[:-1], {})[rows[-1]] = mult
-        for _ in range(depth):
-            nodes: dict[tuple, int] = {}
-            above: dict[tuple, dict] = {}
-            for prefix, node in below.items():
-                key = tuple(sorted(node.items()))
-                nid = nodes.setdefault(key, len(nodes))
-                if prefix:
-                    above.setdefault(prefix[:-1], {})[prefix[-1]] = nid
-            levels.append(list(nodes))
-            below = above
-        levels.reverse()
-        self.levels = levels
-        self.level_codes = [sorted({c for node in nodes for c, _ in node}) for nodes in levels]
-
-    def bins(self, ys) -> list[int]:
-        """How many functionals g = I + y fixes, binned by trace(lam(y)) mod
-        p; ys are the row codes of y.  Each (g, row code) is decided once."""
-        codes = self.codes
-        p = codes.p
-        if not self.levels:
-            return [self.total] + [0] * (p - 1)
-        below = None
-        for k in range(len(self.levels), 0, -1):
-            decide = codes.rule(ys[k:], ys[k - 1])
-            fixed = {}
-            for c in self.level_codes[k - 1]:
-                e = decide_row(decide, c)
-                if e is not None:
-                    fixed[c] = e
-            here = []
-            for node in self.levels[k - 1]:
-                bins = [0] * p
-                for c, child in node:
-                    e = fixed.get(c)
-                    if e is None:
-                        continue
-                    if below is None:
-                        bins[e] += child
-                    else:
-                        for t, m in enumerate(below[child]):
-                            if m:
-                                bins[(t + e) % p] += m
-                here.append(bins)
-            below = here
-        return below[0] if below else [0] * p
-
-
-def decide_row(decide, c: int) -> int | None:
-    """trace(c . y_k) if g fixes a row k with code c, else None; decide is
-    the rule of row k for g."""
-    return decide(c)

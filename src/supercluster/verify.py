@@ -16,13 +16,16 @@ enumerations taken from their point lists, the column group elements, the
 brute table and its projection data are built once and dropped when the
 run ends.  Thm7.1 (a row against its primary factors) and Thm8.6 (a
 product against its decomposition) ask oracle.product_mismatch for the
-first column where brute rows disagree; Thm8.6 also decomposes its deep
-pairs by projecting onto the brute rows, and Thm9.1 traces every
-group element over the context's one row trie.  A.1 asks the context
-for a functional on which the support criterion and the fixed-point test
-disagree.  Thm9.3 and emit_golden count the left orbits in the
-row-covering part of each row's cluster with the context, which reads the
-cluster from the coadjoint partition instead of walking it again.
+first column where brute rows disagree, and Thm9.3 (the discrete series
+against its decomposition) asks oracle.sum_mismatch; Thm8.6 also
+decomposes its deep pairs by projecting onto the brute rows, and Thm9.1
+traces every group element over the context's trace masks of the
+row-covering functionals, the same trace as a brute character value.
+A.1 asks the context for a functional on which the support criterion and
+the fixed-point test disagree.  Thm9.3 and emit_golden count the left
+orbits in the row-covering part of each row's cluster with the context,
+which reads the cluster from the coadjoint partition instead of walking
+it again.
 
 No check reads another's result, so with jobs >= 2 (and os.fork) the
 checks run in two fixed lanes (supercluster.lanes).  Lane A, in the calling
@@ -315,8 +318,7 @@ def _check_delta_value(ctx, cap_group):
 
 def _check_delta_decomposition(ctx):
     n, field = ctx.n, ctx.field
-    rows, cols, brute = ctx.table
-    index = {t: r for r, t in enumerate(rows)}
+    rows, cols, _ = ctx.table
     decomp = discrete.delta_decompose(n, field)
     for tau in rows:
         orbits = ctx.covering_left_orbits(tau)
@@ -327,13 +329,11 @@ def _check_delta_decomposition(ctx):
             )
         if (decomp.terms.get(tau, 0) > 0) == discrete.is_degenerate(tau):
             return False, f"degeneracy test disagrees with the multiplicity for {tau.text()}"
-    for c, x in enumerate(cols):
-        total = Cyclotomic.from_rational(field.p, 0)
-        for tau, mult in decomp.terms.items():
-            total = total + mult * brute[index[tau]][c]
-        expected = discrete.delta_value(ctx.column(x))
-        if total != Cyclotomic.from_rational(field.p, expected):
-            return False, f"decomposition wrong at column {x.text()}"
+    zeros = [0] * (field.p - 1)
+    target = [[discrete.delta_value(ctx.column(x))] + zeros for x in cols]
+    x = oracle.sum_mismatch(ctx, decomp.terms, target)
+    if x is not None:
+        return False, f"decomposition wrong at column {x.text()}"
     return True, (
         f"{len(decomp.terms)} non-degenerate terms, identity value {decomp.identity_value}"
     )

@@ -29,6 +29,7 @@ from supercluster.core import (
     positions,
 )
 from supercluster.cyclotomic import Cyclotomic
+from supercluster.discrete import in_delta
 from supercluster.errors import InvariantViolation, ResourceCapExceeded
 from supercluster.oracle import (
     OracleContext,
@@ -38,11 +39,9 @@ from supercluster.oracle import (
     brute_delta_value,
     brute_inner,
     brute_tensor,
-    covers_rows,
     enumerate_dual,
     enumerate_group,
     enumerate_nil,
-    fixed_by_template_action,
     orbit_partition,
     product_mismatch,
 )
@@ -140,13 +139,9 @@ def test_left_orbit_spans_group_algebra_dimension(F2, F3):
 
 def test_fixed_point_criterion_exhaustive(F2, F3):
     for field in (F2, F3):
-        duals = enumerate_dual(3, field)
+        ctx = OracleContext(3, field)
         for x in enumerate_templates(3, field):
-            g = UniMatrix(x.as_matrix())
-            for lam in duals:
-                assert (coact_left(g, lam) == lam) == fixed_by_template_action(
-                    lam, x.as_matrix()
-                )
+            assert ctx.criterion_counterexample(x) is None
 
 
 def test_brute_delta_matches_rank_formula(F2):
@@ -214,33 +209,30 @@ def test_brute_tensor_rejects_a_fractional_multiplicity(F2):
         brute_tensor(t13, t13, ctx)
 
 
-def trie_delta(g, lams):
+def masks_delta(g, lams):
     """The discrete-series trace of g over the row-covering members of lams,
-    duplicates counted, through a row trie built for this call alone."""
+    duplicates counted, through trace masks built for this call alone."""
     codes = packed.Codes(g.n, g.field)
-    rows = []
-    for lam in lams:
-        cs = codes.row_codes(lam)
-        if covers_rows(lam):
-            rows.append(cs)
-    trie = packed.RowTrie(codes, rows)
-    return Cyclotomic.from_bins(g.field.p, trie.bins(codes.row_codes(g.off)))
+    covering = [codes.encode(lam) for lam in lams if in_delta(lam)]
+    return Cyclotomic.from_bins(
+        g.field.p, codes.trace_bins(codes.trace_masks(covering), codes.row_codes(g.off))
+    )
 
 
 def test_brute_delta_value_filters_any_list(F3):
-    """The context's trie over the dual space, and tries over the whole
-    dual space and over its row-covering part, give the rank formula."""
+    """The context's masks, and masks over the row-covering members of the
+    whole dual space and of its row-covering part, give the rank formula."""
     from supercluster.discrete import delta_value
 
     ctx = OracleContext(3, F3)
     duals = enumerate_dual(3, F3)
-    covering = [lam for lam in duals if covers_rows(lam)]
+    covering = [lam for lam in duals if in_delta(lam)]
     assert 0 < len(covering) < len(duals)
     for g in enumerate_group(3, F3):
         want = Cyclotomic.from_rational(3, delta_value(g))
         assert brute_delta_value(g, ctx) == want
-        assert trie_delta(g, duals) == want
-        assert trie_delta(g, covering) == want
+        assert masks_delta(g, duals) == want
+        assert masks_delta(g, covering) == want
 
 
 # -- one row-product check -------------------------------------------------------
@@ -421,7 +413,7 @@ SMALL = [
 
 @lru_cache(maxsize=None)
 def covering_duals(n, p, k):
-    return [lam for lam in enumerate_dual(n, field_make(p, k)) if covers_rows(lam)]
+    return [lam for lam in enumerate_dual(n, field_make(p, k)) if in_delta(lam)]
 
 
 def summed_roots(p, values):
@@ -463,12 +455,12 @@ def test_binned_traces_equal_summed_roots_of_unity(case):
         want = summed_roots(p, [evaluate(lam, h.off) for lam in orbit if fixes_left(h, lam)])
         assert brute_char_value(tau, h, ctx) == want
         want = summed_roots(p, [evaluate(lam, h.off) for lam in covering if fixes_left(h, lam)])
-        assert trie_delta(h, covering) == want
+        assert masks_delta(h, covering) == want
         total = summed_roots(p, [evaluate(lam, h.off) for lam in cluster_elements(tau)])
         assert char_value_sum(tau, h) == Fraction(q**inv.i, q**inv.d) * total
 
 
-# -- the row trie of the discrete-series trace -----------------------------------
+# -- the discrete-series trace over trace masks ---------------------------------
 
 def per_pair_delta(g, lams):
     """The sum of z^trace(lam(g-I)) over the row-covering members fixes_left
@@ -476,7 +468,7 @@ def per_pair_delta(g, lams):
     its image."""
     fixed = []
     for lam in lams:
-        if covers_rows(lam) and fixes_left(g, lam):
+        if in_delta(lam) and fixes_left(g, lam):
             assert coact_left(g, lam) == lam
             fixed.append(evaluate(lam, g.off))
     return summed_roots(g.field.p, fixed)
@@ -487,20 +479,20 @@ def per_pair_delta(g, lams):
     ids=["1-2", "2-3", "4-2", "3-3", "3-2^2", "4-3"],
 )
 def test_row_trie_trace_equals_the_per_pair_trace(n, p, k):
-    """At every group element, with the context's trie and with throwaway ones."""
+    """At every group element, with the context's masks and with throwaway ones."""
     ctx = OracleContext(n, field_make(p, k))
     covering = covering_duals(n, p, k)
     group = ctx.group()
     for m, g in enumerate(group):
         want = per_pair_delta(g, covering)
         assert brute_delta_value(g, ctx) == want
-        assert trie_delta(g, covering) == want
+        assert masks_delta(g, covering) == want
         if m % max(1, len(group) // 16) == 0:  # this one filters the whole dual space
-            assert trie_delta(g, ctx.dual) == want
+            assert masks_delta(g, ctx.dual) == want
 
 
 # (n, p, k) over GF(2), GF(3), GF(4), GF(5), GF(8), GF(9), n <= 4, at most 4^6 points
-ROW_TRIE_CASES = [
+DELTA_CASES = [
     (n, p, k)
     for (p, k) in ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2))
     for n in (1, 2, 3, 4)
@@ -509,7 +501,7 @@ ROW_TRIE_CASES = [
 
 
 @lru_cache(maxsize=None)
-def row_trie_context(n, p, k):
+def delta_context(n, p, k):
     return OracleContext(n, field_make(p, k))
 
 
@@ -517,7 +509,7 @@ def row_trie_context(n, p, k):
 def delta_lists(draw):
     """(g, lams): a group element and a shuffled list of functionals drawn
     with repetition, covering ones and any others."""
-    n, p, k = draw(st.sampled_from(ROW_TRIE_CASES))
+    n, p, k = draw(st.sampled_from(DELTA_CASES))
     field = field_make(p, k)
     value = st.one_of(st.just(0), st.integers(0, field.q - 1))
     count = len(positions(n))
@@ -526,7 +518,7 @@ def delta_lists(draw):
     g = UniMatrix(off)
     member = st.one_of(
         st.sampled_from(covering_duals(n, p, k)),
-        st.sampled_from(row_trie_context(n, p, k).dual),
+        st.sampled_from(delta_context(n, p, k).dual),
     )
     lams = draw(st.lists(member, max_size=24))
     lams += draw(st.lists(st.sampled_from(lams), max_size=6)) if lams else []
@@ -538,9 +530,9 @@ def delta_lists(draw):
 def test_row_trie_trace_of_any_list_equals_the_per_pair_trace(case):
     """Duplicates count as often as they occur; order does not matter."""
     g, lams = case
-    assert trie_delta(g, lams) == per_pair_delta(g, lams)
+    assert masks_delta(g, lams) == per_pair_delta(g, lams)
     n, p, k = g.n, g.field.p, g.field.k
-    ctx = row_trie_context(n, p, k)
+    ctx = delta_context(n, p, k)
     assert brute_delta_value(g, ctx) == per_pair_delta(g, covering_duals(n, p, k))
 
 
@@ -549,11 +541,11 @@ def test_row_trie_rejects_mismatched_inputs(F2, F3, F4):
     for field in (F3, F4):
         g = UniMatrix(e_ij(field, 3, 1, 2))
         with pytest.raises(ValueError, match="field mismatch"):
-            trie_delta(g, [lam])
+            masks_delta(g, [lam])
         with pytest.raises(ValueError, match="field mismatch"):
             brute_delta_value(g, OracleContext(3, F2))
     with pytest.raises(ValueError, match="size mismatch"):
-        trie_delta(identity(F2, 4), [lam])
+        masks_delta(identity(F2, 4), [lam])
     with pytest.raises(ValueError, match="size mismatch"):
         brute_delta_value(identity(F2, 4), OracleContext(3, F2))
 
@@ -629,8 +621,8 @@ def test_every_generator_moves_codes_as_core_acts(case):
 @PROPS
 @given(code_points())
 def test_fixed_points_and_exponents_match_core(case):
-    """The trace masks of a point and the row decisions of the
-    discrete-series trace, against fixes_left, coact_left and evaluate."""
+    """The trace masks of a point and the rule of each row, against
+    fixes_left, coact_left and evaluate."""
     codes, y, c = case
     g = UniMatrix(codes.point("adjoint", y))
     lam = codes.point("coadjoint", c)
@@ -645,7 +637,7 @@ def test_fixed_points_and_exponents_match_core(case):
     image = coact_left(g, lam)
     total = 0
     for k in range(1, n):
-        e = packed.decide_row(codes.rule(ys[k:], ys[k - 1]), cs[k - 1])
+        e = codes.rule(ys[k:], ys[k - 1])(cs[k - 1])
         moved = any(image.get(k, l) != lam.get(k, l) for l in range(k + 1, n + 1))
         assert (e is None) == moved
         total += e or 0

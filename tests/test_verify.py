@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from supercluster import core, field_make, oracle, packed, verify
+from supercluster import core, discrete, field_make, linalg, oracle, packed, verify
 from supercluster.verify import run_verify
 
 REQUIRED_KEYS = {
@@ -34,10 +34,12 @@ def test_verify_seed_changes_sampling_but_not_outcome():
     assert run_verify(3, f, seed=2).passed
 
 
-def test_delta_check_decides_row_vectors_instead_of_pairs(monkeypatch):
-    """Thm9.1 at (4,2): one trace over the row trie for each of the 64 group
-    elements, no (g, lam) pair test, and at most one decision per row vector
-    of rows 1..3 (8 + 4 + 2 of them) for each element."""
+def test_delta_check_filters_the_dual_space_once(monkeypatch):
+    """Thm9.1 at (4,2) traces each of the 64 group elements over the trace
+    masks of the (2^3-1)(2^2-1)(2-1) = 21 row-covering functionals, the
+    members of discrete.in_delta in code order.  The masks are built once
+    per context, however often the check runs, and no core action is
+    called."""
     calls = Counter()
 
     def counted(module, name):
@@ -49,36 +51,29 @@ def test_delta_check_decides_row_vectors_instead_of_pairs(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    ctx = oracle.OracleContext(4, field_make(2, 1))
-    ctx.dual  # the partition is built before the count starts
-    for name in ("fixes_left", "coact_left"):
+    traced = []
+    trace_masks = packed.Codes.trace_masks
+
+    def recorded(codes, points):
+        traced.append(list(points))
+        return trace_masks(codes, points)
+
+    monkeypatch.setattr(packed.Codes, "trace_masks", recorded)
+    actions = ("act_left", "act_right", "coact_left", "coact_right", "fixes_left", "evaluate")
+    for name in actions:
         assert not hasattr(oracle, name) and not hasattr(packed, name)
         counted(core, name)
     counted(oracle, "brute_delta_value")
-    counted(packed, "decide_row")
-    ok, _ = verify._check_delta_value(ctx, oracle.DEFAULT_MAX_SPACE)
-    assert ok
-    assert calls["supercluster.oracle.brute_delta_value"] == 64
-    assert calls["supercluster.core.fixes_left"] == 0
-    assert calls["supercluster.core.coact_left"] == 0
-    assert 0 < calls["supercluster.packed.decide_row"] <= 64 * (8 + 4 + 2)
-
-
-def test_delta_check_filters_the_dual_space_once(monkeypatch):
-    """Thm9.1 at (4,2) tests each of the 64 functionals for row cover once."""
-    calls = Counter()
-    covers_rows = oracle.covers_rows
-
-    def counted(lam):
-        calls["covers_rows"] += 1
-        return covers_rows(lam)
-
-    monkeypatch.setattr(oracle, "covers_rows", counted)
-    ok, _ = verify._check_delta_value(
-        oracle.OracleContext(4, field_make(2, 1)), oracle.DEFAULT_MAX_SPACE
-    )
-    assert ok
-    assert calls["covers_rows"] == 64
+    ctx = oracle.OracleContext(4, field_make(2, 1))
+    for _ in range(2):
+        ok, _ = verify._check_delta_value(ctx, oracle.DEFAULT_MAX_SPACE)
+        assert ok
+    assert calls["supercluster.oracle.brute_delta_value"] == 2 * 64
+    assert not any(calls[f"supercluster.core.{name}"] for name in actions)
+    assert len(traced) == 1 and len(traced[0]) == 21
+    monkeypatch.undo()
+    covering = [c for c, lam in enumerate(ctx.dual) if discrete.in_delta(lam)]
+    assert traced[0] == covering
 
 
 def test_run_verify_builds_each_partition_once(monkeypatch):
@@ -199,6 +194,34 @@ def test_zero_window_ranks_fail_the_classification_checks(monkeypatch):
     failed = {c.key: c.detail for c in report.checks if not c.passed}
     assert set(failed) == {"Thm4.1", "Thm4.2"}
     assert "differ from the cell counts of" in failed["Thm4.1"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_wrong_discrete_series_value_fails_thm91_and_thm93(monkeypatch, jobs):
+    """A rank formula that is off by one at rank 1 fails Thm9.1 at the first
+    group element of rank 1 and Thm9.3 at the first column of rank 1, and
+    no other check."""
+    field = field_make(2, 1)
+    delta_value = discrete.delta_value
+
+    def rank(g):
+        n = g.n
+        return linalg.rank(field, [[g.off.get(i, j).index for j in range(1, n + 1)]
+                                   for i in range(1, n + 1)])
+
+    def wrong(g):
+        return delta_value(g) + (rank(g) == 1)
+
+    ctx = oracle.OracleContext(3, field)
+    g = next(g for g in ctx.group() if rank(g) == 1)
+    x = next(x for x in ctx.table[1] if rank(ctx.column(x)) == 1)
+    monkeypatch.setattr(discrete, "delta_value", wrong)
+    report = run_verify(3, field, jobs=jobs)
+    failed = {c.key: c.detail for c in report.checks if not c.passed}
+    assert failed == {
+        "Thm9.1": f"rank formula wrong at {g!r}",
+        "Thm9.3": f"decomposition wrong at column {x.text()}",
+    }
 
 
 # -- two lanes ----------------------------------------------------------------
