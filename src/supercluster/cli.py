@@ -25,8 +25,7 @@ from .errors import InvariantViolation, ResourceCapExceeded
 from .gf import DEFAULT_MAX_Q, Field, field_make, is_prime
 
 DEFAULT_CAPS = {
-    "orbit": oracle.DEFAULT_MAX_SPACE,  # points in an enumerated algebra/dual space
-    "group": oracle.DEFAULT_MAX_SPACE,  # group elements in brute sums
+    "orbit": oracle.DEFAULT_MAX_SPACE,  # points in the algebra, in its dual and in the group
     "pairs": tensor.DEFAULT_MAX_PAIRS,  # cluster-pair products in the counting route
     "table": DEFAULT_MAX_TABLE,         # character table rows
     "q": DEFAULT_MAX_Q,                 # field size
@@ -64,8 +63,9 @@ def _add_common(sub: argparse.ArgumentParser, with_n: bool = True) -> None:
     sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                      help="verify splits its checks over two processes when N >= 2;"
                           " every other command runs in one; output is the same for every N")
-    sub.add_argument("--cap-orbit", type=int, help="max enumerated space size")
-    sub.add_argument("--cap-group", type=int, help="max enumerated group size")
+    sub.add_argument("--cap-orbit", type=int,
+                     help="max size q^(n(n-1)/2) of the enumerated spaces:"
+                          " the algebra, its dual and the group")
     sub.add_argument("--seed", type=int, default=0, help="seed for sampled verification")
 
 
@@ -92,8 +92,6 @@ def _config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunCon
         parser.error(str(exc))
     if args.cap_orbit is not None:
         caps["orbit"] = args.cap_orbit
-    if args.cap_group is not None:
-        caps["group"] = args.cap_group
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
     # The cap comes before the primality test, whose trial division runs to
@@ -226,7 +224,6 @@ def _run_verify(cfg: RunConfig, sample_pairs: int, emit_golden: str | None, jobs
         cfg.n,
         field,
         cap_orbit=cfg.caps["orbit"],
-        cap_group=cfg.caps["group"],
         cap_pairs=cfg.caps["pairs"],
         sample_pairs=sample_pairs,
         seed=cfg.seed,
@@ -286,6 +283,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command in ("tensor", "discrete", "verify") and args.format == "csv":
         parser.error(f"{args.command} has no csv format")
+    if args.command == "verify" and args.sample_pairs < 1:
+        parser.error("--sample-pairs must be >= 1")
     try:
         cfg = _config(parser, args)
         if args.command == "count":

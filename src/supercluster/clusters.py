@@ -266,20 +266,6 @@ def window_ranks_dual(lam: Functional) -> tuple[int, ...]:
     return tuple(ranks)
 
 
-def rank_invariant(i: int, j: int, x: NilMatrix) -> int:
-    """Rank of the window keeping entries (k,l) with i <= k < l <= j."""
-    if not (1 <= i < j <= x.n):
-        raise ValueError(f"bad window ({i},{j})")
-    return window_ranks(x)[_lex(x.n, i, j)]
-
-
-def rank_invariant_dual(i: int, j: int, lam: Functional) -> int:
-    """Rank of the window keeping entries (k,l) with k <= i < j <= l."""
-    if not (1 <= i < j <= lam.n):
-        raise ValueError(f"bad window ({i},{j})")
-    return window_ranks_dual(lam)[_lex(lam.n, i, j)]
-
-
 # -- the two indices ----------------------------------------------------------
 
 def invariants_of(tau: Template) -> ClusterInvariants:
@@ -342,22 +328,10 @@ def _rhat_vectors(lam: Functional) -> list[list[int]]:
     return list(vecs.values())
 
 
-def lhat_dim(lam: Functional) -> int:
-    return linalg.rank(lam.field, _lhat_vectors(lam))
-
-
-def rhat_dim(lam: Functional) -> int:
-    return linalg.rank(lam.field, _rhat_vectors(lam))
-
-
-def intersection_dim(lam: Functional) -> int:
-    return _hat_dims(lam)[2]
-
-
-def _hat_dims(lam: Functional) -> tuple[int, int, int]:
-    """(lhat_dim, rhat_dim, intersection_dim) of lam, each span ranked once:
-    dim(L ∩ R) = dim L + dim R - dim(L + R), and the L basis grows into one
-    of L + R by inserting the echelon rows of R."""
+def hat_dims(lam: Functional) -> tuple[int, int, int]:
+    """(dim L, dim R, dim L ∩ R) for L = L-hat(lam) and R = R-hat(lam), each
+    span ranked once: dim(L ∩ R) = dim L + dim R - dim(L + R), and the L
+    basis grows into one of L + R by inserting the echelon rows of R."""
     left, right = linalg.Echelon(lam.field), linalg.Echelon(lam.field)
     for vec in _lhat_vectors(lam):
         left.insert(vec)

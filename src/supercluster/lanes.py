@@ -21,21 +21,13 @@ from .errors import ResourceCapExceeded
 from .verify import _outcomes, _run_here
 
 
-def warm_up(ctx, cap_group: int) -> None:
-    """Build the partitions, the group and the brute table of ctx in the
-    order the checks first use them.  A cap ends the run here as it would
-    in the first check to meet it; any other error is left for the checks
-    to meet and report."""
-    for build in (
-        lambda: ctx.adjoint,
-        lambda: ctx.coadjoint,
-        lambda: ctx.group(cap_group),
-        lambda: ctx.table,
-    ):
+def warm_up(ctx) -> None:
+    """Build the partitions and the brute table of ctx in the order the
+    checks first use them.  An error here is left for the checks to meet
+    and report."""
+    for build in (lambda: ctx.adjoint, lambda: ctx.coadjoint, lambda: ctx.table):
         try:
             build()
-        except ResourceCapExceeded:
-            raise
         except Exception:
             pass
 

@@ -36,17 +36,18 @@ column.
 
 An OracleContext holds the brute data of one (n, field, cap), each piece
 built on first use: the encoding, the adjoint and coadjoint partitions, the
-nil, dual and group enumerations read from the partitions' own point lists,
-one group element per column template, the left orbits of the row
-templates, the trace masks of the row-covering functionals, the brute
-table and each row's projection data.  It also answers A.1 (a functional
-on which the support criterion and the fixed-point test disagree) and
-Thm9.3 (the left orbits in the row-covering part of a cluster).  Every
-entry point that reads a whole space (brute_char_value, brute_inner,
-brute_delta_value, brute_tensor, column_products, sum_mismatch,
-product_mismatch) takes a context, and the module keeps none:
-verify.run_verify makes one per run and drops it when the run ends, so
-the whole suite builds each partition once.
+group read from the adjoint partition's point list, one group element per
+column template, the left orbits of the row templates, the trace masks of
+the row-covering functionals, the brute table and each row's projection
+data.  It also answers A.1 (a functional on which the support criterion
+and the fixed-point test disagree) and Thm9.3 (the left orbits in the
+row-covering part of a cluster).  The algebra, its dual and the group have
+q^(n(n-1)/2) points each, so the context checks that one size against its
+one cap when it is made.  Every entry point that reads a whole space
+(brute_char_value, brute_inner, brute_delta_value, brute_tensor,
+column_products, sum_mismatch, product_mismatch) takes a context, and the
+module keeps none: verify.run_verify makes one per run and drops it when
+the run ends, so the whole suite builds each partition once.
 
 sum_mismatch is the one check that a sum of brute rows gives target values
 back at every column, in p integer bins.  product_mismatch asks it with
@@ -108,22 +109,6 @@ def enumerate_group(n: int, field: Field, cap: int = DEFAULT_MAX_SPACE) -> list[
     return [UniMatrix(x) for x in enumerate_nil(n, field, cap)]
 
 
-def bfs_double_orbit(start, side: str = "coadjoint") -> set:
-    """Closure of {start} under both one-sided actions."""
-    if side not in ("adjoint", "coadjoint"):
-        raise ValueError(f"unknown side {side!r}")
-    codes = _packed().Codes(start.n, start.field)
-    orbit = codes.closure(codes.encode(start), codes.generators(side))
-    return {codes.point(side, c) for c in orbit}
-
-
-def bfs_left_orbit(lam: Functional) -> set[Functional]:
-    """Closure of {lam} under the left action only."""
-    codes = _packed().Codes(lam.n, lam.field)
-    orbit = codes.closure(codes.encode(lam), codes.generators("coadjoint", ("left",)))
-    return {codes.point("coadjoint", c) for c in orbit}
-
-
 @dataclass
 class OrbitDecomposition:
     """A full partition of a space into double orbits, one template each.
@@ -178,11 +163,13 @@ def orbit_partition(
 class OracleContext:
     """The brute data of one (n, field, cap), each piece built on first use.
 
-    cap bounds the enumerated spaces the partitions cover; group() takes its
-    own cap, as enumerate_group does.
+    The algebra, its dual and the group all have q^(n(n-1)/2) points, so
+    one cap bounds every space the context enumerates: it raises
+    ResourceCapExceeded on construction when that size is over cap.
     """
 
     def __init__(self, n: int, field: Field, cap: int = DEFAULT_MAX_SPACE):
+        _check_space(n, field, cap)
         self.n = n
         self.field = field
         self.cap = cap
@@ -202,27 +189,15 @@ class OracleContext:
     def coadjoint(self) -> OrbitDecomposition:
         return orbit_partition(self.n, self.field, "coadjoint", self.cap)
 
-    @property
-    def nil(self) -> list[NilMatrix]:
-        """enumerate_nil's list: the adjoint partition's points."""
-        return self.adjoint.points
-
-    @property
-    def dual(self) -> list[Functional]:
-        """enumerate_dual's list: the coadjoint partition's points."""
-        return self.coadjoint.points
-
-    def group(self, cap: int = DEFAULT_MAX_SPACE) -> list[UniMatrix]:
+    def group(self) -> list[UniMatrix]:
         """enumerate_group's list, I + x over the adjoint points.
 
-        Raises ResourceCapExceeded, as enumerate_group does, when the group
-        is larger than cap.  The list is made afresh on each call and not
-        kept: the wrappers are cheap, and the column index each element
-        fills when it is traced (0.46 MB by tracemalloc at (5,2)) goes
-        with it instead of living to the end of the run.
+        The list is made afresh on each call and not kept: the wrappers are
+        cheap, and the column index each element fills when it is traced
+        (0.46 MB by tracemalloc at (5,2)) goes with it instead of living to
+        the end of the run.
         """
-        _check_space(self.n, self.field, cap)
-        return [UniMatrix(x) for x in self.nil]
+        return [UniMatrix(x) for x in self.adjoint.points]
 
     def column(self, x: Template) -> UniMatrix:
         """The group element I + x of a column template, one per template."""
@@ -254,12 +229,7 @@ class OracleContext:
     @cached_property
     def covering_masks(self) -> tuple:
         """The trace_masks of the row-covering functionals, the codes with
-        no zero row, in code order.
-
-        Raises ResourceCapExceeded, as the partitions do, when the dual
-        space is larger than the context's cap.
-        """
-        _check_space(self.n, self.field, self.cap)
+        no zero row, in code order."""
         codes = self.codes
         return codes.trace_masks([c for c in range(codes.size) if all(codes.rows(c))])
 
@@ -397,14 +367,13 @@ def brute_char_value(tau: Template, g: UniMatrix, ctx: OracleContext) -> Cycloto
     )
 
 
-def brute_inner(f, h, ctx: OracleContext, cap: int = DEFAULT_MAX_SPACE) -> Cyclotomic:
+def brute_inner(f, h, ctx: OracleContext) -> Cyclotomic:
     """(1/|U|) sum over every group element of f(g) * conj(h(g)).
 
-    The group is the context's, capped by cap as in OracleContext.group.
-    f is evaluated once per element when h is f.  The products are summed
-    in p integer bins per denominator.
+    The group is the context's.  f is evaluated once per element when h is
+    f.  The products are summed in p integer bins per denominator.
     """
-    group = ctx.group(cap)
+    group = ctx.group()
     p = ctx.field.p
     sums: dict[int, list[int]] = {}
     for g in group:

@@ -7,12 +7,14 @@ sample size is part of the reported detail.  A falsified identity is
 reported as a failure (the CLI turns it into exit code 4) rather than
 raising out of the run, and so is any other exception a check raises, as
 "<type>: <text>" with its traceback on stderr; only ResourceCapExceeded
-ends the run (exit 3).
+ends the run (exit 3).  The space cap is met before any check: the
+algebra, its dual and the group all have q^(n(n-1)/2) points, and the
+oracle context checks that size against cap_orbit when it is made.
 
 run_verify makes one oracle.OracleContext per run and hands it to every
 check that reads the oracle, since every oracle entry point that reads a
-whole space takes one: the adjoint and coadjoint partitions, the
-enumerations taken from their point lists, the column group elements, the
+whole space takes one: the adjoint and coadjoint partitions (their points
+are the enumerated spaces), the column group elements, the
 brute table and its projection data are built once and dropped when the
 run ends.  Thm7.1 (a row against its primary factors) and Thm8.6 (a
 product against its decomposition) ask oracle.product_mismatch for the
@@ -140,13 +142,13 @@ def _check_coadjoint_classification(ctx):
                 return False, (
                     f"window ranks of {lam!r} differ from the cell counts of {rep.text()}"
                 )
-            lhat, rhat, both = clusters._hat_dims(lam)
+            lhat, rhat, both = clusters.hat_dims(lam)
             if lhat != inv.d or rhat != inv.d or both != inv.i:
                 return False, f"orbit-space dimensions vary inside the cluster of {rep.text()}"
     return True, f"{len(part.representatives)} coadjoint clusters over {len(part.points)} points"
 
 
-def _check_sizes_and_degrees(ctx, cap_group, rng):
+def _check_sizes_and_degrees(ctx, rng):
     n, field, part = ctx.n, ctx.field, ctx.coadjoint
     sizes = part.orbit_sizes()
     total = 0
@@ -182,7 +184,7 @@ def _check_sizes_and_degrees(ctx, cap_group, rng):
         def chi(g, tau=tau):
             return oracle.brute_char_value(tau, g, ctx)
 
-        norm = oracle.brute_inner(chi, chi, ctx, cap_group)
+        norm = oracle.brute_inner(chi, chi, ctx)
         if norm != Cyclotomic.from_rational(field.p, expected):
             return False, f"self-intertwining of {tau.text()} is {norm}, expected {expected}"
     return True, (
@@ -304,10 +306,10 @@ def _check_tensor_ring(ctx, pair_cap, sample_pairs, rng):
     return True, f"rewrite, counting and brute routes agree on {mode}"
 
 
-def _check_delta_value(ctx, cap_group):
+def _check_delta_value(ctx):
     field = ctx.field
     count = 0
-    for g in ctx.group(cap_group):
+    for g in ctx.group():
         formula = discrete.delta_value(g)
         traced = oracle.brute_delta_value(g, ctx)
         if traced != Cyclotomic.from_rational(field.p, formula):
@@ -382,7 +384,6 @@ def run_verify(
     n: int,
     field: Field,
     cap_orbit: int = oracle.DEFAULT_MAX_SPACE,
-    cap_group: int = oracle.DEFAULT_MAX_SPACE,
     cap_pairs: int = tensor.DEFAULT_MAX_PAIRS,
     sample_pairs: int = 200,
     seed: int = 0,
@@ -391,7 +392,8 @@ def run_verify(
     """Run the full certification suite for one (n, q) over one oracle context.
 
     With jobs >= 2, where os.fork exists, the checks run in two lanes (see
-    the module docstring); the report is the same for every jobs.
+    the module docstring); the report is the same for every jobs.  A space
+    larger than cap_orbit raises ResourceCapExceeded before any check runs.
     """
     rng = random.Random(seed)
     ctx = oracle.OracleContext(n, field, cap_orbit)
@@ -399,19 +401,19 @@ def run_verify(
         ("Thm5.1", lambda: _check_counting(n, field)),
         ("Thm4.1", lambda: _check_adjoint_classification(ctx)),
         ("Thm4.2", lambda: _check_coadjoint_classification(ctx)),
-        ("Thm6.2", lambda: _check_sizes_and_degrees(ctx, cap_group, rng)),
+        ("Thm6.2", lambda: _check_sizes_and_degrees(ctx, rng)),
         ("Thm3.5", lambda: _check_character_sum(ctx, rng)),
         ("A.1", lambda: _check_closed_formula(ctx)),
         ("A.2", lambda: _check_axioms(ctx)),
         ("Thm7.1", lambda: _check_primary_factorization(ctx)),
         ("Thm8.6", lambda: _check_tensor_ring(ctx, cap_pairs, sample_pairs, rng)),
-        ("Thm9.1", lambda: _check_delta_value(ctx, cap_group)),
+        ("Thm9.1", lambda: _check_delta_value(ctx)),
         ("Thm9.3", lambda: _check_delta_decomposition(ctx)),
     ]
     if jobs >= 2 and hasattr(os, "fork"):
         from . import lanes  # loaded only on this path, off the CLI's start-up
 
-        lanes.warm_up(ctx, cap_group)
+        lanes.warm_up(ctx)
         outcomes = lanes.run_in_lanes(checks, RNG_CHECKS)
     else:
         outcomes = {}

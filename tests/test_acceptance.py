@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from supercluster import field_make
+from supercluster import field_make, packed
 from supercluster.characters import build_table, char_value_closed, char_value_sum, verify_axioms
 from supercluster.clusters import (
     Template,
@@ -34,8 +34,6 @@ from supercluster.discrete import (
 )
 from supercluster.oracle import (
     OracleContext,
-    bfs_double_orbit,
-    bfs_left_orbit,
     brute_delta_value,
     brute_tensor,
     orbit_partition,
@@ -87,10 +85,12 @@ def test_criterion_3_sizes():
     started = time.perf_counter()
     for n, q in CLASSIFICATION_SET:
         field = field_make(q, 1)
+        part = orbit_partition(n, field, "coadjoint")
+        bfs_sizes = dict(zip(part.representatives, part.orbit_sizes()))
         total = 0
         for tau in enumerate_templates(n, field):
             size = cluster_size(tau)  # q^(2d - i)
-            assert size == len(bfs_double_orbit(tau.as_functional(), "coadjoint"))
+            assert size == bfs_sizes[tau]
             total += size
         assert total == field.q ** (n * (n - 1) // 2)
     report(3, started, "cluster sizes match BFS and sum to the space size")
@@ -195,14 +195,15 @@ def test_criterion_7_discrete_series():
     for q in (2, 3):
         field = field_make(q, 1)
         decomp = delta_decompose(3, field)
+        part = orbit_partition(3, field, "coadjoint")
+        clusters = dict(zip(part.representatives, part.orbit_codes))
+        codes = packed.Codes(3, field)
+        left = codes.generators("coadjoint", ("left",))
         for tau in enumerate_templates(3, field):
-            pool = {
-                lam for lam in bfs_double_orbit(tau.as_functional(), "coadjoint")
-                if in_delta(lam)
-            }
+            pool = {c for c in clusters[tau] if in_delta(part.points[c])}
             orbits = 0
             while pool:
-                pool -= bfs_left_orbit(next(iter(pool)))
+                pool -= codes.closure(next(iter(pool)), left)
                 orbits += 1
             assert orbits == decomp.terms.get(tau, 0)
     report(7, started, f"rank formula vs trace at {elements} elements; decomposition identities")

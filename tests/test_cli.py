@@ -154,6 +154,8 @@ def test_usage_errors_exit_2():
         ("tensor", "--n", "3", "--q", "2", "--factor", "1,3"),
         ("tensor", "--n", "3", "--q", "2", "--factor", "1,4,1"),
         ("tensor", "--n", "3", "--q", "3", "--factor", "1,3,x"),
+        ("verify", "--n", "5", "--q", "2", "--sample-pairs", "0"),
+        ("verify", "--n", "5", "--q", "2", "--sample-pairs", "-3"),
     ]
     for argv in bad:
         out = run(*argv)
@@ -184,6 +186,10 @@ def test_caps_env_override():
     assert out.returncode == 3
     bad = run("count", "--n", "3", "--q", "2", env={"SUPERCLUSTER_CAPS": "bogus=1"})
     assert bad.returncode == 2
+    # the group has as many points as the algebra, so "orbit" caps it too
+    gone = run("verify", "--n", "3", "--q", "2", env={"SUPERCLUSTER_CAPS": "group=10"})
+    assert gone.returncode == 2
+    assert "bad SUPERCLUSTER_CAPS entry 'group=10'" in gone.stderr
 
 
 def test_theorem_violation_exit_4(monkeypatch):

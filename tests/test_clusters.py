@@ -12,13 +12,9 @@ from supercluster.clusters import (
     cluster_size,
     coadjoint_template_of,
     enumerate_templates,
-    intersection_dim,
+    hat_dims,
     invariants_of,
-    lhat_dim,
     parse_template,
-    rank_invariant,
-    rank_invariant_dual,
-    rhat_dim,
     template_of_functional,
     template_of_matrix,
     window_ranks,
@@ -37,7 +33,7 @@ from supercluster.core import (
     nil_mul,
     positions,
 )
-from supercluster.oracle import bfs_double_orbit, enumerate_dual, enumerate_nil, orbit_partition
+from supercluster.oracle import enumerate_dual, enumerate_nil, orbit_partition
 
 
 def T(field, n, text):
@@ -105,25 +101,26 @@ def test_template_rejects_foreign_field(F2, F3, F4):
 
 # -- rank invariants ----------------------------------------------------------
 
-def test_rank_invariant_examples(F2):
-    assert rank_invariant(1, 3, NilMatrix(F2, 3, {})) == 0
-    assert rank_invariant(1, 3, e_ij(F2, 3, 1, 2) + e_ij(F2, 3, 2, 3)) == 2
-    assert rank_invariant(1, 2, e_ij(F2, 3, 1, 2) + e_ij(F2, 3, 1, 3)) == 1
-    assert rank_invariant(1, 2, e_ij(F2, 3, 1, 3)) == 0
-    assert rank_invariant_dual(2, 3, eps_ij(F2, 3, 1, 3)) == 1
-    with pytest.raises(ValueError):
-        rank_invariant(3, 2, NilMatrix(F2, 3, {}))
+def test_window_rank_examples(F2):
+    # window_ranks lists the windows (i, j) in positions order
+    pos = positions(3)
+    assert window_ranks(NilMatrix(F2, 3, {}))[pos.index((1, 3))] == 0
+    assert window_ranks(e_ij(F2, 3, 1, 2) + e_ij(F2, 3, 2, 3))[pos.index((1, 3))] == 2
+    assert window_ranks(e_ij(F2, 3, 1, 2) + e_ij(F2, 3, 1, 3))[pos.index((1, 2))] == 1
+    assert window_ranks(e_ij(F2, 3, 1, 3))[pos.index((1, 2))] == 0
+    assert window_ranks_dual(eps_ij(F2, 3, 1, 3))[pos.index((2, 3))] == 1
+    with pytest.raises(ValueError):  # no window (3, 2)
+        window_ranks(NilMatrix(F2, 3, {}))[pos.index((3, 2))]
 
 
-def test_rank_invariant_constant_on_clusters(F2):
-    for start in enumerate_nil(3, F2):
-        base = [rank_invariant(i, j, start) for (i, j) in positions(3)]
-        for x in bfs_double_orbit(start, "adjoint"):
-            assert [rank_invariant(i, j, x) for (i, j) in positions(3)] == base
-    for start in enumerate_dual(3, F2):
-        base = [rank_invariant_dual(i, j, start) for (i, j) in positions(3)]
-        for lam in bfs_double_orbit(start, "coadjoint"):
-            assert [rank_invariant_dual(i, j, lam) for (i, j) in positions(3)] == base
+def test_window_ranks_constant_on_clusters(F2):
+    for side, ranks in (("adjoint", window_ranks), ("coadjoint", window_ranks_dual)):
+        part = orbit_partition(3, F2, side)
+        members = part.members()
+        for start, oid in zip(part.points, part.ids):
+            base = ranks(start)
+            for x in members[oid]:
+                assert ranks(x) == base
 
 
 MOVES = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -157,8 +154,8 @@ def test_window_ranks_and_indices_survive_one_sided_moves(point):
     lam = Functional(field, n, entries)
     moved = coact_left(g, coact_right(lam, h))
     assert window_ranks_dual(moved) == window_ranks_dual(lam)
-    dims = (lhat_dim(lam), rhat_dim(lam), intersection_dim(lam))
-    assert (lhat_dim(moved), rhat_dim(moved), intersection_dim(moved)) == dims
+    dims = hat_dims(lam)
+    assert hat_dims(moved) == dims
     assert dims[0] == dims[1]
 
 
@@ -186,11 +183,11 @@ def test_d_is_sum_of_row_dims(F2):
 
 def test_orbit_space_dims_examples(F2):
     zero = Functional(F2, 3, {})
-    assert (lhat_dim(zero), rhat_dim(zero), intersection_dim(zero)) == (0, 0, 0)
+    assert hat_dims(zero) == (0, 0, 0)
     lam = eps_ij(F2, 3, 1, 3)
-    assert (lhat_dim(lam), rhat_dim(lam), intersection_dim(lam)) == (1, 1, 0)
+    assert hat_dims(lam) == (1, 1, 0)
     lam2 = eps_ij(F2, 3, 1, 3) + eps_ij(F2, 3, 1, 2)  # same cluster
-    assert (lhat_dim(lam2), rhat_dim(lam2), intersection_dim(lam2)) == (1, 1, 0)
+    assert hat_dims(lam2) == (1, 1, 0)
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (3, 3), (4, 2)])
@@ -198,10 +195,10 @@ def test_combinatorial_indices_match_rank_computation(n, q):
     field = field_make(q, 1)
     for tau in enumerate_templates(n, field):
         inv = invariants_of(tau)
-        lam = tau.as_functional()
-        assert lhat_dim(lam) == inv.d
-        assert rhat_dim(lam) == inv.d
-        assert intersection_dim(lam) == inv.i
+        lhat, rhat, both = hat_dims(tau.as_functional())
+        assert lhat == inv.d
+        assert rhat == inv.d
+        assert both == inv.i
 
 
 @pytest.mark.parametrize("n,q", [(3, 3), (4, 2)])
@@ -214,9 +211,7 @@ def test_orbit_space_dims_count_the_spans(n, q):
     for lam in enumerate_dual(n, field):
         lhat = {tuple(lam(nil_mul(e, y)) for e in basis) for y in nil}
         rhat = {tuple(lam(nil_mul(y, e)) for e in basis) for y in nil}
-        assert (len(lhat), len(rhat), len(lhat & rhat)) == (
-            q ** lhat_dim(lam), q ** rhat_dim(lam), q ** intersection_dim(lam)
-        )
+        assert (len(lhat), len(rhat), len(lhat & rhat)) == tuple(q**d for d in hat_dims(lam))
 
 
 # -- sizes --------------------------------------------------------------------
@@ -249,9 +244,13 @@ def test_adjoint_cluster_sizes_n3_q2(F2):
 @pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (3, 3)])
 def test_sizes_match_bfs(n, q):
     field = field_make(q, 1)
+    dual_part = orbit_partition(n, field, "coadjoint")
+    dual_sizes = dict(zip(dual_part.representatives, dual_part.orbit_sizes()))
+    nil_part = orbit_partition(n, field, "adjoint")
+    nil_sizes = dict(zip(nil_part.representatives, nil_part.orbit_sizes()))
     for tau in enumerate_templates(n, field):
-        assert cluster_size(tau) == len(bfs_double_orbit(tau.as_functional(), "coadjoint"))
-        assert adjoint_cluster_size(tau) == len(bfs_double_orbit(tau.as_matrix(), "adjoint"))
+        assert cluster_size(tau) == dual_sizes[tau]
+        assert adjoint_cluster_size(tau) == nil_sizes[tau]
 
 
 @pytest.mark.parametrize(
@@ -266,8 +265,10 @@ def test_adjoint_sizes_match_the_adjoint_partition(n, p, k):
 
 def test_cluster_elements_match_bfs(F2, F3):
     for field in (F2, F3):
+        part = orbit_partition(3, field, "coadjoint")
+        orbits = dict(zip(part.representatives, part.members()))
         for tau in enumerate_templates(3, field):
-            assert set(cluster_elements(tau)) == bfs_double_orbit(tau.as_functional(), "coadjoint")
+            assert set(cluster_elements(tau)) == set(orbits[tau])
 
 
 # -- primary decomposition ----------------------------------------------------

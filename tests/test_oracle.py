@@ -33,17 +33,17 @@ from supercluster.discrete import in_delta
 from supercluster.errors import InvariantViolation, ResourceCapExceeded
 from supercluster.oracle import (
     OracleContext,
-    bfs_double_orbit,
-    bfs_left_orbit,
     brute_char_value,
     brute_delta_value,
     brute_inner,
     brute_tensor,
+    column_products,
     enumerate_dual,
     enumerate_group,
     enumerate_nil,
     orbit_partition,
     product_mismatch,
+    sum_mismatch,
 )
 
 
@@ -64,10 +64,13 @@ def test_enumeration_cap():
 
 
 def test_bfs_examples(F2):
+    part = orbit_partition(3, F2, "coadjoint")
+    members = part.members()
+    orbit_of = {lam: set(members[oid]) for lam, oid in zip(part.points, part.ids)}
     zero = Functional(F2, 3, {})
-    assert bfs_double_orbit(zero) == {zero}
+    assert orbit_of[zero] == {zero}
     e13 = eps_ij(F2, 3, 1, 3)
-    cluster = bfs_double_orbit(e13)
+    cluster = orbit_of[e13]
     assert cluster == {
         e13,
         e13 + eps_ij(F2, 3, 1, 2),
@@ -75,7 +78,10 @@ def test_bfs_examples(F2):
         e13 + eps_ij(F2, 3, 1, 2) + eps_ij(F2, 3, 2, 3),
     }
     # the adjoint cluster of e12 + e23 only reaches (1,3) shifts: 2 elements
-    adj = bfs_double_orbit(e_ij(F2, 3, 1, 2) + e_ij(F2, 3, 2, 3), "adjoint")
+    part = orbit_partition(3, F2, "adjoint")
+    members = part.members()
+    orbit_of = {x: set(members[oid]) for x, oid in zip(part.points, part.ids)}
+    adj = orbit_of[e_ij(F2, 3, 1, 2) + e_ij(F2, 3, 2, 3)]
     assert adj == {
         e_ij(F2, 3, 1, 2) + e_ij(F2, 3, 2, 3),
         e_ij(F2, 3, 1, 2) + e_ij(F2, 3, 2, 3) + e_ij(F2, 3, 1, 3),
@@ -84,7 +90,9 @@ def test_bfs_examples(F2):
 
 def test_left_orbit(F2):
     e13 = eps_ij(F2, 3, 1, 3)
-    assert bfs_left_orbit(e13) == {e13, e13 + eps_ij(F2, 3, 1, 2)}
+    codes = packed.Codes(3, F2)
+    orbit = codes.closure(codes.encode(e13), codes.generators("coadjoint", ("left",)))
+    assert {codes.point("coadjoint", c) for c in orbit} == {e13, e13 + eps_ij(F2, 3, 1, 2)}
 
 
 def test_orbit_partition_structure(F2):
@@ -94,6 +102,15 @@ def test_orbit_partition_structure(F2):
     assert sorted(part.orbit_sizes()) == [1, 1, 1, 1, 4]
     texts = sorted(t.text() for t in part.representatives)
     assert texts == ["(1,2)=1", "(1,2)=1;(2,3)=1", "(1,3)=1", "(2,3)=1", "0"]
+
+
+def test_partition_rejects_an_orbit_with_two_rook_points(F2):
+    """The uniqueness half of the classification: with the code of
+    eps13 + eps12 counted as a rook point, eps13's orbit holds two."""
+    codes = packed.Codes(3, F2)
+    codes.rooks = codes.rooks | {codes.encode(eps_ij(F2, 3, 1, 3) + eps_ij(F2, 3, 1, 2))}
+    with pytest.raises(InvariantViolation, match="contains 2 rook points, expected 1"):
+        codes.partition("coadjoint")
 
 
 def test_brute_char_rows_n3_q2(F2):
@@ -119,19 +136,20 @@ def test_brute_inner_examples(F2):
     assert brute_inner(chi(t13), chi(t13), ctx) == 1
     assert brute_inner(chi(t0), chi(t13), ctx) == 0
     with pytest.raises(ResourceCapExceeded):
-        brute_inner(chi(t0), chi(t0), ctx, cap=7)
+        OracleContext(3, F2, cap=7)
 
 
 def test_left_orbit_spans_group_algebra_dimension(F2, F3):
     # total dimension of the orbit modules is the group order
     for field in (F2, F3):
-        part = orbit_partition(3, field, "coadjoint")
+        codes = packed.Codes(3, field)
+        left = codes.generators("coadjoint", ("left",))
         seen = set()
         total = 0
-        for lam in part.points:
-            if lam in seen:
+        for c in range(codes.size):
+            if c in seen:
                 continue
-            orbit = bfs_left_orbit(lam)
+            orbit = codes.closure(c, left)
             seen |= orbit
             total += len(orbit)
         assert total == field.q**3
@@ -142,6 +160,26 @@ def test_fixed_point_criterion_exhaustive(F2, F3):
         ctx = OracleContext(3, field)
         for x in enumerate_templates(3, field):
             assert ctx.criterion_counterexample(x) is None
+
+
+def test_criterion_counterexample_reads_every_row_code(monkeypatch, F3):
+    """A fixed-point rule wrong only on the last code of row 1 is caught,
+    at the functional whose row 1 is that code and whose other rows are 0."""
+    rule = packed.Codes.rule
+
+    def wrong_on_the_last_row_1_code(codes, checks, trace_row):
+        decide = rule(codes, checks, trace_row)
+        if len(checks) != codes.n - 2:  # row k is checked against rows k+1 .. n-1
+            return decide
+        last = codes.row_blocks[0][1] - 1
+        return lambda c: (0 if decide(c) is None else None) if c == last else decide(c)
+
+    monkeypatch.setattr(packed.Codes, "rule", wrong_on_the_last_row_1_code)
+    ctx = OracleContext(3, F3)
+    lam = ctx.criterion_counterexample(T(F3, 3, "0"))
+    assert lam is not None
+    codes = ctx.codes
+    assert codes.rows(codes.encode(lam)) == (codes.row_blocks[0][1] - 1, 0)
 
 
 def test_brute_delta_matches_rank_formula(F2):
@@ -292,6 +330,19 @@ def test_product_mismatch_finds_the_first_wrong_column(p, k):
     assert later > 0  # the identity column alone would not show "first"
 
 
+def test_sum_mismatch_compares_every_power_of_z(F3):
+    """A target that differs from a row only in its z^1 coefficient, at the
+    first column, is caught there; the row's own products are not."""
+    ctx = OracleContext(3, F3)
+    rows, cols, _ = ctx.table
+    tau = T(F3, 3, "(1,3)=1")
+    assert tau in rows
+    target = column_products(ctx, [tau])
+    assert sum_mismatch(ctx, {tau: 1}, target) is None
+    target[0][1] += 1
+    assert sum_mismatch(ctx, {tau: 1}, target) == cols[0]
+
+
 N3_FIELDS = [(2, 2), (2, 3), (3, 2)]
 
 
@@ -320,17 +371,17 @@ def test_rewrite_counting_and_brute_routes_agree_on_random_pairs(n3_contexts, da
 @pytest.mark.parametrize("n,p,k", [(3, 3, 1), (4, 2, 1), (3, 2, 2)])
 def test_partition_keys_are_the_enumerated_points(n, p, k):
     """A point's key is its code, its place in points; ids[c] is its orbit,
-    the one whose representative its BFS double orbit holds."""
+    the one whose representative the closure of c under both actions holds."""
     field = field_make(p, k)
     codes = packed.Codes(n, field)
     for side in ("adjoint", "coadjoint"):
         part = orbit_partition(n, field, side)
         assert len(part.ids) == len(part.points) == codes.size
         assert [codes.encode(x) for x in part.points] == list(range(codes.size))
-        for x, oid in list(zip(part.points, part.ids))[:: max(1, codes.size // 40)]:
-            rep = part.representatives[oid]
-            rook = rep.as_matrix() if side == "adjoint" else rep.as_functional()
-            assert rook in bfs_double_orbit(x, side)
+        moves = codes.generators(side)
+        for c, oid in list(enumerate(part.ids))[:: max(1, codes.size // 40)]:
+            rook = codes.encode_template(part.representatives[oid])
+            assert rook in codes.closure(c, moves)
 
 
 def test_members_group_the_points_by_orbit(F2, F3):
@@ -345,13 +396,13 @@ def test_members_group_the_points_by_orbit(F2, F3):
 
 def test_context_reads_the_enumerations_from_its_partitions(F3):
     ctx = OracleContext(3, F3)
-    assert ctx.nil is ctx.adjoint.points and ctx.nil == enumerate_nil(3, F3)
-    assert ctx.dual is ctx.coadjoint.points and ctx.dual == enumerate_dual(3, F3)
+    assert ctx.adjoint.points == enumerate_nil(3, F3)
+    assert ctx.coadjoint.points == enumerate_dual(3, F3)
     group = ctx.group()
     assert group == enumerate_group(3, F3)
-    assert all(g.off is x for g, x in zip(group, ctx.nil))
+    assert all(g.off is x for g, x in zip(group, ctx.adjoint.points))
     with pytest.raises(ResourceCapExceeded):
-        ctx.group(cap=26)
+        OracleContext(3, F3, cap=26)
     x = ctx.adjoint.representatives[-1]
     assert ctx.column(x) is ctx.column(x) and ctx.column(x) == UniMatrix(x.as_matrix())
 
@@ -447,7 +498,10 @@ def test_binned_traces_equal_summed_roots_of_unity(case):
     scaling of the cluster sum shows whenever i > 0."""
     n, p, k, tau, g = case
     q = p**k
-    orbit = bfs_left_orbit(tau.as_functional())
+    codes = codes_of(n, p, k)
+    start = codes.encode_template(tau)
+    left = codes.generators("coadjoint", ("left",))
+    orbit = [codes.point("coadjoint", c) for c in codes.closure(start, left)]
     covering = covering_duals(n, p, k)
     inv = invariants_of(tau)
     ctx = OracleContext(n, tau.field)
@@ -461,6 +515,9 @@ def test_binned_traces_equal_summed_roots_of_unity(case):
 
 
 # -- the discrete-series trace over trace masks ---------------------------------
+#
+# The test_row_trie_* names are older than the trace masks these tests now
+# exercise; they are kept so that the test ids stay stable.
 
 def per_pair_delta(g, lams):
     """The sum of z^trace(lam(g-I)) over the row-covering members fixes_left
@@ -488,7 +545,7 @@ def test_row_trie_trace_equals_the_per_pair_trace(n, p, k):
         assert brute_delta_value(g, ctx) == want
         assert masks_delta(g, covering) == want
         if m % max(1, len(group) // 16) == 0:  # this one filters the whole dual space
-            assert masks_delta(g, ctx.dual) == want
+            assert masks_delta(g, ctx.coadjoint.points) == want
 
 
 # (n, p, k) over GF(2), GF(3), GF(4), GF(5), GF(8), GF(9), n <= 4, at most 4^6 points
@@ -518,7 +575,7 @@ def delta_lists(draw):
     g = UniMatrix(off)
     member = st.one_of(
         st.sampled_from(covering_duals(n, p, k)),
-        st.sampled_from(delta_context(n, p, k).dual),
+        st.sampled_from(delta_context(n, p, k).coadjoint.points),
     )
     lams = draw(st.lists(member, max_size=24))
     lams += draw(st.lists(st.sampled_from(lams), max_size=6)) if lams else []

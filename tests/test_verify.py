@@ -66,13 +66,13 @@ def test_delta_check_filters_the_dual_space_once(monkeypatch):
     counted(oracle, "brute_delta_value")
     ctx = oracle.OracleContext(4, field_make(2, 1))
     for _ in range(2):
-        ok, _ = verify._check_delta_value(ctx, oracle.DEFAULT_MAX_SPACE)
+        ok, _ = verify._check_delta_value(ctx)
         assert ok
     assert calls["supercluster.oracle.brute_delta_value"] == 2 * 64
     assert not any(calls[f"supercluster.core.{name}"] for name in actions)
     assert len(traced) == 1 and len(traced[0]) == 21
     monkeypatch.undo()
-    covering = [c for c, lam in enumerate(ctx.dual) if discrete.in_delta(lam)]
+    covering = [c for c, lam in enumerate(ctx.coadjoint.points) if discrete.in_delta(lam)]
     assert traced[0] == covering
 
 
@@ -299,7 +299,7 @@ def test_a_crashing_check_in_the_child_lane_fails_and_reports(monkeypatch, capsy
     def broken(lam):  # only Thm4.2 calls it, whatever the module memos hold
         raise ValueError("no orbit-space dimensions")
 
-    monkeypatch.setattr(clusters, "_hat_dims", broken)
+    monkeypatch.setattr(clusters, "hat_dims", broken)
     code, out, err = _verify_cli(capsys, "--jobs", jobs)
     lines = out.splitlines()
     assert code == 4
@@ -327,8 +327,7 @@ def test_a_dead_child_fails_the_checks_it_did_not_report(monkeypatch, capsys, de
 
 
 @pytest.mark.parametrize("caps", [
-    ("--cap-orbit", "10"),  # the partitions of the warm-up
-    ("--cap-group", "10"),  # the group of the warm-up
+    ("--cap-orbit", "10"),  # the context's one space cap, met before the warm-up
 ])
 def test_a_cap_in_the_warm_up_ends_the_run_as_with_one_job(monkeypatch, capsys, caps):
     one = _verify_cli(capsys, *caps, "--jobs", "1")
@@ -340,6 +339,19 @@ def test_a_cap_in_the_warm_up_ends_the_run_as_with_one_job(monkeypatch, capsys, 
     two = _verify_cli(capsys, *caps, "--jobs", "2")
     assert one == two and started == []  # no lane started
     assert one[0] == 3 and one[1] == "" and one[2].startswith("resource cap exceeded: ")
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_the_space_cap_admits_a_space_of_its_size(capsys, jobs):
+    """(3,2) has 2^3 = 8 points in the algebra, the dual and the group:
+    --cap-orbit 8 certifies it, and 7 ends the run before any check."""
+    small = ("--n", "3", "--q", "2")
+    code, out, _ = _verify_cli(capsys, "--cap-orbit", "8", "--jobs", jobs, args=small)
+    assert code == 0 and out.endswith("overall PASS\n")
+    assert _verify_cli(capsys, "--cap-orbit", "7", "--jobs", jobs, args=small) == (
+        3, "", "resource cap exceeded: space of size 8 exceeds the cap 7\n"
+    )
     _assert_no_child_left()
 
 
