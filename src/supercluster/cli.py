@@ -27,7 +27,7 @@ from .gf import DEFAULT_MAX_Q, Field, field_make, is_prime
 DEFAULT_CAPS = {
     "orbit": oracle.DEFAULT_MAX_SPACE,  # points in the algebra, in its dual and in the group
     "pairs": tensor.DEFAULT_MAX_PAIRS,  # cluster-pair products in the counting route
-    "table": DEFAULT_MAX_TABLE,         # character table rows
+    "table": DEFAULT_MAX_TABLE,         # character table rows, in table and verify
     "q": DEFAULT_MAX_Q,                 # field size
 }
 
@@ -53,9 +53,8 @@ def _caps_from_env(caps: dict) -> dict:
     return caps
 
 
-def _add_common(sub: argparse.ArgumentParser, with_n: bool = True) -> None:
-    if with_n:
-        sub.add_argument("--n", type=int, required=True, help="matrix size n >= 1")
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--n", type=int, required=True, help="matrix size n >= 1")
     sub.add_argument("--p", type=int, help="field characteristic (prime)")
     sub.add_argument("--k", type=int, default=1, help="extension degree (default 1)")
     sub.add_argument("--q", type=int, help="shorthand for a prime field of size q")
@@ -82,7 +81,7 @@ def _config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunCon
         p, k = args.p, args.k
     else:
         parser.error("a field is required: --q Q or --p P [--k K]")
-    n = getattr(args, "n", 1)
+    n = args.n
     if n < 1:
         parser.error("--n must be >= 1")
     caps = dict(DEFAULT_CAPS)
@@ -228,6 +227,7 @@ def _run_verify(cfg: RunConfig, sample_pairs: int, emit_golden: str | None, jobs
         sample_pairs=sample_pairs,
         seed=cfg.seed,
         jobs=jobs,
+        cap_table=cfg.caps["table"],
     )
     if emit_golden:
         verify.write_golden(emit_golden, verify.emit_golden(cfg.n, field, cfg.caps["orbit"]))

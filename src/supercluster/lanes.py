@@ -1,47 +1,36 @@
 """verify's checks in two processes, for run_verify with jobs >= 2.
 
 verify loads this module only on that path, so the commands that never
-fork do not compile it.  warm_up builds the oracle data every check reads
-before the fork, so that the child shares it copy-on-write.
-run_in_lanes then forks one child for lane B, the checks that draw nothing
-from the run's rng; the parent runs lane A meanwhile.  The child writes one
-JSON line per check to a pipe and leaves through os._exit; the parent
-reads the pipe to its end, reaps the child and writes the child's
-tracebacks to its own stderr.
+fork do not compile it.  run_in_lanes builds the oracle context's brute
+table (and with it both partitions) before the fork, so that the child
+shares it copy-on-write, then forks one child for lane B, the checks that
+draw nothing from the run's rng; the parent runs lane A meanwhile.  The
+child writes one JSON line per outcome to a pipe and leaves through
+os._exit.  The parent reads the pipe to its end, reaps the child and hands
+both lanes' outcomes to verify._report, the one path that reports a run
+with any jobs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import signal
-import sys
 
-from .errors import ResourceCapExceeded
-from .verify import _outcomes, _run_here
-
-
-def warm_up(ctx) -> None:
-    """Build the partitions and the brute table of ctx in the order the
-    checks first use them.  An error here is left for the checks to meet
-    and report."""
-    for build in (lambda: ctx.adjoint, lambda: ctx.coadjoint, lambda: ctx.table):
-        try:
-            build()
-        except Exception:
-            pass
+from .verify import _outcomes, _report
 
 
 def _run_child(lane, fd: int):
     """The forked child's whole life: run lane, write one JSON line
-    [key, passed, detail, traceback text] per check to fd (passed is null
-    for a cap, which ends the lane), and leave through os._exit, so that
-    nothing of the parent's stack, buffers or exit handlers runs here."""
+    [key, [passed, detail, traceback text]] per check to fd, and leave
+    through os._exit, so that nothing of the parent's stack, buffers or
+    exit handlers runs here."""
     status = 1
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as out:
-            for key, ok, detail, tb in _outcomes(lane):
-                out.write(json.dumps([key, ok, str(detail), tb]) + "\n")
+            for outcome in _outcomes(lane):
+                out.write(json.dumps(outcome) + "\n")
                 out.flush()
         status = 0
     finally:
@@ -54,14 +43,13 @@ def _exit_text(status: int) -> str:
     return f"check process {how} before reporting"
 
 
-def run_in_lanes(checks, parent_keys) -> dict:
-    """{key: (passed, detail)} of every (key, check) of checks; those named
+def run_in_lanes(ctx, checks, parent_keys) -> list:
+    """verify._report of every (key, check) of checks over ctx; those named
     in parent_keys (lane A) run here, in their order, the others (lane B)
-    in one forked child.  Should a check hit a resource cap, the cap a
-    single lane would have met first (the earliest in check order) is
-    raised, once the child has been killed and reaped.  A check the child
-    did not report before it ended fails with the child's exit status."""
-    position = {key: i for i, (key, _) in enumerate(checks)}
+    in one forked child.  A check the child did not report before it
+    ended fails with the child's exit status."""
+    with contextlib.suppress(Exception):  # an error here is met and reported by a check
+        ctx.table  # built here, the child shares it copy-on-write
     lane_a = [(key, check) for key, check in checks if key in parent_keys]
     lane_b = [(key, check) for key, check in checks if key not in parent_keys]
     read_fd, write_fd = os.pipe()
@@ -75,35 +63,13 @@ def run_in_lanes(checks, parent_keys) -> dict:
         os.close(read_fd)
         _run_child(lane_b, write_fd)
     os.close(write_fd)
-    outcomes = {}
-    reaped = False
     try:
         with os.fdopen(read_fd, encoding="utf-8") as pipe:
-            capped = _run_here(lane_a, outcomes)  # (key, cap) of the earliest cap met
-            # After a cap here, only the child's checks before it still count.
-            lines = iter(pipe)
-            while capped is None or any(
-                position[key] < position[capped[0]] and key not in outcomes
-                for key, _ in lane_b
-            ):
-                line = next(lines, "")
-                if not line.endswith("\n"):  # the child ended, maybe mid-line
-                    break
-                key, ok, detail, tb = json.loads(line)
-                if ok is None:
-                    if capped is None or position[key] < position[capped[0]]:
-                        capped = (key, ResourceCapExceeded(detail))
-                    break
-                sys.stderr.write(tb)
-                outcomes[key] = (ok, detail)
-        if capped is not None:
-            raise capped[1]
-        status = os.waitpid(pid, 0)[1]
-        reaped = True
-    finally:
-        if not reaped:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    for key, _ in lane_b:
-        outcomes.setdefault(key, (False, _exit_text(status)))
-    return outcomes
+            outcomes = dict(_outcomes(lane_a))
+            # a line the child did not end was cut short when it died
+            outcomes.update(json.loads(line) for line in pipe if line.endswith("\n"))
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    return _report(checks, outcomes, _exit_text(os.waitpid(pid, 0)[1]))

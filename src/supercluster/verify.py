@@ -7,9 +7,10 @@ sample size is part of the reported detail.  A falsified identity is
 reported as a failure (the CLI turns it into exit code 4) rather than
 raising out of the run, and so is any other exception a check raises, as
 "<type>: <text>" with its traceback on stderr; only ResourceCapExceeded
-ends the run (exit 3).  The space cap is met before any check: the
-algebra, its dual and the group all have q^(n(n-1)/2) points, and the
-oracle context checks that size against cap_orbit when it is made.
+ends the run (exit 3).  Two caps are met before any check: the algebra,
+its dual and the group all have q^(n(n-1)/2) points, which the oracle
+context checks against cap_orbit when it is made, and the table's B(n, q)
+rows are checked against cap_table.
 
 run_verify makes one oracle.OracleContext per run and hands it to every
 check that reads the oracle, since every oracle entry point that reads a
@@ -29,15 +30,19 @@ orbits in the row-covering part of each row's cluster with the context,
 which reads the cluster from the coadjoint partition instead of walking
 it again.
 
-No check reads another's result, so with jobs >= 2 (and os.fork) the
-checks run in two fixed lanes (supercluster.lanes).  Lane A, in the calling
+Every check runs in _outcomes, which yields its outcome (passed, detail,
+traceback text, with passed None for a cap, which ends the lane), and
+every run is reported by _report, which walks the checks in their order:
+it writes each traceback to stderr, raises the first cap and fails a check
+with no outcome.  jobs = 1 runs every check in the calling process.  No
+check reads another's result, so with jobs >= 2 (and os.fork) the checks
+run in two fixed lanes (supercluster.lanes).  Lane A, in the calling
 process, holds the only checks that draw from the run's one
 random.Random(seed), RNG_CHECKS, in their usual order, so every sample is
 the one a single lane takes; lane B, the other eight, runs in one forked
-child over the context the parent warmed before the fork.  The report is
-the same for every jobs, and so is the exit: a cap in either lane ends the
-run with the cap a single lane would have met first.  jobs = 1 runs every
-check in the calling process.  The engine starts no thread; fork copies
+child.  Each lane stops at its first cap, so the first cap in check order
+is the one a single lane meets, and the report, the stderr and the exit
+are the same for every jobs.  The engine starts no thread; fork copies
 only the calling thread, so a caller running threads of its own passes
 jobs = 1.
 """
@@ -51,7 +56,9 @@ import sys
 from dataclasses import dataclass
 
 from . import clusters, discrete, oracle, tensor
-from .characters import build_table, char_value_closed, char_value_sum, verify_axioms
+from .characters import (
+    DEFAULT_MAX_TABLE, build_table, char_value_closed, char_value_sum, verify_axioms,
+)
 from .clusters import Template
 from .core import UniMatrix, act_left, act_right, coact_left, coact_right, positions
 from .cyclotomic import Cyclotomic
@@ -231,8 +238,8 @@ def _check_closed_formula(ctx):
     return True, f"closed form equals the trace on all {len(rows)}x{len(cols)} cells"
 
 
-def _check_axioms(ctx):
-    table = build_table(ctx.n, ctx.field)
+def _check_axioms(ctx, cap_table):
+    table = build_table(ctx.n, ctx.field, cap_table)
     part = ctx.adjoint
     sizes = dict(zip(part.representatives, part.orbit_sizes()))
     for col, size in zip(table.cols, table.col_sizes):
@@ -347,37 +354,39 @@ RNG_CHECKS = ("Thm6.2", "Thm3.5", "Thm8.6")
 
 
 def _outcomes(lane):
-    """Run each (key, check) of lane in turn and yield (key, passed, detail,
-    traceback text) for it.  A check that hits a resource cap yields
-    (key, None, the ResourceCapExceeded, "") and ends the lane."""
+    """Run each (key, check) of lane in turn and yield (key, (passed,
+    detail, traceback text)) for it.  A check that hits a resource cap
+    yields (key, (None, the cap's text, "")) and ends the lane."""
     for key, check in lane:
-        tb, capped = "", None
+        tb = ""
         try:
             ok, detail = check()
         except InvariantViolation as exc:
             ok, detail = False, str(exc)
         except ResourceCapExceeded as exc:
-            capped = exc
+            ok, detail = None, str(exc)
         except Exception as exc:  # a crashing fast path fails its check, not the run
             import traceback  # loaded only on this path, off the CLI's start-up
 
             ok, detail, tb = False, f"{type(exc).__name__}: {exc}", traceback.format_exc()
-        if capped is not None:
-            yield key, None, capped, ""
-            return
-        yield key, ok, detail, tb
-
-
-def _run_here(lane, outcomes: dict):
-    """Run lane in this process into outcomes[key] = (passed, detail), each
-    traceback to stderr.  Returns (key, ResourceCapExceeded) of a cap that
-    ended the lane, else None."""
-    for key, ok, detail, tb in _outcomes(lane):
+        yield key, (ok, detail, tb)
         if ok is None:
-            return key, detail
+            return
+
+
+def _report(checks, outcomes: dict, missing: str) -> list[VerifyCheck]:
+    """One VerifyCheck per (key, check) of checks, in their order, from
+    outcomes[key] = (passed, detail, traceback text): each traceback goes
+    to stderr, the first cap (passed None) is raised, and a check with no
+    outcome fails with the text missing."""
+    results = []
+    for key, _ in checks:
+        ok, detail, tb = outcomes.get(key, (False, missing, ""))
+        if ok is None:
+            raise ResourceCapExceeded(detail)
         sys.stderr.write(tb)
-        outcomes[key] = (ok, detail)
-    return None
+        results.append(VerifyCheck(key, ok, detail))
+    return results
 
 
 def run_verify(
@@ -388,15 +397,20 @@ def run_verify(
     sample_pairs: int = 200,
     seed: int = 0,
     jobs: int = 1,
+    cap_table: int = DEFAULT_MAX_TABLE,
 ) -> VerifyReport:
     """Run the full certification suite for one (n, q) over one oracle context.
 
     With jobs >= 2, where os.fork exists, the checks run in two lanes (see
     the module docstring); the report is the same for every jobs.  A space
-    larger than cap_orbit raises ResourceCapExceeded before any check runs.
+    larger than cap_orbit, or a table of more than cap_table rows, raises
+    ResourceCapExceeded before any check runs.
     """
     rng = random.Random(seed)
     ctx = oracle.OracleContext(n, field, cap_orbit)
+    rows = clusters.bell_poly(n, field.q)
+    if rows > cap_table:
+        raise ResourceCapExceeded(f"table would have {rows} rows, cap is {cap_table}")
     checks = [
         ("Thm5.1", lambda: _check_counting(n, field)),
         ("Thm4.1", lambda: _check_adjoint_classification(ctx)),
@@ -404,7 +418,7 @@ def run_verify(
         ("Thm6.2", lambda: _check_sizes_and_degrees(ctx, rng)),
         ("Thm3.5", lambda: _check_character_sum(ctx, rng)),
         ("A.1", lambda: _check_closed_formula(ctx)),
-        ("A.2", lambda: _check_axioms(ctx)),
+        ("A.2", lambda: _check_axioms(ctx, cap_table)),
         ("Thm7.1", lambda: _check_primary_factorization(ctx)),
         ("Thm8.6", lambda: _check_tensor_ring(ctx, cap_pairs, sample_pairs, rng)),
         ("Thm9.1", lambda: _check_delta_value(ctx)),
@@ -413,14 +427,9 @@ def run_verify(
     if jobs >= 2 and hasattr(os, "fork"):
         from . import lanes  # loaded only on this path, off the CLI's start-up
 
-        lanes.warm_up(ctx)
-        outcomes = lanes.run_in_lanes(checks, RNG_CHECKS)
+        results = lanes.run_in_lanes(ctx, checks, RNG_CHECKS)
     else:
-        outcomes = {}
-        capped = _run_here(checks, outcomes)
-        if capped is not None:
-            raise capped[1]
-    results = [VerifyCheck(key, *outcomes[key]) for key, _ in checks]
+        results = _report(checks, dict(_outcomes(checks)), "check did not run")
     return VerifyReport(n=n, p=field.p, k=field.k, checks=results)
 
 

@@ -128,9 +128,10 @@ MOVES = settings(derandomize=True, database=None, deadline=None, max_examples=60
 
 @st.composite
 def moved_point(draw):
-    """(x, g, h) over GF(3), GF(4) or GF(5), n = 3..5: a point and two group
-    elements, as index lists over positions(n), about half of them 0."""
-    field = draw(st.sampled_from([field_make(3, 1), field_make(2, 2), field_make(5, 1)]))
+    """(x, g, h) over GF(3), GF(4), GF(5) or GF(9), n = 3..5: a point and two
+    group elements, as index lists over positions(n), about half of them 0."""
+    fields = [field_make(3, 1), field_make(2, 2), field_make(5, 1), field_make(3, 2)]
+    field = draw(st.sampled_from(fields))
     n = draw(st.sampled_from((3, 4, 5)))
     digit = st.one_of(st.just(0), st.integers(0, field.q - 1))
 
@@ -157,6 +158,28 @@ def test_window_ranks_and_indices_survive_one_sided_moves(point):
     dims = hat_dims(lam)
     assert hat_dims(moved) == dims
     assert dims[0] == dims[1]
+
+
+@MOVES
+@given(moved_point())
+def test_templates_and_witnesses_survive_one_sided_moves(point):
+    # g.x.h and g.lam.h have the template of x and of lam, and each sweep's
+    # witnesses carry the point it was given onto the template it returns
+    field, n, entries, g, h = point
+    x = NilMatrix(field, n, entries)
+    templates = set()
+    for y in (x, act_right(act_left(g, x), h)):
+        t, g2, h2 = adjoint_template_of(y)
+        assert template_of_matrix(act_right(act_left(g2, y), h2)) == t
+        templates.add(t)
+    assert len(templates) == 1
+    lam = Functional(field, n, entries)
+    templates = set()
+    for mu in (lam, coact_left(g, coact_right(lam, h))):
+        tau, g2, h2 = coadjoint_template_of(mu)
+        assert template_of_functional(coact_left(g2, coact_right(mu, h2))) == tau
+        templates.add(tau)
+    assert len(templates) == 1
 
 
 # -- invariants ---------------------------------------------------------------

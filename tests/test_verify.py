@@ -379,3 +379,73 @@ def test_a_cap_inside_a_lane_ends_the_run_as_with_one_job(
     assert one == (3, "", f"resource cap exceeded: {message}\n")
     assert _verify_cli(capsys, "--jobs", "2") == one
     _assert_no_child_left()
+
+
+def _adjoint_crash(*args):  # stands in for Thm4.1, in lane B
+    raise ValueError("lane B")
+
+
+def _sizes_crash(*args):  # stands in for Thm6.2, in lane A
+    raise KeyError("lane A")
+
+
+@pytest.mark.parametrize("caps, expected", [
+    ("table=10", (3, "", "resource cap exceeded: table would have 15 rows, cap is 10\n")),
+    ("table=15", None),
+])
+def test_the_table_cap_bounds_verify_before_any_check(monkeypatch, capsys, caps, expected):
+    """(4,2) has B(4, 2) = 15 table rows: a table cap of 10 in
+    SUPERCLUSTER_CAPS ends the run with the message of table, before any
+    check or fork, and a cap of 15 admits it, with one job or two."""
+    monkeypatch.setenv("SUPERCLUSTER_CAPS", caps)
+    started = []
+    counting = verify._check_counting
+    monkeypatch.setattr(verify, "_check_counting", lambda *a: started.append(1) or counting(*a))
+    small = ("--n", "4", "--q", "2")
+    for jobs in ("1", "2"):
+        code, out, err = _verify_cli(capsys, "--jobs", jobs, args=small)
+        if expected is None:
+            assert code == 0 and out.endswith("overall PASS\n") and err == ""
+        else:
+            assert (code, out, err) == expected and started == []
+        _assert_no_child_left()
+
+
+def test_crashes_in_both_lanes_report_their_tracebacks_in_check_order(
+    monkeypatch, capsys, deadline
+):
+    """Thm4.1 (lane B) and Thm6.2 (lane A) raising give the same exit 4,
+    stdout and stderr with one job or two, the Thm4.1 traceback first."""
+    monkeypatch.setattr(verify, "_check_adjoint_classification", _adjoint_crash)
+    monkeypatch.setattr(verify, "_check_sizes_and_degrees", _sizes_crash)
+    one = _verify_cli(capsys, "--jobs", "1")
+    assert _verify_cli(capsys, "--jobs", "2") == one
+    code, out, err = one
+    assert code == 4
+    failed = [line for line in out.splitlines() if " FAIL " in line]
+    assert failed == ["Thm4.1 FAIL ValueError: lane B", "Thm6.2 FAIL KeyError: 'lane A'"]
+    assert err.count("Traceback") == 2
+    assert err.index("in _adjoint_crash") < err.index("in _sizes_crash")
+    _assert_no_child_left()
+
+
+def test_a_crash_before_a_cap_reports_its_traceback_then_the_cap(monkeypatch, capsys, deadline):
+    """Thm4.1 (lane B) raising and Thm8.6 (lane A) capping give exit 3,
+    empty stdout, and on stderr the Thm4.1 traceback and then the cap line,
+    with one job or two."""
+    from supercluster.errors import ResourceCapExceeded
+
+    def tensor_cap(*args):
+        raise ResourceCapExceeded("lane A")
+
+    monkeypatch.setattr(verify, "_check_adjoint_classification", _adjoint_crash)
+    monkeypatch.setattr(verify, "_check_tensor_ring", tensor_cap)
+    one = _verify_cli(capsys, "--jobs", "1")
+    assert _verify_cli(capsys, "--jobs", "2") == one
+    code, out, err = one
+    assert (code, out) == (3, "")
+    traceback, cap = err[: err.rindex("resource cap")], err[err.rindex("resource cap"):]
+    assert traceback.startswith("Traceback") and traceback.count("Traceback") == 1
+    assert traceback.endswith("ValueError: lane B\n") and "in _adjoint_crash" in traceback
+    assert cap == "resource cap exceeded: lane A\n"
+    _assert_no_child_left()
