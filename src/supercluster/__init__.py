@@ -7,6 +7,7 @@ d/i indices), characters (cyclotomic character tables), tensor (the product
 ring), discrete (the discrete-series decomposition), oracle + verify
 (brute-force certification; packed is the oracle's integer encoding, lanes
 runs verify's checks in two processes), cli (the command line).
+clear_memos() empties every module-level memo of the engine.
 """
 
 from .gf import Field, FieldElement, field_make
@@ -68,3 +69,15 @@ from .errors import InvariantViolation, ResourceCapExceeded
 from . import util  # noqa: F401
 
 __version__ = "0.1.0"
+
+
+def clear_memos() -> None:
+    """Empty every module-level memo of the engine: the classification,
+    cluster-element and left-orbit memos of clusters and the rewrite-step
+    cache of tensor."""
+    from . import clusters, tensor
+
+    clusters._COADJ_MEMO.clear()
+    clusters._CLUSTER_MEMO.clear()
+    clusters._LEFT_MEMO.clear()
+    tensor._rewrite_step.cache_clear()

@@ -9,7 +9,8 @@ template-lexicographic order.
 
 Two independent evaluation routes are exposed: the closed form on template
 representatives (char_value_closed) and the averaged sum over the whole
-cluster (char_value_sum), which works at arbitrary group elements.
+cluster (char_value_sum), which works at arbitrary group elements and sums
+the cluster one left orbit at a time.
 
 On template representatives every value is a monomial, 0 or q^(d-h) * z^e.
 The closed form is one per-row kernel: a row template precomputes its kill
@@ -166,17 +167,46 @@ def char_value_sum(tau: Template, g: UniMatrix) -> Cyclotomic:
     """q^(i-d) * sum of theta[lam(g-I)] over the whole cluster of tau.
 
     Valid at every group element, not only template representatives.  The
-    terms are counted in p integer bins, one per exponent of z, and one
-    Cyclotomic is built from the bins over the denominator q^(d-i).
+    cluster is the disjoint union of its q^(d-i) left orbits mu + L-hat(mu)
+    (clusters.left_orbits), each an affine subspace of q^d points.  By the
+    orthogonality of the additive character, the sum of theta[l(x)] over a
+    subspace V is |V| when every l in V kills x and 0 otherwise, so a left
+    orbit adds q^d * theta[mu(x)] or nothing, x = g - I, and its d basis
+    rows decide which.  The value is q^i * sum of theta[mu(x)] over the
+    orbits whose L-hat(mu) kills x, counted in p integer bins, one per
+    exponent of z, with one Cyclotomic built from the bins.  This route
+    reads neither char_value_closed nor its row kernel;
+    test_oracle::test_binned_traces_equal_summed_roots_of_unity holds it to
+    the explicit sum of evaluate over cluster_elements.
     """
     if tau.n != g.n:
         raise ValueError("size mismatch")
-    inv = invariants_of(tau)
-    p = tau.field.p
-    bins = [0] * p
-    for lam in clusters.cluster_elements(tau):
-        bins[evaluate(lam, g.off).trace()] += 1
-    return Cyclotomic.from_bins(p, bins, tau.field.q ** (inv.d - inv.i))
+    field = tau.field
+    if g.field is not field and g.field != field:
+        raise ValueError("field mismatch")
+    add, mul, n = field.add_idx, field.mul_idx, tau.n
+    xs = [(clusters._lex(n, i, j), v.index) for (i, j), v in g.off.entries.items()]
+    traces = [a.trace() for a in field.elements]
+    bins = [0] * field.p
+    orbits = clusters.left_orbits(tau)
+    for mu, basis in orbits:
+        for row in basis:
+            s = 0
+            for at, b in xs:
+                a = row[at]
+                if a:
+                    s = add[s][mul[a][b]]
+            if s:
+                break
+        else:
+            s = 0
+            for at, b in xs:
+                a = mu[at]
+                if a:
+                    s = add[s][mul[a][b]]
+            bins[traces[s]] += 1
+    scale = field.q ** len(orbits[0][1]) // len(orbits)  # q^d / q^(d-i) = q^i
+    return Cyclotomic.from_bins(field.p, [scale * b for b in bins])
 
 
 # -- the table ----------------------------------------------------------------

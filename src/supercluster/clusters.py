@@ -31,8 +31,6 @@ from .core import (
     act_right,
     coact_left,
     coact_right,
-    elementary,
-    identity,
     positions,
 )
 
@@ -111,15 +109,6 @@ def parse_template(field: Field, n: int, text: str) -> Template:
     return Template(field, n, cells)
 
 
-def template_of_functional(lam: Functional) -> Template:
-    """View an (already rook) functional as a Template."""
-    return Template(lam.field, lam.n, [(i, j, v) for (i, j), v in lam.entries.items()])
-
-
-def template_of_matrix(x: NilMatrix) -> Template:
-    return Template(x.field, x.n, [(i, j, v) for (i, j), v in x.entries.items()])
-
-
 @dataclass(frozen=True)
 class ClusterInvariants:
     d: int
@@ -128,6 +117,40 @@ class ClusterInvariants:
 
 
 # -- reduction sweeps ---------------------------------------------------------
+#
+# Both sweeps run on the point's field-index rows (_index_rows) and record
+# each elementary operation I + a*e_ij as (i, j, a), a a field index.  The
+# witnesses are composed once at the end (_compose), and each sweep checks
+# them through core's actions before it returns.
+
+
+def _compose(field: Field, n: int, ops, on_left: bool) -> UniMatrix:
+    """The product of the operations I + a*e_ij of ops, each (i, j, a) with
+    a a field index, in the order ops lists them: op_k ... op_1 when each
+    was applied on the left (row i += a * row j), op_1 ... op_k when on the
+    right (column j += a * column i).  The product is kept as the index
+    entries of its part above the diagonal; the diagonal 1 of row j (or
+    column i) adds a at (i, j)."""
+    add, mul = field.add_idx, field.mul_idx
+    off: dict[tuple[int, int], int] = {}
+    for i, j, a in ops:
+        scale = mul[a]
+        if on_left:
+            moved = [((i, c), scale[v]) for (r, c), v in off.items() if r == j]
+        else:
+            moved = [((r, j), scale[v]) for (r, c), v in off.items() if c == i]
+        moved.append(((i, j), a))
+        for pos, v in moved:
+            off[pos] = add[off.get(pos, 0)][v]
+    els = field.elements
+    return UniMatrix(NilMatrix(field, n, {pos: els[v] for pos, v in off.items()}))
+
+
+def _rook_cells(field: Field, m: list[list[int]]) -> list:
+    """The (i, j, value) cells of the non-zero entries of index rows m."""
+    els = field.elements
+    return [(i + 1, j + 1, els[v]) for i, row in enumerate(m) for j, v in enumerate(row) if v]
+
 
 def adjoint_template_of(x: NilMatrix) -> tuple[Template, UniMatrix, UniMatrix]:
     """The unique template in the adjoint cluster of x, with witnesses.
@@ -136,29 +159,36 @@ def adjoint_template_of(x: NilMatrix) -> tuple[Template, UniMatrix, UniMatrix]:
     entries sharing a row with an already placed entry, then row operations
     kill all but the bottom survivor.  Returns (t, g, h) with g.x.h = t.
     Ties are broken in strict column-major order so witnesses are canonical.
+    The sweep runs on x's index rows and records its operations; g is the
+    product of the row operations and h of the column operations, each
+    composed once, and act_left/act_right must carry x onto t with them.
     """
     field, n = x.field, x.n
-    work = x
-    g = identity(field, n)
-    h = identity(field, n)
-    for c in range(2, n + 1):
-        for r in sorted(r0 for (r0, c0) in work.entries if c0 == c):
-            left = next((c0 for (r0, c0) in sorted(work.entries) if r0 == r and c0 < c), None)
+    add, mul, neg, inv = field.add_idx, field.mul_idx, field.neg_idx, field.inv_idx
+    m = _index_rows(x)
+    row_ops, col_ops = [], []
+    for c in range(1, n):
+        for r in range(c):
+            if not m[r][c]:
+                continue
+            left = next((c0 for c0 in range(r + 1, c) if m[r][c0]), None)
             if left is not None:
-                a = -(work.get(r, c) * work.get(r, left).inverse())
-                op = elementary(field, n, left, c, a)
-                work = act_right(work, op)
-                h = h * op
-        rows = sorted(r0 for (r0, c0) in work.entries if c0 == c)
-        if len(rows) > 1:
-            bottom = rows[-1]
-            for r in rows[:-1]:
-                a = -(work.get(r, c) * work.get(bottom, c).inverse())
-                op = elementary(field, n, r, bottom, a)
-                work = act_left(op, work)
-                g = op * g
-    t = template_of_matrix(work)
-    if act_right(act_left(g, x), h) != work:
+                a = neg[mul[m[r][c]][inv[m[r][left]]]]
+                scale = mul[a]
+                for row in m:  # column c += a * column left
+                    row[c] = add[row[c]][scale[row[left]]]
+                col_ops.append((left + 1, c + 1, a))
+        rows = [r for r in range(c) if m[r][c]]
+        bottom = m[rows[-1]] if rows else None
+        for r in rows[:-1]:  # row r += a * row bottom
+            a = neg[mul[m[r][c]][inv[bottom[c]]]]
+            scale = mul[a]
+            m[r] = [add[v][scale[b]] for v, b in zip(m[r], bottom)]
+            row_ops.append((r + 1, rows[-1] + 1, a))
+    t = Template(field, n, _rook_cells(field, m))
+    g = _compose(field, n, row_ops, on_left=True)
+    h = _compose(field, n, col_ops, on_left=False)
+    if act_right(act_left(g, x), h) != t.as_matrix():
         raise InvariantViolation("adjoint reduction witnesses do not reproduce the template")
     return t, g, h
 
@@ -169,30 +199,38 @@ def coadjoint_template_of(lam: Functional) -> tuple[Template, UniMatrix, UniMatr
     Mirror sweep of adjoint_template_of: columns right to left, restricted
     column operations kill entries sharing a row with an entry to the right,
     restricted row operations keep the top survivor.  Returns (t, g, h) with
-    g * lam * h = t.
+    g * lam * h = t.  As there, the sweep runs on lam's index rows and
+    records its operations; g and h are each composed once, and
+    coact_left/coact_right must carry lam onto t with them.
     """
     field, n = lam.field, lam.n
-    work = lam
-    g = identity(field, n)
-    h = identity(field, n)
-    for c in range(n, 1, -1):
-        for r in sorted(r0 for (r0, c0) in work.entries if c0 == c):
-            right = next((c0 for (r0, c0) in sorted(work.entries) if r0 == r and c0 > c), None)
+    add, mul, neg, inv = field.add_idx, field.mul_idx, field.neg_idx, field.inv_idx
+    m = _index_rows(lam)
+    left_ops, right_ops = [], []
+    for c in range(n - 1, 0, -1):
+        for r in range(c):
+            if not m[r][c]:
+                continue
+            right = next((c0 for c0 in range(c + 1, n) if m[r][c0]), None)
             if right is not None:
-                a = -(work.get(r, c) * work.get(r, right).inverse())
-                op = elementary(field, n, c, right, a)
-                work = coact_left(op, work)
-                g = op * g
-        rows = sorted(r0 for (r0, c0) in work.entries if c0 == c)
-        if len(rows) > 1:
-            top = rows[0]
-            for r in rows[1:]:
-                a = -(work.get(r, c) * work.get(top, c).inverse())
-                op = elementary(field, n, top, r, a)
-                work = coact_right(work, op)
-                h = h * op
-    t = template_of_functional(work)
-    if coact_left(g, coact_right(lam, h)) != work:
+                a = neg[mul[m[r][c]][inv[m[r][right]]]]
+                scale = mul[a]
+                for row in m[:c]:  # column c += a * column right, rows above c
+                    row[c] = add[row[c]][scale[row[right]]]
+                left_ops.append((c + 1, right + 1, a))
+        rows = [r for r in range(c) if m[r][c]]
+        top = m[rows[0]] if rows else None
+        for r in rows[1:]:  # row r += a * row top, columns right of r
+            a = neg[mul[m[r][c]][inv[top[c]]]]
+            scale = mul[a]
+            row = m[r]
+            for l in range(r + 1, n):
+                row[l] = add[row[l]][scale[top[l]]]
+            right_ops.append((rows[0] + 1, r + 1, a))
+    t = Template(field, n, _rook_cells(field, m))
+    g = _compose(field, n, left_ops, on_left=True)
+    h = _compose(field, n, right_ops, on_left=False)
+    if coact_left(g, coact_right(lam, h)) != t.as_functional():
         raise InvariantViolation("coadjoint reduction witnesses do not reproduce the template")
     return t, g, h
 
@@ -421,10 +459,45 @@ def cluster_elements(tau: Template) -> tuple[Functional, ...]:
     return elems
 
 
-def clear_memos() -> None:
-    """Empty the module's classification and cluster-element memos."""
-    _COADJ_MEMO.clear()
-    _CLUSTER_MEMO.clear()
+_LEFT_MEMO: dict[Template, tuple] = {}
+
+
+def left_orbits(tau: Template) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
+    """The left orbits mu + L-hat(mu) that make up the cluster of tau.
+
+    One (mu, basis) per orbit, both index rows over positions(n): basis is
+    the reduced echelon form of L-hat(mu), and mu is reduced modulo it,
+    which gives the same row for every point of the orbit.  The cluster is
+    the union of the left orbits of the points of tau's right orbit, so
+    each of those is reduced once and repeats are dropped.  Raises
+    InvariantViolation unless there are q^(d-i) orbits, each of dimension
+    d: q^(2d-i) points in all, the size of the cluster.
+    """
+    cached = _LEFT_MEMO.get(tau)
+    if cached is not None:
+        return cached
+    field, n = tau.field, tau.n
+    add, mul, neg = field.add_idx, field.mul_idx, field.neg_idx
+    found: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+    for mu in right_orbit_elements(tau.as_functional()):
+        basis = linalg.echelon(field, _lhat_vectors(mu))
+        vec = [0] * (n * (n - 1) // 2)
+        for (i, j), v in mu.entries.items():
+            vec[_lex(n, i, j)] = v.index
+        for row in basis:  # each row is 1 at its pivot and 0 at every other pivot
+            a = vec[next(c for c, y in enumerate(row) if y)]
+            if a:
+                scale = mul[neg[a]]
+                vec = [add[x][scale[y]] for x, y in zip(vec, row)]
+        found.setdefault(tuple(vec), tuple(map(tuple, basis)))
+    inv = invariants_of(tau)
+    if len(found) != field.q ** (inv.d - inv.i) or any(len(b) != inv.d for b in found.values()):
+        raise InvariantViolation(
+            f"cluster of {tau.text()} splits into {len(found)} left orbits,"
+            f" expected q^(d-i) = {field.q ** (inv.d - inv.i)} of dimension {inv.d}"
+        )
+    orbits = _LEFT_MEMO[tau] = tuple(found.items())
+    return orbits
 
 
 # -- enumeration and counting -------------------------------------------------

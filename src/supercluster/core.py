@@ -17,18 +17,20 @@ coactions, fixes_left and evaluate raise ValueError on operands of
 different sizes or over different fields.
 
 A UniMatrix fills two index slots on first use and keeps them: the entries
-of g - I grouped by column and by row.  The one-sided coactions walk the
-functional's entries and look up the matching bucket of g, so their work is
-the number of matching entry pairs, not |g| * |lam|.  The index is derived
-from off alone and is left out of equality, hashing and pickling.
+of g - I grouped by column and by row.  The one-sided actions and
+coactions walk the entries of the matrix or functional and look up the
+matching bucket of g, so their work is the number of matching entry pairs,
+not |g| * |x|.  The index is derived from off alone and is left out of
+equality, hashing and pickling.
 
 The public NilMatrix/Functional constructor validates every input: it
 rejects positions outside the strict upper triangle and drops zeros.
 Values computed here from values that already passed that check (sums,
-negation, scaling, products, the reinterpretations and the coactions) are
-wrapped by the private _trusted classmethod instead: each of those loops
-writes only strictly upper positions and drops every entry that cancels to
-zero, so a second pass over the result could never change it.
+negation, scaling, products, the reinterpretations, the one-sided actions
+and the coactions) are wrapped by the private _trusted classmethod
+instead: each of those loops writes only strictly upper positions and
+drops every entry that cancels to zero, so a second pass over the result
+could never change it.
 """
 
 from __future__ import annotations
@@ -273,17 +275,45 @@ def elementary(field: Field, n: int, i: int, j: int, a: FieldElement) -> UniMatr
 # -- actions on the algebra -------------------------------------------------
 
 def act_left(g: UniMatrix, x: NilMatrix) -> NilMatrix:
-    """g . x  (a sequence of row operations)."""
+    """g . x  (a sequence of row operations).
+
+    On entries: new x_lj = x_lj + sum over entries (l,k) of g-I of
+    y_lk * x_kj, so each entry (k,j) of x meets column k of g - I.
+    """
     if g.n != x.n:
         raise ValueError("size mismatch")
-    return x + nil_mul(g.off, x)
+    out = dict(x.entries)
+    zero = x.field.zero
+    cols = g._col_index()
+    for (k, j), b in x.entries.items():
+        for l, y in cols[k]:
+            w = out.get((l, j), zero) + y * b
+            if w:
+                out[(l, j)] = w
+            else:
+                out.pop((l, j), None)
+    return NilMatrix._trusted(x.field, x.n, out)
 
 
 def act_right(x: NilMatrix, g: UniMatrix) -> NilMatrix:
-    """x . g  (a sequence of column operations)."""
+    """x . g  (a sequence of column operations).
+
+    On entries: new x_ij = x_ij + sum over entries (k,j) of g-I of
+    x_ik * y_kj, so each entry (i,k) of x meets row k of g - I.
+    """
     if g.n != x.n:
         raise ValueError("size mismatch")
-    return x + nil_mul(x, g.off)
+    out = dict(x.entries)
+    zero = x.field.zero
+    rows = g._row_index()
+    for (i, k), a in x.entries.items():
+        for j, y in rows[k]:
+            w = out.get((i, j), zero) + a * y
+            if w:
+                out[(i, j)] = w
+            else:
+                out.pop((i, j), None)
+    return NilMatrix._trusted(x.field, x.n, out)
 
 
 def act_adjoint(g: UniMatrix, x: NilMatrix) -> NilMatrix:

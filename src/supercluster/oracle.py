@@ -5,7 +5,8 @@ spaces, through the integer encoding of supercluster.packed: a point is
 the integer code of its entries, which is its place in the enumeration.
 Orbits are closures of codes under the elementary generators, checked to
 hold one rook point each; character values are fixed-point traces over a
-left orbit; inner products sum over every group element; and tensor
+left orbit; inner products of two brute characters sum over every group
+element, each traced over the row codes the context reads once; and tensor
 products are projected onto the brute character rows, weighted by the
 sizes of the columns' adjoint orbits, then checked against the product at
 every column.  Every term of a trace is a p-th root of unity z^e, so
@@ -36,14 +37,15 @@ column.
 
 An OracleContext holds the brute data of one (n, field, cap), each piece
 built on first use: the encoding, the adjoint and coadjoint partitions, the
-group read from the adjoint partition's point list, one group element per
-column template, the left orbits of the row templates, the trace masks of
-the row-covering functionals, the brute table and each row's projection
-data.  It also answers A.1 (a functional on which the support criterion
-and the fixed-point test disagree) and Thm9.3 (the left orbits in the
-row-covering part of a cluster).  The algebra, its dual and the group have
-q^(n(n-1)/2) points each, so the context checks that one size against its
-one cap when it is made.  Every entry point that reads a whole space
+group read from the adjoint partition's point list, the row codes of every
+group element, one group element per column template, the left orbits of
+the row templates, the trace masks of the row-covering functionals, the
+brute table and each row's projection data.  It also answers A.1 (a
+functional on which the support criterion and the fixed-point test
+disagree) and Thm9.3 (the left orbits in the row-covering part of a
+cluster).  The algebra, its dual and the group have q^(n(n-1)/2) points
+each, so the context checks that one size against its one cap when it is
+made.  Every entry point that reads a whole space
 (brute_char_value, brute_inner, brute_delta_value, brute_tensor,
 column_products, sum_mismatch, product_mismatch) takes a context, and the
 module keeps none: verify.run_verify makes one per run and drops it when
@@ -198,6 +200,13 @@ class OracleContext:
         the end of the run.
         """
         return [UniMatrix(x) for x in self.adjoint.points]
+
+    @cached_property
+    def group_rows(self) -> list[tuple[int, ...]]:
+        """The row codes of g - I for every group element g, in code order,
+        as enumerate_group lists the elements: row k runs over its q^(n-k)
+        codes, row 1 slowest."""
+        return list(product(*(range(size) for _, size in self.codes.row_blocks)))
 
     def column(self, x: Template) -> UniMatrix:
         """The group element I + x of a column template, one per template."""
@@ -367,27 +376,30 @@ def brute_char_value(tau: Template, g: UniMatrix, ctx: OracleContext) -> Cycloto
     )
 
 
-def brute_inner(f, h, ctx: OracleContext) -> Cyclotomic:
-    """(1/|U|) sum over every group element of f(g) * conj(h(g)).
+def brute_inner(s: Template, t: Template, ctx: OracleContext) -> Cyclotomic:
+    """<chi_s, chi_t> = (1/|U|) sum over every group element g of
+    chi_s(g) * conj(chi_t(g)), chi_s and chi_t the brute characters of two
+    row templates, each value a fixed-point trace as in brute_char_value.
 
-    The group is the context's.  f is evaluated once per element when h is
-    f.  The products are summed in p integer bins per denominator.
+    Each g is traced over the context's group_rows, once for a
+    self-pairing and otherwise for t only where the trace for s has a term.
+    A trace is p integer bins, one per power of z, and the two are
+    convolved straight into the sum's p bins, conj(z^m) = z^(-m); one
+    Cyclotomic is built at the end.  By the
+    orthogonality of the characters the result is 0 for two distinct rows
+    of the table and q^i, the self-intertwining number, for one row with
+    itself.
     """
-    group = ctx.group()
-    p = ctx.field.p
-    sums: dict[int, list[int]] = {}
-    for g in group:
-        a = f(g)
-        b = a if h is f else h(g)
-        den = a.den * b.den
-        bins = sums.get(den)
-        if bins is None:
-            bins = sums[den] = [0] * p
-        _convolve(bins, a.num, b.num, -1)
-    total = Cyclotomic.from_rational(p, 0)
-    for den, bins in sums.items():
-        total = total + Cyclotomic.from_bins(p, bins, den * len(group))
-    return total
+    codes = ctx.codes
+    trace_bins, p = codes.trace_bins, ctx.field.p
+    traced_s = ctx._trace_masks(s)
+    traced_t = traced_s if t == s else ctx._trace_masks(t)
+    bins = [0] * p
+    for ys in ctx.group_rows:
+        a = trace_bins(traced_s, ys)
+        if any(a):
+            _convolve(bins, a, a if traced_t is traced_s else trace_bins(traced_t, ys), -1)
+    return Cyclotomic.from_bins(p, bins, len(ctx.group_rows))
 
 
 def brute_delta_value(g: UniMatrix, ctx: OracleContext) -> Cyclotomic:

@@ -28,7 +28,21 @@ A.1 asks the context for a functional on which the support criterion and
 the fixed-point test disagree.  Thm9.3 and emit_golden count the left
 orbits in the row-covering part of each row's cluster with the context,
 which reads the cluster from the coadjoint partition instead of walking
-it again.
+it again.  Thm6.2 holds the self-intertwining number q^i of each row to
+oracle.brute_inner, the pairing of its brute character with itself over
+every group element.
+
+Thm3.5 holds characters.char_value_sum to the brute table at every cell
+and on sampled members of each conjugacy cluster.  That route sums the
+cluster by its q^(d-i) left orbits mu + L-hat(mu): by the orthogonality of
+the additive character an orbit adds q^d * theta[mu(x)] when L-hat(mu)
+kills x and nothing otherwise.  It leans on L-hat, which Thm4.2 checks
+point by point (dim L-hat = d on every point of the cluster), and on the
+left-orbit sizes q^d, which Thm6.2 checks against the oracle's left
+orbits; the explicit sum of theta over cluster_elements is held to it by
+test_oracle::test_binned_traces_equal_summed_roots_of_unity.  Thm4.1 and
+Thm4.2 replay each sweep's witnesses through core's actions and require
+them to carry the point onto its template's own point.
 
 Every check runs in _outcomes, which yields its outcome (passed, detail,
 traceback text, with passed None for a cap, which ends the lane), and
@@ -37,14 +51,15 @@ it writes each traceback to stderr, raises the first cap and fails a check
 with no outcome.  jobs = 1 runs every check in the calling process.  No
 check reads another's result, so with jobs >= 2 (and os.fork) the checks
 run in two fixed lanes (supercluster.lanes).  Lane A, in the calling
-process, holds the only checks that draw from the run's one
-random.Random(seed), RNG_CHECKS, in their usual order, so every sample is
-the one a single lane takes; lane B, the other eight, runs in one forked
-child.  Each lane stops at its first cap, so the first cap in check order
-is the one a single lane meets, and the report, the stderr and the exit
-are the same for every jobs.  The engine starts no thread; fork copies
-only the calling thread, so a caller running threads of its own passes
-jobs = 1.
+process, holds PARENT_CHECKS in their usual order: the only checks that
+draw from the run's one random.Random(seed), RNG_CHECKS, so every sample
+is the one a single lane takes, and A.1, which draws nothing and is there
+so that the two lanes take about as long as each other.  Lane B, the
+other seven, runs in one forked child.  Each lane stops at its first cap,
+so the first cap in check order is the one a single lane meets, and the
+report, the stderr and the exit are the same for every jobs.  The engine
+starts no thread; fork copies only the calling thread, so a caller
+running threads of its own passes jobs = 1.
 """
 
 from __future__ import annotations
@@ -121,7 +136,7 @@ def _check_adjoint_classification(ctx):
         t, g, h = clusters.adjoint_template_of(x)
         if t != part.representatives[oid]:
             return False, f"sweep template of {x!r} disagrees with its orbit's rook point"
-        if clusters.template_of_matrix(act_right(act_left(g, x), h)) != t:
+        if act_right(act_left(g, x), h) != t.as_matrix():
             return False, f"witnesses for {x!r} do not reproduce the template"
     for rep, members in zip(part.representatives, part.members()):
         cells = _cells_per_window(rep, lambda i, j, k, l: i <= k and l <= j)
@@ -139,7 +154,7 @@ def _check_coadjoint_classification(ctx):
         t, g, h = clusters.coadjoint_template_of(lam)
         if t != part.representatives[oid]:
             return False, f"sweep template of {lam!r} disagrees with its orbit's rook point"
-        if clusters.template_of_functional(coact_left(g, coact_right(lam, h))) != t:
+        if coact_left(g, coact_right(lam, h)) != t.as_functional():
             return False, f"witnesses for {lam!r} do not reproduce the template"
     for rep, members in zip(part.representatives, part.members()):
         inv = clusters.invariants_of(rep)
@@ -187,11 +202,7 @@ def _check_sizes_and_degrees(ctx, rng):
     )
     for tau in picks:
         expected = field.q ** clusters.invariants_of(tau).i
-
-        def chi(g, tau=tau):
-            return oracle.brute_char_value(tau, g, ctx)
-
-        norm = oracle.brute_inner(chi, chi, ctx)
+        norm = oracle.brute_inner(tau, tau, ctx)
         if norm != Cyclotomic.from_rational(field.p, expected):
             return False, f"self-intertwining of {tau.text()} is {norm}, expected {expected}"
     return True, (
@@ -351,6 +362,9 @@ def _check_delta_decomposition(ctx):
 # The checks that draw from the rng, in the order they draw; with two lanes
 # they run in the parent, so every sample is the one a single lane takes.
 RNG_CHECKS = ("Thm6.2", "Thm3.5", "Thm8.6")
+# Lane A: the rng checks and A.1, which draws nothing and runs there so that
+# the two lanes take about as long as each other.
+PARENT_CHECKS = RNG_CHECKS + ("A.1",)
 
 
 def _outcomes(lane):
@@ -427,7 +441,7 @@ def run_verify(
     if jobs >= 2 and hasattr(os, "fork"):
         from . import lanes  # loaded only on this path, off the CLI's start-up
 
-        results = lanes.run_in_lanes(ctx, checks, RNG_CHECKS)
+        results = lanes.run_in_lanes(ctx, checks, PARENT_CHECKS)
     else:
         results = _report(checks, dict(_outcomes(checks)), "check did not run")
     return VerifyReport(n=n, p=field.p, k=field.k, checks=results)

@@ -21,8 +21,6 @@ from supercluster.clusters import (
     enumerate_templates,
     invariants_of,
     parse_template,
-    template_of_functional,
-    template_of_matrix,
 )
 from supercluster.core import UniMatrix
 from supercluster.cyclotomic import Cyclotomic

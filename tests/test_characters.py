@@ -242,9 +242,7 @@ def test_irreducible_iff_no_hooks(F2):
     ctx = OracleContext(3, F2)
     for r, tau in enumerate(table.rows):
         inv = invariants_of(tau)
-        def chi(g, tau=tau):
-            return brute_char_value(tau, g, ctx)
-        norm = brute_inner(chi, chi, ctx)
+        norm = brute_inner(tau, tau, ctx)
         assert (norm == 1) == (inv.i == 0)
         assert norm == table.row_selfint[r]
 

@@ -1,10 +1,14 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supercluster import field_make
+from supercluster import field_make, linalg
+from supercluster.characters import char_value_sum
 from supercluster.clusters import (
     Template,
+    _lhat_vectors,
     adjoint_cluster_size,
     adjoint_template_of,
     bell_poly,
@@ -14,9 +18,9 @@ from supercluster.clusters import (
     enumerate_templates,
     hat_dims,
     invariants_of,
+    left_orbit_elements,
+    left_orbits,
     parse_template,
-    template_of_functional,
-    template_of_matrix,
     window_ranks,
     window_ranks_dual,
 )
@@ -30,9 +34,11 @@ from supercluster.core import (
     coact_right,
     e_ij,
     eps_ij,
+    evaluate,
     nil_mul,
     positions,
 )
+from supercluster.cyclotomic import Cyclotomic
 from supercluster.oracle import enumerate_dual, enumerate_nil, orbit_partition
 
 
@@ -72,7 +78,7 @@ def test_coadjoint_witnesses_and_bfs_uniqueness(q):
     for lam, oid in zip(part.points, part.ids):
         t, g, h = coadjoint_template_of(lam)
         assert t == part.representatives[oid]
-        assert template_of_functional(coact_left(g, coact_right(lam, h))) == t
+        assert coact_left(g, coact_right(lam, h)) == t.as_functional()
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -82,7 +88,7 @@ def test_adjoint_witnesses_and_bfs_uniqueness(q):
     for x, oid in zip(part.points, part.ids):
         t, g, h = adjoint_template_of(x)
         assert t == part.representatives[oid]
-        assert template_of_matrix(act_right(act_left(g, x), h)) == t
+        assert act_right(act_left(g, x), h) == t.as_matrix()
 
 
 def test_template_rejects_non_rook(F2):
@@ -170,16 +176,65 @@ def test_templates_and_witnesses_survive_one_sided_moves(point):
     templates = set()
     for y in (x, act_right(act_left(g, x), h)):
         t, g2, h2 = adjoint_template_of(y)
-        assert template_of_matrix(act_right(act_left(g2, y), h2)) == t
+        assert act_right(act_left(g2, y), h2) == t.as_matrix()
         templates.add(t)
     assert len(templates) == 1
     lam = Functional(field, n, entries)
     templates = set()
     for mu in (lam, coact_left(g, coact_right(lam, h))):
         tau, g2, h2 = coadjoint_template_of(mu)
-        assert template_of_functional(coact_left(g2, coact_right(mu, h2))) == tau
+        assert coact_left(g2, coact_right(mu, h2)) == tau.as_functional()
         templates.add(tau)
     assert len(templates) == 1
+
+
+@st.composite
+def split_case(draw):
+    """(tau, g) over GF(2), GF(3), GF(4), GF(5) or GF(9): a row template
+    whose cluster has at most 3^6 points, a crossing one (i > 0) half the
+    time where there is one, and a group element, g - I about half 0."""
+    fields = [field_make(2, 1), field_make(3, 1), field_make(2, 2), field_make(5, 1),
+              field_make(3, 2)]
+    field = draw(st.sampled_from(fields))
+    n = draw(st.sampled_from((3, 4, 5) if field.q <= 3 else (3, 4)))
+    templates = [t for t in enumerate_templates(n, field) if cluster_size(t) <= 3**6]
+    crossing = [t for t in templates if invariants_of(t).i > 0]
+    tau = draw(st.sampled_from(crossing if crossing and draw(st.booleans()) else templates))
+    digit = st.one_of(st.just(0), st.integers(0, field.q - 1))
+    values = draw(st.lists(digit, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    g = UniMatrix(NilMatrix(field, n, {
+        pos: field.elements[v] for pos, v in zip(positions(n), values)
+    }))
+    return tau, g
+
+
+@MOVES
+@given(split_case())
+def test_left_orbits_split_the_cluster(case):
+    # q^(d-i) disjoint left orbits mu + L-hat(mu), q^d points each, whose
+    # union is the cluster; the sum over them is the explicit cluster sum
+    tau, g = case
+    field, n, q = tau.field, tau.n, tau.field.q
+    inv = invariants_of(tau)
+    orbits = left_orbits(tau)
+    assert left_orbits(tau) is orbits
+    assert len(orbits) == q ** (inv.d - inv.i)
+    union = set()
+    for vec, basis in orbits:
+        mu = Functional(field, n, {
+            pos: field.elements[v] for pos, v in zip(positions(n), vec)
+        })
+        assert [list(row) for row in basis] == linalg.echelon(field, _lhat_vectors(mu))
+        orbit = set(left_orbit_elements(mu))
+        assert len(orbit) == q ** inv.d
+        assert not orbit & union
+        union |= orbit
+    cluster = cluster_elements(tau)
+    assert union == set(cluster)
+    total = Cyclotomic.from_rational(field.p, 0)
+    for lam in cluster:
+        total = total + Cyclotomic.zeta_power(field.p, evaluate(lam, g.off).trace())
+    assert char_value_sum(tau, g) == Fraction(q**inv.i, q**inv.d) * total
 
 
 # -- invariants ---------------------------------------------------------------

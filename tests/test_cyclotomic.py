@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from supercluster.characters import build_table, inner_product
 from supercluster.clusters import parse_template
 from supercluster.cyclotomic import Cyclotomic
-from supercluster.oracle import OracleContext, brute_char_value, brute_inner
+from supercluster.oracle import OracleContext, brute_inner
 
 PROPS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -161,19 +161,14 @@ def test_inner_products_build_no_fraction(fractions_made, F3):
     row, ones = table.values[r], [Cyclotomic.from_rational(3, 1)] * len(table.cols)
 
     ctx = OracleContext(3, F3)
-
-    def chi(g):
-        return brute_char_value(table.rows[r], g, ctx)
-
-    def one(g):
-        return Cyclotomic.from_rational(3, 1)
+    tau, trivial = table.rows[r], parse_template(F3, 3, "0")  # chi_0 is 1 everywhere
 
     fractions_made.clear()
     got = [
         inner_product(table, row, row),
         inner_product(table, row, ones),
-        brute_inner(chi, chi, ctx),
-        brute_inner(chi, one, ctx),
+        brute_inner(tau, tau, ctx),
+        brute_inner(tau, trivial, ctx),
     ]
     assert fractions_made == []
     assert got == [1, 0, 1, 0]

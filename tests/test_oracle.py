@@ -130,11 +130,10 @@ def test_brute_inner_examples(F2):
     t0 = T(F2, 3, "0")
     t13 = T(F2, 3, "(1,3)=1")
     ctx = OracleContext(3, F2)
-    def chi(tau):
-        return lambda g: brute_char_value(tau, g, ctx)
-    assert brute_inner(chi(t0), chi(t0), ctx) == 1
-    assert brute_inner(chi(t13), chi(t13), ctx) == 1
-    assert brute_inner(chi(t0), chi(t13), ctx) == 0
+    assert brute_inner(t0, t0, ctx) == 1
+    assert brute_inner(t13, t13, ctx) == 1
+    assert brute_inner(t0, t13, ctx) == 0
+    assert brute_inner(t13, t0, ctx) == 0
     with pytest.raises(ResourceCapExceeded):
         OracleContext(3, F2, cap=7)
 
@@ -434,19 +433,33 @@ def test_the_oracle_module_keeps_no_context(F3):
     assert ref() is None
 
 
-def test_brute_inner_evaluates_a_self_pairing_once_per_element(F2):
+def test_brute_inner_evaluates_a_self_pairing_once_per_element(F2, monkeypatch):
+    """A self-pairing traces each of the 8 group elements once, over row
+    codes read once per context; a pairing of two rows traces the second
+    row only where the first row's trace has a term."""
     tau = T(F2, 3, "(1,3)=1")
+    ctx = OracleContext(3, F2)
+    rows = ctx.group_rows
+    assert ctx.group_rows is rows
+    assert rows == [ctx.codes.row_codes(g.off) for g in ctx.group()]
+    trace_bins = ctx.codes.trace_bins
+    # g = I + y fixes tau's two-point left orbit exactly when y_23 = 0
+    terms = sum(1 for ys in rows if any(trace_bins(ctx._trace_masks(tau), ys)))
+    assert terms == 4
     calls = []
 
-    def chi(g):
-        calls.append(g)
-        return brute_char_value(tau, g, ctx)
+    def counted(traced, ys):
+        calls.append(ys)
+        return trace_bins(traced, ys)
 
-    ctx = OracleContext(3, F2)
-    assert brute_inner(chi, chi, ctx) == 1
+    monkeypatch.setattr(ctx.codes, "trace_bins", counted)
+    assert brute_inner(tau, tau, ctx) == 1
     assert len(calls) == 8
-    assert brute_inner(chi, chi, ctx) == 1
+    assert brute_inner(tau, tau, ctx) == 1
     assert len(calls) == 16
+    calls.clear()
+    assert brute_inner(tau, T(F2, 3, "0"), ctx) == 0
+    assert len(calls) == 8 + terms
 
 
 # -- traces summed in integer bins -----------------------------------------------

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+import supercluster
 from supercluster import clusters, field_make, tensor
 from supercluster.clusters import Template, enumerate_templates, invariants_of, parse_template
 from supercluster.errors import InvariantViolation, ResourceCapExceeded
@@ -257,9 +258,37 @@ def test_pair_counts_sweep_only_the_smaller_cluster(monkeypatch):
         sweeps.append(lam)
         return witnessed(lam)
 
-    clusters.clear_memos()
+    supercluster.clear_memos()
     monkeypatch.setattr(clusters, "coadjoint_template_of", counted)
     assert c_count(t1, t2, t2) > 0
     assert len(clusters.cluster_elements(t1)) == 16
     assert len(clusters.cluster_elements(t2)) == 64
     assert 0 < len(sweeps) <= 16
+
+
+def test_clear_memos_empties_every_memo_of_the_engine():
+    """One clear reaches the classification, cluster-element and left-orbit
+    memos of clusters and the rewrite-step cache of tensor; every memo a
+    module names *_MEMO is among them."""
+    import importlib
+    import pkgutil
+
+    from supercluster.characters import char_value_sum
+    from supercluster.core import identity
+
+    field = field_make(3, 1)
+    tau = parse_template(field, 4, "(1,3)=1;(2,4)=2")
+    tensor.tensor_by_counting(tau, tau)
+    tensor.tensor_rewrite(field, 4, tau.cells)
+    char_value_sum(tau, identity(field, 4))
+    memos = {
+        f"{info.name}.{name}": value
+        for info in pkgutil.iter_modules(supercluster.__path__)
+        if info.name != "__main__"  # importing it runs the command line
+        for name, value in vars(importlib.import_module(f"supercluster.{info.name}")).items()
+        if name.endswith("_MEMO")
+    }
+    assert set(memos) == {"clusters._COADJ_MEMO", "clusters._CLUSTER_MEMO", "clusters._LEFT_MEMO"}
+    assert all(memos.values()) and tensor._rewrite_step.cache_info().currsize
+    supercluster.clear_memos()
+    assert not any(memos.values()) and not tensor._rewrite_step.cache_info().currsize

@@ -224,9 +224,218 @@ def test_a_wrong_discrete_series_value_fails_thm91_and_thm93(monkeypatch, jobs):
     }
 
 
+# -- one test per comparison --------------------------------------------------
+#
+# Each test below breaks one value that a comparison of Thm4.1, Thm4.2,
+# Thm6.2 or Thm3.5 reads, at (3,3), and asserts that check's exact FAIL
+# text and that no other check fails.  A formula is broken in verify's view
+# of clusters alone (_verify_sees), so the engine's own callers, such as
+# cluster_elements' size check or build_table's column sizes, keep the
+# real one.
+
+
+def _failed(report) -> dict:
+    return {c.key: c.detail for c in report.checks if not c.passed}
+
+
+def _verify_sees(monkeypatch, **replaced):
+    """verify reads clusters with the functions of replaced in place of
+    the module's own."""
+    from types import SimpleNamespace
+
+    from supercluster import clusters
+
+    monkeypatch.setattr(verify, "clusters", SimpleNamespace(**{**vars(clusters), **replaced}))
+
+
+def _is_rook(x) -> bool:
+    rows = {i for i, _ in x.entries}
+    cols = {j for _, j in x.entries}
+    return len(rows) == len(cols) == len(x.entries)
+
+
+@pytest.mark.parametrize("key, sweep, side", [
+    ("Thm4.1", "adjoint_template_of", "adjoint"),
+    ("Thm4.2", "coadjoint_template_of", "coadjoint"),
+])
+def test_witnesses_that_miss_the_template_fail_their_check(F3, monkeypatch, key, sweep, side):
+    """Witnesses (I, I) replay every point onto itself, so the check fails
+    at the first point, in code order, that is not its own template."""
+    from supercluster import clusters
+
+    swept = getattr(clusters, sweep)
+
+    def unwitnessed(point):
+        t, _, _ = swept(point)
+        one = core.identity(point.field, point.n)
+        return t, one, one
+
+    part = getattr(oracle.OracleContext(3, F3), side)
+    x = next(x for x in part.points if not _is_rook(x))
+    _verify_sees(monkeypatch, **{sweep: unwitnessed})
+    assert _failed(run_verify(3, F3)) == {
+        key: f"witnesses for {x!r} do not reproduce the template"
+    }
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_orbit_space_dimensions_off_at_one_point_fail_thm42(F3, monkeypatch, which):
+    """dim L-hat, dim R-hat or dim (L-hat ∩ R-hat) one too high at the last
+    point of the first cluster with two points fails Thm4.2 there."""
+    from supercluster import clusters
+
+    part = oracle.OracleContext(3, F3).coadjoint
+    rep, members = next(
+        (rep, members) for rep, members in zip(part.representatives, part.members())
+        if len(members) > 1
+    )
+    hat_dims = clusters.hat_dims
+
+    def off(lam):
+        dims = list(hat_dims(lam))
+        dims[which] += lam == members[-1]
+        return tuple(dims)
+
+    _verify_sees(monkeypatch, hat_dims=off)
+    assert _failed(run_verify(3, F3)) == {
+        "Thm4.2": f"orbit-space dimensions vary inside the cluster of {rep.text()}"
+    }
+
+
+def test_a_wrong_cluster_size_formula_fails_thm62(F3, monkeypatch):
+    from supercluster import clusters
+
+    rep = oracle.OracleContext(3, F3).coadjoint.representatives[-1]
+    size = clusters.cluster_size(rep)
+    _verify_sees(monkeypatch, cluster_size=lambda t: clusters.cluster_size(t) + (t == rep))
+    assert _failed(run_verify(3, F3)) == {
+        "Thm6.2": f"cluster of {rep.text()} has {size} points, formula says {size + 1}"
+    }
+
+
+def test_a_short_left_orbit_fails_thm62(F3, monkeypatch):
+    """A left orbit one point short of q^d, for the last row template with
+    d > 0, fails Thm6.2 there."""
+    from supercluster import clusters
+
+    ctx = oracle.OracleContext(3, F3)
+    rep = [t for t in ctx.coadjoint.representatives if clusters.invariants_of(t).d][-1]
+    left_orbit = oracle.OracleContext.left_orbit
+
+    def short(self, tau):
+        orbit = left_orbit(self, tau)
+        return orbit[:-1] if tau == rep else orbit
+
+    monkeypatch.setattr(oracle.OracleContext, "left_orbit", short)
+    d = clusters.invariants_of(rep).d
+    assert _failed(run_verify(3, F3)) == {
+        "Thm6.2": f"left orbit of {rep.text()} has {3**d - 1} points, degree says q^{d}"
+    }
+
+
+def test_cluster_sizes_that_miss_the_space_fail_thm62(F3, monkeypatch):
+    """The coadjoint partition and the formula both give the cluster of 0
+    a second point, so every size matches and the total is one too many."""
+    from supercluster import clusters
+
+    zero = clusters.Template(F3, 3, [])
+    orbit_sizes = oracle.OrbitDecomposition.orbit_sizes
+
+    def grown(self):
+        sizes = orbit_sizes(self)
+        if isinstance(self.points[0], core.Functional):
+            sizes[self.representatives.index(zero)] += 1
+        return sizes
+
+    monkeypatch.setattr(oracle.OrbitDecomposition, "orbit_sizes", grown)
+    _verify_sees(monkeypatch, cluster_size=lambda t: clusters.cluster_size(t) + (t == zero))
+    assert _failed(run_verify(3, F3)) == {
+        "Thm6.2": "cluster sizes sum to 28, space has 27 points"
+    }
+
+
+def test_a_wrong_adjoint_size_formula_fails_thm62(F3, monkeypatch):
+    from supercluster import clusters
+
+    rep = oracle.OracleContext(3, F3).adjoint.representatives[-1]
+    size = clusters.adjoint_cluster_size(rep)
+    _verify_sees(
+        monkeypatch,
+        adjoint_cluster_size=lambda t: clusters.adjoint_cluster_size(t) + (t == rep),
+    )
+    assert _failed(run_verify(3, F3)) == {
+        "Thm6.2": f"adjoint cluster of {rep.text()} has {size} points, formula says {size + 1}"
+    }
+
+
+def test_a_self_intertwining_off_by_z_fails_thm62(F3, monkeypatch):
+    """A norm q^i + z at the last row fails Thm6.2 there, though its z^0
+    coefficient is right."""
+    from supercluster.cyclotomic import Cyclotomic
+
+    rep = oracle.OracleContext(3, F3).coadjoint.representatives[-1]
+    brute_inner = oracle.brute_inner
+    z = Cyclotomic.zeta_power(3, 1)
+
+    def off(s, t, ctx):
+        norm = brute_inner(s, t, ctx)
+        return norm + z if s == rep else norm
+
+    monkeypatch.setattr(oracle, "brute_inner", off)
+    assert _failed(run_verify(3, F3)) == {
+        "Thm6.2": f"self-intertwining of {rep.text()} is {1 + z}, expected 1"
+    }
+
+
+def test_a_cluster_sum_off_at_the_last_cell_fails_thm35(F3, monkeypatch):
+    """A cluster-sum value off by z at the last row and last column only."""
+    from supercluster.cyclotomic import Cyclotomic
+
+    rows, cols, _ = oracle.OracleContext(3, F3).table
+    tau, x = rows[-1], cols[-1]
+    char_value_sum = verify.char_value_sum
+    z = Cyclotomic.zeta_power(3, 1)
+
+    def off(t, g):
+        value = char_value_sum(t, g)
+        return value + z if (t, g.off) == (tau, x.as_matrix()) else value
+
+    monkeypatch.setattr(verify, "char_value_sum", off)
+    assert _failed(run_verify(3, F3)) == {
+        "Thm3.5": f"cluster-sum value differs at ({tau.text()}, {x.text()})"
+    }
+
+
+def test_a_cluster_sum_off_away_from_the_rook_points_fails_thm35(F3, monkeypatch):
+    """Values off by z at every point that is not a rook point pass the
+    full grid and fail the members sampled from the first conjugacy cluster
+    with such a point, which has at most 3 members, so all are taken."""
+    from supercluster.cyclotomic import Cyclotomic
+
+    ctx = oracle.OracleContext(3, F3)
+    rows = ctx.table[0]
+    part = ctx.adjoint
+    rep, members = next(
+        (rep, members) for rep, members in zip(part.representatives, part.members())
+        if not all(map(_is_rook, members))
+    )
+    assert len(members) <= 3 and len(rows) <= 12
+    char_value_sum = verify.char_value_sum
+    z = Cyclotomic.zeta_power(3, 1)
+
+    def off(t, g):
+        value = char_value_sum(t, g)
+        return value if _is_rook(g.off) else value + z
+
+    monkeypatch.setattr(verify, "char_value_sum", off)
+    assert _failed(run_verify(3, F3)) == {"Thm3.5": (
+        f"character of {rows[0].text()} varies inside the conjugacy cluster of {rep.text()}"
+    )}
+
+
 # -- two lanes ----------------------------------------------------------------
 
-LANE_B = ["Thm5.1", "Thm4.1", "Thm4.2", "A.1", "A.2", "Thm7.1", "Thm9.1", "Thm9.3"]
+LANE_B = ["Thm5.1", "Thm4.1", "Thm4.2", "A.2", "Thm7.1", "Thm9.1", "Thm9.3"]
 
 
 def _verify_cli(capsys, *extra, args=("--n", "3", "--q", "3")):
