@@ -176,8 +176,9 @@ def char_value_sum(tau: Template, g: UniMatrix) -> Cyclotomic:
     orbits whose L-hat(mu) kills x, counted in p integer bins, one per
     exponent of z, with one Cyclotomic built from the bins.  This route
     reads neither char_value_closed nor its row kernel;
-    test_oracle::test_binned_traces_equal_summed_roots_of_unity holds it to
-    the explicit sum of evaluate over cluster_elements.
+    test_oracle::test_binned_traces_equal_summed_roots_of_unity and
+    test_clusters::test_left_orbits_split_the_cluster hold it to the
+    explicit sum of evaluate over the cluster, read from packed.Codes.closure.
     """
     if tau.n != g.n:
         raise ValueError("size mismatch")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 from . import clusters, discrete, oracle, tensor, verify
 from .characters import DEFAULT_MAX_TABLE, build_table
-from .clusters import Template, bell_poly, enumerate_templates, invariants_of
+from .clusters import bell_poly, enumerate_templates, invariants_of
 from .errors import InvariantViolation, ResourceCapExceeded
 from .gf import DEFAULT_MAX_Q, Field, field_make, is_prime
 
@@ -39,7 +39,6 @@ class RunConfig:
     n: int
     field: Field
     fmt: str = "text"
-    seed: int = 0
     caps: dict = dataclass_field(default_factory=lambda: dict(DEFAULT_CAPS))
 
 
@@ -53,19 +52,16 @@ def _caps_from_env(caps: dict) -> dict:
     return caps
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, formats=("json", "text")) -> None:
+    """The options every command reads; formats has csv where the command writes it."""
     sub.add_argument("--n", type=int, required=True, help="matrix size n >= 1")
     sub.add_argument("--p", type=int, help="field characteristic (prime)")
     sub.add_argument("--k", type=int, default=1, help="extension degree (default 1)")
     sub.add_argument("--q", type=int, help="shorthand for a prime field of size q")
-    sub.add_argument("--format", choices=["json", "csv", "text"], default="text")
+    sub.add_argument("--format", choices=formats, default="text")
     sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                      help="verify splits its checks over two processes when N >= 2;"
                           " every other command runs in one; output is the same for every N")
-    sub.add_argument("--cap-orbit", type=int,
-                     help="max size q^(n(n-1)/2) of the enumerated spaces:"
-                          " the algebra, its dual and the group")
-    sub.add_argument("--seed", type=int, default=0, help="seed for sampled verification")
 
 
 def _config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
@@ -89,8 +85,6 @@ def _config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunCon
         _caps_from_env(caps)
     except ValueError as exc:
         parser.error(str(exc))
-    if args.cap_orbit is not None:
-        caps["orbit"] = args.cap_orbit
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
     # The cap comes before the primality test, whose trial division runs to
@@ -103,7 +97,7 @@ def _config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunCon
             parser.error(f"--q {p} is not prime; use --p and --k for extensions")
         parser.error(f"--p {p} is not prime")
     field = field_make(p, k, max_q=caps["q"])
-    return RunConfig(n=n, field=field, fmt=args.format, seed=args.seed, caps=caps)
+    return RunConfig(n=n, field=field, fmt=args.format, caps=caps)
 
 
 def _emit(text: str) -> None:
@@ -217,20 +211,21 @@ def _run_discrete(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_verify(cfg: RunConfig, sample_pairs: int, emit_golden: str | None, jobs: int) -> int:
+def _run_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     field = cfg.field
+    cap_orbit = cfg.caps["orbit"] if args.cap_orbit is None else args.cap_orbit
     report = verify.run_verify(
         cfg.n,
         field,
-        cap_orbit=cfg.caps["orbit"],
+        cap_orbit=cap_orbit,
         cap_pairs=cfg.caps["pairs"],
-        sample_pairs=sample_pairs,
-        seed=cfg.seed,
-        jobs=jobs,
+        sample_pairs=args.sample_pairs,
+        seed=args.seed,
+        jobs=args.jobs,
         cap_table=cfg.caps["table"],
     )
-    if emit_golden:
-        verify.write_golden(emit_golden, verify.emit_golden(cfg.n, field, cfg.caps["orbit"]))
+    if args.emit_golden:
+        verify.write_golden(args.emit_golden, verify.emit_golden(cfg.n, field, cap_orbit))
     if cfg.fmt == "json":
         _emit(_dump_json(report.to_json()))
     else:
@@ -249,14 +244,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    tabular = ("json", "csv", "text")
     p_count = sub.add_parser("count", help="print the template counts B(0..n, q)")
-    _add_common(p_count)
+    _add_common(p_count, tabular)
 
     p_clusters = sub.add_parser("clusters", help="list templates with d, i, sizes, degrees")
-    _add_common(p_clusters)
+    _add_common(p_clusters, tabular)
 
     p_table = sub.add_parser("table", help="emit the full supercharacter table")
-    _add_common(p_table)
+    _add_common(p_table, tabular)
 
     p_tensor = sub.add_parser("tensor", help="decompose a tensor product of primary factors")
     _add_common(p_tensor)
@@ -270,6 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the certification suite for (n, q)")
     _add_common(p_verify)
+    p_verify.add_argument("--cap-orbit", type=int,
+                          help="max size q^(n(n-1)/2) of the enumerated spaces:"
+                               " the algebra, its dual and the group")
+    p_verify.add_argument("--seed", type=int, default=0, help="seed for sampled verification")
     p_verify.add_argument("--sample-pairs", type=int, default=200,
                           help="tensor pairs to sample when exhaustion is too big")
     p_verify.add_argument("--emit-golden", metavar="PATH",
@@ -281,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("tensor", "discrete", "verify") and args.format == "csv":
-        parser.error(f"{args.command} has no csv format")
     if args.command == "verify" and args.sample_pairs < 1:
         parser.error("--sample-pairs must be >= 1")
     try:
@@ -302,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "discrete":
             return _run_discrete(cfg)
         if args.command == "verify":
-            return _run_verify(cfg, args.sample_pairs, args.emit_golden, args.jobs)
+            return _run_verify(cfg, args)
     except ResourceCapExceeded as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return 3

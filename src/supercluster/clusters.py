@@ -405,16 +405,21 @@ def adjoint_cluster_size(tau: Template) -> int:
     return tau.field.q ** len(moved)
 
 
-# -- explicit orbit and cluster elements --------------------------------------
+# -- the one walk of a cluster: its left orbits, and its elements -------------
 
-def _span_translates(base: Functional, basis: list[list[int]]) -> list[Functional]:
-    """base + every combination of the basis index rows."""
-    field, n = base.field, base.n
+def _vector(lam: Functional) -> list[int]:
+    """The entries of lam as one index row over positions(n)."""
+    vec = [0] * (lam.n * (lam.n - 1) // 2)
+    for (i, j), v in lam.entries.items():
+        vec[_lex(lam.n, i, j)] = v.index
+    return vec
+
+
+def _span_translates(field: Field, n: int, start, basis) -> list[Functional]:
+    """start + every combination of the basis rows, all index rows over
+    positions(n), as functionals."""
     add, mul, els = field.add_idx, field.mul_idx, field.elements
     pts = positions(n)
-    start = [0] * len(pts)
-    for (i, j), v in base.entries.items():
-        start[_lex(n, i, j)] = v.index
     out = []
     for coeffs in product(range(field.q), repeat=len(basis)):
         vec = start
@@ -426,39 +431,6 @@ def _span_translates(base: Functional, basis: list[list[int]]) -> list[Functiona
     return out
 
 
-def left_orbit_elements(lam: Functional) -> list[Functional]:
-    """The left orbit lam + L-hat(lam), enumerated explicitly."""
-    return _span_translates(lam, linalg.echelon(lam.field, _lhat_vectors(lam)))
-
-
-def right_orbit_elements(lam: Functional) -> list[Functional]:
-    return _span_translates(lam, linalg.echelon(lam.field, _rhat_vectors(lam)))
-
-
-_CLUSTER_MEMO: dict[Template, tuple[Functional, ...]] = {}
-
-
-def cluster_elements(tau: Template) -> tuple[Functional, ...]:
-    """Every element of the coadjoint cluster of tau.
-
-    Built structurally as the union of left orbits over the right orbit of
-    tau (no group BFS); the element count is checked against q^(2d-i).
-    """
-    cached = _CLUSTER_MEMO.get(tau)
-    if cached is not None:
-        return cached
-    seen: set[Functional] = set()
-    for mu in right_orbit_elements(tau.as_functional()):
-        seen.update(left_orbit_elements(mu))
-    if len(seen) != cluster_size(tau):
-        raise InvariantViolation(
-            f"cluster of {tau.text()} has {len(seen)} elements, expected {cluster_size(tau)}"
-        )
-    elems = tuple(sorted(seen, key=lambda f: f.sort_key()))
-    _CLUSTER_MEMO[tau] = elems
-    return elems
-
-
 _LEFT_MEMO: dict[Template, tuple] = {}
 
 
@@ -468,22 +440,22 @@ def left_orbits(tau: Template) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, 
     One (mu, basis) per orbit, both index rows over positions(n): basis is
     the reduced echelon form of L-hat(mu), and mu is reduced modulo it,
     which gives the same row for every point of the orbit.  The cluster is
-    the union of the left orbits of the points of tau's right orbit, so
-    each of those is reduced once and repeats are dropped.  Raises
-    InvariantViolation unless there are q^(d-i) orbits, each of dimension
-    d: q^(2d-i) points in all, the size of the cluster.
+    the union of the left orbits of the points of tau's right orbit
+    tau + R-hat(tau), the only walk of a cluster, so each of those is
+    reduced once and repeats are dropped.  Raises InvariantViolation unless
+    there are q^(d-i) orbits, each of dimension d: so len(orbits) *
+    q^len(basis) is q^(2d-i), the size of the cluster, read off the split.
     """
     cached = _LEFT_MEMO.get(tau)
     if cached is not None:
         return cached
     field, n = tau.field, tau.n
     add, mul, neg = field.add_idx, field.mul_idx, field.neg_idx
+    lam = tau.as_functional()
     found: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-    for mu in right_orbit_elements(tau.as_functional()):
+    for mu in _span_translates(field, n, _vector(lam), linalg.echelon(field, _rhat_vectors(lam))):
         basis = linalg.echelon(field, _lhat_vectors(mu))
-        vec = [0] * (n * (n - 1) // 2)
-        for (i, j), v in mu.entries.items():
-            vec[_lex(n, i, j)] = v.index
+        vec = _vector(mu)
         for row in basis:  # each row is 1 at its pivot and 0 at every other pivot
             a = vec[next(c for c, y in enumerate(row) if y)]
             if a:
@@ -498,6 +470,27 @@ def left_orbits(tau: Template) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, 
         )
     orbits = _LEFT_MEMO[tau] = tuple(found.items())
     return orbits
+
+
+_CLUSTER_MEMO: dict[Template, tuple[Functional, ...]] = {}
+
+
+def cluster_elements(tau: Template) -> tuple[Functional, ...]:
+    """Every element of the coadjoint cluster of tau, in sort_key order.
+
+    The points of the orbits of left_orbits(tau), each spelled out from its
+    reduced mu and basis.  left_orbits has already checked that there are
+    q^(d-i) disjoint orbits of q^d points, so nothing is walked again,
+    dropped as a repeat or counted a second time.
+    """
+    cached = _CLUSTER_MEMO.get(tau)
+    if cached is None:
+        field, n = tau.field, tau.n
+        elems = [
+            lam for mu, basis in left_orbits(tau) for lam in _span_translates(field, n, mu, basis)
+        ]
+        cached = _CLUSTER_MEMO[tau] = tuple(sorted(elems, key=Functional.sort_key))
+    return cached
 
 
 # -- enumeration and counting -------------------------------------------------

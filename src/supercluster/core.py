@@ -416,31 +416,3 @@ def evaluate(lam: Functional, x: NilMatrix) -> FieldElement:
             total = total + v * w
     return total
 
-
-# -- JSON and text encodings -------------------------------------------------
-
-_KINDS = {"nil": NilMatrix, "fun": Functional}
-
-
-def to_json(value) -> dict:
-    """{"kind": ..., "n": ..., "entries": [{"i":..,"j":..,"v":..}, ...]}."""
-    if isinstance(value, UniMatrix):
-        kind, inner = "uni", value.off
-    elif isinstance(value, NilMatrix):
-        kind, inner = "nil", value
-    elif isinstance(value, Functional):
-        kind, inner = "fun", value
-    else:
-        raise TypeError(f"cannot encode {type(value).__name__}")
-    return {
-        "kind": kind,
-        "n": inner.n,
-        "entries": [{"i": i, "j": j, "v": str(v)} for (i, j), v in inner.items()],
-    }
-
-
-def from_json(field: Field, data: dict):
-    entries = {(e["i"], e["j"]): field.parse(e["v"]) for e in data["entries"]}
-    if data["kind"] == "uni":
-        return UniMatrix(NilMatrix(field, data["n"], entries))
-    return _KINDS[data["kind"]](field, data["n"], entries)

@@ -15,11 +15,12 @@ of class functions commute and associate.  Only the step differs:
   cache shared by every caller, so a k-factor product costs O(k) steps;
 * the counting step counts pairs (lam1, lam2) across two clusters whose
   sum lands in a given cluster and assembles the multiplicity from the
-  d/i indices of the three templates.  Clusters are double orbits and the
-  actions are linear, so the count is the same for every lam1: the step
-  classifies the larger cluster's template plus each element of the
-  smaller cluster, min(|Psi1|, |Psi2|) sweeps, and weights each hit by the
-  larger size.  The pair cap still bounds |Psi1| x |Psi2|.
+  d/i indices of the three templates.  The pair cap on |Psi1| x |Psi2|
+  comes first, read off the clusters' left-orbit splits.  Clusters are
+  double orbits and the actions are linear, so the count is the same for
+  every lam1: the step classifies the larger cluster's template plus each
+  element of the smaller cluster, the only one spelled out, and weights
+  each hit by the larger size.
 
 A CharSum is a formal non-negative integer combination of templates; keys
 are always canonical templates.
@@ -228,19 +229,20 @@ def _pair_counts(t1: Template, t2: Template, max_pairs: int) -> dict[Template, i
     keeps the cluster of the sum: every lam1 sees the same counts, and
     symmetrically every lam2.  So only base + lam is classified, base the
     template of the larger cluster and lam running over the smaller one, and
-    each hit counts |larger| pairs.  The cap still bounds |Psi1| x |Psi2|,
-    the number of pairs counted.
+    each hit counts |larger| pairs.  The cap on |Psi1| x |Psi2| comes
+    first: each size is q^(d-i) left orbits of q^d points, read off the
+    memoized split of clusters.left_orbits, which also certifies the larger
+    cluster; only the smaller one goes through cluster_elements.
     """
-    e1 = clusters.cluster_elements(t1)
-    e2 = clusters.cluster_elements(t2)
-    if len(e1) * len(e2) > max_pairs:
-        raise ResourceCapExceeded(
-            f"{len(e1)} x {len(e2)} cluster pairs exceed the cap {max_pairs}"
-        )
-    base, small, weight = (t1, e2, len(e1)) if len(e1) >= len(e2) else (t2, e1, len(e2))
+    split1, split2 = clusters.left_orbits(t1), clusters.left_orbits(t2)
+    size1 = len(split1) * t1.field.q ** len(split1[0][1])
+    size2 = len(split2) * t2.field.q ** len(split2[0][1])
+    if size1 * size2 > max_pairs:
+        raise ResourceCapExceeded(f"{size1} x {size2} cluster pairs exceed the cap {max_pairs}")
+    base, small, weight = (t1, t2, size1) if size1 >= size2 else (t2, t1, size2)
     base_lam = base.as_functional()
     counts: dict[Template, int] = {}
-    for lam in small:
+    for lam in clusters.cluster_elements(small):
         tau = coadjoint_template(base_lam + lam)
         counts[tau] = counts.get(tau, 0) + weight
     return counts
@@ -254,10 +256,8 @@ def c_count(t1: Template, t2: Template, target: Template, max_pairs: int = DEFAU
 def tensor_by_counting(t1: Template, t2: Template, max_pairs: int = DEFAULT_MAX_PAIRS) -> CharSum:
     """Decompose a product by counting pairwise sums of cluster elements.
 
-    The pair counts come from _pair_counts, which classifies the larger
-    cluster's template plus each element of the smaller cluster (by
-    equivariance the count is the same for every element of the larger
-    one); max_pairs still bounds |Psi1| x |Psi2|.  The multiplicity of a
+    The pair counts come from _pair_counts, which holds |Psi1| x |Psi2| to
+    max_pairs before it spells out the smaller cluster.  The multiplicity of a
     target cluster is q^(i1+i2-d1-d2-d) times the pair count; every
     coefficient must come out an integer, and the result must agree with
     the rewrite route.  Violations raise.

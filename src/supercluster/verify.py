@@ -24,11 +24,12 @@ against its decomposition) asks oracle.sum_mismatch; Thm8.6 also
 decomposes its deep pairs by projecting onto the brute rows, and Thm9.1
 traces every group element over the context's trace masks of the
 row-covering functionals, the same trace as a brute character value.
-A.1 asks the context for a functional on which the support criterion and
-the fixed-point test disagree.  Thm9.3 and emit_golden count the left
-orbits in the row-covering part of each row's cluster with the context,
-which reads the cluster from the coadjoint partition instead of walking
-it again.  Thm6.2 holds the self-intertwining number q^i of each row to
+A.1 holds build_table's table to the brute table at every cell (a template
+missing from it fails by name) and asks the context for a functional on
+which the support criterion and the fixed-point test disagree.  Thm9.3
+and emit_golden count the left orbits in the row-covering part of each
+row's cluster with the context, which reads the cluster from the
+coadjoint partition instead of walking it again.  Thm6.2 holds the self-intertwining number q^i of each row to
 oracle.brute_inner, the pairing of its brute character with itself over
 every group element.
 
@@ -39,8 +40,9 @@ the additive character an orbit adds q^d * theta[mu(x)] when L-hat(mu)
 kills x and nothing otherwise.  It leans on L-hat, which Thm4.2 checks
 point by point (dim L-hat = d on every point of the cluster), and on the
 left-orbit sizes q^d, which Thm6.2 checks against the oracle's left
-orbits; the explicit sum of theta over cluster_elements is held to it by
-test_oracle::test_binned_traces_equal_summed_roots_of_unity.  Thm4.1 and
+orbits; test_oracle::test_binned_traces_equal_summed_roots_of_unity and
+test_clusters::test_left_orbits_split_the_cluster hold it to the explicit
+sum of theta over the cluster, read from packed.Codes.closure.  Thm4.1 and
 Thm4.2 replay each sweep's witnesses through core's actions and require
 them to carry the point onto its template's own point.
 
@@ -71,9 +73,7 @@ import sys
 from dataclasses import dataclass
 
 from . import clusters, discrete, oracle, tensor
-from .characters import (
-    DEFAULT_MAX_TABLE, build_table, char_value_closed, char_value_sum, verify_axioms,
-)
+from .characters import DEFAULT_MAX_TABLE, build_table, char_value_sum, verify_axioms
 from .clusters import Template
 from .core import UniMatrix, act_left, act_right, coact_left, coact_right, positions
 from .cyclotomic import Cyclotomic
@@ -236,11 +236,16 @@ def _check_character_sum(ctx, rng):
     return True, f"cluster-sum route matches the trace on all {len(rows)}x{len(cols)} cells"
 
 
-def _check_closed_formula(ctx):
+def _check_closed_formula(ctx, cap_table):
     rows, cols, brute = ctx.table
+    table = build_table(ctx.n, ctx.field, cap_table)
     for r, tau in enumerate(rows):
         for c, x in enumerate(cols):
-            if char_value_closed(tau, x) != brute[r][c]:
+            try:
+                value = table.value(tau, x)
+            except ValueError as exc:
+                return False, f"closed-form table: {exc}"
+            if value != brute[r][c]:
                 return False, f"closed form differs at ({tau.text()}, {x.text()})"
     for x in cols:
         lam = ctx.criterion_counterexample(x)
@@ -431,7 +436,7 @@ def run_verify(
         ("Thm4.2", lambda: _check_coadjoint_classification(ctx)),
         ("Thm6.2", lambda: _check_sizes_and_degrees(ctx, rng)),
         ("Thm3.5", lambda: _check_character_sum(ctx, rng)),
-        ("A.1", lambda: _check_closed_formula(ctx)),
+        ("A.1", lambda: _check_closed_formula(ctx, cap_table)),
         ("A.2", lambda: _check_axioms(ctx, cap_table)),
         ("Thm7.1", lambda: _check_primary_factorization(ctx)),
         ("Thm8.6", lambda: _check_tensor_ring(ctx, cap_pairs, sample_pairs, rng)),

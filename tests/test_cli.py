@@ -156,6 +156,12 @@ def test_usage_errors_exit_2():
         ("tensor", "--n", "3", "--q", "3", "--factor", "1,3,x"),
         ("verify", "--n", "5", "--q", "2", "--sample-pairs", "0"),
         ("verify", "--n", "5", "--q", "2", "--sample-pairs", "-3"),
+        # csv only on count, clusters and table; --seed and --cap-orbit only on verify
+        ("discrete", "--n", "3", "--q", "2", "--format", "csv"),
+        ("verify", "--n", "2", "--q", "2", "--format", "csv"),
+        ("count", "--n", "3", "--q", "2", "--seed", "1"),
+        ("table", "--n", "2", "--q", "2", "--cap-orbit", "10"),
+        ("tensor", "--n", "3", "--q", "2", "--factor", "1,3,1", "--seed", "1"),
     ]
     for argv in bad:
         out = run(*argv)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supercluster import field_make, linalg
+from supercluster import field_make, linalg, packed
 from supercluster.characters import char_value_sum
 from supercluster.clusters import (
     Template,
@@ -18,7 +18,6 @@ from supercluster.clusters import (
     enumerate_templates,
     hat_dims,
     invariants_of,
-    left_orbit_elements,
     left_orbits,
     parse_template,
     window_ranks,
@@ -212,27 +211,31 @@ def split_case(draw):
 @given(split_case())
 def test_left_orbits_split_the_cluster(case):
     # q^(d-i) disjoint left orbits mu + L-hat(mu), q^d points each, whose
-    # union is the cluster; the sum over them is the explicit cluster sum
+    # union is the cluster; the sum over them is the explicit cluster sum.
+    # The orbits and the cluster are closures of the oracle's packed codes.
     tau, g = case
     field, n, q = tau.field, tau.n, tau.field.q
     inv = invariants_of(tau)
     orbits = left_orbits(tau)
     assert left_orbits(tau) is orbits
     assert len(orbits) == q ** (inv.d - inv.i)
+    codes = packed.Codes(n, field)
+    left = codes.generators("coadjoint", ("left",))
     union = set()
     for vec, basis in orbits:
         mu = Functional(field, n, {
             pos: field.elements[v] for pos, v in zip(positions(n), vec)
         })
         assert [list(row) for row in basis] == linalg.echelon(field, _lhat_vectors(mu))
-        orbit = set(left_orbit_elements(mu))
+        orbit = codes.closure(codes.encode(mu), left)
         assert len(orbit) == q ** inv.d
         assert not orbit & union
         union |= orbit
-    cluster = cluster_elements(tau)
-    assert union == set(cluster)
+    cluster = codes.closure(codes.encode_template(tau), codes.generators("coadjoint"))
+    assert union == cluster
     total = Cyclotomic.from_rational(field.p, 0)
-    for lam in cluster:
+    for c in cluster:
+        lam = codes.point("coadjoint", c)
         total = total + Cyclotomic.zeta_power(field.p, evaluate(lam, g.off).trace())
     assert char_value_sum(tau, g) == Fraction(q**inv.i, q**inv.d) * total
 

@@ -22,11 +22,9 @@ from supercluster.core import (
     eps_ij,
     evaluate,
     fixes_left,
-    from_json,
     identity,
     nil_mul,
     positions,
-    to_json,
 )
 from supercluster.oracle import enumerate_dual, enumerate_group, enumerate_nil
 
@@ -211,22 +209,6 @@ def test_functional_matrix_reinterpretation(F2):
     lam = eps_ij(F2, 3, 1, 3)
     assert lam.as_matrix() == e_ij(F2, 3, 1, 3)
     assert e_ij(F2, 3, 1, 3).as_functional() == lam
-
-
-def test_json_round_trip(F3):
-    values = [
-        e_ij(F3, 3, 1, 3, F3.elements[2]),
-        eps_ij(F3, 3, 1, 2) + eps_ij(F3, 3, 2, 3, F3.elements[2]),
-        UniMatrix(e_ij(F3, 3, 1, 2)),
-    ]
-    for v in values:
-        data = to_json(v)
-        assert from_json(F3, data) == v
-    assert to_json(values[0]) == {
-        "kind": "nil",
-        "n": 3,
-        "entries": [{"i": 1, "j": 3, "v": "2"}],
-    }
 
 
 # -- the actions against dense matrices ----------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from supercluster import field_make, oracle, packed
 from supercluster.characters import char_value_sum
 from supercluster.clusters import (
-    cluster_elements,
     enumerate_templates,
     invariants_of,
     parse_template,
@@ -515,6 +514,8 @@ def test_binned_traces_equal_summed_roots_of_unity(case):
     start = codes.encode_template(tau)
     left = codes.generators("coadjoint", ("left",))
     orbit = [codes.point("coadjoint", c) for c in codes.closure(start, left)]
+    both = codes.generators("coadjoint")
+    cluster = [codes.point("coadjoint", c) for c in codes.closure(start, both)]
     covering = covering_duals(n, p, k)
     inv = invariants_of(tau)
     ctx = OracleContext(n, tau.field)
@@ -523,7 +524,7 @@ def test_binned_traces_equal_summed_roots_of_unity(case):
         assert brute_char_value(tau, h, ctx) == want
         want = summed_roots(p, [evaluate(lam, h.off) for lam in covering if fixes_left(h, lam)])
         assert masks_delta(h, covering) == want
-        total = summed_roots(p, [evaluate(lam, h.off) for lam in cluster_elements(tau)])
+        total = summed_roots(p, [evaluate(lam, h.off) for lam in cluster])
         assert char_value_sum(tau, h) == Fraction(q**inv.i, q**inv.d) * total
 
 

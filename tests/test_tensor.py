@@ -266,6 +266,27 @@ def test_pair_counts_sweep_only_the_smaller_cluster(monkeypatch):
     assert 0 < len(sweeps) <= 16
 
 
+def test_the_pair_cap_comes_before_any_cluster_is_spelled_out(monkeypatch):
+    # |Psi| = 16 and 64 at (5,2): the sizes come from the left-orbit splits,
+    # and 16 x 64 over the cap raises before cluster_elements is called
+    field = field_make(2, 1)
+    t1 = Template(field, 5, [(1, 4, field.one)])
+    t2 = Template(field, 5, [(1, 5, field.one)])
+    spelled = []
+    spell = clusters.cluster_elements
+
+    def counted(tau):
+        spelled.append(tau)
+        return spell(tau)
+
+    monkeypatch.setattr(clusters, "cluster_elements", counted)
+    supercluster.clear_memos()
+    with pytest.raises(ResourceCapExceeded) as err:
+        c_count(t1, t2, t2, 16 * 64 - 1)
+    assert str(err.value) == f"16 x 64 cluster pairs exceed the cap {16 * 64 - 1}"
+    assert spelled == []
+
+
 def test_clear_memos_empties_every_memo_of_the_engine():
     """One clear reaches the classification, cluster-element and left-orbit
     memos of clusters and the rewrite-step cache of tensor; every memo a

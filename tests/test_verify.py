@@ -433,6 +433,64 @@ def test_a_cluster_sum_off_away_from_the_rook_points_fails_thm35(F3, monkeypatch
     )}
 
 
+def test_a_closed_form_off_at_the_last_cell_fails_a1(F3, monkeypatch):
+    """A value of the built table off by z at the last row and last column
+    only; A.1 alone reads the table cell by cell."""
+    from supercluster.characters import CharacterTable
+    from supercluster.cyclotomic import Cyclotomic
+
+    rows, cols, _ = oracle.OracleContext(3, F3).table
+    tau, x = rows[-1], cols[-1]
+    value = CharacterTable.value
+    z = Cyclotomic.zeta_power(3, 1)
+
+    def off(table, t, y):
+        v = value(table, t, y)
+        return v + z if (t, y) == (tau, x) else v
+
+    monkeypatch.setattr(CharacterTable, "value", off)
+    assert _failed(run_verify(3, F3)) == {
+        "A.1": f"closed form differs at ({tau.text()}, {x.text()})"
+    }
+
+
+def test_a_wrong_support_criterion_at_the_last_column_fails_a1(F3, monkeypatch):
+    """The oracle reports a counterexample to the support criterion at the
+    last column only."""
+    ctx = oracle.OracleContext(3, F3)
+    x, lam = ctx.table[1][-1], ctx.coadjoint.points[-1]
+    counterexample = oracle.OracleContext.criterion_counterexample
+
+    def wrong(context, y):
+        return lam if y == x else counterexample(context, y)
+
+    monkeypatch.setattr(oracle.OracleContext, "criterion_counterexample", wrong)
+    assert _failed(run_verify(3, F3)) == {
+        "A.1": f"support criterion wrong for ({lam!r}, {x.text()})"
+    }
+
+
+def test_a_table_without_a_row_template_fails_a1_by_name(F3, monkeypatch, capsys):
+    """A built table that lacks the last row template fails A.1 with a line
+    that names it, and no traceback; A.2 reads the same table and fails its
+    axioms."""
+    from supercluster.characters import CharacterTable, build_table, verify_axioms
+
+    full = build_table(3, F3)
+    short = CharacterTable(
+        n=3, field=F3, rows=full.rows[:-1], cols=full.cols, values=full.values[:-1],
+        row_degrees=full.row_degrees[:-1], row_selfint=full.row_selfint[:-1],
+        col_sizes=full.col_sizes,
+    )
+    monkeypatch.setattr(verify, "build_table", lambda n, field, max_rows: short)
+    name, detail = verify_axioms(short).failures()[0]
+    assert _failed(run_verify(3, F3)) == {
+        "A.1": f"closed-form table: {full.rows[-1].text()} is not a row of the table",
+        "A.2": f"axiom {name} failed: {detail}",
+    }
+    assert capsys.readouterr().err == ""
+
+
 # -- two lanes ----------------------------------------------------------------
 
 LANE_B = ["Thm5.1", "Thm4.1", "Thm4.2", "A.2", "Thm7.1", "Thm9.1", "Thm9.3"]
