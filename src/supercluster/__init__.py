@@ -72,12 +72,10 @@ __version__ = "0.1.0"
 
 
 def clear_memos() -> None:
-    """Empty every module-level memo of the engine: the classification,
-    cluster-element and left-orbit memos of clusters and the rewrite-step
-    cache of tensor."""
+    """Empty every module-level memo of the engine: the left-orbit splits of
+    clusters and the two step caches of tensor, rewrite and count."""
     from . import clusters, tensor
 
-    clusters._COADJ_MEMO.clear()
-    clusters._CLUSTER_MEMO.clear()
     clusters._LEFT_MEMO.clear()
     tensor._rewrite_step.cache_clear()
+    tensor._count_step.cache_clear()

@@ -213,7 +213,7 @@ def _run_discrete(cfg: RunConfig) -> int:
 
 def _run_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     field = cfg.field
-    cap_orbit = cfg.caps["orbit"] if args.cap_orbit is None else args.cap_orbit
+    cap_orbit = cfg.caps["orbit"]
     report = verify.run_verify(
         cfg.n,
         field,
@@ -266,9 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the certification suite for (n, q)")
     _add_common(p_verify)
-    p_verify.add_argument("--cap-orbit", type=int,
-                          help="max size q^(n(n-1)/2) of the enumerated spaces:"
-                               " the algebra, its dual and the group")
     p_verify.add_argument("--seed", type=int, default=0, help="seed for sampled verification")
     p_verify.add_argument("--sample-pairs", type=int, default=200,
                           help="tensor pairs to sample when exhaustion is too big")

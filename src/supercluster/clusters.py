@@ -235,17 +235,6 @@ def coadjoint_template_of(lam: Functional) -> tuple[Template, UniMatrix, UniMatr
     return t, g, h
 
 
-_COADJ_MEMO: dict[Functional, Template] = {}
-
-
-def coadjoint_template(lam: Functional) -> Template:
-    t = _COADJ_MEMO.get(lam)
-    if t is None:
-        t = coadjoint_template_of(lam)[0]
-        _COADJ_MEMO[lam] = t
-    return t
-
-
 # -- rank invariants ----------------------------------------------------------
 #
 # Window (i, j) of a matrix keeps the entries (k, l) with i <= k < l <= j;
@@ -472,25 +461,19 @@ def left_orbits(tau: Template) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, 
     return orbits
 
 
-_CLUSTER_MEMO: dict[Template, tuple[Functional, ...]] = {}
-
-
 def cluster_elements(tau: Template) -> tuple[Functional, ...]:
     """Every element of the coadjoint cluster of tau, in sort_key order.
 
     The points of the orbits of left_orbits(tau), each spelled out from its
     reduced mu and basis.  left_orbits has already checked that there are
     q^(d-i) disjoint orbits of q^d points, so nothing is walked again,
-    dropped as a repeat or counted a second time.
+    dropped as a repeat or counted a second time.  Not memoized: its one
+    engine caller, tensor's counting step, keeps its own bounded cache of
+    whole pair counts.
     """
-    cached = _CLUSTER_MEMO.get(tau)
-    if cached is None:
-        field, n = tau.field, tau.n
-        elems = [
-            lam for mu, basis in left_orbits(tau) for lam in _span_translates(field, n, mu, basis)
-        ]
-        cached = _CLUSTER_MEMO[tau] = tuple(sorted(elems, key=Functional.sort_key))
-    return cached
+    field, n = tau.field, tau.n
+    elems = [lam for mu, basis in left_orbits(tau) for lam in _span_translates(field, n, mu, basis)]
+    return tuple(sorted(elems, key=Functional.sort_key))
 
 
 # -- enumeration and counting -------------------------------------------------

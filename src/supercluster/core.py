@@ -12,9 +12,12 @@ functionals) are pure functions; every value here is immutable and safe to
 share across workers.  fixes_left(g, lam) answers coact_left(g, lam) == lam
 from the same column-operation increments without building the image; no
 engine path calls it, and it is kept as the tests' witness for the oracle's
-fixed-point rule, which packed writes from the same formula.  The
-coactions, fixes_left and evaluate raise ValueError on operands of
-different sizes or over different fields.
+fixed-point rule, which packed writes from the same formula.
+
+Every operation on two operands raises ValueError ("size mismatch" or
+"field mismatch") when their sizes or fields differ: sums and differences,
+scale (its scalar's field), nil_mul and the UniMatrix product, the
+one-sided actions, the coactions, fixes_left and evaluate.
 
 A UniMatrix fills two index slots on first use and keeps them: the entries
 of g - I grouped by column and by row.  The one-sided actions and
@@ -41,6 +44,14 @@ from .gf import Field, FieldElement
 def positions(n: int) -> list[tuple[int, int]]:
     """All strictly upper positions (i,j), 1 <= i < j <= n, in lex order."""
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+
+def _same_ring(x, field: Field, n: int) -> None:
+    """Raise ValueError unless x has size n and its values lie in field."""
+    if x.n != n:
+        raise ValueError("size mismatch")
+    if x.field is not field and x.field != field:
+        raise ValueError("field mismatch")
 
 
 def _clean(field: Field, n: int, entries: dict) -> dict:
@@ -111,8 +122,7 @@ class _SparseUpper:
         return self._hash
 
     def _combine(self, other, minus=False):
-        if self.n != other.n:
-            raise ValueError("size mismatch")
+        _same_ring(other, self.field, self.n)
         out = dict(self.entries)
         for pos, v in other.entries.items():
             w = out.get(pos, self.field.zero) + (-v if minus else v)
@@ -132,6 +142,7 @@ class _SparseUpper:
         return self._trusted(self.field, self.n, {p: -v for p, v in self.entries.items()})
 
     def scale(self, a: FieldElement):
+        _same_ring(self, a.field, self.n)
         if not a:
             return self._trusted(self.field, self.n, {})
         return self._trusted(self.field, self.n, {p: a * v for p, v in self.entries.items()})
@@ -178,8 +189,7 @@ def eps_ij(field: Field, n: int, i: int, j: int, a: FieldElement | None = None) 
 
 def nil_mul(x: NilMatrix, y: NilMatrix) -> NilMatrix:
     """Matrix product of two strictly upper matrices (again strictly upper)."""
-    if x.n != y.n:
-        raise ValueError("size mismatch")
+    _same_ring(y, x.field, x.n)
     out: dict = {}
     for (i, k), a in x.entries.items():
         for (k2, j), b in y.entries.items():
@@ -280,8 +290,7 @@ def act_left(g: UniMatrix, x: NilMatrix) -> NilMatrix:
     On entries: new x_lj = x_lj + sum over entries (l,k) of g-I of
     y_lk * x_kj, so each entry (k,j) of x meets column k of g - I.
     """
-    if g.n != x.n:
-        raise ValueError("size mismatch")
+    _same_ring(g.off, x.field, x.n)
     out = dict(x.entries)
     zero = x.field.zero
     cols = g._col_index()
@@ -301,8 +310,7 @@ def act_right(x: NilMatrix, g: UniMatrix) -> NilMatrix:
     On entries: new x_ij = x_ij + sum over entries (k,j) of g-I of
     x_ik * y_kj, so each entry (i,k) of x meets row k of g - I.
     """
-    if g.n != x.n:
-        raise ValueError("size mismatch")
+    _same_ring(g.off, x.field, x.n)
     out = dict(x.entries)
     zero = x.field.zero
     rows = g._row_index()
@@ -334,10 +342,7 @@ def coact_left(g: UniMatrix, lam: Functional) -> Functional:
     On coefficients: new c_kl = c_kl + sum over entries (l,b) of g-I of
     y_lb * c_kb, a restricted column operation on the coefficient matrix.
     """
-    if g.n != lam.n:
-        raise ValueError("size mismatch")
-    if g.off.field is not lam.field and g.off.field != lam.field:
-        raise ValueError("field mismatch")
+    _same_ring(g.off, lam.field, lam.n)
     out = dict(lam.entries)
     zero = lam.field.zero
     cols = g._col_index()
@@ -358,10 +363,7 @@ def fixes_left(g: UniMatrix, lam: Functional) -> bool:
     Sums coact_left's increments y_lb * c_kb per position (k,l) and asks
     that every sum vanish.
     """
-    if g.n != lam.n:
-        raise ValueError("size mismatch")
-    if g.off.field is not lam.field and g.off.field != lam.field:
-        raise ValueError("field mismatch")
+    _same_ring(g.off, lam.field, lam.n)
     cols = g._col_index()
     inc: dict = {}
     for (k, b), c in lam.entries.items():
@@ -379,10 +381,7 @@ def coact_right(lam: Functional, g: UniMatrix) -> Functional:
     On coefficients: new c_kl = c_kl + sum over entries (a,k) of g-I of
     y_ak * c_al, a restricted row operation on the coefficient matrix.
     """
-    if g.n != lam.n:
-        raise ValueError("size mismatch")
-    if g.off.field is not lam.field and g.off.field != lam.field:
-        raise ValueError("field mismatch")
+    _same_ring(g.off, lam.field, lam.n)
     out = dict(lam.entries)
     zero = lam.field.zero
     rows = g._row_index()
@@ -404,10 +403,7 @@ def coact_coadjoint(lam: Functional, g: UniMatrix) -> Functional:
 
 def evaluate(lam: Functional, x: NilMatrix) -> FieldElement:
     """lam(x) = sum of c_ij * x_ij."""
-    if lam.n != x.n:
-        raise ValueError("size mismatch")
-    if lam.field is not x.field and lam.field != x.field:
-        raise ValueError("field mismatch")
+    _same_ring(x, lam.field, lam.n)
     small, big = (lam.entries, x.entries) if len(lam.entries) <= len(x.entries) else (x.entries, lam.entries)
     total = lam.field.zero
     for pos, v in small.items():

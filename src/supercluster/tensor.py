@@ -20,7 +20,12 @@ of class functions commute and associate.  Only the step differs:
   double orbits and the actions are linear, so the count is the same for
   every lam1: the step classifies the larger cluster's template plus each
   element of the smaller cluster, the only one spelled out, and weights
-  each hit by the larger size.
+  each hit by the larger size.  The pair counts are memoized in a second
+  bounded cache, keyed by the unordered pair, so a repeated product and
+  its mirror are counted once.
+
+Both caches hold STEP_MEMO_SIZE entries each and are emptied, with the
+left-orbit splits, by supercluster.clear_memos().
 
 A CharSum is a formal non-negative integer combination of templates; keys
 are always canonical templates.
@@ -32,12 +37,13 @@ from functools import lru_cache
 from math import gcd
 
 from . import clusters
-from .clusters import Template, coadjoint_template, invariants_of
+from .clusters import Template, invariants_of
 from .errors import InvariantViolation, ResourceCapExceeded
 from .gf import Field, FieldElement
 
 DEFAULT_MAX_PAIRS = 2**24
-# Entries of the template x cell step memo, across all callers.
+# Entries of each step cache, the template x cell rewrite and the cluster x
+# cluster count, across all callers.
 STEP_MEMO_SIZE = 2**14
 
 Cell = tuple[int, int, FieldElement]
@@ -223,33 +229,52 @@ def tensor_product(t1: Template, t2: Template) -> CharSum:
 def _pair_counts(t1: Template, t2: Template, max_pairs: int) -> dict[Template, int]:
     """How many pairs (lam1, lam2) in Psi1 x Psi2 have lam1 + lam2 in each cluster.
 
-    A cluster is a double orbit U.tau.U and both one-sided actions are
-    linear, so g.(lam1 + lam2).h = g.lam1.h + g.lam2.h.  Taking (g, h) with
-    g.lam1.h = t1 shows that lam2 -> g.lam2.h is a bijection of Psi2 that
-    keeps the cluster of the sum: every lam1 sees the same counts, and
-    symmetrically every lam2.  So only base + lam is classified, base the
-    template of the larger cluster and lam running over the smaller one, and
-    each hit counts |larger| pairs.  The cap on |Psi1| x |Psi2| comes
-    first: each size is q^(d-i) left orbits of q^d points, read off the
-    memoized split of clusters.left_orbits, which also certifies the larger
-    cluster; only the smaller one goes through cluster_elements.
+    The cap on |Psi1| x |Psi2| comes first: each size is q^(d-i) left
+    orbits of q^d points, read off the memoized split of
+    clusters.left_orbits, and the message names the sizes in argument
+    order.  The counts themselves come from _count_step, larger cluster
+    first and ties broken by sort_key, so a product and its mirror share
+    one cache entry.
     """
+    if (t1.field, t1.n) != (t2.field, t2.n):
+        raise ValueError("mismatched rings")
     split1, split2 = clusters.left_orbits(t1), clusters.left_orbits(t2)
     size1 = len(split1) * t1.field.q ** len(split1[0][1])
     size2 = len(split2) * t2.field.q ** len(split2[0][1])
     if size1 * size2 > max_pairs:
         raise ResourceCapExceeded(f"{size1} x {size2} cluster pairs exceed the cap {max_pairs}")
-    base, small, weight = (t1, t2, size1) if size1 >= size2 else (t2, t1, size2)
+    if (-size1, t1.sort_key()) <= (-size2, t2.sort_key()):
+        return dict(_count_step(t1, t2, size1))
+    return dict(_count_step(t2, t1, size2))
+
+
+@lru_cache(maxsize=STEP_MEMO_SIZE)
+def _count_step(base: Template, small: Template, weight: int) -> tuple[tuple[Template, int], ...]:
+    """The pair counts of the clusters of base and small, |Psi(base)| = weight
+    >= |Psi(small)|.
+
+    A cluster is a double orbit U.tau.U and both one-sided actions are
+    linear, so g.(lam1 + lam2).h = g.lam1.h + g.lam2.h.  Taking (g, h) with
+    g.lam1.h = base shows that lam2 -> g.lam2.h is a bijection of Psi(small)
+    that keeps the cluster of the sum: every lam1 sees the same counts.  So
+    only base + lam is classified, lam running over the smaller cluster, the
+    only one spelled out, and each hit counts weight pairs; the larger
+    cluster is certified by its split alone.
+    """
     base_lam = base.as_functional()
     counts: dict[Template, int] = {}
     for lam in clusters.cluster_elements(small):
-        tau = coadjoint_template(base_lam + lam)
+        tau = clusters.coadjoint_template_of(base_lam + lam)[0]
         counts[tau] = counts.get(tau, 0) + weight
-    return counts
+    return tuple(counts.items())
 
 
 def c_count(t1: Template, t2: Template, target: Template, max_pairs: int = DEFAULT_MAX_PAIRS) -> int:
-    """|{(lam1, lam2) in Psi1 x Psi2 : lam1 + lam2 in Psi(target)}|, exactly."""
+    """|{(lam1, lam2) in Psi1 x Psi2 : lam1 + lam2 in Psi(target)}|, exactly.
+
+    The three templates must share one ring; otherwise ValueError."""
+    if (target.field, target.n) != (t1.field, t1.n):
+        raise ValueError("mismatched rings")
     return _pair_counts(t1, t2, max_pairs).get(target, 0)
 
 
@@ -262,8 +287,6 @@ def tensor_by_counting(t1: Template, t2: Template, max_pairs: int = DEFAULT_MAX_
     coefficient must come out an integer, and the result must agree with
     the rewrite route.  Violations raise.
     """
-    if (t1.field, t1.n) != (t2.field, t2.n):
-        raise ValueError("mismatched rings")
     q = t1.field.q
     inv1 = invariants_of(t1)
     inv2 = invariants_of(t2)

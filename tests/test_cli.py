@@ -156,11 +156,13 @@ def test_usage_errors_exit_2():
         ("tensor", "--n", "3", "--q", "3", "--factor", "1,3,x"),
         ("verify", "--n", "5", "--q", "2", "--sample-pairs", "0"),
         ("verify", "--n", "5", "--q", "2", "--sample-pairs", "-3"),
-        # csv only on count, clusters and table; --seed and --cap-orbit only on verify
+        # csv only on count, clusters and table; --seed only on verify; the
+        # orbit cap is set in SUPERCLUSTER_CAPS alone
         ("discrete", "--n", "3", "--q", "2", "--format", "csv"),
         ("verify", "--n", "2", "--q", "2", "--format", "csv"),
         ("count", "--n", "3", "--q", "2", "--seed", "1"),
         ("table", "--n", "2", "--q", "2", "--cap-orbit", "10"),
+        ("verify", "--n", "2", "--q", "2", "--cap-orbit", "10"),
         ("tensor", "--n", "3", "--q", "2", "--factor", "1,3,1", "--seed", "1"),
     ]
     for argv in bad:
@@ -170,7 +172,7 @@ def test_usage_errors_exit_2():
 
 
 def test_resource_cap_exit_3():
-    out = run("verify", "--n", "4", "--q", "2", "--cap-orbit", "10")
+    out = run("verify", "--n", "4", "--q", "2", env={"SUPERCLUSTER_CAPS": "orbit=10"})
     assert out.returncode == 3
     assert "resource cap" in out.stderr
     over_cap = [  # q = 128, q = 2^(10^12) and a prime near 10^18 (no primality test)

@@ -83,6 +83,13 @@ FIELD_MISMATCH = {
     "coact_left": lambda g, lam: coact_left(g, lam),
     "coact_right": lambda g, lam: coact_right(lam, g),
     "evaluate": lambda g, lam: evaluate(lam, g.off),
+    "add": lambda g, lam: lam + g.off.as_functional(),
+    "sub": lambda g, lam: lam - g.off.as_functional(),
+    "scale": lambda g, lam: lam.scale(g.off.get(1, 2)),
+    "nil_mul": lambda g, lam: nil_mul(lam.as_matrix(), g.off),
+    "group_mul": lambda g, lam: UniMatrix(lam.as_matrix()) * g,
+    "act_left": lambda g, lam: act_left(g, lam.as_matrix()),
+    "act_right": lambda g, lam: act_right(lam.as_matrix(), g),
 }
 
 

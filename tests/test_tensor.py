@@ -287,10 +287,44 @@ def test_the_pair_cap_comes_before_any_cluster_is_spelled_out(monkeypatch):
     assert spelled == []
 
 
+def test_a_repeated_product_and_its_mirror_reuse_the_counting_step(monkeypatch):
+    # after one tensor_by_counting, the repeat and the mirror product come
+    # from the step cache: no cluster is spelled out and no sum classified.
+    # Both clusters have 9 points, so the mirror shares the entry through
+    # the sort_key tie-break.
+    field = field_make(3, 1)
+    t1 = parse_template(field, 4, "(1,3)=1")
+    t2 = parse_template(field, 4, "(2,4)=2")
+    supercluster.clear_memos()
+    first = tensor_by_counting(t1, t2)
+    calls = []
+    for name in ("cluster_elements", "coadjoint_template_of"):
+        real = getattr(clusters, name)
+        monkeypatch.setattr(
+            clusters, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+        )
+    assert tensor_by_counting(t1, t2) == first
+    assert tensor_by_counting(t2, t1) == first
+    assert calls == []
+    assert tensor._count_step.cache_info().currsize == 1
+
+
+def test_counting_rejects_mismatched_rings(F2, F3, F4):
+    for other in (F3, F4):
+        for t1, t2, target in (
+            (T(F2, 3, "(1,3)=1"), T(other, 3, "(1,3)=1"), T(F2, 3, "0")),
+            (T(F2, 3, "(1,3)=1"), T(F2, 3, "(1,2)=1"), T(other, 3, "0")),
+        ):
+            with pytest.raises(ValueError, match="^mismatched rings$"):
+                c_count(t1, t2, target)
+        with pytest.raises(ValueError, match="^mismatched rings$"):
+            tensor_by_counting(T(F2, 3, "(1,3)=1"), T(other, 3, "(1,3)=1"))
+
+
 def test_clear_memos_empties_every_memo_of_the_engine():
-    """One clear reaches the classification, cluster-element and left-orbit
-    memos of clusters and the rewrite-step cache of tensor; every memo a
-    module names *_MEMO is among them."""
+    """One clear reaches the left-orbit memo of clusters and the two step
+    caches of tensor, rewrite and count; every memo a module names *_MEMO
+    is among them."""
     import importlib
     import pkgutil
 
@@ -309,7 +343,8 @@ def test_clear_memos_empties_every_memo_of_the_engine():
         for name, value in vars(importlib.import_module(f"supercluster.{info.name}")).items()
         if name.endswith("_MEMO")
     }
-    assert set(memos) == {"clusters._COADJ_MEMO", "clusters._CLUSTER_MEMO", "clusters._LEFT_MEMO"}
-    assert all(memos.values()) and tensor._rewrite_step.cache_info().currsize
+    steps = (tensor._rewrite_step, tensor._count_step)
+    assert set(memos) == {"clusters._LEFT_MEMO"}
+    assert all(memos.values()) and all(step.cache_info().currsize for step in steps)
     supercluster.clear_memos()
-    assert not any(memos.values()) and not tensor._rewrite_step.cache_info().currsize
+    assert not any(memos.values()) and not any(step.cache_info().currsize for step in steps)

@@ -594,29 +594,33 @@ def test_a_dead_child_fails_the_checks_it_did_not_report(monkeypatch, capsys, de
 
 
 @pytest.mark.parametrize("caps", [
-    ("--cap-orbit", "10"),  # the context's one space cap, met before the warm-up
+    {"orbit": 10},  # the context's one space cap, met before the warm-up
 ])
 def test_a_cap_in_the_warm_up_ends_the_run_as_with_one_job(monkeypatch, capsys, caps):
-    one = _verify_cli(capsys, *caps, "--jobs", "1")
+    monkeypatch.setenv("SUPERCLUSTER_CAPS", ",".join(f"{k}={v}" for k, v in caps.items()))
+    one = _verify_cli(capsys, "--jobs", "1")
     started = []
     sizes_and_degrees = verify._check_sizes_and_degrees
     monkeypatch.setattr(
         verify, "_check_sizes_and_degrees", lambda *a: started.append(1) or sizes_and_degrees(*a)
     )
-    two = _verify_cli(capsys, *caps, "--jobs", "2")
+    two = _verify_cli(capsys, "--jobs", "2")
     assert one == two and started == []  # no lane started
     assert one[0] == 3 and one[1] == "" and one[2].startswith("resource cap exceeded: ")
     _assert_no_child_left()
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_the_space_cap_admits_a_space_of_its_size(capsys, jobs):
+def test_the_space_cap_admits_a_space_of_its_size(monkeypatch, capsys, jobs):
     """(3,2) has 2^3 = 8 points in the algebra, the dual and the group:
-    --cap-orbit 8 certifies it, and 7 ends the run before any check."""
+    SUPERCLUSTER_CAPS=orbit=8 certifies it, and orbit=7 ends the run before
+    any check."""
     small = ("--n", "3", "--q", "2")
-    code, out, _ = _verify_cli(capsys, "--cap-orbit", "8", "--jobs", jobs, args=small)
+    monkeypatch.setenv("SUPERCLUSTER_CAPS", "orbit=8")
+    code, out, _ = _verify_cli(capsys, "--jobs", jobs, args=small)
     assert code == 0 and out.endswith("overall PASS\n")
-    assert _verify_cli(capsys, "--cap-orbit", "7", "--jobs", jobs, args=small) == (
+    monkeypatch.setenv("SUPERCLUSTER_CAPS", "orbit=7")
+    assert _verify_cli(capsys, "--jobs", jobs, args=small) == (
         3, "", "resource cap exceeded: space of size 8 exceeds the cap 7\n"
     )
     _assert_no_child_left()
