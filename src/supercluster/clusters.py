@@ -42,7 +42,7 @@ class Template:
     (a functional); values are part of the identity, never normalized.
     """
 
-    __slots__ = ("field", "n", "cells", "_hash")
+    __slots__ = ("field", "n", "cells", "_hash", "_invariants")
 
     def __init__(self, field: Field, n: int, cells):
         cells = tuple(sorted(((i, j, v) for (i, j, v) in cells), key=lambda c: (c[0], c[1])))
@@ -61,6 +61,7 @@ class Template:
         self.n = n
         self.cells = cells
         self._hash = hash((field.p, field.k, n, cells))
+        self._invariants = None  # invariants_of's result, made on first use
 
     def support(self) -> frozenset[tuple[int, int]]:
         return frozenset((i, j) for i, j, _ in self.cells)
@@ -302,16 +303,19 @@ def invariants_of(tau: Template) -> ClusterInvariants:
     (i,j) of L-shaped hooks: a support cell above in the same column and a
     support cell to the right in the same row, the corner itself strictly
     upper.  d(k, tau) counts support cells straddling row k (i < k < j).
+    Computed once per template, which keeps the result.
     """
-    supp = [(i, j) for i, j, _ in tau.cells]
-    d = sum(j - i - 1 for i, j in supp)
-    hooks = 0
-    for ai, aj in supp:  # upper cell of the hook, in the corner's column
-        for bi, bj in supp:  # right cell of the hook, in the corner's row
-            if ai < bi and aj < bj and bi < aj:
-                hooks += 1
-    d_rows = tuple(sum(1 for i, j in supp if i < k < j) for k in range(1, tau.n))
-    return ClusterInvariants(d=d, i=hooks, d_rows=d_rows)
+    if tau._invariants is None:
+        supp = [(i, j) for i, j, _ in tau.cells]
+        d = sum(j - i - 1 for i, j in supp)
+        hooks = 0
+        for ai, aj in supp:  # upper cell of the hook, in the corner's column
+            for bi, bj in supp:  # right cell of the hook, in the corner's row
+                if ai < bi and aj < bj and bi < aj:
+                    hooks += 1
+        d_rows = tuple(sum(1 for i, j in supp if i < k < j) for k in range(1, tau.n))
+        tau._invariants = ClusterInvariants(d=d, i=hooks, d_rows=d_rows)
+    return tau._invariants
 
 
 # -- the orbit subspaces, for arbitrary functionals ---------------------------

@@ -17,7 +17,10 @@ formula) are used, and neither module imports more from core than the
 value types and positions, so a bug in core's actions or in a fast path
 cannot leak into its own certification; only the Template value type is
 shared.  The public functions take and return core's value types, decoding
-codes to them only where a caller asks for points.
+codes to them only where a caller asks for points; a partition keeps each
+point as its code alone.  enumerate_nil, enumerate_dual and enumerate_group
+list the spaces in product order, apart from the encoding, as the tests'
+reference for code order; no engine path calls them.
 
 Neither trace uses the support criterion, which A.1 certifies against
 them through OracleContext.criterion_counterexample: both test fixedness
@@ -36,11 +39,11 @@ brute_tensor returns one only after it has rebuilt f from it at every
 column.
 
 An OracleContext holds the brute data of one (n, field, cap), each piece
-built on first use: the encoding, the adjoint and coadjoint partitions, the
-group read from the adjoint partition's point list, the row codes of every
-group element, one group element per column template, the left orbits of
-the row templates, the trace masks of the row-covering functionals, the
-brute table and each row's projection data.  It also answers A.1 (a
+built on first use: the encoding, the adjoint and coadjoint partitions
+(orbit ids and codes, no points), the row codes of every group element, one
+group element per column template, the left orbits of the row templates,
+the trace masks of the row-covering functionals, the brute table and each
+row's projection data.  It also answers A.1 (a
 functional on which the support criterion and the fixed-point test
 disagree) and Thm9.3 (the left orbits in the row-covering part of a
 cluster).  The algebra, its dual and the group have q^(n(n-1)/2) points
@@ -115,10 +118,10 @@ def enumerate_group(n: int, field: Field, cap: int = DEFAULT_MAX_SPACE) -> list[
 class OrbitDecomposition:
     """A full partition of a space into double orbits, one template each.
 
-    ids[c] is the orbit of the point with code c, points[c].
+    ids[c] is the orbit of the point with code c; a caller that needs the
+    point decodes it with packed.Codes.point.
     """
 
-    points: list
     representatives: list[Template]
     ids: list[int]
 
@@ -133,11 +136,6 @@ class OrbitDecomposition:
     def orbit_sizes(self) -> list[int]:
         return [len(codes) for codes in self.orbit_codes]
 
-    def members(self) -> list[list]:
-        """The points of each orbit, indexed by orbit id, in points order."""
-        points = self.points
-        return [[points[c] for c in codes] for codes in self.orbit_codes]
-
 
 def orbit_partition(
     n: int, field: Field, side: str = "coadjoint", cap: int = DEFAULT_MAX_SPACE
@@ -146,18 +144,14 @@ def orbit_partition(
 
     Raises InvariantViolation unless every orbit contains exactly one rook
     point (the uniqueness half of the classification).  Orbits are numbered
-    in enumeration order of their first point.
+    in code order of their first point.
     """
     if side not in ("adjoint", "coadjoint"):
         raise ValueError(f"unknown side {side!r}")
-    points = enumerate_dual(n, field, cap) if side == "coadjoint" else enumerate_nil(n, field, cap)
+    _check_space(n, field, cap)
     codes = _packed().Codes(n, field)
     ids, rooks = codes.partition(side)
-    return OrbitDecomposition(
-        points=points,
-        representatives=[codes.template(c) for c in rooks],
-        ids=ids,
-    )
+    return OrbitDecomposition(representatives=[codes.template(c) for c in rooks], ids=ids)
 
 
 # -- the context of one run -----------------------------------------------------
@@ -191,21 +185,10 @@ class OracleContext:
     def coadjoint(self) -> OrbitDecomposition:
         return orbit_partition(self.n, self.field, "coadjoint", self.cap)
 
-    def group(self) -> list[UniMatrix]:
-        """enumerate_group's list, I + x over the adjoint points.
-
-        The list is made afresh on each call and not kept: the wrappers are
-        cheap, and the column index each element fills when it is traced
-        (0.46 MB by tracemalloc at (5,2)) goes with it instead of living to
-        the end of the run.
-        """
-        return [UniMatrix(x) for x in self.adjoint.points]
-
     @cached_property
     def group_rows(self) -> list[tuple[int, ...]]:
-        """The row codes of g - I for every group element g, in code order,
-        as enumerate_group lists the elements: row k runs over its q^(n-k)
-        codes, row 1 slowest."""
+        """The row codes of g - I for every group element g, in code order:
+        row k runs over its q^(n-k) codes, row 1 slowest."""
         return list(product(*(range(size) for _, size in self.codes.row_blocks)))
 
     def column(self, x: Template) -> UniMatrix:

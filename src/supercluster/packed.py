@@ -27,13 +27,14 @@ a bug in core's actions cannot reach the oracle:
   products with the rows c_k, k < l, and with c_l.  At p = 2 each dot
   product is an AND and a popcount parity, one per bit-plane.
 
-Codes partitions a space into double orbits, checking one rook point per
-orbit, and traces a list of functionals with per-row bit masks over them,
-so a trace costs a few big-int operations per row of g - I.  The one
-trace serves every left-invariant list: a left orbit for a cluster
-character, the row-covering functionals for the discrete series.
-Everything here is built per (n, field) by its caller and kept nowhere
-else.
+Codes partitions a space into double orbits, an orbit id per code with one
+rook point per orbit checked, and builds no point: a caller that walks a
+space decodes each point with point as it goes.  It traces a list of
+functionals with per-row bit masks over them, so a trace costs a few
+big-int operations per row of g - I.  The one trace serves every
+left-invariant list: a left orbit for a cluster character, the
+row-covering functionals for the discrete series.  Everything here is
+built per (n, field) by its caller and kept nowhere else.
 """
 
 from __future__ import annotations

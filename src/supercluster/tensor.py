@@ -16,7 +16,7 @@ of class functions commute and associate.  Only the step differs:
 * the counting step counts pairs (lam1, lam2) across two clusters whose
   sum lands in a given cluster and assembles the multiplicity from the
   d/i indices of the three templates.  The pair cap on |Psi1| x |Psi2|
-  comes first, read off the clusters' left-orbit splits.  Clusters are
+  comes first, read off the supports.  Clusters are
   double orbits and the actions are linear, so the count is the same for
   every lam1: the step classifies the larger cluster's template plus each
   element of the smaller cluster, the only one spelled out, and weights
@@ -229,20 +229,20 @@ def tensor_product(t1: Template, t2: Template) -> CharSum:
 def _pair_counts(t1: Template, t2: Template, max_pairs: int) -> dict[Template, int]:
     """How many pairs (lam1, lam2) in Psi1 x Psi2 have lam1 + lam2 in each cluster.
 
-    The cap on |Psi1| x |Psi2| comes first: each size is q^(d-i) left
-    orbits of q^d points, read off the memoized split of
-    clusters.left_orbits, and the message names the sizes in argument
-    order.  The counts themselves come from _count_step, larger cluster
-    first and ties broken by sort_key, so a product and its mirror share
-    one cache entry.
+    The cap on |Psi1| x |Psi2| comes first, each size q^(2d-i) read off
+    the support, and the message names the sizes in argument order.  Then
+    both memoized clusters.left_orbits splits are walked, each raising
+    unless it holds that size, so the larger cluster is certified by its
+    split.  The counts come from _count_step, larger cluster first and
+    ties broken by sort_key, so a product and its mirror share one entry.
     """
     if (t1.field, t1.n) != (t2.field, t2.n):
         raise ValueError("mismatched rings")
-    split1, split2 = clusters.left_orbits(t1), clusters.left_orbits(t2)
-    size1 = len(split1) * t1.field.q ** len(split1[0][1])
-    size2 = len(split2) * t2.field.q ** len(split2[0][1])
+    size1, size2 = clusters.cluster_size(t1), clusters.cluster_size(t2)
     if size1 * size2 > max_pairs:
         raise ResourceCapExceeded(f"{size1} x {size2} cluster pairs exceed the cap {max_pairs}")
+    clusters.left_orbits(t1)
+    clusters.left_orbits(t2)
     if (-size1, t1.sort_key()) <= (-size2, t2.sort_key()):
         return dict(_count_step(t1, t2, size1))
     return dict(_count_step(t2, t1, size2))

@@ -14,15 +14,15 @@ rows are checked against cap_table.
 
 run_verify makes one oracle.OracleContext per run and hands it to every
 check that reads the oracle, since every oracle entry point that reads a
-whole space takes one: the adjoint and coadjoint partitions (their points
-are the enumerated spaces), the column group elements, the
-brute table and its projection data are built once and dropped when the
+whole space takes one: the adjoint and coadjoint partitions (orbit ids and
+codes; each check decodes the points it reads), the column group elements,
+the brute table and its projection data are built once and dropped when the
 run ends.  Thm7.1 (a row against its primary factors) and Thm8.6 (a
 product against its decomposition) ask oracle.product_mismatch for the
 first column where brute rows disagree, and Thm9.3 (the discrete series
 against its decomposition) asks oracle.sum_mismatch; Thm8.6 also
 decomposes its deep pairs by projecting onto the brute rows, and Thm9.1
-traces every group element over the context's trace masks of the
+traces every group element, in code order, over the trace masks of the
 row-covering functionals, the same trace as a brute character value.
 A.1 holds build_table's table to the brute table at every cell (a template
 missing from it fails by name) and asks the context for a functional on
@@ -43,8 +43,10 @@ left-orbit sizes q^d, which Thm6.2 checks against the oracle's left
 orbits; test_oracle::test_binned_traces_equal_summed_roots_of_unity and
 test_clusters::test_left_orbits_split_the_cluster hold it to the explicit
 sum of theta over the cluster, read from packed.Codes.closure.  Thm4.1 and
-Thm4.2 replay each sweep's witnesses through core's actions and require
-them to carry the point onto its template's own point.
+Thm4.2 each make one pass over their space in code order: they replay each
+sweep's witnesses through core's actions, require them to carry the point
+onto its template's own point, and hold its window ranks (and hat_dims) to
+its orbit's values.
 
 Every check runs in _outcomes, which yields its outcome (passed, detail,
 traceback text, with passed None for a cap, which ends the lane), and
@@ -55,9 +57,9 @@ check reads another's result, so with jobs >= 2 (and os.fork) the checks
 run in two fixed lanes (supercluster.lanes).  Lane A, in the calling
 process, holds PARENT_CHECKS in their usual order: the only checks that
 draw from the run's one random.Random(seed), RNG_CHECKS, so every sample
-is the one a single lane takes, and A.1, which draws nothing and is there
-so that the two lanes take about as long as each other.  Lane B, the
-other seven, runs in one forked child.  Each lane stops at its first cap,
+is the one a single lane takes, and A.1 and Thm9.1, which draw nothing and
+shorten lane B (PARENT_CHECKS has the timings).  Lane B, the other six,
+runs in one forked child.  Each lane stops at its first cap,
 so the first cap in check order is the one a single lane meets, and the
 report, the stderr and the exit are the same for every jobs.  The engine
 starts no thread; fork copies only the calling thread, so a caller
@@ -130,44 +132,53 @@ def _cells_per_window(rep, inside):
     )
 
 
+# Thm4.1 and Thm4.2 report the first sweep or replay failure in code order,
+# else the first per-orbit mismatch in orbit order: first holds the smallest
+# (orbit id, text), so only a point of an earlier orbit is tested.
+
 def _check_adjoint_classification(ctx):
     part = ctx.adjoint
-    for x, oid in zip(part.points, part.ids):
+    reps = part.representatives
+    cells = [_cells_per_window(rep, lambda i, j, k, l: i <= k and l <= j) for rep in reps]
+    names = [rep.text() for rep in reps]
+    first = len(reps), ""
+    for code, oid in enumerate(part.ids):
+        x = ctx.codes.point("adjoint", code)
         t, g, h = clusters.adjoint_template_of(x)
-        if t != part.representatives[oid]:
+        if t != reps[oid]:
             return False, f"sweep template of {x!r} disagrees with its orbit's rook point"
         if act_right(act_left(g, x), h) != t.as_matrix():
             return False, f"witnesses for {x!r} do not reproduce the template"
-    for rep, members in zip(part.representatives, part.members()):
-        cells = _cells_per_window(rep, lambda i, j, k, l: i <= k and l <= j)
-        for x in members:
-            if clusters.window_ranks(x) != cells:
-                return False, (
-                    f"window ranks of {x!r} differ from the cell counts of {rep.text()}"
-                )
-    return True, f"{len(part.representatives)} adjoint clusters over {len(part.points)} points"
+        if oid < first[0] and clusters.window_ranks(x) != cells[oid]:
+            first = oid, f"window ranks of {x!r} differ from the cell counts of {names[oid]}"
+    if first[1]:
+        return False, first[1]
+    return True, f"{len(reps)} adjoint clusters over {len(part.ids)} points"
 
 
 def _check_coadjoint_classification(ctx):
     part = ctx.coadjoint
-    for lam, oid in zip(part.points, part.ids):
+    reps = part.representatives
+    cells = [_cells_per_window(rep, lambda i, j, k, l: k <= i and j <= l) for rep in reps]
+    dims = [(inv.d, inv.d, inv.i) for inv in map(clusters.invariants_of, reps)]
+    names = [rep.text() for rep in reps]
+    first = len(reps), ""
+    for code, oid in enumerate(part.ids):
+        lam = ctx.codes.point("coadjoint", code)
         t, g, h = clusters.coadjoint_template_of(lam)
-        if t != part.representatives[oid]:
+        if t != reps[oid]:
             return False, f"sweep template of {lam!r} disagrees with its orbit's rook point"
         if coact_left(g, coact_right(lam, h)) != t.as_functional():
             return False, f"witnesses for {lam!r} do not reproduce the template"
-    for rep, members in zip(part.representatives, part.members()):
-        inv = clusters.invariants_of(rep)
-        cells = _cells_per_window(rep, lambda i, j, k, l: k <= i and j <= l)
-        for lam in members:
-            if clusters.window_ranks_dual(lam) != cells:
-                return False, (
-                    f"window ranks of {lam!r} differ from the cell counts of {rep.text()}"
-                )
-            lhat, rhat, both = clusters.hat_dims(lam)
-            if lhat != inv.d or rhat != inv.d or both != inv.i:
-                return False, f"orbit-space dimensions vary inside the cluster of {rep.text()}"
-    return True, f"{len(part.representatives)} coadjoint clusters over {len(part.points)} points"
+        if oid >= first[0]:
+            continue
+        if clusters.window_ranks_dual(lam) != cells[oid]:
+            first = oid, f"window ranks of {lam!r} differ from the cell counts of {names[oid]}"
+        elif clusters.hat_dims(lam) != dims[oid]:
+            first = oid, f"orbit-space dimensions vary inside the cluster of {names[oid]}"
+    if first[1]:
+        return False, first[1]
+    return True, f"{len(reps)} coadjoint clusters over {len(part.ids)} points"
 
 
 def _check_sizes_and_degrees(ctx, rng):
@@ -223,12 +234,13 @@ def _check_character_sum(ctx, rng):
     index = {t: r for r, t in enumerate(rows)}
     col_index = {x: c for c, x in enumerate(cols)}
     sample_rows = rows if len(rows) <= 12 else rng.sample(rows, 12)
-    for rep, members in zip(part.representatives, part.members()):
-        picks = members if len(members) <= 3 else rng.sample(members, 3)
+    for rep, codes in zip(part.representatives, part.orbit_codes):
+        picks = codes if len(codes) <= 3 else rng.sample(codes, 3)
+        picks = [UniMatrix(ctx.codes.point("adjoint", c)) for c in picks]
         for tau in sample_rows:
             base = brute[index[tau]][col_index[rep]]
-            for x in picks:
-                if char_value_sum(tau, UniMatrix(x)) != base:
+            for g in picks:
+                if char_value_sum(tau, g) != base:
                     return False, (
                         f"character of {tau.text()} varies inside the conjugacy"
                         f" cluster of {rep.text()}"
@@ -330,15 +342,14 @@ def _check_tensor_ring(ctx, pair_cap, sample_pairs, rng):
 
 
 def _check_delta_value(ctx):
-    field = ctx.field
-    count = 0
-    for g in ctx.group():
+    codes = ctx.codes
+    for c in range(codes.size):
+        g = UniMatrix(codes.point("adjoint", c))
         formula = discrete.delta_value(g)
         traced = oracle.brute_delta_value(g, ctx)
-        if traced != Cyclotomic.from_rational(field.p, formula):
+        if traced != Cyclotomic.from_rational(ctx.field.p, formula):
             return False, f"rank formula wrong at {g!r}"
-        count += 1
-    return True, f"rank formula matches the trace at all {count} group elements"
+    return True, f"rank formula matches the trace at all {codes.size} group elements"
 
 
 def _check_delta_decomposition(ctx):
@@ -367,9 +378,10 @@ def _check_delta_decomposition(ctx):
 # The checks that draw from the rng, in the order they draw; with two lanes
 # they run in the parent, so every sample is the one a single lane takes.
 RNG_CHECKS = ("Thm6.2", "Thm3.5", "Thm8.6")
-# Lane A: the rng checks and A.1, which draws nothing and runs there so that
-# the two lanes take about as long as each other.
-PARENT_CHECKS = RNG_CHECKS + ("A.1",)
+# Lane A: the rng checks, and A.1 and Thm9.1, which draw nothing.  Summed
+# one-lane seconds, lane A / B, 2-vCPU host: 0.17-0.27 / 0.20-0.23 at (5,2),
+# 4.3-5.4 / 9.2-9.6 at (6,2); Thm4.1 and Thm4.2 keep lane B the longer.
+PARENT_CHECKS = RNG_CHECKS + ("A.1", "Thm9.1")
 
 
 def _outcomes(lane):

@@ -34,6 +34,9 @@ from supercluster.oracle import (
     OracleContext,
     brute_delta_value,
     brute_tensor,
+    enumerate_dual,
+    enumerate_group,
+    enumerate_nil,
     orbit_partition,
 )
 from supercluster.tensor import tensor_by_counting, tensor_product
@@ -68,14 +71,14 @@ def test_criterion_2_classification():
     for n, q in CLASSIFICATION_SET:
         field = field_make(q, 1)
         dual_part = orbit_partition(n, field, "coadjoint")  # raises unless one template per orbit
-        for lam, oid in zip(dual_part.points, dual_part.ids):
+        for lam, oid in zip(enumerate_dual(n, field), dual_part.ids):
             t, _, _ = coadjoint_template_of(lam)
             assert t == dual_part.representatives[oid]
         nil_part = orbit_partition(n, field, "adjoint")
-        for x, oid in zip(nil_part.points, nil_part.ids):
+        for x, oid in zip(enumerate_nil(n, field), nil_part.ids):
             t, _, _ = adjoint_template_of(x)
             assert t == nil_part.representatives[oid]
-        points += 2 * len(dual_part.points)
+        points += 2 * len(dual_part.ids)
     report(2, started, f"both-side classification over {points} points")
 
 
@@ -171,7 +174,7 @@ def test_criterion_7_discrete_series():
         for q in (2, 3):
             field = field_make(q, 1)
             ctx = OracleContext(n, field)
-            for g in ctx.group():
+            for g in enumerate_group(n, field):
                 formula = delta_value(g)
                 assert brute_delta_value(g, ctx) == Cyclotomic.from_rational(field.p, formula)
                 elements += 1
@@ -198,7 +201,7 @@ def test_criterion_7_discrete_series():
         codes = packed.Codes(3, field)
         left = codes.generators("coadjoint", ("left",))
         for tau in enumerate_templates(3, field):
-            pool = {c for c in clusters[tau] if in_delta(part.points[c])}
+            pool = {c for c in clusters[tau] if in_delta(codes.point("coadjoint", c))}
             orbits = 0
             while pool:
                 pool -= codes.closure(next(iter(pool)), left)

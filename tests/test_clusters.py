@@ -74,7 +74,7 @@ def test_coadjoint_template_examples(F2):
 def test_coadjoint_witnesses_and_bfs_uniqueness(q):
     field = field_make(q, 1)
     part = orbit_partition(3, field, "coadjoint")
-    for lam, oid in zip(part.points, part.ids):
+    for lam, oid in zip(enumerate_dual(3, field), part.ids):
         t, g, h = coadjoint_template_of(lam)
         assert t == part.representatives[oid]
         assert coact_left(g, coact_right(lam, h)) == t.as_functional()
@@ -84,7 +84,7 @@ def test_coadjoint_witnesses_and_bfs_uniqueness(q):
 def test_adjoint_witnesses_and_bfs_uniqueness(q):
     field = field_make(q, 1)
     part = orbit_partition(3, field, "adjoint")
-    for x, oid in zip(part.points, part.ids):
+    for x, oid in zip(enumerate_nil(3, field), part.ids):
         t, g, h = adjoint_template_of(x)
         assert t == part.representatives[oid]
         assert act_right(act_left(g, x), h) == t.as_matrix()
@@ -119,13 +119,15 @@ def test_window_rank_examples(F2):
 
 
 def test_window_ranks_constant_on_clusters(F2):
-    for side, ranks in (("adjoint", window_ranks), ("coadjoint", window_ranks_dual)):
+    for side, ranks, space in (
+        ("adjoint", window_ranks, enumerate_nil), ("coadjoint", window_ranks_dual, enumerate_dual)
+    ):
         part = orbit_partition(3, F2, side)
-        members = part.members()
-        for start, oid in zip(part.points, part.ids):
+        points = space(3, F2)  # indexed by code
+        for start, oid in zip(points, part.ids):
             base = ranks(start)
-            for x in members[oid]:
-                assert ranks(x) == base
+            for c in part.orbit_codes[oid]:
+                assert ranks(points[c]) == base
 
 
 MOVES = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -347,7 +349,11 @@ def test_adjoint_sizes_match_the_adjoint_partition(n, p, k):
 def test_cluster_elements_match_bfs(F2, F3):
     for field in (F2, F3):
         part = orbit_partition(3, field, "coadjoint")
-        orbits = dict(zip(part.representatives, part.members()))
+        dual = enumerate_dual(3, field)  # indexed by code
+        orbits = {
+            rep: [dual[c] for c in codes]
+            for rep, codes in zip(part.representatives, part.orbit_codes)
+        }
         for tau in enumerate_templates(3, field):
             assert set(cluster_elements(tau)) == set(orbits[tau])
 

@@ -130,7 +130,7 @@ def test_brute_rows_are_orthogonal_under_orbit_weights():
     for n, p, k in ((3, 2, 1), (3, 3, 1), (4, 2, 1), (3, 2, 2)):
         ctx = OracleContext(n, field_make(p, k))
         rows, cols, values = ctx.table
-        order = len(ctx.adjoint.points)
+        order = len(ctx.adjoint.ids)
         adjoint = dict(zip(ctx.adjoint.representatives, ctx.adjoint.orbit_sizes()))
         weights = [adjoint[x] for x in cols]
         coadjoint = dict(zip(ctx.coadjoint.representatives, ctx.coadjoint.orbit_sizes()))

@@ -63,9 +63,8 @@ def test_enumeration_cap():
 
 
 def test_bfs_examples(F2):
-    part = orbit_partition(3, F2, "coadjoint")
-    members = part.members()
-    orbit_of = {lam: set(members[oid]) for lam, oid in zip(part.points, part.ids)}
+    part, dual = orbit_partition(3, F2, "coadjoint"), enumerate_dual(3, F2)
+    orbit_of = {lam: {dual[c] for c in part.orbit_codes[oid]} for lam, oid in zip(dual, part.ids)}
     zero = Functional(F2, 3, {})
     assert orbit_of[zero] == {zero}
     e13 = eps_ij(F2, 3, 1, 3)
@@ -77,9 +76,8 @@ def test_bfs_examples(F2):
         e13 + eps_ij(F2, 3, 1, 2) + eps_ij(F2, 3, 2, 3),
     }
     # the adjoint cluster of e12 + e23 only reaches (1,3) shifts: 2 elements
-    part = orbit_partition(3, F2, "adjoint")
-    members = part.members()
-    orbit_of = {x: set(members[oid]) for x, oid in zip(part.points, part.ids)}
+    part, nil = orbit_partition(3, F2, "adjoint"), enumerate_nil(3, F2)
+    orbit_of = {x: {nil[c] for c in part.orbit_codes[oid]} for x, oid in zip(nil, part.ids)}
     adj = orbit_of[e_ij(F2, 3, 1, 2) + e_ij(F2, 3, 2, 3)]
     assert adj == {
         e_ij(F2, 3, 1, 2) + e_ij(F2, 3, 2, 3),
@@ -96,7 +94,7 @@ def test_left_orbit(F2):
 
 def test_orbit_partition_structure(F2):
     part = orbit_partition(3, F2, "coadjoint")
-    assert len(part.points) == 8
+    assert len(part.ids) == 8
     assert len(part.representatives) == 5
     assert sorted(part.orbit_sizes()) == [1, 1, 1, 1, 4]
     texts = sorted(t.text() for t in part.representatives)
@@ -368,14 +366,15 @@ def test_rewrite_counting_and_brute_routes_agree_on_random_pairs(n3_contexts, da
 
 @pytest.mark.parametrize("n,p,k", [(3, 3, 1), (4, 2, 1), (3, 2, 2)])
 def test_partition_keys_are_the_enumerated_points(n, p, k):
-    """A point's key is its code, its place in points; ids[c] is its orbit,
-    the one whose representative the closure of c under both actions holds."""
+    """A point's key is its code, its place in the enumeration; ids[c] is
+    its orbit, the one whose representative the closure of c under both
+    actions holds."""
     field = field_make(p, k)
     codes = packed.Codes(n, field)
-    for side in ("adjoint", "coadjoint"):
-        part = orbit_partition(n, field, side)
-        assert len(part.ids) == len(part.points) == codes.size
-        assert [codes.encode(x) for x in part.points] == list(range(codes.size))
+    for side, space in (("adjoint", enumerate_nil), ("coadjoint", enumerate_dual)):
+        part, points = orbit_partition(n, field, side), space(n, field)
+        assert len(part.ids) == len(points) == codes.size
+        assert [codes.encode(x) for x in points] == list(range(codes.size))
         moves = codes.generators(side)
         for c, oid in list(enumerate(part.ids))[:: max(1, codes.size // 40)]:
             rook = codes.encode_template(part.representatives[oid])
@@ -384,21 +383,22 @@ def test_partition_keys_are_the_enumerated_points(n, p, k):
 
 def test_members_group_the_points_by_orbit(F2, F3):
     for field in (F2, F3):
-        part = orbit_partition(3, field, "adjoint")
-        members = part.members()
+        part, nil = orbit_partition(3, field, "adjoint"), enumerate_nil(3, field)
+        members = [[nil[c] for c in codes] for codes in part.orbit_codes]
         assert [len(m) for m in members] == part.orbit_sizes()
         for oid, points in enumerate(members):
-            assert points == [x for x, i in zip(part.points, part.ids) if i == oid]
+            assert points == [x for x, i in zip(nil, part.ids) if i == oid]
             assert part.orbit_codes[oid] == [i for i, x in enumerate(part.ids) if x == oid]
 
 
 def test_context_reads_the_enumerations_from_its_partitions(F3):
+    """The context decodes its codes in enumeration order, and its group
+    rows are those of enumerate_group."""
     ctx = OracleContext(3, F3)
-    assert ctx.adjoint.points == enumerate_nil(3, F3)
-    assert ctx.coadjoint.points == enumerate_dual(3, F3)
-    group = ctx.group()
-    assert group == enumerate_group(3, F3)
-    assert all(g.off is x for g, x in zip(group, ctx.adjoint.points))
+    codes = range(ctx.codes.size)
+    assert [ctx.codes.point("adjoint", c) for c in codes] == enumerate_nil(3, F3)
+    assert [ctx.codes.point("coadjoint", c) for c in codes] == enumerate_dual(3, F3)
+    assert ctx.group_rows == [ctx.codes.row_codes(g.off) for g in enumerate_group(3, F3)]
     with pytest.raises(ResourceCapExceeded):
         OracleContext(3, F3, cap=26)
     x = ctx.adjoint.representatives[-1]
@@ -440,7 +440,7 @@ def test_brute_inner_evaluates_a_self_pairing_once_per_element(F2, monkeypatch):
     ctx = OracleContext(3, F2)
     rows = ctx.group_rows
     assert ctx.group_rows is rows
-    assert rows == [ctx.codes.row_codes(g.off) for g in ctx.group()]
+    assert rows == [ctx.codes.row_codes(g.off) for g in enumerate_group(3, F2)]
     trace_bins = ctx.codes.trace_bins
     # g = I + y fixes tau's two-point left orbit exactly when y_23 = 0
     terms = sum(1 for ys in rows if any(trace_bins(ctx._trace_masks(tau), ys)))
@@ -475,8 +475,14 @@ SMALL = [
 
 
 @lru_cache(maxsize=None)
+def all_duals(n, p, k):
+    """enumerate_dual's list, indexed by code."""
+    return enumerate_dual(n, field_make(p, k))
+
+
+@lru_cache(maxsize=None)
 def covering_duals(n, p, k):
-    return [lam for lam in enumerate_dual(n, field_make(p, k)) if in_delta(lam)]
+    return [lam for lam in all_duals(n, p, k) if in_delta(lam)]
 
 
 def summed_roots(p, values):
@@ -529,9 +535,6 @@ def test_binned_traces_equal_summed_roots_of_unity(case):
 
 
 # -- the discrete-series trace over trace masks ---------------------------------
-#
-# The test_row_trie_* names are older than the trace masks these tests now
-# exercise; they are kept so that the test ids stay stable.
 
 def per_pair_delta(g, lams):
     """The sum of z^trace(lam(g-I)) over the row-covering members fixes_left
@@ -549,17 +552,17 @@ def per_pair_delta(g, lams):
     "n,p,k", [(1, 2, 1), (2, 3, 1), (4, 2, 1), (3, 3, 1), (3, 2, 2), (4, 3, 1)],
     ids=["1-2", "2-3", "4-2", "3-3", "3-2^2", "4-3"],
 )
-def test_row_trie_trace_equals_the_per_pair_trace(n, p, k):
+def test_masked_trace_equals_the_per_pair_trace(n, p, k):
     """At every group element, with the context's masks and with throwaway ones."""
     ctx = OracleContext(n, field_make(p, k))
     covering = covering_duals(n, p, k)
-    group = ctx.group()
+    group = enumerate_group(n, ctx.field)
     for m, g in enumerate(group):
         want = per_pair_delta(g, covering)
         assert brute_delta_value(g, ctx) == want
         assert masks_delta(g, covering) == want
         if m % max(1, len(group) // 16) == 0:  # this one filters the whole dual space
-            assert masks_delta(g, ctx.coadjoint.points) == want
+            assert masks_delta(g, all_duals(n, p, k)) == want
 
 
 # (n, p, k) over GF(2), GF(3), GF(4), GF(5), GF(8), GF(9), n <= 4, at most 4^6 points
@@ -589,7 +592,7 @@ def delta_lists(draw):
     g = UniMatrix(off)
     member = st.one_of(
         st.sampled_from(covering_duals(n, p, k)),
-        st.sampled_from(delta_context(n, p, k).coadjoint.points),
+        st.sampled_from(all_duals(n, p, k)),
     )
     lams = draw(st.lists(member, max_size=24))
     lams += draw(st.lists(st.sampled_from(lams), max_size=6)) if lams else []
@@ -598,7 +601,7 @@ def delta_lists(draw):
 
 @PROPS
 @given(delta_lists())
-def test_row_trie_trace_of_any_list_equals_the_per_pair_trace(case):
+def test_masked_trace_of_any_list_equals_the_per_pair_trace(case):
     """Duplicates count as often as they occur; order does not matter."""
     g, lams = case
     assert masks_delta(g, lams) == per_pair_delta(g, lams)
@@ -607,7 +610,7 @@ def test_row_trie_trace_of_any_list_equals_the_per_pair_trace(case):
     assert brute_delta_value(g, ctx) == per_pair_delta(g, covering_duals(n, p, k))
 
 
-def test_row_trie_rejects_mismatched_inputs(F2, F3, F4):
+def test_trace_masks_reject_mismatched_inputs(F2, F3, F4):
     lam = eps_ij(F2, 3, 1, 3) + eps_ij(F2, 3, 2, 3)
     for field in (F3, F4):
         g = UniMatrix(e_ij(field, 3, 1, 2))

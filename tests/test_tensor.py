@@ -267,24 +267,25 @@ def test_pair_counts_sweep_only_the_smaller_cluster(monkeypatch):
 
 
 def test_the_pair_cap_comes_before_any_cluster_is_spelled_out(monkeypatch):
-    # |Psi| = 16 and 64 at (5,2): the sizes come from the left-orbit splits,
-    # and 16 x 64 over the cap raises before cluster_elements is called
+    # |Psi| = 16 and 64 at (5,2): the sizes come from the supports, and
+    # 16 x 64 over the cap raises before either cluster is split into its
+    # left orbits or spelled out
     field = field_make(2, 1)
     t1 = Template(field, 5, [(1, 4, field.one)])
     t2 = Template(field, 5, [(1, 5, field.one)])
-    spelled = []
-    spell = clusters.cluster_elements
-
-    def counted(tau):
-        spelled.append(tau)
-        return spell(tau)
-
-    monkeypatch.setattr(clusters, "cluster_elements", counted)
+    walked = []
+    for name in ("cluster_elements", "left_orbits"):
+        real = getattr(clusters, name)
+        monkeypatch.setattr(
+            clusters, name, lambda tau, real=real, name=name: walked.append(name) or real(tau)
+        )
     supercluster.clear_memos()
     with pytest.raises(ResourceCapExceeded) as err:
         c_count(t1, t2, t2, 16 * 64 - 1)
     assert str(err.value) == f"16 x 64 cluster pairs exceed the cap {16 * 64 - 1}"
-    assert spelled == []
+    assert walked == []
+    assert c_count(t1, t2, t2, 16 * 64) >= 0  # under the cap, both splits are walked
+    assert walked[:3] == ["left_orbits", "left_orbits", "cluster_elements"]
 
 
 def test_a_repeated_product_and_its_mirror_reuse_the_counting_step(monkeypatch):

@@ -72,7 +72,8 @@ def test_delta_check_filters_the_dual_space_once(monkeypatch):
     assert not any(calls[f"supercluster.core.{name}"] for name in actions)
     assert len(traced) == 1 and len(traced[0]) == 21
     monkeypatch.undo()
-    covering = [c for c, lam in enumerate(ctx.coadjoint.points) if discrete.in_delta(lam)]
+    dual = oracle.enumerate_dual(4, ctx.field)  # indexed by code
+    covering = [c for c, lam in enumerate(dual) if discrete.in_delta(lam)]
     assert traced[0] == covering
 
 
@@ -213,7 +214,7 @@ def test_a_wrong_discrete_series_value_fails_thm91_and_thm93(monkeypatch, jobs):
         return delta_value(g) + (rank(g) == 1)
 
     ctx = oracle.OracleContext(3, field)
-    g = next(g for g in ctx.group() if rank(g) == 1)
+    g = next(g for g in oracle.enumerate_group(3, field) if rank(g) == 1)
     x = next(x for x in ctx.table[1] if rank(ctx.column(x)) == 1)
     monkeypatch.setattr(discrete, "delta_value", wrong)
     report = run_verify(3, field, jobs=jobs)
@@ -270,8 +271,8 @@ def test_witnesses_that_miss_the_template_fail_their_check(F3, monkeypatch, key,
         one = core.identity(point.field, point.n)
         return t, one, one
 
-    part = getattr(oracle.OracleContext(3, F3), side)
-    x = next(x for x in part.points if not _is_rook(x))
+    codes = oracle.OracleContext(3, F3).codes
+    x = next(x for x in (codes.point(side, c) for c in range(codes.size)) if not _is_rook(x))
     _verify_sees(monkeypatch, **{sweep: unwitnessed})
     assert _failed(run_verify(3, F3)) == {
         key: f"witnesses for {x!r} do not reproduce the template"
@@ -284,21 +285,46 @@ def test_orbit_space_dimensions_off_at_one_point_fail_thm42(F3, monkeypatch, whi
     point of the first cluster with two points fails Thm4.2 there."""
     from supercluster import clusters
 
-    part = oracle.OracleContext(3, F3).coadjoint
-    rep, members = next(
-        (rep, members) for rep, members in zip(part.representatives, part.members())
-        if len(members) > 1
+    ctx = oracle.OracleContext(3, F3)
+    part = ctx.coadjoint
+    rep, codes = next(
+        (rep, codes) for rep, codes in zip(part.representatives, part.orbit_codes)
+        if len(codes) > 1
     )
+    last = ctx.codes.point("coadjoint", codes[-1])
     hat_dims = clusters.hat_dims
 
     def off(lam):
         dims = list(hat_dims(lam))
-        dims[which] += lam == members[-1]
+        dims[which] += lam == last
         return tuple(dims)
 
     _verify_sees(monkeypatch, hat_dims=off)
     assert _failed(run_verify(3, F3)) == {
         "Thm4.2": f"orbit-space dimensions vary inside the cluster of {rep.text()}"
+    }
+
+
+def test_the_first_rank_mismatch_in_orbit_order_fails_thm42(F3, monkeypatch):
+    """Window ranks off at two points, a before b in code order but b's
+    orbit before a's: Thm4.2 names b, the first mismatch in orbit order
+    (orbits numbered by their first code, members in code order)."""
+    from supercluster import clusters
+
+    ctx = oracle.OracleContext(3, F3)
+    ids = ctx.coadjoint.ids
+    a, b = next((a, b) for b in range(len(ids)) for a in range(b) if ids[a] > ids[b])
+    broken = [ctx.codes.point("coadjoint", c) for c in (a, b)]
+    window_ranks_dual = clusters.window_ranks_dual
+
+    def off(lam):
+        ranks = window_ranks_dual(lam)
+        return (ranks[0] + 1,) + ranks[1:] if lam in broken else ranks
+
+    _verify_sees(monkeypatch, window_ranks_dual=off)
+    rep = ctx.coadjoint.representatives[ids[b]]
+    assert _failed(run_verify(3, F3)) == {
+        "Thm4.2": f"window ranks of {broken[1]!r} differ from the cell counts of {rep.text()}"
     }
 
 
@@ -339,15 +365,19 @@ def test_cluster_sizes_that_miss_the_space_fail_thm62(F3, monkeypatch):
     from supercluster import clusters
 
     zero = clusters.Template(F3, 3, [])
-    orbit_sizes = oracle.OrbitDecomposition.orbit_sizes
+    orbit_partition = oracle.orbit_partition
 
-    def grown(self):
-        sizes = orbit_sizes(self)
-        if isinstance(self.points[0], core.Functional):
+    class Grown(oracle.OrbitDecomposition):
+        def orbit_sizes(self):
+            sizes = super().orbit_sizes()
             sizes[self.representatives.index(zero)] += 1
-        return sizes
+            return sizes
 
-    monkeypatch.setattr(oracle.OrbitDecomposition, "orbit_sizes", grown)
+    def partition(n, field, side="coadjoint", cap=oracle.DEFAULT_MAX_SPACE):
+        part = orbit_partition(n, field, side, cap)
+        return Grown(part.representatives, part.ids) if side == "coadjoint" else part
+
+    monkeypatch.setattr(oracle, "orbit_partition", partition)
     _verify_sees(monkeypatch, cluster_size=lambda t: clusters.cluster_size(t) + (t == zero))
     assert _failed(run_verify(3, F3)) == {
         "Thm6.2": "cluster sizes sum to 28, space has 27 points"
@@ -415,11 +445,11 @@ def test_a_cluster_sum_off_away_from_the_rook_points_fails_thm35(F3, monkeypatch
     ctx = oracle.OracleContext(3, F3)
     rows = ctx.table[0]
     part = ctx.adjoint
-    rep, members = next(
-        (rep, members) for rep, members in zip(part.representatives, part.members())
-        if not all(map(_is_rook, members))
+    rep, codes = next(
+        (rep, codes) for rep, codes in zip(part.representatives, part.orbit_codes)
+        if not all(_is_rook(ctx.codes.point("adjoint", c)) for c in codes)
     )
-    assert len(members) <= 3 and len(rows) <= 12
+    assert len(codes) <= 3 and len(rows) <= 12
     char_value_sum = verify.char_value_sum
     z = Cyclotomic.zeta_power(3, 1)
 
@@ -458,7 +488,7 @@ def test_a_wrong_support_criterion_at_the_last_column_fails_a1(F3, monkeypatch):
     """The oracle reports a counterexample to the support criterion at the
     last column only."""
     ctx = oracle.OracleContext(3, F3)
-    x, lam = ctx.table[1][-1], ctx.coadjoint.points[-1]
+    x, lam = ctx.table[1][-1], ctx.codes.point("coadjoint", ctx.codes.size - 1)
     counterexample = oracle.OracleContext.criterion_counterexample
 
     def wrong(context, y):
@@ -493,7 +523,7 @@ def test_a_table_without_a_row_template_fails_a1_by_name(F3, monkeypatch, capsys
 
 # -- two lanes ----------------------------------------------------------------
 
-LANE_B = ["Thm5.1", "Thm4.1", "Thm4.2", "A.2", "Thm7.1", "Thm9.1", "Thm9.3"]
+LANE_B = ["Thm5.1", "Thm4.1", "Thm4.2", "A.2", "Thm7.1", "Thm9.3"]
 
 
 def _verify_cli(capsys, *extra, args=("--n", "3", "--q", "3")):
