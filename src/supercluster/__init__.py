@@ -76,6 +76,6 @@ def clear_memos() -> None:
     clusters and the two step caches of tensor, rewrite and count."""
     from . import clusters, tensor
 
-    clusters._LEFT_MEMO.clear()
+    clusters.left_orbits.cache_clear()
     tensor._rewrite_step.cache_clear()
     tensor._count_step.cache_clear()

@@ -219,7 +219,6 @@ def _run_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         field,
         cap_orbit=cap_orbit,
         cap_pairs=cfg.caps["pairs"],
-        sample_pairs=args.sample_pairs,
         seed=args.seed,
         jobs=args.jobs,
         cap_table=cfg.caps["table"],
@@ -267,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the certification suite for (n, q)")
     _add_common(p_verify)
     p_verify.add_argument("--seed", type=int, default=0, help="seed for sampled verification")
-    p_verify.add_argument("--sample-pairs", type=int, default=200,
-                          help="tensor pairs to sample when exhaustion is too big")
     p_verify.add_argument("--emit-golden", metavar="PATH",
                           help="write oracle-derived golden data to PATH")
 
@@ -278,8 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.sample_pairs < 1:
-        parser.error("--sample-pairs must be >= 1")
     try:
         cfg = _config(parser, args)
         if args.command == "count":

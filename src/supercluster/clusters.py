@@ -17,6 +17,7 @@ a cell in its column and R those right of a cell in its row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from math import comb
 
@@ -33,6 +34,10 @@ from .core import (
     coact_right,
     positions,
 )
+
+# Entries of each bounded memo of the engine, across all callers: the
+# left-orbit splits here and tensor's two step caches, rewrite and count.
+MEMO_SIZE = 2**14
 
 
 class Template:
@@ -190,7 +195,7 @@ def adjoint_template_of(x: NilMatrix) -> tuple[Template, UniMatrix, UniMatrix]:
     g = _compose(field, n, row_ops, on_left=True)
     h = _compose(field, n, col_ops, on_left=False)
     if act_right(act_left(g, x), h) != t.as_matrix():
-        raise InvariantViolation("adjoint reduction witnesses do not reproduce the template")
+        raise InvariantViolation(f"witnesses for {x!r} do not reproduce the template")
     return t, g, h
 
 
@@ -232,7 +237,7 @@ def coadjoint_template_of(lam: Functional) -> tuple[Template, UniMatrix, UniMatr
     g = _compose(field, n, left_ops, on_left=True)
     h = _compose(field, n, right_ops, on_left=False)
     if coact_left(g, coact_right(lam, h)) != t.as_functional():
-        raise InvariantViolation("coadjoint reduction witnesses do not reproduce the template")
+        raise InvariantViolation(f"witnesses for {lam!r} do not reproduce the template")
     return t, g, h
 
 
@@ -424,9 +429,7 @@ def _span_translates(field: Field, n: int, start, basis) -> list[Functional]:
     return out
 
 
-_LEFT_MEMO: dict[Template, tuple] = {}
-
-
+@lru_cache(maxsize=MEMO_SIZE)
 def left_orbits(tau: Template) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
     """The left orbits mu + L-hat(mu) that make up the cluster of tau.
 
@@ -438,10 +441,8 @@ def left_orbits(tau: Template) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, 
     reduced once and repeats are dropped.  Raises InvariantViolation unless
     there are q^(d-i) orbits, each of dimension d: so len(orbits) *
     q^len(basis) is q^(2d-i), the size of the cluster, read off the split.
+    Memoized in a bounded cache of MEMO_SIZE splits.
     """
-    cached = _LEFT_MEMO.get(tau)
-    if cached is not None:
-        return cached
     field, n = tau.field, tau.n
     add, mul, neg = field.add_idx, field.mul_idx, field.neg_idx
     lam = tau.as_functional()
@@ -461,23 +462,24 @@ def left_orbits(tau: Template) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, 
             f"cluster of {tau.text()} splits into {len(found)} left orbits,"
             f" expected q^(d-i) = {field.q ** (inv.d - inv.i)} of dimension {inv.d}"
         )
-    orbits = _LEFT_MEMO[tau] = tuple(found.items())
-    return orbits
+    return tuple(found.items())
 
 
 def cluster_elements(tau: Template) -> tuple[Functional, ...]:
-    """Every element of the coadjoint cluster of tau, in sort_key order.
+    """Every element of the coadjoint cluster of tau, orbit by orbit.
 
-    The points of the orbits of left_orbits(tau), each spelled out from its
-    reduced mu and basis.  left_orbits has already checked that there are
-    q^(d-i) disjoint orbits of q^d points, so nothing is walked again,
-    dropped as a repeat or counted a second time.  Not memoized: its one
-    engine caller, tensor's counting step, keeps its own bounded cache of
+    The points of the orbits of left_orbits(tau), in its order, each orbit
+    spelled out from its reduced mu and basis.  left_orbits has already
+    checked that there are q^(d-i) disjoint orbits of q^d points, so
+    nothing is walked again, dropped as a repeat or counted a second time.
+    Not memoized and in no sorted order: its one engine caller, tensor's
+    counting step, sums counts over it and keeps its own bounded cache of
     whole pair counts.
     """
     field, n = tau.field, tau.n
-    elems = [lam for mu, basis in left_orbits(tau) for lam in _span_translates(field, n, mu, basis)]
-    return tuple(sorted(elems, key=Functional.sort_key))
+    return tuple(
+        lam for mu, basis in left_orbits(tau) for lam in _span_translates(field, n, mu, basis)
+    )
 
 
 # -- enumeration and counting -------------------------------------------------

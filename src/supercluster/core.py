@@ -95,10 +95,6 @@ class _SparseUpper:
     def support(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.entries)
 
-    def sort_key(self) -> tuple:
-        """Canonical ordering key: lex over (position, element index)."""
-        return tuple(sorted((i, j, v.index) for (i, j), v in self.entries.items()))
-
     def __bool__(self) -> bool:
         return bool(self.entries)
 

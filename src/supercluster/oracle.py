@@ -208,9 +208,9 @@ class OracleContext:
             orbit = self._left_orbits[tau] = tuple(codes.closure(start, moves))
         return orbit
 
-    def left_orbit(self, tau: Template) -> tuple[Functional, ...]:
-        """The left orbit of tau's functional."""
-        return tuple(self.codes.point("coadjoint", c) for c in self._left_codes(tau))
+    def left_orbit_size(self, tau: Template) -> int:
+        """The number of points in the left orbit of tau's functional."""
+        return len(self._left_codes(tau))
 
     def _trace_masks(self, tau: Template) -> tuple:
         """The trace_masks of tau's left orbit, kept for the last tau asked."""

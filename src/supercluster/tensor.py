@@ -24,8 +24,8 @@ of class functions commute and associate.  Only the step differs:
   bounded cache, keyed by the unordered pair, so a repeated product and
   its mirror are counted once.
 
-Both caches hold STEP_MEMO_SIZE entries each and are emptied, with the
-left-orbit splits, by supercluster.clear_memos().
+Both caches hold clusters.MEMO_SIZE entries each, as the left-orbit
+splits do, and all three are emptied by supercluster.clear_memos().
 
 A CharSum is a formal non-negative integer combination of templates; keys
 are always canonical templates.
@@ -37,14 +37,11 @@ from functools import lru_cache
 from math import gcd
 
 from . import clusters
-from .clusters import Template, invariants_of
+from .clusters import MEMO_SIZE, Template, invariants_of
 from .errors import InvariantViolation, ResourceCapExceeded
 from .gf import Field, FieldElement
 
 DEFAULT_MAX_PAIRS = 2**24
-# Entries of each step cache, the template x cell rewrite and the cluster x
-# cluster count, across all callers.
-STEP_MEMO_SIZE = 2**14
 
 Cell = tuple[int, int, FieldElement]
 
@@ -172,7 +169,7 @@ def _fold(acc: dict[Template, int], cells, step) -> dict[Template, int]:
     return acc
 
 
-@lru_cache(maxsize=STEP_MEMO_SIZE)
+@lru_cache(maxsize=MEMO_SIZE)
 def _rewrite_step(tau: Template, cell: Cell) -> tuple[tuple[Template, int], ...]:
     """tau x the primary character at cell, by the rewrite rules.
 
@@ -248,7 +245,7 @@ def _pair_counts(t1: Template, t2: Template, max_pairs: int) -> dict[Template, i
     return dict(_count_step(t2, t1, size2))
 
 
-@lru_cache(maxsize=STEP_MEMO_SIZE)
+@lru_cache(maxsize=MEMO_SIZE)
 def _count_step(base: Template, small: Template, weight: int) -> tuple[tuple[Template, int], ...]:
     """The pair counts of the clusters of base and small, |Psi(base)| = weight
     >= |Psi(small)|.

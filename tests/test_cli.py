@@ -156,8 +156,10 @@ def test_usage_errors_exit_2():
         ("tensor", "--n", "3", "--q", "3", "--factor", "1,3,x"),
         ("verify", "--n", "5", "--q", "2", "--sample-pairs", "0"),
         ("verify", "--n", "5", "--q", "2", "--sample-pairs", "-3"),
+        ("verify", "--n", "5", "--q", "2", "--sample-pairs", "200"),
         # csv only on count, clusters and table; --seed only on verify; the
-        # orbit cap is set in SUPERCLUSTER_CAPS alone
+        # orbit cap is set in SUPERCLUSTER_CAPS alone, and Thm8.6's sample
+        # size is fixed, so --sample-pairs is no option
         ("discrete", "--n", "3", "--q", "2", "--format", "csv"),
         ("verify", "--n", "2", "--q", "2", "--format", "csv"),
         ("count", "--n", "3", "--q", "2", "--seed", "1"),

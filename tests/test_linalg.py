@@ -142,7 +142,7 @@ def test_brute_rows_are_orthogonal_under_orbit_weights():
                 if s != t:
                     assert pairing == 0
                     continue
-                left = len(ctx.left_orbit(tau))
+                left = ctx.left_orbit_size(tau)
                 selfint, rest = divmod(left * left, coadjoint[tau])
                 assert rest == 0
                 assert pairing == order * selfint

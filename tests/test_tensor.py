@@ -273,13 +273,13 @@ def test_the_pair_cap_comes_before_any_cluster_is_spelled_out(monkeypatch):
     field = field_make(2, 1)
     t1 = Template(field, 5, [(1, 4, field.one)])
     t2 = Template(field, 5, [(1, 5, field.one)])
+    supercluster.clear_memos()
     walked = []
     for name in ("cluster_elements", "left_orbits"):
         real = getattr(clusters, name)
         monkeypatch.setattr(
             clusters, name, lambda tau, real=real, name=name: walked.append(name) or real(tau)
         )
-    supercluster.clear_memos()
     with pytest.raises(ResourceCapExceeded) as err:
         c_count(t1, t2, t2, 16 * 64 - 1)
     assert str(err.value) == f"16 x 64 cluster pairs exceed the cap {16 * 64 - 1}"
@@ -323,9 +323,10 @@ def test_counting_rejects_mismatched_rings(F2, F3, F4):
 
 
 def test_clear_memos_empties_every_memo_of_the_engine():
-    """One clear reaches the left-orbit memo of clusters and the two step
-    caches of tensor, rewrite and count; every memo a module names *_MEMO
-    is among them."""
+    """One clear reaches the left-orbit splits of clusters and the two step
+    caches of tensor, rewrite and count; they are the engine's only
+    module-level caches besides the CLI's one parser, no module keeps a
+    *_MEMO dict, and each cache holds at most clusters.MEMO_SIZE entries."""
     import importlib
     import pkgutil
 
@@ -337,15 +338,18 @@ def test_clear_memos_empties_every_memo_of_the_engine():
     tensor.tensor_by_counting(tau, tau)
     tensor.tensor_rewrite(field, 4, tau.cells)
     char_value_sum(tau, identity(field, 4))
-    memos = {
+    found = {
         f"{info.name}.{name}": value
         for info in pkgutil.iter_modules(supercluster.__path__)
         if info.name != "__main__"  # importing it runs the command line
         for name, value in vars(importlib.import_module(f"supercluster.{info.name}")).items()
-        if name.endswith("_MEMO")
+        if name.endswith("_MEMO") or hasattr(value, "cache_clear")
     }
-    steps = (tensor._rewrite_step, tensor._count_step)
-    assert set(memos) == {"clusters._LEFT_MEMO"}
-    assert all(memos.values()) and all(step.cache_info().currsize for step in steps)
+    caches = (clusters.left_orbits, tensor._rewrite_step, tensor._count_step)
+    assert set(found) == {
+        "clusters.left_orbits", "tensor._rewrite_step", "tensor._count_step", "cli.build_parser"
+    }
+    assert all(c.cache_info().maxsize == clusters.MEMO_SIZE for c in caches)
+    assert all(c.cache_info().currsize for c in caches)
     supercluster.clear_memos()
-    assert not any(memos.values()) and not any(step.cache_info().currsize for step in steps)
+    assert not any(c.cache_info().currsize for c in caches)

@@ -228,11 +228,12 @@ def test_a_wrong_discrete_series_value_fails_thm91_and_thm93(monkeypatch, jobs):
 # -- one test per comparison --------------------------------------------------
 #
 # Each test below breaks one value that a comparison of Thm4.1, Thm4.2,
-# Thm6.2 or Thm3.5 reads, at (3,3), and asserts that check's exact FAIL
-# text and that no other check fails.  A formula is broken in verify's view
-# of clusters alone (_verify_sees), so the engine's own callers, such as
-# cluster_elements' size check or build_table's column sizes, keep the
-# real one.
+# Thm6.2 or Thm3.5 reads, at (3,3), and asserts the exact FAIL text of every
+# check that fails.  A formula is broken in verify's view of clusters alone
+# (_verify_sees), so the engine's own callers, such as tensor's pair cap,
+# which reads cluster_size, or build_table's column sizes, keep the real
+# one and no other check fails.  The witness test breaks the composition
+# inside the sweeps instead, so every check that runs a sweep fails.
 
 
 def _failed(report) -> dict:
@@ -255,27 +256,39 @@ def _is_rook(x) -> bool:
     return len(rows) == len(cols) == len(x.entries)
 
 
-@pytest.mark.parametrize("key, sweep, side", [
-    ("Thm4.1", "adjoint_template_of", "adjoint"),
-    ("Thm4.2", "coadjoint_template_of", "coadjoint"),
-])
-def test_witnesses_that_miss_the_template_fail_their_check(F3, monkeypatch, key, sweep, side):
-    """Witnesses (I, I) replay every point onto itself, so the check fails
-    at the first point, in code order, that is not its own template."""
-    from supercluster import clusters
+def test_witnesses_that_miss_the_template_fail_their_check(F3, monkeypatch):
+    """With every composed witness the identity, each sweep's own check
+    fails at the first point it meets that is not its own template: Thm4.1
+    and Thm4.2 at the first such point of their space in code order, Thm8.6
+    at the first such sum its counting step classifies.  No other check
+    runs a sweep."""
+    import supercluster
+    from supercluster import clusters, tensor
+    from supercluster.errors import InvariantViolation
 
-    swept = getattr(clusters, sweep)
+    ctx = oracle.OracleContext(3, F3)
+    codes, rows = ctx.codes, ctx.table[0]
+    first = {
+        side: next(x for x in (codes.point(side, c) for c in range(codes.size)) if not _is_rook(x))
+        for side in ("adjoint", "coadjoint")
+    }
+    supercluster.clear_memos()  # so that no count step is read from an earlier test
+    monkeypatch.setattr(clusters, "_compose", lambda field, n, ops, on_left: core.identity(field, n))
 
-    def unwitnessed(point):
-        t, _, _ = swept(point)
-        one = core.identity(point.field, point.n)
-        return t, one, one
+    def first_counting_failure():  # Thm8.6 counts every pair at (3,3), in row order
+        for t1 in rows:
+            for t2 in rows:
+                try:
+                    tensor.tensor_by_counting(t1, t2)
+                except InvariantViolation as exc:
+                    return str(exc)
 
-    codes = oracle.OracleContext(3, F3).codes
-    x = next(x for x in (codes.point(side, c) for c in range(codes.size)) if not _is_rook(x))
-    _verify_sees(monkeypatch, **{sweep: unwitnessed})
+    thm86 = first_counting_failure()
+    assert str(thm86).startswith("witnesses for Functional(")
     assert _failed(run_verify(3, F3)) == {
-        key: f"witnesses for {x!r} do not reproduce the template"
+        "Thm4.1": f"witnesses for {first['adjoint']!r} do not reproduce the template",
+        "Thm4.2": f"witnesses for {first['coadjoint']!r} do not reproduce the template",
+        "Thm8.6": thm86,
     }
 
 
@@ -346,13 +359,12 @@ def test_a_short_left_orbit_fails_thm62(F3, monkeypatch):
 
     ctx = oracle.OracleContext(3, F3)
     rep = [t for t in ctx.coadjoint.representatives if clusters.invariants_of(t).d][-1]
-    left_orbit = oracle.OracleContext.left_orbit
+    left_orbit_size = oracle.OracleContext.left_orbit_size
 
     def short(self, tau):
-        orbit = left_orbit(self, tau)
-        return orbit[:-1] if tau == rep else orbit
+        return left_orbit_size(self, tau) - (tau == rep)
 
-    monkeypatch.setattr(oracle.OracleContext, "left_orbit", short)
+    monkeypatch.setattr(oracle.OracleContext, "left_orbit_size", short)
     d = clusters.invariants_of(rep).d
     assert _failed(run_verify(3, F3)) == {
         "Thm6.2": f"left orbit of {rep.text()} has {3**d - 1} points, degree says q^{d}"
