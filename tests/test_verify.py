@@ -232,8 +232,9 @@ def test_a_wrong_discrete_series_value_fails_thm91_and_thm93(monkeypatch, jobs):
 # check that fails.  A formula is broken in verify's view of clusters alone
 # (_verify_sees), so the engine's own callers, such as tensor's pair cap,
 # which reads cluster_size, or build_table's column sizes, keep the real
-# one and no other check fails.  The witness test breaks the composition
-# inside the sweeps instead, so every check that runs a sweep fails.
+# one and no other check fails.  The last witness test breaks the
+# composition inside the sweeps instead, so every check that runs a sweep
+# fails.
 
 
 def _failed(report) -> dict:
@@ -256,7 +257,32 @@ def _is_rook(x) -> bool:
     return len(rows) == len(cols) == len(x.entries)
 
 
-def test_witnesses_that_miss_the_template_fail_their_check(F3, monkeypatch):
+@pytest.mark.parametrize("key, sweep, side", [
+    ("Thm4.1", "adjoint_template_of", "adjoint"),
+    ("Thm4.2", "coadjoint_template_of", "coadjoint"),
+])
+def test_witnesses_that_miss_the_template_fail_their_check(F3, monkeypatch, key, sweep, side):
+    """With the witnesses of one sweep composed as the identity in verify's
+    view alone, that sweep's check fails at the first point, in code order,
+    that is not its own template, and no other check fails."""
+    from supercluster import clusters
+
+    swept = getattr(clusters, sweep)
+
+    def unwitnessed(point):
+        with monkeypatch.context() as m:
+            m.setattr(clusters, "_compose", lambda field, n, ops, on_left: core.identity(field, n))
+            return swept(point)
+
+    codes = oracle.OracleContext(3, F3).codes
+    x = next(x for x in (codes.point(side, c) for c in range(codes.size)) if not _is_rook(x))
+    _verify_sees(monkeypatch, **{sweep: unwitnessed})
+    assert _failed(run_verify(3, F3)) == {
+        key: f"witnesses for {x!r} do not reproduce the template"
+    }
+
+
+def test_identity_witnesses_fail_every_sweeping_check(F3, monkeypatch):
     """With every composed witness the identity, each sweep's own check
     fails at the first point it meets that is not its own template: Thm4.1
     and Thm4.2 at the first such point of their space in code order, Thm8.6
