@@ -20,11 +20,13 @@ answers a column with None (the value is 0) or the exponent pair
 (d - h, e).  build_table runs that kernel over every column of every row
 and points each cell at one shared Cyclotomic per distinct pair.
 
-JSON, CSV and text are rendered from a memo of per-value fragments: each
-distinct value is rendered once and every row is a string join, byte for
-byte what json.dumps(indent=2), csv.writer and the aligned text layout
-give.  verify_axioms maps each distinct value once to integer bins over
-z^0 .. z^(p-1), so its sums are integer arithmetic.
+JSON, CSV and text are written row by row: each format has a generator
+that yields the document one table row at a time, and each row is a string
+join of per-value fragments, every distinct value rendered once.  The
+chunks join to byte for byte what json.dumps(indent=2), csv.writer and the
+aligned text layout give; the CLI writes them as they come, so it never
+holds the whole document.  verify_axioms maps each distinct value once to
+integer bins over z^0 .. z^(p-1), so its sums are integer arithmetic.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import json
 from dataclasses import dataclass, field as dataclass_field
 from math import lcm
 from operator import mul
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import clusters
 from .clusters import ClusterInvariants, Template, enumerate_templates, invariants_of
@@ -231,6 +233,16 @@ def _json_list(items: list[str], depth: int) -> str:
     return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
 
 
+def _json_list_chunks(items: Iterable[str], depth: int) -> Iterator[str]:
+    """_json_list(items, depth), one chunk per item."""
+    pad = "\n" + "  " * (depth + 1)
+    empty = True
+    for item in items:
+        yield ("[" if empty else ",") + pad + item
+        empty = False
+    yield "[]" if empty else "\n" + "  " * depth + "]"
+
+
 def _csv_field(text: str) -> str:
     """One field exactly as csv.writer quotes it."""
     out = io.StringIO()
@@ -296,8 +308,8 @@ class CharacterTable:
     def to_json(self) -> dict:
         return self._json_fields([[v.to_json() for v in row] for row in self.values])
 
-    def _fragments(self, render: Callable[[Cyclotomic], str]) -> list[list[str]]:
-        """Every cell rendered, row by row.
+    def _fragments(self, render: Callable[[Cyclotomic], str]) -> Iterator[list[str]]:
+        """Every cell rendered, one row at a time as the caller reaches it.
 
         render runs once per distinct value.  Cells are then matched to
         their fragment by object identity, which is sound while the table
@@ -311,34 +323,53 @@ class CharacterTable:
                 text = memo[v] = render(v)
             fragment[key] = text
         lookup = fragment.__getitem__
-        return [list(map(lookup, map(id, row))) for row in self.values]
+        for row in self.values:
+            yield list(map(lookup, map(id, row)))
 
-    def to_json_text(self) -> str:
-        """Exactly json.dumps(self.to_json(), indent=2)."""
+    def iter_json_text(self) -> Iterator[str]:
+        """to_json_text() in chunks: the fields before "values", one chunk
+        per table row, then the fields after."""
+        fields = self._json_fields(None)
+        keys = list(fields)
+        at = keys.index("values")
+
+        def render(keys):
+            return [f"  {json.dumps(key)}: " + _json_nested(fields[key], 1) for key in keys]
+
+        yield "{\n" + ",\n".join(render(keys[:at]) + ['  "values": '])
         cells = self._fragments(lambda v: _json_nested(v.to_json(), 3))
-        values = _json_list([_json_list(row, 2) for row in cells], 1)
-        fields = [
-            f"  {json.dumps(key)}: " + (values if key == "values" else _json_nested(item, 1))
-            for key, item in self._json_fields(None).items()
-        ]
-        return "{\n" + ",\n".join(fields) + "\n}"
+        yield from _json_list_chunks((_json_list(row, 2) for row in cells), 1)
+        yield "".join(",\n" + field for field in render(keys[at + 1:])) + "\n}"
 
-    def to_csv(self) -> str:
-        """Exactly what csv.writer writes for the header and one line per row."""
-        lines = [",".join(_csv_field(s) for s in ["template"] + [t.text() for t in self.cols])]
+    def iter_csv(self) -> Iterator[str]:
+        """to_csv() in chunks: the header line, then one chunk per row."""
+        yield ",".join(_csv_field(s) for s in ["template"] + [t.text() for t in self.cols]) + "\n"
         cells = self._fragments(lambda v: _csv_field(str(v)))
-        lines += [",".join([_csv_field(t.text())] + row) for t, row in zip(self.rows, cells)]
-        return "\n".join(lines) + "\n"
+        for t, row in zip(self.rows, cells):
+            yield ",".join([_csv_field(t.text())] + row) + "\n"
 
-    def to_text(self) -> str:
-        """Right-aligned columns, each as wide as the longest label or value plus one."""
+    def iter_text(self) -> Iterator[str]:
+        """to_text() in chunks: the header line, then one chunk per row,
+        each row led by the newline that ends the line before it."""
         labels = [t.text() for t in self.rows + self.cols]
         strs = {v: str(v) for v in _distinct(self.values).values()}
         width = max(map(len, labels + list(strs.values()))) + 1
+        yield " " * width + "".join(t.text().rjust(width) for t in self.cols)
         cells = self._fragments(lambda v: strs[v].rjust(width))
-        lines = [" " * width + "".join(t.text().rjust(width) for t in self.cols)]
-        lines += [t.text().ljust(width) + "".join(row) for t, row in zip(self.rows, cells)]
-        return "\n".join(lines)
+        for t, row in zip(self.rows, cells):
+            yield "\n" + t.text().ljust(width) + "".join(row)
+
+    def to_json_text(self) -> str:
+        """Exactly json.dumps(self.to_json(), indent=2)."""
+        return "".join(self.iter_json_text())
+
+    def to_csv(self) -> str:
+        """Exactly what csv.writer writes for the header and one line per row."""
+        return "".join(self.iter_csv())
+
+    def to_text(self) -> str:
+        """Right-aligned columns, each as wide as the longest label or value plus one."""
+        return "".join(self.iter_text())
 
 
 def table_from_json(data: dict) -> CharacterTable:

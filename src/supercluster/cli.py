@@ -101,7 +101,10 @@ def _config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunCon
 
 
 def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    """text, then a newline unless it ends in one; two writes, no copy."""
+    sys.stdout.write(text)
+    if not text.endswith("\n"):
+        sys.stdout.write("\n")
 
 
 def _dump_json(data: dict) -> str:
@@ -160,13 +163,18 @@ def _run_clusters(cfg: RunConfig) -> int:
 
 
 def _run_table(cfg: RunConfig) -> int:
+    """The table, written one row at a time; every check runs in build_table,
+    before the first byte."""
     table = build_table(cfg.n, cfg.field, max_rows=cfg.caps["table"])
     if cfg.fmt == "json":
-        _emit(table.to_json_text())
+        chunks = table.iter_json_text()
     elif cfg.fmt == "csv":
-        _emit(table.to_csv())
+        chunks = table.iter_csv()
     else:
-        _emit(table.to_text())
+        chunks = table.iter_text()
+    sys.stdout.writelines(chunks)
+    if cfg.fmt != "csv":  # the newline _emit adds; csv already ends in one
+        sys.stdout.write("\n")
     return 0
 
 

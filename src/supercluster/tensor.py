@@ -232,6 +232,8 @@ def _pair_counts(t1: Template, t2: Template, max_pairs: int) -> dict[Template, i
     unless it holds that size, so the larger cluster is certified by its
     split.  The counts come from _count_step, larger cluster first and
     ties broken by sort_key, so a product and its mirror share one entry.
+    An InvariantViolation from the step is raised again here, outside its
+    memo, with the product [t1] x [t2] named in front.
     """
     if (t1.field, t1.n) != (t2.field, t2.n):
         raise ValueError("mismatched rings")
@@ -240,9 +242,12 @@ def _pair_counts(t1: Template, t2: Template, max_pairs: int) -> dict[Template, i
         raise ResourceCapExceeded(f"{size1} x {size2} cluster pairs exceed the cap {max_pairs}")
     clusters.left_orbits(t1)
     clusters.left_orbits(t2)
-    if (-size1, t1.sort_key()) <= (-size2, t2.sort_key()):
-        return dict(_count_step(t1, t2, size1))
-    return dict(_count_step(t2, t1, size2))
+    try:
+        if (-size1, t1.sort_key()) <= (-size2, t2.sort_key()):
+            return dict(_count_step(t1, t2, size1))
+        return dict(_count_step(t2, t1, size2))
+    except InvariantViolation as exc:
+        raise InvariantViolation(f"[{t1.text()}] x [{t2.text()}]: {exc}") from exc
 
 
 @lru_cache(maxsize=MEMO_SIZE)

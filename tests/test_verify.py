@@ -307,10 +307,10 @@ def test_identity_witnesses_fail_every_sweeping_check(F3, monkeypatch):
                 try:
                     tensor.tensor_by_counting(t1, t2)
                 except InvariantViolation as exc:
-                    return str(exc)
+                    return t1, t2, str(exc)
 
-    thm86 = first_counting_failure()
-    assert str(thm86).startswith("witnesses for Functional(")
+    t1, t2, thm86 = first_counting_failure()
+    assert thm86.startswith(f"[{t1.text()}] x [{t2.text()}]: witnesses for Functional(")
     assert _failed(run_verify(3, F3)) == {
         "Thm4.1": f"witnesses for {first['adjoint']!r} do not reproduce the template",
         "Thm4.2": f"witnesses for {first['coadjoint']!r} do not reproduce the template",
