@@ -136,7 +136,9 @@ def _compose(field: Field, n: int, ops, on_left: bool) -> UniMatrix:
     was applied on the left (row i += a * row j), op_1 ... op_k when on the
     right (column j += a * column i).  The product is kept as the index
     entries of its part above the diagonal; the diagonal 1 of row j (or
-    column i) adds a at (i, j)."""
+    column i) adds a at (i, j).  Every position built is strictly upper, so
+    only the entries that cancel to zero are dropped, and nothing is checked
+    again."""
     add, mul = field.add_idx, field.mul_idx
     off: dict[tuple[int, int], int] = {}
     for i, j, a in ops:
@@ -149,7 +151,7 @@ def _compose(field: Field, n: int, ops, on_left: bool) -> UniMatrix:
         for pos, v in moved:
             off[pos] = add[off.get(pos, 0)][v]
     els = field.elements
-    return UniMatrix(NilMatrix(field, n, {pos: els[v] for pos, v in off.items()}))
+    return UniMatrix(NilMatrix._trusted(field, n, {pos: els[v] for pos, v in off.items() if v}))
 
 
 def _rook_cells(field: Field, m: list[list[int]]) -> list:
@@ -205,13 +207,23 @@ def coadjoint_template_of(lam: Functional) -> tuple[Template, UniMatrix, UniMatr
     Mirror sweep of adjoint_template_of: columns right to left, restricted
     column operations kill entries sharing a row with an entry to the right,
     restricted row operations keep the top survivor.  Returns (t, g, h) with
-    g * lam * h = t.  As there, the sweep runs on lam's index rows and
-    records its operations; g and h are each composed once, and
-    coact_left/coact_right must carry lam onto t with them.
+    g * lam * h = t.  A thin wrapper over _coadjoint_sweep, which runs on
+    lam's index rows and checks the witnesses.
+    """
+    cells, g, h = _coadjoint_sweep(lam, _index_rows(lam))
+    els = lam.field.elements
+    return Template(lam.field, lam.n, [(i, j, els[v]) for i, j, v in cells]), g, h
+
+
+def _coadjoint_sweep(lam: Functional, m: list[list[int]]) -> tuple[tuple, UniMatrix, UniMatrix]:
+    """The coadjoint sweep of lam on its index rows m, which it reduces in
+    place: returns (cells, g, h), cells the (i, j, index) entries of the
+    template in lex order.  The operations are recorded, g and h are each
+    composed once, and coact_left/coact_right must carry lam onto the
+    template's functional with them, or InvariantViolation names lam.
     """
     field, n = lam.field, lam.n
     add, mul, neg, inv = field.add_idx, field.mul_idx, field.neg_idx, field.inv_idx
-    m = _index_rows(lam)
     left_ops, right_ops = [], []
     for c in range(n - 1, 0, -1):
         for r in range(c):
@@ -233,12 +245,14 @@ def coadjoint_template_of(lam: Functional) -> tuple[Template, UniMatrix, UniMatr
             for l in range(r + 1, n):
                 row[l] = add[row[l]][scale[top[l]]]
             right_ops.append((rows[0] + 1, r + 1, a))
-    t = Template(field, n, _rook_cells(field, m))
+    cells = tuple([(i + 1, j + 1, v) for i, row in enumerate(m) for j, v in enumerate(row) if v])
     g = _compose(field, n, left_ops, on_left=True)
     h = _compose(field, n, right_ops, on_left=False)
-    if coact_left(g, coact_right(lam, h)) != t.as_functional():
+    els = field.elements
+    rook = Functional._trusted(field, n, {(i, j): els[v] for i, j, v in cells})
+    if coact_left(g, coact_right(lam, h)) != rook:
         raise InvariantViolation(f"witnesses for {lam!r} do not reproduce the template")
-    return t, g, h
+    return cells, g, h
 
 
 # -- rank invariants ----------------------------------------------------------
@@ -413,19 +427,32 @@ def _vector(lam: Functional) -> list[int]:
     return vec
 
 
-def _span_translates(field: Field, n: int, start, basis) -> list[Functional]:
+def _point(field: Field, n: int, pts, vec) -> tuple[Functional, list[list[int]]]:
+    """The functional of the index row vec over pts = positions(n), and its
+    index rows, as _index_rows gives them."""
+    els = field.elements
+    rows = [[0] * n for _ in range(n)]
+    entries = {}
+    for (i, j), v in zip(pts, vec):
+        if v:
+            rows[i - 1][j - 1] = v
+            entries[i, j] = els[v]
+    return Functional._trusted(field, n, entries), rows
+
+
+def _span_vectors(field: Field, start, basis) -> list[list[int]]:
     """start + every combination of the basis rows, all index rows over
-    positions(n), as functionals."""
-    add, mul, els = field.add_idx, field.mul_idx, field.elements
-    pts = positions(n)
-    out = []
-    for coeffs in product(range(field.q), repeat=len(basis)):
-        vec = start
-        for c, row in zip(coeffs, basis):
-            if c:
-                scale = mul[c]
-                vec = [add[x][scale[y]] for x, y in zip(vec, row)]
-        out.append(Functional(field, n, {pos: els[v] for pos, v in zip(pts, vec) if v}))
+    positions(n), the coefficients in itertools.product order: each point
+    is one row added to an earlier point."""
+    add, mul = field.add_idx, field.mul_idx
+    out = [start]
+    for row in basis:
+        multiples = [[mul[c][y] for y in row] for c in range(1, field.q)]
+        grown = []
+        for vec in out:
+            grown.append(vec)
+            grown.extend([add[x][y] for x, y in zip(vec, s)] for s in multiples)
+        out = grown
     return out
 
 
@@ -445,11 +472,10 @@ def left_orbits(tau: Template) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, 
     """
     field, n = tau.field, tau.n
     add, mul, neg = field.add_idx, field.mul_idx, field.neg_idx
-    lam = tau.as_functional()
+    lam, pts = tau.as_functional(), positions(n)
     found: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-    for mu in _span_translates(field, n, _vector(lam), linalg.echelon(field, _rhat_vectors(lam))):
-        basis = linalg.echelon(field, _lhat_vectors(mu))
-        vec = _vector(mu)
+    for vec in _span_vectors(field, _vector(lam), linalg.echelon(field, _rhat_vectors(lam))):
+        basis = linalg.echelon(field, _lhat_vectors(_point(field, n, pts, vec)[0]))
         for row in basis:  # each row is 1 at its pivot and 0 at every other pivot
             a = vec[next(c for c, y in enumerate(row) if y)]
             if a:
@@ -472,13 +498,16 @@ def cluster_elements(tau: Template) -> tuple[Functional, ...]:
     spelled out from its reduced mu and basis.  left_orbits has already
     checked that there are q^(d-i) disjoint orbits of q^d points, so
     nothing is walked again, dropped as a repeat or counted a second time.
-    Not memoized and in no sorted order: its one engine caller, tensor's
-    counting step, sums counts over it and keeps its own bounded cache of
-    whole pair counts.
+    Not memoized and in no sorted order.  It has no engine caller: tensor's
+    counting step walks left_orbits on index rows.  It stays as the tests'
+    spelling of a cluster, held to the oracle's BFS.
     """
     field, n = tau.field, tau.n
+    pts = positions(n)
     return tuple(
-        lam for mu, basis in left_orbits(tau) for lam in _span_translates(field, n, mu, basis)
+        _point(field, n, pts, vec)[0]
+        for mu, basis in left_orbits(tau)
+        for vec in _span_vectors(field, mu, basis)
     )
 
 

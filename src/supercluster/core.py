@@ -33,7 +33,9 @@ negation, scaling, products, the reinterpretations, the one-sided actions
 and the coactions) are wrapped by the private _trusted classmethod
 instead: each of those loops writes only strictly upper positions and
 drops every entry that cancels to zero, so a second pass over the result
-could never change it.
+could never change it.  clusters wraps the same way the witnesses its
+sweeps compose and the points and rook functionals of its index-row walk,
+which it builds strictly upper and zero-free.
 """
 
 from __future__ import annotations

@@ -19,10 +19,13 @@ of class functions commute and associate.  Only the step differs:
   comes first, read off the supports.  Clusters are
   double orbits and the actions are linear, so the count is the same for
   every lam1: the step classifies the larger cluster's template plus each
-  element of the smaller cluster, the only one spelled out, and weights
-  each hit by the larger size.  The pair counts are memoized in a second
-  bounded cache, keyed by the unordered pair, so a repeated product and
-  its mirror are counted once.
+  element of the smaller cluster and weights each hit by the larger size.
+  The smaller cluster is walked from its memoized split on index rows, and
+  each sum goes through the coadjoint sweep's witnessed core, which checks
+  that point's witnesses; no element is spelled out as a Functional list
+  and no Template is made per point.  The pair counts are memoized in a
+  second bounded cache, keyed by the unordered pair, so a repeated product
+  and its mirror are counted once.
 
 Both caches hold clusters.MEMO_SIZE entries each, as the left-orbit
 splits do, and all three are emptied by supercluster.clear_memos().
@@ -38,6 +41,7 @@ from math import gcd
 
 from . import clusters
 from .clusters import MEMO_SIZE, Template, invariants_of
+from .core import positions
 from .errors import InvariantViolation, ResourceCapExceeded
 from .gf import Field, FieldElement
 
@@ -259,16 +263,28 @@ def _count_step(base: Template, small: Template, weight: int) -> tuple[tuple[Tem
     linear, so g.(lam1 + lam2).h = g.lam1.h + g.lam2.h.  Taking (g, h) with
     g.lam1.h = base shows that lam2 -> g.lam2.h is a bijection of Psi(small)
     that keeps the cluster of the sum: every lam1 sees the same counts.  So
-    only base + lam is classified, lam running over the smaller cluster, the
-    only one spelled out, and each hit counts weight pairs; the larger
-    cluster is certified by its split alone.
+    only base + lam is classified, lam running over the smaller cluster, and
+    each hit counts weight pairs; the larger cluster is certified by its
+    split alone.  The smaller cluster is walked from its memoized split,
+    clusters.left_orbits: each translate of each reduced mu is added to
+    base's index row, and the sum goes through the witnessed sweep core on
+    its index rows, which checks that point's witnesses.  Hits are counted
+    by rook cells, and one Template is made per target.
     """
-    base_lam = base.as_functional()
-    counts: dict[Template, int] = {}
-    for lam in clusters.cluster_elements(small):
-        tau = clusters.coadjoint_template_of(base_lam + lam)[0]
-        counts[tau] = counts.get(tau, 0) + weight
-    return tuple(counts.items())
+    field, n = base.field, base.n
+    add, pts = field.add_idx, positions(n)
+    base_vec = clusters._vector(base.as_functional())
+    hits: dict[tuple, int] = {}
+    for mu, basis in clusters.left_orbits(small):
+        start = [add[x][y] for x, y in zip(base_vec, mu)]
+        for vec in clusters._span_vectors(field, start, basis):
+            cells = clusters._coadjoint_sweep(*clusters._point(field, n, pts, vec))[0]
+            hits[cells] = hits.get(cells, 0) + weight
+    els = field.elements
+    return tuple(
+        (Template(field, n, [(i, j, els[v]) for i, j, v in cells]), count)
+        for cells, count in hits.items()
+    )
 
 
 def c_count(t1: Template, t2: Template, target: Template, max_pairs: int = DEFAULT_MAX_PAIRS) -> int:
@@ -284,7 +300,7 @@ def tensor_by_counting(t1: Template, t2: Template, max_pairs: int = DEFAULT_MAX_
     """Decompose a product by counting pairwise sums of cluster elements.
 
     The pair counts come from _pair_counts, which holds |Psi1| x |Psi2| to
-    max_pairs before it spells out the smaller cluster.  The multiplicity of a
+    max_pairs before either cluster is split.  The multiplicity of a
     target cluster is q^(i1+i2-d1-d2-d) times the pair count; every
     coefficient must come out an integer, and the result must agree with
     the rewrite route.  Violations raise.
@@ -321,8 +337,10 @@ def fold_by_counting(field: Field, n: int, factors, max_pairs: int = DEFAULT_MAX
     step; each step also re-certifies itself against the rewrite route.
     Used by the CLI --check.
     """
-    def step(tau: Template, cell: Cell):
-        return tensor_by_counting(tau, Template(field, n, [cell]), max_pairs).terms.items()
-
     cells = [(i, j, v) for (i, j, v) in factors if v]
+    primaries = {cell: Template(field, n, [cell]) for cell in cells}
+
+    def step(tau: Template, cell: Cell):
+        return tensor_by_counting(tau, primaries[cell], max_pairs).terms.items()
+
     return CharSum(field, n, _fold({Template(field, n, []): 1}, cells, step))

@@ -377,3 +377,12 @@ def test_table_over_its_cap_writes_nothing(fmt, monkeypatch, capsys):
     code, out, err = _main_in_process(["table", "--n", "4", "--q", "2", "--format", fmt], capsys)
     assert (code, out) == (3, "")
     assert err == "resource cap exceeded: table would have 15 rows, cap is 14\n"
+
+
+def test_a_checked_product_over_the_pair_cap_exits_3_before_any_walk(capsys):
+    # |Psi| = 1 and 2^28 at n = 16 over GF(2): the counting step's pair cap
+    # is read off the supports, so the product exits 3 and writes nothing
+    argv = ["tensor", "--n", "16", "--q", "2", "--factor", "1,16,1", "--factor", "1,16,1", "--check"]
+    code, out, err = _main_in_process(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err == "resource cap exceeded: 1 x 268435456 cluster pairs exceed the cap 16777216\n"

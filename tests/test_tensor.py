@@ -222,7 +222,10 @@ def brute_pair_counts(t1, t2):
 
 @pytest.mark.parametrize(
     "n,p,k,sample",
-    [(3, 2, 1, None), (3, 3, 1, None), (3, 2, 2, None), (4, 2, 1, 12), (4, 3, 1, 8)],
+    [
+        (3, 2, 1, None), (3, 3, 1, None), (3, 2, 2, None), (4, 2, 1, 12), (4, 3, 1, 8),
+        (3, 5, 1, 12), (3, 2, 3, 8), (4, 2, 2, 12),
+    ],
 )
 def test_pair_counts_equal_brute_enumeration(n, p, k, sample):
     templates = enumerate_templates(n, field_make(p, k))
@@ -246,20 +249,25 @@ def test_pair_counts_equal_brute_enumeration(n, p, k, sample):
             assert str(err.value) == f"{size1} x {size2} cluster pairs exceed the cap {cap - 1}"
 
 
+def _recording(monkeypatch, names):
+    """Wrap each clusters function of names so that a call appends its name
+    to the returned list and then runs the real function."""
+    calls = []
+    for name in names:
+        real = getattr(clusters, name)
+        monkeypatch.setattr(
+            clusters, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+        )
+    return calls
+
+
 def test_pair_counts_sweep_only_the_smaller_cluster(monkeypatch):
-    # |Psi| = 16 and 64 at (5,2): 16 sweeps, not 16 x 64
+    # |Psi| = 16 and 64 at (5,2): 16 witnessed sweeps, not 16 x 64
     field = field_make(2, 1)
     t1 = Template(field, 5, [(1, 4, field.one)])
     t2 = Template(field, 5, [(1, 5, field.one)])
-    sweeps = []
-    witnessed = clusters.coadjoint_template_of
-
-    def counted(lam):
-        sweeps.append(lam)
-        return witnessed(lam)
-
     supercluster.clear_memos()
-    monkeypatch.setattr(clusters, "coadjoint_template_of", counted)
+    sweeps = _recording(monkeypatch, ["_coadjoint_sweep"])
     assert c_count(t1, t2, t2) > 0
     assert len(clusters.cluster_elements(t1)) == 16
     assert len(clusters.cluster_elements(t2)) == 64
@@ -269,41 +277,34 @@ def test_pair_counts_sweep_only_the_smaller_cluster(monkeypatch):
 def test_the_pair_cap_comes_before_any_cluster_is_spelled_out(monkeypatch):
     # |Psi| = 16 and 64 at (5,2): the sizes come from the supports, and
     # 16 x 64 over the cap raises before either cluster is split into its
-    # left orbits or spelled out
+    # left orbits or any sum is classified
     field = field_make(2, 1)
     t1 = Template(field, 5, [(1, 4, field.one)])
     t2 = Template(field, 5, [(1, 5, field.one)])
     supercluster.clear_memos()
-    walked = []
-    for name in ("cluster_elements", "left_orbits"):
-        real = getattr(clusters, name)
-        monkeypatch.setattr(
-            clusters, name, lambda tau, real=real, name=name: walked.append(name) or real(tau)
-        )
+    walked = _recording(monkeypatch, ["left_orbits", "_coadjoint_sweep"])
     with pytest.raises(ResourceCapExceeded) as err:
         c_count(t1, t2, t2, 16 * 64 - 1)
     assert str(err.value) == f"16 x 64 cluster pairs exceed the cap {16 * 64 - 1}"
     assert walked == []
-    assert c_count(t1, t2, t2, 16 * 64) >= 0  # under the cap, both splits are walked
-    assert walked[:3] == ["left_orbits", "left_orbits", "cluster_elements"]
+    assert c_count(t1, t2, t2, 16 * 64) >= 0  # under the cap, both splits come first
+    assert walked[:2] == ["left_orbits", "left_orbits"]
+    assert "_coadjoint_sweep" in walked[2:]
 
 
 def test_a_repeated_product_and_its_mirror_reuse_the_counting_step(monkeypatch):
     # after one tensor_by_counting, the repeat and the mirror product come
-    # from the step cache: no cluster is spelled out and no sum classified.
-    # Both clusters have 9 points, so the mirror shares the entry through
-    # the sort_key tie-break.
+    # from the step cache: no sum is classified again.  Both clusters have
+    # 9 points, so the mirror shares the entry through the sort_key
+    # tie-break.
     field = field_make(3, 1)
     t1 = parse_template(field, 4, "(1,3)=1")
     t2 = parse_template(field, 4, "(2,4)=2")
     supercluster.clear_memos()
+    calls = _recording(monkeypatch, ["_coadjoint_sweep", "coadjoint_template_of"])
     first = tensor_by_counting(t1, t2)
-    calls = []
-    for name in ("cluster_elements", "coadjoint_template_of"):
-        real = getattr(clusters, name)
-        monkeypatch.setattr(
-            clusters, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
-        )
+    assert calls and set(calls) == {"_coadjoint_sweep"}  # the first product classifies
+    calls.clear()
     assert tensor_by_counting(t1, t2) == first
     assert tensor_by_counting(t2, t1) == first
     assert calls == []
