@@ -194,11 +194,8 @@ def _run_tensor(cfg: RunConfig, cells: list[tuple], check: bool) -> int:
     field = cfg.field
     result = tensor.tensor_rewrite(field, cfg.n, cells)
     if check:
-        counted = tensor.fold_by_counting(field, cfg.n, cells, cfg.caps["pairs"])
-        if counted != result:
-            raise InvariantViolation(
-                f"counting route gives {counted!r}, rewrite gives {result!r}"
-            )
+        # every counting step raises unless it equals its rewrite step
+        tensor.fold_by_counting(field, cfg.n, cells, cfg.caps["pairs"])
     if cfg.fmt == "json":
         _emit(_dump_json(result.to_json()))
     else:

@@ -111,8 +111,6 @@ class Cyclotomic:
             return NotImplemented
         p = self.p
         if self.den == 1 == o.den:
-            if p == 2:
-                return Cyclotomic(2, (self.num[0] + o.num[0],))
             return Cyclotomic(p, tuple(map(add, self.num, o.num)))
         a, b = self.den, o.den
         return Cyclotomic(p, tuple(x * b + y * a for x, y in zip(self.num, o.num)), a * b)
@@ -128,8 +126,6 @@ class Cyclotomic:
             return NotImplemented
         p = self.p
         if self.den == 1 == o.den:
-            if p == 2:
-                return Cyclotomic(2, (self.num[0] - o.num[0],))
             return Cyclotomic(p, tuple(map(sub, self.num, o.num)))
         a, b = self.den, o.den
         return Cyclotomic(p, tuple(x * b - y * a for x, y in zip(self.num, o.num)), a * b)
@@ -145,15 +141,12 @@ class Cyclotomic:
         if o is None:
             return NotImplemented
         p = self.p
-        den = self.den * o.den
-        if p == 2:
-            return Cyclotomic(2, (self.num[0] * o.num[0],), den)
         raw = [0] * (2 * p - 2)
         for m1, a in enumerate(self.num):
             if a:
                 for m2, b in enumerate(o.num, m1):
                     raw[m2] += a * b
-        return Cyclotomic(p, _reduce(p, raw), den)
+        return Cyclotomic(p, _reduce(p, raw), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -167,8 +160,6 @@ class Cyclotomic:
 
     def conjugate(self) -> "Cyclotomic":
         """The automorphism z -> z^(-1) (complex conjugation)."""
-        if self.p == 2:
-            return self
         return self._galois(-1)
 
     # -- predicates and views --------------------------------------------

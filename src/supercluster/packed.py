@@ -5,8 +5,8 @@ index(x_ij) * q^(N-1-m) over the N strictly upper positions, m the lex
 number of (i, j), so code order is enumeration order and the code of a
 point is its place in oracle.enumerate_nil or oracle.enumerate_dual.  Row
 k of a point is the block of its n-k digits at columns k+1..n, column b at
-weight q^(n-b).  The arithmetic is the field's index tables; at p = 2 an
-index is the bit vector of its coefficients, so adding codes is XOR.
+weight q^(n-b).  The arithmetic is digit by digit through the field's
+index tables, add_idx and mul_idx, one path for every characteristic.
 
 The rules are written from the coefficient formulas of core's docstrings,
 and the module imports from core only the value types and positions, so
@@ -14,18 +14,17 @@ a bug in core's actions cannot reach the oracle:
 - a generator I + a*e_ij adds a times one line of the point to another:
   on a functional, column i += a * column j over rows k < i (left) or row
   j += a * row i over columns l > j (right); on a matrix, row i += a * row
-  j (left) or column j += a * column i (right).  Each line sits at a fixed
-  shift from the other, so at p = 2 a move is a mask, a shift and an XOR,
-  one bit-plane at a time for GF(2^k).  Orbits are closures under the
-  generators I + a*e_(i,i+1) with a running over a basis of F_q over F_p,
-  which generate U.
+  j (left) or column j += a * column i (right).  A move reads each source
+  digit, multiplies it by a and adds it into its target digit.  Orbits are
+  closures under the generators I + a*e_(i,i+1) with a running over a
+  basis of F_q over F_p, which generate U.
 - g = I + y fixes lam exactly when the sum over b of y_lb * c_kb vanishes
   for every k < l, and then contributes z^e with e = trace(lam(y)), the sum
   over k of trace(c_k . y_k).  Both split by rows: for a fixed g, row k of
   lam is decided by its dot products with the rows y_l, l > k, and with
   y_k (a row decision); for a fixed lam, row l of y is decided by its dot
-  products with the rows c_k, k < l, and with c_l.  At p = 2 each dot
-  product is an AND and a popcount parity, one per bit-plane.
+  products with the rows c_k, k < l, and with c_l.  A dot product is
+  summed over the non-zero digits of its fixed row.
 
 Codes partitions a space into double orbits, an orbit id per code with one
 rook point per orbit checked, and builds no point: a caller that walks a
@@ -139,7 +138,8 @@ class Codes:
 
         side is "coadjoint" (functionals) or "adjoint" (matrices), hand
         "left" or "right", as core's coact_left/coact_right and
-        act_left/act_right.
+        act_left/act_right.  Each target digit t with a non-zero source
+        digit s becomes add[t][mul[a][s]].
         """
         try:
             lines = _LINES[(side, hand)](self.n, i, j)
@@ -148,8 +148,6 @@ class Codes:
         pairs = [(self.weight[s], self.weight[t]) for s, t in lines]
         if not pairs or not a:
             return lambda code: code
-        if self.p == 2:
-            return self._xor_move(pairs, a)
         add, row, q = self.add, self.mul[a], self.q
 
         def move(code):
@@ -160,29 +158,6 @@ class Codes:
                     t = code // wt % q
                     out += (add[t][row[s]] - t) * wt
             return out
-
-        return move
-
-    def _xor_move(self, pairs, a: int):
-        """A move at p = 2: every source digit sits at the same shift from
-        its target, so the sources are masked, shifted, multiplied by a one
-        bit-plane at a time and XORed in."""
-        k = self.field.k
-        ws, wt = pairs[0]
-        shift = wt.bit_length() - ws.bit_length()
-        mask = sum((self.q - 1) * s for s, _ in pairs)
-        if a == 1:
-            if shift > 0:
-                return lambda code: code ^ ((code & mask) << shift)
-            return lambda code: code ^ ((code & mask) >> -shift)
-        low = sum(t for _, t in pairs)
-        planes = [(m, self.mul[a][1 << m]) for m in range(k)]
-
-        def move(code):
-            v = (code & mask) << shift if shift > 0 else (code & mask) >> -shift
-            for m, image in planes:
-                code ^= ((v >> m) & low) * image
-            return code
 
         return move
 
@@ -248,40 +223,10 @@ class Codes:
         trace(dot(trace_row, r)).
 
         All rows are row codes over the same columns; dot(u, v) is the sum
-        of u_b * v_b over the columns b.
+        of u_b * v_b over the columns b, taken digit by digit through the
+        index tables.
         """
-        q, mul = self.q, self.mul
-        if self.p == 2:
-            k = self.field.k
-
-            def masks(v):
-                """Bit r of dot(v, c) is the parity of c & masks(v)[r]."""
-                out = [0] * k
-                shift = 0
-                while v:
-                    d = v % q
-                    for s in range(k):
-                        image = mul[d][1 << s]
-                        for r in range(k):
-                            if image >> r & 1:
-                                out[r] |= 1 << (shift + s)
-                    v //= q
-                    shift += k
-                return out
-
-            zero = [m for v in checks if v for m in masks(v) if m]
-            tmask = 0
-            for r, m in enumerate(masks(trace_row)):
-                if self.trace[1 << r]:
-                    tmask ^= m
-
-            def decide(c):
-                for m in zero:
-                    if (c & m).bit_count() & 1:
-                        return None
-                return (c & tmask).bit_count() & 1
-
-            return decide
+        q, add, mul, trace = self.q, self.add, self.mul, self.trace
 
         def terms(v):
             out = []
@@ -295,7 +240,6 @@ class Codes:
 
         zero = [terms(v) for v in checks if v]
         tterms = terms(trace_row)
-        add, trace = self.add, self.trace
 
         def decide(c):
             for ts in zero:

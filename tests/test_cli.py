@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from supercluster import cli, field_make
+import supercluster
+from supercluster import cli, field_make, tensor
 from supercluster.characters import build_table, table_from_json
 from supercluster.errors import InvariantViolation
 
@@ -386,3 +387,24 @@ def test_a_checked_product_over_the_pair_cap_exits_3_before_any_walk(capsys):
     code, out, err = _main_in_process(argv, capsys)
     assert (code, out) == (3, "")
     assert err == "resource cap exceeded: 1 x 268435456 cluster pairs exceed the cap 16777216\n"
+
+
+def test_a_wrong_counting_step_fails_the_checked_product_with_exit_4(monkeypatch, capsys):
+    # the check rests on each counting step's own comparison with its rewrite
+    # step: doubling the pair counts of the second step, [(1,2)=1] x [(2,3)=1],
+    # must exit 4 and name that product
+    supercluster.clear_memos()
+    count_step = tensor._count_step
+
+    def doubled(base, small, weight):
+        counts = count_step(base, small, weight)
+        if base.cells and small.cells:
+            return tuple((tau, 2 * count) for tau, count in counts)
+        return counts
+
+    monkeypatch.setattr(tensor, "_count_step", doubled)
+    argv = ["tensor", "--n", "3", "--q", "2", "--factor", "1,2,1", "--factor", "2,3,1", "--check"]
+    code, out, err = _main_in_process(argv, capsys)
+    assert (code, out) == (4, "")
+    assert err.startswith("THEOREM FALSIFIED: ")
+    assert "[(1,2)=1] x [(2,3)=1]" in err

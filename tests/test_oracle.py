@@ -626,8 +626,10 @@ def test_trace_masks_reject_mismatched_inputs(F2, F3, F4):
 
 # -- the oracle's integer encoding, pinned to core ------------------------------------
 
-# (n, p, k) over GF(2), GF(3), GF(4), GF(5), GF(9) at n = 3, 4
-CODE_CASES = [(n, p, k) for (p, k) in ((2, 1), (3, 1), (2, 2), (5, 1), (3, 2)) for n in (3, 4)]
+# (n, p, k) over GF(2), GF(3), GF(4), GF(5), GF(8), GF(9) at n = 3, 4
+CODE_CASES = [
+    (n, p, k) for (p, k) in ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)) for n in (3, 4)
+]
 ACTIONS = {
     ("coadjoint", "left"): lambda g, lam: coact_left(g, lam),
     ("coadjoint", "right"): lambda g, lam: coact_right(lam, g),
