@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 from . import clusters, discrete, oracle, tensor, verify
 from .characters import DEFAULT_MAX_TABLE, build_table
-from .clusters import bell_poly, enumerate_templates, invariants_of
+from .clusters import bell_polys, enumerate_templates, invariants_of
 from .errors import InvariantViolation, ResourceCapExceeded
 from .gf import DEFAULT_MAX_Q, Field, field_make, is_prime
 
@@ -115,7 +115,7 @@ def _dump_json(data: dict) -> str:
 
 def _run_count(cfg: RunConfig) -> int:
     q = cfg.field.q
-    values = [bell_poly(m, q) for m in range(cfg.n + 1)]
+    values = bell_polys(cfg.n, q)
     if cfg.fmt == "json":
         _emit(_dump_json({"n": cfg.n, "q": q, "values": [str(v) for v in values]}))
     elif cfg.fmt == "csv":

@@ -154,12 +154,6 @@ def _compose(field: Field, n: int, ops, on_left: bool) -> UniMatrix:
     return UniMatrix(NilMatrix._trusted(field, n, {pos: els[v] for pos, v in off.items() if v}))
 
 
-def _rook_cells(field: Field, m: list[list[int]]) -> list:
-    """The (i, j, value) cells of the non-zero entries of index rows m."""
-    els = field.elements
-    return [(i + 1, j + 1, els[v]) for i, row in enumerate(m) for j, v in enumerate(row) if v]
-
-
 def adjoint_template_of(x: NilMatrix) -> tuple[Template, UniMatrix, UniMatrix]:
     """The unique template in the adjoint cluster of x, with witnesses.
 
@@ -167,13 +161,24 @@ def adjoint_template_of(x: NilMatrix) -> tuple[Template, UniMatrix, UniMatrix]:
     entries sharing a row with an already placed entry, then row operations
     kill all but the bottom survivor.  Returns (t, g, h) with g.x.h = t.
     Ties are broken in strict column-major order so witnesses are canonical.
-    The sweep runs on x's index rows and records its operations; g is the
-    product of the row operations and h of the column operations, each
-    composed once, and act_left/act_right must carry x onto t with them.
+    A thin wrapper over _adjoint_sweep, which runs on x's index rows and
+    checks the witnesses.
+    """
+    cells, g, h = _adjoint_sweep(x, _index_rows(x))
+    els = x.field.elements
+    return Template(x.field, x.n, [(i, j, els[v]) for i, j, v in cells]), g, h
+
+
+def _adjoint_sweep(x: NilMatrix, m: list[list[int]]) -> tuple[tuple, UniMatrix, UniMatrix]:
+    """The adjoint sweep of x on its index rows m, which it reduces in
+    place: returns (cells, g, h), cells the (i, j, index) entries of the
+    template in lex order.  g is the product of the row operations and h
+    of the column operations, each composed once, and act_left/act_right
+    must carry x onto the template's matrix with them, or
+    InvariantViolation names x.
     """
     field, n = x.field, x.n
     add, mul, neg, inv = field.add_idx, field.mul_idx, field.neg_idx, field.inv_idx
-    m = _index_rows(x)
     row_ops, col_ops = [], []
     for c in range(1, n):
         for r in range(c):
@@ -193,12 +198,14 @@ def adjoint_template_of(x: NilMatrix) -> tuple[Template, UniMatrix, UniMatrix]:
             scale = mul[a]
             m[r] = [add[v][scale[b]] for v, b in zip(m[r], bottom)]
             row_ops.append((r + 1, rows[-1] + 1, a))
-    t = Template(field, n, _rook_cells(field, m))
+    cells = tuple([(i + 1, j + 1, v) for i, row in enumerate(m) for j, v in enumerate(row) if v])
     g = _compose(field, n, row_ops, on_left=True)
     h = _compose(field, n, col_ops, on_left=False)
-    if act_right(act_left(g, x), h) != t.as_matrix():
+    els = field.elements
+    rook = NilMatrix._trusted(field, n, {(i, j): els[v] for i, j, v in cells})
+    if act_right(act_left(g, x), h) != rook:
         raise InvariantViolation(f"witnesses for {x!r} do not reproduce the template")
-    return t, g, h
+    return cells, g, h
 
 
 def coadjoint_template_of(lam: Functional) -> tuple[Template, UniMatrix, UniMatrix]:
@@ -260,9 +267,12 @@ def _coadjoint_sweep(lam: Functional, m: list[list[int]]) -> tuple[tuple, UniMat
 # Window (i, j) of a matrix keeps the entries (k, l) with i <= k < l <= j;
 # window (i, j) of a functional keeps those with k <= i < j <= l.  Their
 # ranks are constant on clusters, and on a template they count the cells
-# inside the window.  Both sides are computed from the point itself: the
-# windows with one j nest in i, so one basis per j, fed a row at a time,
-# gives all of them.
+# inside the window.  Both sides are computed from the point's own index
+# rows, a row at a time (WindowRanks): a window of a functional that
+# starts at row i reads only rows 1..i, and a window of a matrix that ends
+# at column j reads only rows 1..j-1, so each row's step depends on the
+# rows above it alone, and points that share their first rows share those
+# steps.
 
 def _lex(n: int, i: int, j: int) -> int:
     """Place of (i, j) in positions(n)."""
@@ -277,40 +287,86 @@ def _index_rows(p: NilMatrix | Functional) -> list[list[int]]:
     return rows
 
 
+def _matrix_window_step(field: Field, n: int, k: int, rows, state) -> tuple:
+    """Row k of a matrix: the ranks of the windows (i, k+1), i = 1..k.  One
+    basis takes rows k, k-1, ..., 1 over columns up to k+1 in turn; its rank
+    after row i is that of window (i, k+1).  Keeps no state."""
+    basis = linalg.Echelon(field)
+    ranks = [0] * k
+    for i in range(k, 0, -1):
+        basis.insert(rows[i - 1][: k + 1])
+        ranks[i - 1] = len(basis)
+    return state, ranks
+
+
+def _dual_window_step(field: Field, n: int, k: int, rows, state) -> tuple:
+    """Row k of a functional: the ranks of the windows (k, j), j = k+1..n.
+    state holds one basis per j > k, spanned by rows 1..k-1 over columns j
+    and up; each grows by row k over the same columns, and its rank is that
+    of window (k, j).  The grown bases for j > k+1 are the next state."""
+    row = rows[k - 1]
+    grown, ranks = [], []
+    for j, basis in zip(range(k + 1, n + 1), state):
+        basis = basis.copy()
+        basis.insert(row[j - 1:])
+        grown.append(basis)
+        ranks.append(len(basis))
+    return grown[1:], ranks
+
+
+class WindowRanks:
+    """rows -> the rank of every window (i, j) of the point with these index
+    rows (rows 1..n over columns 1..n), in positions(n) order, for one side:
+    "adjoint" (matrices) or "coadjoint" (functionals).
+
+    Called on one point after another, it keeps the steps of the last
+    point's rows and redoes only those from the first row that differs, so
+    a walk in code order, where row 1 changes slowest, steps each row
+    prefix once.  Every rank is still computed from rows equal to the
+    point's own.
+    """
+
+    def __init__(self, field: Field, n: int, side: str):
+        self.field, self.n = field, n
+        if side == "coadjoint":
+            self._step = _dual_window_step
+            start = [linalg.Echelon(field) for _ in range(2, n + 1)]
+            self._order = list(range(n * (n - 1) // 2))
+        else:
+            self._step = _matrix_window_step
+            start = None
+            # row k's step gives the windows ending at column k+1
+            self._order = [(j - 1) * (j - 2) // 2 + i - 1 for i, j in positions(n)]
+        self._rows: list = []  # the rows stepped, 1..k
+        self._states: list = [start]  # the state before row 1, then after each row
+        self._ranks: list = []  # each stepped row's ranks
+
+    def __call__(self, rows) -> tuple[int, ...]:
+        n, kept = self.n, 0
+        while kept < len(self._rows) and self._rows[kept] == rows[kept]:
+            kept += 1
+        del self._rows[kept:], self._states[kept + 1:], self._ranks[kept:]
+        for k in range(kept + 1, n):
+            state, ranks = self._step(self.field, n, k, rows, self._states[-1])
+            self._rows.append(rows[k - 1])
+            self._states.append(state)
+            self._ranks.append(ranks)
+        flat = [r for ranks in self._ranks for r in ranks]
+        return tuple([flat[m] for m in self._order])
+
+
 def window_ranks(x: NilMatrix) -> tuple[int, ...]:
     """Rank of every window (i, j) of x, in positions(n) order.
 
-    Window (i, j) is rows i..j-1 over columns up to j.  For each j one
-    basis takes rows j-1, j-2, ..., 1 in turn; its rank after row i is the
-    rank of window (i, j).
-    """
-    n = x.n
-    rows = _index_rows(x)
-    ranks = [0] * (n * (n - 1) // 2)
-    for j in range(2, n + 1):
-        basis = linalg.Echelon(x.field)
-        for i in range(j - 1, 0, -1):
-            basis.insert(rows[i - 1][:j])
-            ranks[_lex(n, i, j)] = len(basis)
-    return tuple(ranks)
+    Window (i, j) is rows i..j-1 over columns up to j."""
+    return WindowRanks(x.field, x.n, "adjoint")(_index_rows(x))
 
 
 def window_ranks_dual(lam: Functional) -> tuple[int, ...]:
     """Rank of every window (i, j) of lam, in positions(n) order.
 
-    Window (i, j) is rows 1..i over columns j and up.  For each j one basis
-    takes rows 1, 2, ..., j-1 in turn; its rank after row i is the rank of
-    window (i, j).
-    """
-    n = lam.n
-    rows = _index_rows(lam)
-    ranks = [0] * (n * (n - 1) // 2)
-    for j in range(2, n + 1):
-        basis = linalg.Echelon(lam.field)
-        for i in range(1, j):
-            basis.insert(rows[i - 1][j - 1:])
-            ranks[_lex(n, i, j)] = len(basis)
-    return tuple(ranks)
+    Window (i, j) is rows 1..i over columns j and up."""
+    return WindowRanks(lam.field, lam.n, "coadjoint")(_index_rows(lam))
 
 
 # -- the two indices ----------------------------------------------------------
@@ -541,11 +597,17 @@ def enumerate_templates(n: int, field: Field) -> list[Template]:
     return out
 
 
-def bell_poly(n: int, q: int) -> int:
-    """Number of templates, by the Bell-style recurrence; exact integer."""
+def bell_polys(n: int, q: int) -> list[int]:
+    """The numbers of templates B(0, q) .. B(n, q), from one pass of the
+    Bell-style recurrence; exact integers."""
     if n < 0:
         raise ValueError("n must be >= 0")
     b = [1]
     for m in range(n):
         b.append(sum(comb(m, k) * (q - 1) ** (m - k) * b[k] for k in range(m + 1)))
-    return b[n]
+    return b
+
+
+def bell_poly(n: int, q: int) -> int:
+    """Number of templates, B(n, q): the last value of bell_polys."""
+    return bell_polys(n, q)[n]

@@ -28,6 +28,12 @@ class Echelon:
     def __len__(self) -> int:
         return len(self.by_pivot)
 
+    def copy(self) -> "Echelon":
+        """A basis of the same span that grows apart from this one."""
+        out = Echelon(self.field)
+        out.by_pivot = dict(self.by_pivot)  # rows are replaced, never mutated
+        return out
+
     def insert(self, row) -> bool:
         """Add row to the span; True iff it raised the rank.  row is not mutated."""
         field, basis = self.field, self.by_pivot

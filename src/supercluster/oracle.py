@@ -6,21 +6,22 @@ the integer code of its entries, which is its place in the enumeration.
 Orbits are closures of codes under the elementary generators, checked to
 hold one rook point each; character values are fixed-point traces over a
 left orbit; inner products of two brute characters sum over every group
-element, each traced over the row codes the context reads once; and tensor
-products are projected onto the brute character rows, weighted by the
-sizes of the columns' adjoint orbits, then checked against the product at
-every column.  Every term of a trace is a p-th root of unity z^e, so
-traces, inner products and projections are summed in p integer bins, one
-per exponent, and a single Cyclotomic is built at the end.  None of the
-fast paths (reduction sweeps, combinatorial indices, closed character
-formula) are used, and neither module imports more from core than the
-value types and positions, so a bug in core's actions or in a fast path
-cannot leak into its own certification; only the Template value type is
-shared.  The public functions take and return core's value types, decoding
-codes to them only where a caller asks for points; a partition keeps each
-point as its code alone.  enumerate_nil, enumerate_dual and enumerate_group
-list the spaces in product order, apart from the encoding, as the tests'
-reference for code order; no engine path calls them.
+element, walked row prefix by row prefix, so that the elements which share
+a prefix share its step of the trace; and tensor products are projected
+onto the brute character rows, weighted by the sizes of the columns'
+adjoint orbits, then checked against the product at every column.  Every
+term of a trace is a p-th root of unity z^e, so traces, inner products and
+projections are summed in p integer bins, one per exponent, and a single
+Cyclotomic is built at the end.  None of the fast paths (reduction sweeps,
+combinatorial indices, closed character formula) are used, and neither
+module imports more from core than the value types and positions, so a bug
+in core's actions or in a fast path cannot leak into its own
+certification; only the Template value type is shared.  The public
+functions take and return core's value types, decoding codes to them only
+where a caller asks for points; a partition keeps each point as its code
+alone.  enumerate_nil, enumerate_dual and enumerate_group list the spaces
+in product order, apart from the encoding, as the tests' reference for
+code order; no engine path calls them.
 
 Neither trace uses the support criterion, which A.1 certifies against
 them through OracleContext.criterion_counterexample: both test fixedness
@@ -40,16 +41,15 @@ column.
 
 An OracleContext holds the brute data of one (n, field, cap), each piece
 built on first use: the encoding, the adjoint and coadjoint partitions
-(orbit ids and codes, no points), the row codes of every group element, one
-group element per column template, the left orbits of the row templates,
-the trace masks of the row-covering functionals, the brute table and each
-row's projection data.  It also answers A.1 (a
-functional on which the support criterion and the fixed-point test
-disagree) and Thm9.3 (the left orbits in the row-covering part of a
-cluster).  The algebra, its dual and the group have q^(n(n-1)/2) points
-each, so the context checks that one size against its one cap when it is
-made.  Every entry point that reads a whole space
-(brute_char_value, brute_inner, brute_delta_value, brute_tensor,
+(orbit ids and codes, no points), one group element per column template,
+the left orbits of the row templates, the trace masks of the row-covering
+functionals, the brute table and each row's projection data.  It also
+answers A.1 (a functional on which the support criterion and the
+fixed-point test disagree) and Thm9.3 (the left orbits in the row-covering
+part of a cluster).  The algebra, its dual and the group have q^(n(n-1)/2)
+points each, so the context checks that one size against its one cap when
+it is made.  Every entry point that reads a whole space (brute_char_value,
+brute_inner, brute_delta_value, brute_delta_values, brute_tensor,
 column_products, sum_mismatch, product_mismatch) takes a context, and the
 module keeps none: verify.run_verify makes one per run and drops it when
 the run ends, so the whole suite builds each partition once.
@@ -184,12 +184,6 @@ class OracleContext:
     @cached_property
     def coadjoint(self) -> OrbitDecomposition:
         return orbit_partition(self.n, self.field, "coadjoint", self.cap)
-
-    @cached_property
-    def group_rows(self) -> list[tuple[int, ...]]:
-        """The row codes of g - I for every group element g, in code order:
-        row k runs over its q^(n-k) codes, row 1 slowest."""
-        return list(product(*(range(size) for _, size in self.codes.row_blocks)))
 
     def column(self, x: Template) -> UniMatrix:
         """The group element I + x of a column template, one per template."""
@@ -364,25 +358,23 @@ def brute_inner(s: Template, t: Template, ctx: OracleContext) -> Cyclotomic:
     chi_s(g) * conj(chi_t(g)), chi_s and chi_t the brute characters of two
     row templates, each value a fixed-point trace as in brute_char_value.
 
-    Each g is traced over the context's group_rows, once for a
-    self-pairing and otherwise for t only where the trace for s has a term.
-    A trace is p integer bins, one per power of z, and the two are
-    convolved straight into the sum's p bins, conj(z^m) = z^(-m); one
-    Cyclotomic is built at the end.  By the
+    The group is walked once, over the row prefixes of g - I, by
+    packed.Codes.trace_walk over the trace masks of s, which yields each g
+    whose trace for s has a term; t is traced only at those g, and not at
+    all for a self-pairing.  A trace is p integer bins, one per power of z,
+    and the two are convolved straight into the sum's p bins,
+    conj(z^m) = z^(-m); one Cyclotomic is built at the end.  By the
     orthogonality of the characters the result is 0 for two distinct rows
     of the table and q^i, the self-intertwining number, for one row with
     itself.
     """
-    codes = ctx.codes
-    trace_bins, p = codes.trace_bins, ctx.field.p
+    codes, p = ctx.codes, ctx.field.p
     traced_s = ctx._trace_masks(s)
     traced_t = traced_s if t == s else ctx._trace_masks(t)
     bins = [0] * p
-    for ys in ctx.group_rows:
-        a = trace_bins(traced_s, ys)
-        if any(a):
-            _convolve(bins, a, a if traced_t is traced_s else trace_bins(traced_t, ys), -1)
-    return Cyclotomic.from_bins(p, bins, len(ctx.group_rows))
+    for ys, a in codes.trace_walk(traced_s):
+        _convolve(bins, a, a if traced_t is traced_s else codes.trace_bins(traced_t, ys), -1)
+    return Cyclotomic.from_bins(p, bins, codes.size)
 
 
 def brute_delta_value(g: UniMatrix, ctx: OracleContext) -> Cyclotomic:
@@ -391,6 +383,24 @@ def brute_delta_value(g: UniMatrix, ctx: OracleContext) -> Cyclotomic:
     codes = ctx.codes
     ys = codes.row_codes(g.off)
     return Cyclotomic.from_bins(g.field.p, codes.trace_bins(ctx.covering_masks, ys))
+
+
+def brute_delta_values(ctx: OracleContext):
+    """brute_delta_value at every group element, in code order: one
+    trace_walk of the group over the context's covering_masks, the trace 0
+    wherever the walk yields no element."""
+    codes, p = ctx.codes, ctx.field.p
+    zero = Cyclotomic.from_rational(p, 0)
+    bases = [base for base, _ in codes.row_blocks]
+    code = -1
+    for ys, bins in codes.trace_walk(ctx.covering_masks):
+        at = sum(y * base for y, base in zip(ys, bases))
+        for _ in range(code + 1, at):
+            yield zero
+        yield Cyclotomic.from_bins(p, bins)
+        code = at
+    for _ in range(code + 1, codes.size):
+        yield zero
 
 
 # -- brute tensor decomposition ----------------------------------------------

@@ -28,15 +28,19 @@ a bug in core's actions cannot reach the oracle:
 
 Codes partitions a space into double orbits, an orbit id per code with one
 rook point per orbit checked, and builds no point: a caller that walks a
-space decodes each point with point as it goes.  It traces a list of
-functionals with per-row bit masks over them, so a trace costs a few
-big-int operations per row of g - I.  The one trace serves every
-left-invariant list: a left orbit for a cluster character, the
-row-covering functionals for the discrete series.  Everything here is
+space decodes each point with point, or with decode for its index rows
+too, as it goes; both read a code's row codes off one table per row.  It
+traces a list of functionals with per-row bit masks over them, so a trace
+costs a few big-int operations per row of g - I, and trace_walk traces
+the whole group, each row prefix of g - I stepped once.  The one trace
+serves every left-invariant list: a left orbit for a cluster character,
+the row-covering functionals for the discrete series.  Everything here is
 built per (n, field) by its caller and kept nowhere else.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .clusters import Template
 from .core import Functional, NilMatrix, positions
@@ -88,19 +92,45 @@ class Codes:
     def encode_template(self, t: Template) -> int:
         return sum(v.index * self.weight[(i, j)] for i, j, v in t.cells)
 
+    @cached_property
+    def _row_tables(self) -> list[list[tuple]]:
+        """Per row k and row code r: (the row's field indices over columns
+        1..n, its ((k, j), element) entries)."""
+        n, q, els = self.n, self.q, self.field.elements
+        out = []
+        for k in range(1, n):
+            table = []
+            for r in range(q ** (n - k)):
+                row = [0] * n
+                for j in range(n, k, -1):
+                    r, row[j - 1] = divmod(r, q)
+                table.append((tuple(row), tuple(((k, j), els[d]) for j, d in enumerate(row, 1) if d)))
+            out.append(table)
+        return out
+
     def entries(self, code: int) -> dict:
-        els, q = self.field.elements, self.q
         out = {}
-        for pos, w in self.weight.items():
-            d = code // w % q
-            if d:
-                out[pos] = els[d]
+        for (base, size), table in zip(self.row_blocks, self._row_tables):
+            out.update(table[code // base % size][1])
         return out
 
     def point(self, side: str, code: int):
         """The Functional (coadjoint side) or NilMatrix (adjoint) of a code."""
+        return self.decode(side, code)[0]
+
+    def decode(self, side: str, code: int) -> tuple:
+        """(point, rows): the Functional (coadjoint side) or NilMatrix
+        (adjoint) of a code, and its rows 1..n as tuples of field indices
+        over columns 1..n, from one read of its row codes.  A row with the
+        same code is the same tuple at every point."""
+        rows, entries = [], {}
+        for (base, size), table in zip(self.row_blocks, self._row_tables):
+            row, cells = table[code // base % size]
+            rows.append(row)
+            entries.update(cells)
+        rows.append((0,) * self.n)
         kind = Functional if side == "coadjoint" else NilMatrix
-        return kind(self.field, self.n, self.entries(code))
+        return kind._trusted(self.field, self.n, entries), rows
 
     def template(self, code: int) -> Template:
         return Template(self.field, self.n, [(i, j, v) for (i, j), v in self.entries(code).items()])
@@ -262,11 +292,11 @@ class Codes:
     def trace_masks(self, points) -> tuple[int, list]:
         """(everyone, tables) for the functionals lam_0, lam_1, ... with these
         codes: everyone has a bit per point, and tables holds one table per
-        row l of y = g - I.  Entry y_l is p bit masks: bit i of mask e is set
-        when every dot(c_k, y_l), k < l, of lam_i is 0 and
-        trace(dot(c_l, y_l)) is e.  g fixes lam_i exactly when bit i is set
-        in some mask at each row of y, and trace(lam_i(y)) is the sum of
-        those masks' e.
+        row l of y = g - I.  Entry y_l lists (e, mask) for the non-zero of p
+        bit masks: bit i of mask e is set when every dot(c_k, y_l), k < l,
+        of lam_i is 0 and trace(dot(c_l, y_l)) is e.  g fixes lam_i exactly
+        when bit i is set in some mask at each row of y, and
+        trace(lam_i(y)) is the sum of those masks' e.
 
         Row l's entries depend only on c_l and on the c_k, k < l, cut to
         row l's columns, so the points are grouped by those and each group
@@ -288,24 +318,52 @@ class Codes:
                     e = decide(y)
                     if e is not None:
                         table[y][e] |= mask
-            tables.append(table)
+            tables.append([[(e, mask) for e, mask in enumerate(masks) if mask] for masks in table])
         return (1 << len(points)) - 1, tables
+
+    def _step(self, acc: list[int], masks: list[tuple[int, int]]) -> list[int]:
+        """The masks of the functionals that a row y_l leaves fixed, binned
+        by trace, from those of rows 1..l-1 (acc) and row l's entry of a
+        trace_masks table."""
+        p = self.p
+        new = [0] * p
+        for a, m in enumerate(acc):
+            if m:
+                for b, c in masks:
+                    new[(a + b) % p] |= m & c
+        return new
 
     def trace_bins(self, traced, ys) -> list[int]:
         """How many of the functionals of trace_masks g = I + y fixes,
         binned by trace(lam(y)) mod p; ys are the row codes of y."""
-        p = self.p
         everyone, tables = traced
-        acc = [everyone] + [0] * (p - 1)
+        acc = [everyone] + [0] * (self.p - 1)
         for table, y in zip(tables, ys):
-            new = [0] * p
-            for a, m in enumerate(acc):
-                if m:
-                    for b, c in enumerate(table[y]):
-                        if c:
-                            new[(a + b) % p] |= m & c
-            if not any(new):
-                return new
-            acc = new
+            acc = self._step(acc, table[y])
+            if not any(acc):
+                return acc
         return [m.bit_count() for m in acc]
 
+    def trace_walk(self, traced):
+        """(ys, trace_bins(traced, ys)) for every g = I + y, in code order,
+        whose trace has a term.  The group is walked row by row, row 1
+        slowest, so each prefix y_1 .. y_l is stepped once for every g that
+        shares it, and a prefix that fixes none of the functionals is
+        skipped with every g under it."""
+        everyone, tables = traced
+        step, last = self._step, len(tables) - 1
+
+        def walk(l, prefix, acc):
+            for y, masks in enumerate(tables[l]):
+                new = step(acc, masks)
+                if not any(new):
+                    continue
+                if l == last:
+                    yield prefix + (y,), [m.bit_count() for m in new]
+                else:
+                    yield from walk(l + 1, prefix + (y,), new)
+
+        if tables:
+            yield from walk(0, (), [everyone] + [0] * (self.p - 1))
+        elif everyone:  # n = 1: the one g = I fixes every functional
+            yield (), [everyone.bit_count()] + [0] * (self.p - 1)

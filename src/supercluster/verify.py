@@ -22,8 +22,9 @@ product against its decomposition) ask oracle.product_mismatch for the
 first column where brute rows disagree, and Thm9.3 (the discrete series
 against its decomposition) asks oracle.sum_mismatch; Thm8.6 also
 decomposes its deep pairs by projecting onto the brute rows, and Thm9.1
-traces every group element, in code order, over the trace masks of the
-row-covering functionals, the same trace as a brute character value.
+reads the trace of every group element, in code order, from
+oracle.brute_delta_values, one walk of the group over the trace masks of
+the row-covering functionals, the same trace as a brute character value.
 A.1 holds build_table's table to the brute table at every cell (a template
 missing from it fails by name) and asks the context for a functional on
 which the support criterion and the fixed-point test disagree.  Thm9.3
@@ -43,11 +44,14 @@ left-orbit sizes q^d, which Thm6.2 checks against the oracle's left
 orbits; test_oracle::test_binned_traces_equal_summed_roots_of_unity and
 test_clusters::test_left_orbits_split_the_cluster hold it to the explicit
 sum of theta over the cluster, read from packed.Codes.closure.  Thm4.1 and
-Thm4.2 each make one pass over their space in code order: they run the
-sweep on each point, which checks its own witnesses through core's actions
-and raises, naming the point, when they miss its template; they require the
-template to be the point's own orbit's rook point, and hold the point's
-window ranks (and hat_dims) to its orbit's values.
+Thm4.2 each make one pass over their space in code order, decoding each
+point once into its point and its index rows: they run the sweep's core on
+a copy of the rows, which checks its own witnesses through core's actions
+on the point and raises, naming the point, when they miss its template;
+they require the template's cells to be the point's own orbit's rook
+cells, and hold the point's window ranks, stepped row by row from its rows
+with each row prefix shared by the points under it (and hat_dims), to its
+orbit's values.
 
 Every check runs in _outcomes, which yields its outcome (passed, detail,
 traceback text, with passed None for a cap, which ends the lane), and
@@ -140,17 +144,24 @@ def _cells_per_window(rep, inside):
 # template), else the first per-orbit mismatch in orbit order: first holds
 # the smallest (orbit id, text), so only a point of an earlier orbit is tested.
 
+def _rook_cells(rep):
+    """The (i, j, index) cells of a template, as a sweep returns them."""
+    return tuple((i, j, v.index) for i, j, v in rep.cells)
+
+
 def _check_adjoint_classification(ctx):
     part = ctx.adjoint
     reps = part.representatives
+    rooks = [_rook_cells(rep) for rep in reps]
     cells = [_cells_per_window(rep, lambda i, j, k, l: i <= k and l <= j) for rep in reps]
     names = [rep.text() for rep in reps]
+    ranks = clusters.WindowRanks(ctx.field, ctx.n, "adjoint")
     first = len(reps), ""
     for code, oid in enumerate(part.ids):
-        x = ctx.codes.point("adjoint", code)
-        if clusters.adjoint_template_of(x)[0] != reps[oid]:
+        x, rows = ctx.codes.decode("adjoint", code)
+        if clusters._adjoint_sweep(x, [list(row) for row in rows])[0] != rooks[oid]:
             return False, f"sweep template of {x!r} disagrees with its orbit's rook point"
-        if oid < first[0] and clusters.window_ranks(x) != cells[oid]:
+        if oid < first[0] and ranks(rows) != cells[oid]:
             first = oid, f"window ranks of {x!r} differ from the cell counts of {names[oid]}"
     if first[1]:
         return False, first[1]
@@ -160,17 +171,19 @@ def _check_adjoint_classification(ctx):
 def _check_coadjoint_classification(ctx):
     part = ctx.coadjoint
     reps = part.representatives
+    rooks = [_rook_cells(rep) for rep in reps]
     cells = [_cells_per_window(rep, lambda i, j, k, l: k <= i and j <= l) for rep in reps]
     dims = [(inv.d, inv.d, inv.i) for inv in map(clusters.invariants_of, reps)]
     names = [rep.text() for rep in reps]
+    ranks = clusters.WindowRanks(ctx.field, ctx.n, "coadjoint")
     first = len(reps), ""
     for code, oid in enumerate(part.ids):
-        lam = ctx.codes.point("coadjoint", code)
-        if clusters.coadjoint_template_of(lam)[0] != reps[oid]:
+        lam, rows = ctx.codes.decode("coadjoint", code)
+        if clusters._coadjoint_sweep(lam, [list(row) for row in rows])[0] != rooks[oid]:
             return False, f"sweep template of {lam!r} disagrees with its orbit's rook point"
         if oid >= first[0]:
             continue
-        if clusters.window_ranks_dual(lam) != cells[oid]:
+        if ranks(rows) != cells[oid]:
             first = oid, f"window ranks of {lam!r} differ from the cell counts of {names[oid]}"
         elif clusters.hat_dims(lam) != dims[oid]:
             first = oid, f"orbit-space dimensions vary inside the cluster of {names[oid]}"
@@ -341,10 +354,9 @@ def _check_tensor_ring(ctx, pair_cap, rng):
 
 def _check_delta_value(ctx):
     codes = ctx.codes
-    for c in range(codes.size):
+    for c, traced in enumerate(oracle.brute_delta_values(ctx)):
         g = UniMatrix(codes.point("adjoint", c))
         formula = discrete.delta_value(g)
-        traced = oracle.brute_delta_value(g, ctx)
         if traced != Cyclotomic.from_rational(ctx.field.p, formula):
             return False, f"rank formula wrong at {g!r}"
     return True, f"rank formula matches the trace at all {codes.size} group elements"
@@ -377,9 +389,11 @@ def _check_delta_decomposition(ctx):
 # they run in the parent, so every sample is the one a single lane takes.
 RNG_CHECKS = ("Thm6.2", "Thm3.5", "Thm8.6")
 # Lane A: the rng checks, and A.1 and Thm9.1, which draw nothing.  Summed
-# one-lane seconds, lane A / B, two runs on a 2-vCPU host: 0.16-0.19 / 0.18
-# at (5,2), 4.0-4.5 / 7.8-9.1 at (6,2); Thm4.1 and Thm4.2 keep lane B the
-# longer.
+# one-lane seconds, lane A / B, medians of seven runs at (5,2) and three at
+# (6,2) on a 2-vCPU host: 0.138 / 0.126 at (5,2), 2.66 / 6.28 at (6,2).
+# Thm9.1 in lane B would make (5,2)'s longer lane longer; A.1 in lane B
+# left the CLI's (5,2) wall unchanged over eleven pairs; at (6,2) Thm4.1
+# and Thm4.2 keep lane B the longer.
 PARENT_CHECKS = RNG_CHECKS + ("A.1", "Thm9.1")
 
 
@@ -488,7 +502,7 @@ def emit_golden(n: int, field: Field, cap: int = oracle.DEFAULT_MAX_SPACE) -> di
         "p": field.p,
         "k": field.k,
         "q": field.q,
-        "bell": [str(clusters.bell_poly(m, field.q)) for m in range(n + 1)],
+        "bell": [str(b) for b in clusters.bell_polys(n, field.q)],
         "templates": [
             {
                 "template": tau.text(),

@@ -8,10 +8,12 @@ from supercluster import field_make, linalg, packed
 from supercluster.characters import char_value_sum
 from supercluster.clusters import (
     Template,
+    WindowRanks,
     _lhat_vectors,
     adjoint_cluster_size,
     adjoint_template_of,
     bell_poly,
+    bell_polys,
     cluster_elements,
     cluster_size,
     coadjoint_template_of,
@@ -128,6 +130,30 @@ def test_window_ranks_constant_on_clusters(F2):
             base = ranks(start)
             for c in part.orbit_codes[oid]:
                 assert ranks(points[c]) == base
+
+
+@pytest.mark.parametrize("n,p,k", [(3, 2, 1), (4, 3, 1), (3, 2, 2), (3, 2, 3)],
+                         ids=["3-2", "4-3", "3-2^2", "3-2^3"])
+def test_prefix_window_ranks_equal_each_points_own(n, p, k):
+    """One WindowRanks per side, called on every point in code order, gives
+    each point the ranks of window_ranks or window_ranks_dual on that point
+    alone, and those are the ranks of the entries inside each window."""
+    field = field_make(p, k)
+    codes = packed.Codes(n, field)
+    for side, alone, inside in (
+        ("adjoint", window_ranks, lambda i, j, a, b: i <= a and b <= j),
+        ("coadjoint", window_ranks_dual, lambda i, j, a, b: a <= i and j <= b),
+    ):
+        walk = WindowRanks(field, n, side)
+        for c in range(codes.size):
+            point, rows = codes.decode(side, c)
+            ranks = walk(rows)
+            assert ranks == alone(point)
+            assert ranks == tuple(
+                linalg.rank(field, [[v if inside(i, j, a, b) else 0 for b, v in enumerate(row, 1)]
+                                    for a, row in enumerate(rows, 1)])
+                for i, j in positions(n)
+            )
 
 
 MOVES = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -398,6 +424,16 @@ def test_bell_recurrence_against_closed_forms():
         assert bell_poly(2, q) == q
         assert bell_poly(3, q) == 1 + 3 * (q - 1) + (q - 1) ** 2
         assert bell_poly(4, q) == 1 + 6 * (q - 1) + 7 * (q - 1) ** 2 + (q - 1) ** 3
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_one_pass_gives_every_template_count(q):
+    """bell_polys(12, q) is B(m, q) for every m <= 12, each as bell_poly(m, q)
+    gives it, and the count of enumerated templates up to n = 4."""
+    counts = bell_polys(12, q)
+    assert counts == [bell_poly(m, q) for m in range(13)]
+    field = field_make(2, 2) if q == 4 else field_make(q, 1)
+    assert counts[1:5] == [len(enumerate_templates(m, field)) for m in range(1, 5)]
 
 
 def test_template_text_round_trip(F3):

@@ -34,6 +34,7 @@ from supercluster.oracle import (
     OracleContext,
     brute_char_value,
     brute_delta_value,
+    brute_delta_values,
     brute_inner,
     brute_tensor,
     column_products,
@@ -348,13 +349,14 @@ def n3_contexts():
     return {(p, k): OracleContext(3, field_make(p, k)) for p, k in N3_FIELDS}
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@pytest.mark.parametrize("p,k", N3_FIELDS, ids=["2^2", "2^3", "3^2"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
 @given(data=st.data())
-def test_rewrite_counting_and_brute_routes_agree_on_random_pairs(n3_contexts, data):
+def test_rewrite_counting_and_brute_routes_agree_on_random_pairs(n3_contexts, p, k, data):
     """At n = 3 over GF(4), GF(8) and GF(9)."""
     from supercluster.tensor import tensor_by_counting, tensor_product
 
-    ctx = n3_contexts[data.draw(st.sampled_from(N3_FIELDS))]
+    ctx = n3_contexts[p, k]
     rows = ctx.table[0]
     t1, t2 = data.draw(st.sampled_from(rows)), data.draw(st.sampled_from(rows))
     rewritten = tensor_product(t1, t2)
@@ -392,13 +394,15 @@ def test_members_group_the_points_by_orbit(F2, F3):
 
 
 def test_context_reads_the_enumerations_from_its_partitions(F3):
-    """The context decodes its codes in enumeration order, and its group
-    rows are those of enumerate_group."""
+    """The context decodes its codes in enumeration order, and its walk of
+    the group, over the trivial row, which every element fixes, meets the
+    elements of enumerate_group in order."""
     ctx = OracleContext(3, F3)
     codes = range(ctx.codes.size)
     assert [ctx.codes.point("adjoint", c) for c in codes] == enumerate_nil(3, F3)
     assert [ctx.codes.point("coadjoint", c) for c in codes] == enumerate_dual(3, F3)
-    assert ctx.group_rows == [ctx.codes.row_codes(g.off) for g in enumerate_group(3, F3)]
+    walked = list(ctx.codes.trace_walk(ctx._trace_masks(T(F3, 3, "0"))))
+    assert walked == [(ctx.codes.row_codes(g.off), [1, 0, 0]) for g in enumerate_group(3, F3)]
     with pytest.raises(ResourceCapExceeded):
         OracleContext(3, F3, cap=26)
     x = ctx.adjoint.representatives[-1]
@@ -433,42 +437,84 @@ def test_the_oracle_module_keeps_no_context(F3):
 
 
 def test_brute_inner_evaluates_a_self_pairing_once_per_element(F2, monkeypatch):
-    """A self-pairing traces each of the 8 group elements once, over row
-    codes read once per context; a pairing of two rows traces the second
-    row only where the first row's trace has a term."""
+    """A self-pairing walks the 8 group elements once and traces none of
+    them again; a pairing of two rows traces the second row only at the
+    elements the walk yields, those where the first row's trace has a term."""
     tau = T(F2, 3, "(1,3)=1")
     ctx = OracleContext(3, F2)
-    rows = ctx.group_rows
-    assert ctx.group_rows is rows
-    assert rows == [ctx.codes.row_codes(g.off) for g in enumerate_group(3, F2)]
-    trace_bins = ctx.codes.trace_bins
+    rows = [ctx.codes.row_codes(g.off) for g in enumerate_group(3, F2)]
+    trace_bins, trace_walk = ctx.codes.trace_bins, ctx.codes.trace_walk
     # g = I + y fixes tau's two-point left orbit exactly when y_23 = 0
-    terms = sum(1 for ys in rows if any(trace_bins(ctx._trace_masks(tau), ys)))
-    assert terms == 4
-    calls = []
+    terms = [ys for ys in rows if any(trace_bins(ctx._trace_masks(tau), ys))]
+    assert len(terms) == 4
+    calls, walks = [], []
 
     def counted(traced, ys):
         calls.append(ys)
         return trace_bins(traced, ys)
 
+    def walked(traced):
+        for ys, bins in trace_walk(traced):
+            walks.append(ys)
+            yield ys, bins
+
     monkeypatch.setattr(ctx.codes, "trace_bins", counted)
+    monkeypatch.setattr(ctx.codes, "trace_walk", walked)
     assert brute_inner(tau, tau, ctx) == 1
-    assert len(calls) == 8
+    assert calls == [] and walks == terms
     assert brute_inner(tau, tau, ctx) == 1
-    assert len(calls) == 16
-    calls.clear()
+    assert calls == [] and walks == terms + terms
+    walks.clear()
     assert brute_inner(tau, T(F2, 3, "0"), ctx) == 0
-    assert len(calls) == 8 + terms
+    assert calls == terms and walks == terms
+
+
+@pytest.mark.parametrize("n,p,k", [(3, 2, 1), (4, 3, 1), (3, 2, 2), (3, 2, 3)],
+                         ids=["3-2", "4-3", "3-2^2", "3-2^3"])
+def test_the_group_walk_equals_trace_bins_at_every_element(n, p, k):
+    """Over the left orbit of every row template and over the row-covering
+    functionals, trace_walk yields every group element whose trace has a
+    term, in code order, with its trace_bins, and no other element."""
+    ctx = OracleContext(n, field_make(p, k))
+    codes = ctx.codes
+    group = [codes.rows(c) for c in range(codes.size)]
+    for traced in [ctx._trace_masks(t) for t in ctx.table[0]] + [ctx.covering_masks]:
+        want = [(ys, codes.trace_bins(traced, ys)) for ys in group]
+        assert list(codes.trace_walk(traced)) == [(ys, bins) for ys, bins in want if any(bins)]
+
+
+def test_brute_delta_values_fill_the_elements_the_walk_skips(F2, F3):
+    """Every group element fixes some row-covering functional at the cases
+    above, so the walk of the covering masks skips none; over the left orbit
+    of a row template it skips some, and brute_delta_values, walking those
+    masks, still gives each element its trace, 0 where it was skipped."""
+    for field in (F2, F3):
+        ctx = OracleContext(3, field)
+        tau = T(field, 3, "(1,3)=1")
+        ctx.covering_masks = ctx._trace_masks(tau)
+        group = enumerate_group(3, field)
+        assert sum(1 for _ in ctx.codes.trace_walk(ctx.covering_masks)) < len(group)
+        assert list(brute_delta_values(ctx)) == [brute_char_value(tau, g, ctx) for g in group]
 
 
 # -- traces summed in integer bins -----------------------------------------------
 
-PROPS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+# Each property test runs every case of its list, with PROPS examples drawn
+# inside each case: at least as many examples per test as the 40 it drew
+# from the whole list when it sampled the case.
+PROPS = settings(derandomize=True, database=None, deadline=None, max_examples=4)
 
-# (n, p, k) over GF(2), GF(3), GF(4), GF(5), GF(9), n <= 4, at most 5^6 points
+
+def case_id(case) -> str:
+    """n-p or n-p^k, for a case (n, p, k)."""
+    n, p, k = case
+    return f"{n}-{p}" + (f"^{k}" if k > 1 else "")
+
+
+# (n, p, k) over GF(2), GF(3), GF(4), GF(5), GF(8), GF(9), n <= 4, at most 5^6 points
 SMALL = [
     (n, p, k)
-    for (p, k) in ((2, 1), (3, 1), (2, 2), (5, 1), (3, 2))
+    for (p, k) in ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2))
     for n in (2, 3, 4)
     if (p**k) ** (n * (n - 1) // 2) <= 5**6
 ]
@@ -494,9 +540,8 @@ def summed_roots(p, values):
 
 
 @st.composite
-def trace_cases(draw):
-    """(n, p, k, tau, g): a row template and a group element, g - I sparse."""
-    n, p, k = draw(st.sampled_from(SMALL))
+def trace_cases(draw, n, p, k):
+    """(tau, g): a row template and a group element, g - I sparse."""
     field = field_make(p, k)
     templates = enumerate_templates(n, field)
     # i > 0 only for the crossing (1,3), (2,4) at n <= 4; draw it half the time
@@ -506,15 +551,16 @@ def trace_cases(draw):
     count = len(positions(n))
     indices = draw(st.lists(value, min_size=count, max_size=count))
     off = NilMatrix(field, n, {pos: field.elements[m] for pos, m in zip(positions(n), indices)})
-    return n, p, k, tau, UniMatrix(off)
+    return tau, UniMatrix(off)
 
 
+@pytest.mark.parametrize("n,p,k", SMALL, ids=map(case_id, SMALL))
 @PROPS
-@given(trace_cases())
-def test_binned_traces_equal_summed_roots_of_unity(case):
+@given(data=st.data())
+def test_binned_traces_equal_summed_roots_of_unity(n, p, k, data):
     """At g and at the identity, where every term is 1 and the q^(i-d)
     scaling of the cluster sum shows whenever i > 0."""
-    n, p, k, tau, g = case
+    tau, g = data.draw(trace_cases(n, p, k))
     q = p**k
     codes = codes_of(n, p, k)
     start = codes.encode_template(tau)
@@ -553,13 +599,17 @@ def per_pair_delta(g, lams):
     ids=["1-2", "2-3", "4-2", "3-3", "3-2^2", "4-3"],
 )
 def test_masked_trace_equals_the_per_pair_trace(n, p, k):
-    """At every group element, with the context's masks and with throwaway ones."""
+    """At every group element, with the context's masks and with throwaway
+    ones, and as brute_delta_values walks the group."""
     ctx = OracleContext(n, field_make(p, k))
     covering = covering_duals(n, p, k)
     group = enumerate_group(n, ctx.field)
+    walked = list(brute_delta_values(ctx))
+    assert len(walked) == len(group)
     for m, g in enumerate(group):
         want = per_pair_delta(g, covering)
         assert brute_delta_value(g, ctx) == want
+        assert walked[m] == want
         assert masks_delta(g, covering) == want
         if m % max(1, len(group) // 16) == 0:  # this one filters the whole dual space
             assert masks_delta(g, all_duals(n, p, k)) == want
@@ -580,10 +630,9 @@ def delta_context(n, p, k):
 
 
 @st.composite
-def delta_lists(draw):
+def delta_lists(draw, n, p, k):
     """(g, lams): a group element and a shuffled list of functionals drawn
     with repetition, covering ones and any others."""
-    n, p, k = draw(st.sampled_from(DELTA_CASES))
     field = field_make(p, k)
     value = st.one_of(st.just(0), st.integers(0, field.q - 1))
     count = len(positions(n))
@@ -599,13 +648,13 @@ def delta_lists(draw):
     return g, draw(st.permutations(lams))
 
 
+@pytest.mark.parametrize("n,p,k", DELTA_CASES, ids=map(case_id, DELTA_CASES))
 @PROPS
-@given(delta_lists())
-def test_masked_trace_of_any_list_equals_the_per_pair_trace(case):
+@given(data=st.data())
+def test_masked_trace_of_any_list_equals_the_per_pair_trace(n, p, k, data):
     """Duplicates count as often as they occur; order does not matter."""
-    g, lams = case
+    g, lams = data.draw(delta_lists(n, p, k))
     assert masks_delta(g, lams) == per_pair_delta(g, lams)
-    n, p, k = g.n, g.field.p, g.field.k
     ctx = delta_context(n, p, k)
     assert brute_delta_value(g, ctx) == per_pair_delta(g, covering_duals(n, p, k))
 
@@ -644,9 +693,8 @@ def codes_of(n, p, k):
 
 
 @st.composite
-def code_points(draw):
+def code_points(draw, n, p, k):
     """(codes, u, v): an encoding and two codes, each digit 0 half the time."""
-    n, p, k = draw(st.sampled_from(CODE_CASES))
     codes = codes_of(n, p, k)
     digit = st.one_of(st.just(0), st.integers(0, codes.q - 1))
 
@@ -658,14 +706,16 @@ def code_points(draw):
     return codes, code(), code()
 
 
+@pytest.mark.parametrize("n,p,k", CODE_CASES, ids=map(case_id, CODE_CASES))
 @PROPS
-@given(code_points())
-def test_codes_round_trip(case):
-    codes, u, _ = case
+@given(data=st.data())
+def test_codes_round_trip(n, p, k, data):
+    codes, u, _ = data.draw(code_points(n, p, k))
     for side in ("adjoint", "coadjoint"):
-        point = codes.point(side, u)
+        point, rows = codes.decode(side, u)
         assert codes.encode(point) == u
         assert codes.point(side, codes.encode(point)) == point
+        assert rows == [tuple(point.get(i, j).index for j in range(1, n + 1)) for i in range(1, n + 1)]
     entries = codes.point("coadjoint", u).entries
     assert codes.rows(u) == tuple(
         sum(v.index * codes.q ** (codes.n - l) for (k, l), v in entries.items() if k == row)
@@ -680,11 +730,12 @@ def test_codes_follow_the_enumeration_order(F3, F4):
         assert [codes.encode(x) for x in enumerate_nil(3, field)] == list(range(codes.size))
 
 
+@pytest.mark.parametrize("n,p,k", CODE_CASES, ids=map(case_id, CODE_CASES))
 @PROPS
-@given(code_points())
-def test_every_generator_moves_codes_as_core_acts(case):
+@given(data=st.data())
+def test_every_generator_moves_codes_as_core_acts(n, p, k, data):
     """Every I + a*e_ij, a != 0, on each side of both actions."""
-    codes, u, _ = case
+    codes, u, _ = data.draw(code_points(n, p, k))
     field, n = codes.field, codes.n
     for (side, hand), act in ACTIONS.items():
         point = codes.point(side, u)
@@ -694,12 +745,13 @@ def test_every_generator_moves_codes_as_core_acts(case):
                 assert codes.move(side, hand, i, j, a.index)(u) == codes.encode(act(g, point))
 
 
+@pytest.mark.parametrize("n,p,k", CODE_CASES, ids=map(case_id, CODE_CASES))
 @PROPS
-@given(code_points())
-def test_fixed_points_and_exponents_match_core(case):
+@given(data=st.data())
+def test_fixed_points_and_exponents_match_core(n, p, k, data):
     """The trace masks of a point and the rule of each row, against
     fixes_left, coact_left and evaluate."""
-    codes, y, c = case
+    codes, y, c = data.draw(code_points(n, p, k))
     g = UniMatrix(codes.point("adjoint", y))
     lam = codes.point("coadjoint", c)
     p, n = codes.p, codes.n

@@ -35,11 +35,11 @@ def test_verify_seed_changes_sampling_but_not_outcome():
 
 
 def test_delta_check_filters_the_dual_space_once(monkeypatch):
-    """Thm9.1 at (4,2) traces each of the 64 group elements over the trace
-    masks of the (2^3-1)(2^2-1)(2-1) = 21 row-covering functionals, the
-    members of discrete.in_delta in code order.  The masks are built once
-    per context, however often the check runs, and no core action is
-    called."""
+    """Thm9.1 at (4,2) reads the trace of each of the 64 group elements,
+    from one walk of the group over the trace masks of the
+    (2^3-1)(2^2-1)(2-1) = 21 row-covering functionals, the members of
+    discrete.in_delta in code order.  The masks are built once per context,
+    however often the check runs, and no core action is called."""
     calls = Counter()
 
     def counted(module, name):
@@ -63,12 +63,20 @@ def test_delta_check_filters_the_dual_space_once(monkeypatch):
     for name in actions:
         assert not hasattr(oracle, name) and not hasattr(packed, name)
         counted(core, name)
-    counted(oracle, "brute_delta_value")
+    brute_delta_values = oracle.brute_delta_values
+
+    def walked(ctx):
+        calls["walks"] += 1
+        for value in brute_delta_values(ctx):
+            calls["values"] += 1
+            yield value
+
+    monkeypatch.setattr(oracle, "brute_delta_values", walked)
     ctx = oracle.OracleContext(4, field_make(2, 1))
     for _ in range(2):
         ok, _ = verify._check_delta_value(ctx)
         assert ok
-    assert calls["supercluster.oracle.brute_delta_value"] == 2 * 64
+    assert calls["walks"] == 2 and calls["values"] == 2 * 64
     assert not any(calls[f"supercluster.core.{name}"] for name in actions)
     assert len(traced) == 1 and len(traced[0]) == 21
     monkeypatch.undo()
@@ -120,10 +128,10 @@ def test_a_crashing_check_fails_and_the_rest_still_run(monkeypatch, capsys):
     every other check still runs, and the CLI exits 4."""
     from supercluster import cli, clusters
 
-    def broken(lam):  # only Thm4.2 calls it, whatever the module memos hold
+    def broken(*args):  # only Thm4.2 steps a functional's window ranks
         raise ValueError("no window ranks")
 
-    monkeypatch.setattr(clusters, "window_ranks_dual", broken)
+    monkeypatch.setattr(clusters, "_dual_window_step", broken)
     assert cli.main(["verify", "--n", "3", "--q", "3"]) == 4
     out, err = capsys.readouterr()
     lines = out.splitlines()
@@ -173,10 +181,10 @@ def test_a_cap_inside_a_check_still_ends_the_run(monkeypatch):
     from supercluster import cli, clusters
     from supercluster.errors import ResourceCapExceeded
 
-    def capped(lam):
+    def capped(lam, rows):
         raise ResourceCapExceeded("too big")
 
-    monkeypatch.setattr(clusters, "coadjoint_template_of", capped)
+    monkeypatch.setattr(clusters, "_coadjoint_sweep", capped)
     assert cli.main(["verify", "--n", "3", "--q", "3"]) == 3
 
 
@@ -186,11 +194,10 @@ def test_zero_window_ranks_fail_the_classification_checks(monkeypatch):
     Thm4.2 even though it is constant on every cluster."""
     from supercluster import clusters
 
-    def zeros(point):
-        return (0,) * (point.n * (point.n - 1) // 2)
+    def zeros(field, n, side):
+        return lambda rows: (0,) * (n * (n - 1) // 2)
 
-    monkeypatch.setattr(clusters, "window_ranks", zeros)
-    monkeypatch.setattr(clusters, "window_ranks_dual", zeros)
+    monkeypatch.setattr(clusters, "WindowRanks", zeros)
     report = run_verify(3, field_make(3, 1))
     failed = {c.key: c.detail for c in report.checks if not c.passed}
     assert set(failed) == {"Thm4.1", "Thm4.2"}
@@ -264,22 +271,32 @@ def _is_rook(x) -> bool:
 def test_witnesses_that_miss_the_template_fail_their_check(F3, monkeypatch, key, sweep, side):
     """With the witnesses of one sweep composed as the identity in verify's
     view alone, that sweep's check fails at the first point, in code order,
-    that is not its own template, and no other check fails."""
+    that is not its own template, and no other check fails.  verify runs
+    the sweep's core on index rows (_adjoint_sweep or _coadjoint_sweep),
+    and the public sweep, a thin wrapper over it, fails there too."""
     from supercluster import clusters
+    from supercluster.errors import InvariantViolation
 
-    swept = getattr(clusters, sweep)
+    swept = getattr(clusters, f"_{side}_sweep")
 
-    def unwitnessed(point):
+    def identity(field, n, ops, on_left):
+        return core.identity(field, n)
+
+    def unwitnessed(point, rows):
         with monkeypatch.context() as m:
-            m.setattr(clusters, "_compose", lambda field, n, ops, on_left: core.identity(field, n))
-            return swept(point)
+            m.setattr(clusters, "_compose", identity)
+            return swept(point, rows)
 
     codes = oracle.OracleContext(3, F3).codes
     x = next(x for x in (codes.point(side, c) for c in range(codes.size)) if not _is_rook(x))
-    _verify_sees(monkeypatch, **{sweep: unwitnessed})
-    assert _failed(run_verify(3, F3)) == {
-        key: f"witnesses for {x!r} do not reproduce the template"
-    }
+    text = f"witnesses for {x!r} do not reproduce the template"
+    with monkeypatch.context() as m:
+        m.setattr(clusters, "_compose", identity)
+        with pytest.raises(InvariantViolation) as exc:
+            getattr(clusters, sweep)(x)
+    assert str(exc.value) == text
+    _verify_sees(monkeypatch, **{f"_{side}_sweep": unwitnessed})
+    assert _failed(run_verify(3, F3)) == {key: text}
 
 
 def test_identity_witnesses_fail_every_sweeping_check(F3, monkeypatch):
@@ -354,16 +371,76 @@ def test_the_first_rank_mismatch_in_orbit_order_fails_thm42(F3, monkeypatch):
     ids = ctx.coadjoint.ids
     a, b = next((a, b) for b in range(len(ids)) for a in range(b) if ids[a] > ids[b])
     broken = [ctx.codes.point("coadjoint", c) for c in (a, b)]
-    window_ranks_dual = clusters.window_ranks_dual
+    rows_of = [ctx.codes.decode("coadjoint", c)[1] for c in (a, b)]
+    window_ranks = clusters.WindowRanks
 
-    def off(lam):
-        ranks = window_ranks_dual(lam)
-        return (ranks[0] + 1,) + ranks[1:] if lam in broken else ranks
+    def off(field, n, side):
+        walk = window_ranks(field, n, side)
 
-    _verify_sees(monkeypatch, window_ranks_dual=off)
+        def ranks(rows):
+            got = walk(rows)
+            return (got[0] + 1,) + got[1:] if rows in rows_of else got
+
+        return ranks if side == "coadjoint" else walk
+
+    _verify_sees(monkeypatch, WindowRanks=off)
     rep = ctx.coadjoint.representatives[ids[b]]
     assert _failed(run_verify(3, F3)) == {
         "Thm4.2": f"window ranks of {broken[1]!r} differ from the cell counts of {rep.text()}"
+    }
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_wrong_window_rank_step_fails_thm41_and_thm42(F3, monkeypatch, jobs):
+    """Each side's row step made to count one more at window (1, 2) when
+    row 1 is not zero: every point with a non-zero row 1 has a wrong rank,
+    and each check names the first of them in orbit order, with one lane
+    and with two."""
+    from supercluster import clusters
+
+    ctx = oracle.OracleContext(3, F3)
+    want = {}
+    for key, side, part in (("Thm4.1", "adjoint", ctx.adjoint), ("Thm4.2", "coadjoint", ctx.coadjoint)):
+        oid, c = min((oid, c) for c, oid in enumerate(part.ids) if ctx.codes.rows(c)[0])
+        want[key] = (
+            f"window ranks of {ctx.codes.point(side, c)!r}"
+            f" differ from the cell counts of {part.representatives[oid].text()}"
+        )
+
+    def bumped(step):
+        def wrong(field, n, k, rows, state):
+            state, ranks = step(field, n, k, rows, state)
+            return state, [ranks[0] + (k == 1 and any(rows[0]))] + ranks[1:]
+
+        return wrong
+
+    for step in ("_matrix_window_step", "_dual_window_step"):
+        monkeypatch.setattr(clusters, step, bumped(getattr(clusters, step)))
+    assert _failed(run_verify(3, F3, jobs=jobs)) == want
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_group_walk_that_skips_the_identity_fails_thm62_and_thm91(F2, monkeypatch, jobs):
+    """A walk of the group that never yields g = I, which fixes every
+    functional, takes q^(2d) / |U| from each self-intertwining number of
+    brute_inner and the identity's value from the discrete series.  At
+    (3,2) Thm6.2 checks every row, the trivial one first, whose number
+    becomes 1 - 1/8; Thm9.1 fails at the identity, the first group
+    element."""
+    from fractions import Fraction
+
+    from supercluster.cyclotomic import Cyclotomic
+
+    trace_walk = packed.Codes.trace_walk
+
+    def skipping(self, traced):
+        return ((ys, bins) for ys, bins in trace_walk(self, traced) if any(ys))
+
+    monkeypatch.setattr(packed.Codes, "trace_walk", skipping)
+    norm = Cyclotomic.from_rational(2, Fraction(7, 8))
+    assert _failed(run_verify(3, F2, jobs=jobs)) == {
+        "Thm6.2": f"self-intertwining of 0 is {norm}, expected 1",
+        "Thm9.1": f"rank formula wrong at {core.identity(F2, 3)!r}",
     }
 
 
