@@ -314,44 +314,59 @@ def _dual_window_step(field: Field, n: int, k: int, rows, state) -> tuple:
     return grown[1:], ranks
 
 
-class WindowRanks:
-    """rows -> the rank of every window (i, j) of the point with these index
-    rows (rows 1..n over columns 1..n), in positions(n) order, for one side:
-    "adjoint" (matrices) or "coadjoint" (functionals).
+class _RowSteps:
+    """The row-prefix walk that WindowRanks and HatDims share: step(field,
+    n, k, rows, state) -> (state, out) is row k's step, for k = 1..n-1,
+    from the state after row k-1 (start before row 1), and reads only
+    rows 1..k.
 
-    Called on one point after another, it keeps the steps of the last
-    point's rows and redoes only those from the first row that differs, so
-    a walk in code order, where row 1 changes slowest, steps each row
-    prefix once.  Every rank is still computed from rows equal to the
+    Called on one point's index rows after another, it keeps the steps of
+    the last point's rows and redoes only those from the first row that
+    differs, so a walk in code order, where row 1 changes slowest, steps
+    each row prefix once.  Every step still runs on rows equal to the
     point's own.
     """
 
-    def __init__(self, field: Field, n: int, side: str):
-        self.field, self.n = field, n
-        if side == "coadjoint":
-            self._step = _dual_window_step
-            start = [linalg.Echelon(field) for _ in range(2, n + 1)]
-            self._order = list(range(n * (n - 1) // 2))
-        else:
-            self._step = _matrix_window_step
-            start = None
-            # row k's step gives the windows ending at column k+1
-            self._order = [(j - 1) * (j - 2) // 2 + i - 1 for i, j in positions(n)]
+    def __init__(self, field: Field, n: int, step, start):
+        self.field, self.n, self._step = field, n, step
         self._rows: list = []  # the rows stepped, 1..k
         self._states: list = [start]  # the state before row 1, then after each row
-        self._ranks: list = []  # each stepped row's ranks
+        self._outs: list = []  # each stepped row's out
 
-    def __call__(self, rows) -> tuple[int, ...]:
+    def _walk(self, rows) -> list:
+        """Step rows; the outs of rows 1..n-1, and the last state is
+        self._states[-1]."""
         n, kept = self.n, 0
         while kept < len(self._rows) and self._rows[kept] == rows[kept]:
             kept += 1
-        del self._rows[kept:], self._states[kept + 1:], self._ranks[kept:]
+        del self._rows[kept:], self._states[kept + 1:], self._outs[kept:]
         for k in range(kept + 1, n):
-            state, ranks = self._step(self.field, n, k, rows, self._states[-1])
+            state, out = self._step(self.field, n, k, rows, self._states[-1])
             self._rows.append(rows[k - 1])
             self._states.append(state)
-            self._ranks.append(ranks)
-        flat = [r for ranks in self._ranks for r in ranks]
+            self._outs.append(out)
+        return self._outs
+
+
+class WindowRanks(_RowSteps):
+    """rows -> the rank of every window (i, j) of the point with these index
+    rows (rows 1..n over columns 1..n), in positions(n) order, for one side:
+    "adjoint" (matrices) or "coadjoint" (functionals), stepped row by row
+    and sharing each row prefix with the last point (_RowSteps).
+    """
+
+    def __init__(self, field: Field, n: int, side: str):
+        if side == "coadjoint":
+            super().__init__(field, n, _dual_window_step,
+                             [linalg.Echelon(field) for _ in range(2, n + 1)])
+            self._order = list(range(n * (n - 1) // 2))
+        else:
+            super().__init__(field, n, _matrix_window_step, None)
+            # row k's step gives the windows ending at column k+1
+            self._order = [(j - 1) * (j - 2) // 2 + i - 1 for i, j in positions(n)]
+
+    def __call__(self, rows) -> tuple[int, ...]:
+        flat = [r for ranks in self._walk(rows) for r in ranks]
         return tuple([flat[m] for m in self._order])
 
 
@@ -397,7 +412,10 @@ def invariants_of(tau: Template) -> ClusterInvariants:
 #
 # Vectors are index rows over positions(n), in no fixed order; lam(x.y) and
 # lam(y.x) for a matrix unit y meet each position at most once, so no entry
-# is a sum.
+# is a sum.  The vector of e_ij in L-hat reads rows 1..i-1 of lam, and in
+# R-hat row i alone, so, as with the window ranks, the three spans of a
+# point grow a row at a time (HatDims), and points that share their first
+# rows share those steps.
 
 def _lhat_vectors(lam: Functional) -> list[list[int]]:
     """Spanning vectors of {x -> lam(x.y) : y nilpotent}, one per basis y.
@@ -434,19 +452,86 @@ def _rhat_vectors(lam: Functional) -> list[list[int]]:
     return list(vecs.values())
 
 
+def _hat_step(field: Field, n: int, k: int, rows, state) -> tuple:
+    """Row k of a functional: state is the L-hat, R-hat and L-hat + R-hat
+    bases of rows 1..k-1 (vectors over positions(n)), and each grows by
+    the vectors of row k.  L-hat gains the vectors of e_(k+1)j, j > k+1,
+    which read column j of rows 1..k; R-hat those of e_kj, j > k, which
+    read row k.  A vector that raises neither rank is already in the sum.
+    A basis is copied only when it grows, and the state is passed on as
+    it is when row k adds no vector."""
+    size = n * (n - 1) // 2
+    lvecs = list(_lhat_step_vectors(n, k, rows, size))
+    rvecs = list(_rhat_step_vectors(n, k, rows[k - 1], size))
+    if not lvecs and not rvecs:
+        return state, None
+    left, right, both = state
+    both = both.copy()
+    if lvecs:
+        left = _grow(left, lvecs, both)
+    if rvecs:
+        right = _grow(right, rvecs, both)
+    return (left, right, both), None
+
+
+def _grow(basis: linalg.Echelon, vectors, both: linalg.Echelon) -> linalg.Echelon:
+    """A copy of basis grown by vectors; those that raise its rank go into
+    both as well."""
+    basis = basis.copy()
+    for vec in vectors:
+        if basis.insert(vec):
+            both.insert(vec)
+    return basis
+
+
+def _lhat_step_vectors(n: int, k: int, rows, size: int):
+    """The non-zero L-hat vectors of e_(k+1)j, j = k+2..n: lam(m, j) at
+    position (m, k+1) for m = 1..k."""
+    ats = [_lex(n, m, k + 1) for m in range(1, k + 1)]
+    for j in range(k + 1, n):
+        column = [row[j] for row in rows[:k]]
+        if any(column):
+            vec = [0] * size
+            for at, v in zip(ats, column):
+                vec[at] = v
+            yield vec
+
+
+def _rhat_step_vectors(n: int, k: int, row, size: int):
+    """The non-zero R-hat vectors of e_kj, j = k+1..n-1: lam(k, l) at
+    position (j, l) for l = j+1..n."""
+    for j in range(k + 1, n):
+        tail = row[j:]
+        if any(tail):
+            at = _lex(n, j, j + 1)  # (j, l) for l = j+1, j+2, ... are consecutive
+            vec = [0] * size
+            vec[at:at + n - j] = tail
+            yield vec
+
+
+class HatDims(_RowSteps):
+    """rows -> (dim L, dim R, dim L ∩ R) for L = L-hat(lam) and R =
+    R-hat(lam), lam the functional with these index rows (rows 1..n over
+    columns 1..n).  Each row's step grows the L, R and L + R bases
+    (_hat_step), and dim(L ∩ R) = dim L + dim R - dim(L + R); the steps
+    are shared by row prefix with the last point (_RowSteps), and every
+    rank is still that of the point's own vectors.
+    """
+
+    def __init__(self, field: Field, n: int):
+        super().__init__(field, n, _hat_step, tuple(linalg.Echelon(field) for _ in range(3)))
+
+    def __call__(self, rows) -> tuple[int, int, int]:
+        self._walk(rows)
+        left, right, both = self._states[-1]
+        dl, dr = len(left), len(right)
+        return dl, dr, dl + dr - len(both)
+
+
 def hat_dims(lam: Functional) -> tuple[int, int, int]:
-    """(dim L, dim R, dim L ∩ R) for L = L-hat(lam) and R = R-hat(lam), each
-    span ranked once: dim(L ∩ R) = dim L + dim R - dim(L + R), and the L
-    basis grows into one of L + R by inserting the echelon rows of R."""
-    left, right = linalg.Echelon(lam.field), linalg.Echelon(lam.field)
-    for vec in _lhat_vectors(lam):
-        left.insert(vec)
-    for vec in _rhat_vectors(lam):
-        right.insert(vec)
-    dl, dr = len(left), len(right)
-    for vec in right.by_pivot.values():
-        left.insert(vec)
-    return dl, dr, dl + dr - len(left)
+    """(dim L, dim R, dim L ∩ R) for L = L-hat(lam) and R = R-hat(lam): one
+    point's walk of HatDims."""
+    return HatDims(lam.field, lam.n)(_index_rows(lam))
 
 
 # -- sizes --------------------------------------------------------------------

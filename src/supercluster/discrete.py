@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .clusters import Template, enumerate_templates, invariants_of
+from .clusters import Template, _index_rows, enumerate_templates, invariants_of
 from .core import Functional, UniMatrix
 from .errors import InvariantViolation
 from .gf import Field
@@ -29,8 +29,7 @@ def delta_value(g: UniMatrix) -> int:
     """(-1)^r * (q-1)(q^2-1)...(q^(n-1-r)-1) with r = rank(g - I)."""
     n = g.n
     field = g.field
-    rows = [[g.off.get(i, j).index for j in range(1, n + 1)] for i in range(1, n + 1)]
-    r = linalg.rank(field, rows)
+    r = linalg.rank(field, _index_rows(g.off))
     value = 1
     for m in range(1, n - r):
         value *= field.q**m - 1

@@ -39,14 +39,24 @@ integer.  Orthogonality only decides whether a decomposition is found:
 brute_tensor returns one only after it has rebuilt f from it at every
 column.
 
+The rows are kept exponent-major: OracleContext.row_vectors holds each
+brute row once as p-1 integer vectors over the columns, vector e the
+z^e coefficients of the row's values, and projection holds each row's
+vectors weighted column by column by w_c, with the row's integer norm.
+A product of rows, column_products, is p integer vectors over the
+columns, one per power z^0 .. z^(p-1), each built from whole column
+vectors at once (map over mul and add), and a multiplicity is p * (p-1)
+dot products of the product's vectors with the row's weighted ones, no
+loop over cells in Python.
+
 An OracleContext holds the brute data of one (n, field, cap), each piece
 built on first use: the encoding, the adjoint and coadjoint partitions
 (orbit ids and codes, no points), one group element per column template,
 the left orbits of the row templates, the trace masks of the row-covering
-functionals, the brute table and each row's projection data.  It also
-answers A.1 (a functional on which the support criterion and the
-fixed-point test disagree) and Thm9.3 (the left orbits in the row-covering
-part of a cluster).  The algebra, its dual and the group have q^(n(n-1)/2)
+functionals, the brute table, its rows as integer vectors and each row's
+projection data.  It also answers A.1 (a functional on which the support
+criterion and the fixed-point test disagree) and Thm9.3 (the left orbits
+in the row-covering part of a cluster).  The algebra, its dual and the group have q^(n(n-1)/2)
 points each, so the context checks that one size against its one cap when
 it is made.  Every entry point that reads a whole space (brute_char_value,
 brute_inner, brute_delta_value, brute_delta_values, brute_tensor,
@@ -55,7 +65,9 @@ module keeps none: verify.run_verify makes one per run and drops it when
 the run ends, so the whole suite builds each partition once.
 
 sum_mismatch is the one check that a sum of brute rows gives target values
-back at every column, in p integer bins.  product_mismatch asks it with
+back at every column: it adds mult times each row's vectors, compares each
+power with the target's, and names the first column, in column order,
+where any power differs.  product_mismatch asks it with
 the column_products of some brute rows as the target; brute_tensor's
 rebuild, Thm7.1 and Thm8.6 ask that, and Thm9.3 asks sum_mismatch with
 the discrete series' values as the target.
@@ -65,7 +77,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import product, repeat
+from operator import add, mul, sub
 from typing import TYPE_CHECKING
 
 from .clusters import Template
@@ -291,30 +304,48 @@ class OracleContext:
         return {t: r for r, t in enumerate(self.table[0])}
 
     @cached_property
-    def projection(self) -> list[tuple[list[tuple[int, Cyclotomic]], int]]:
-        """Per row of the table: (cells, norm).
-
-        cells holds (c, w_c * conj(chi(c))) for the columns c where the row
-        is not 0, w_c the size of column c's orbit in the adjoint
-        partition, and norm is the integer sum_c w_c * |chi(c)|^2.  Raises
-        InvariantViolation if a norm is not a positive integer, or if a
-        value is not in Z[z].
-        """
-        rows, cols, values = self.table
-        sizes = dict(zip(self.adjoint.representatives, self.adjoint.orbit_sizes()))
-        weights = [sizes[x] for x in cols]
-        zero = Cyclotomic.from_rational(self.field.p, 0)
+    def row_vectors(self) -> list[list[list[int]]]:
+        """Per row of the table, its values as p-1 integer vectors over the
+        columns, one per basis power z^0 .. z^(p-2): vectors[e][c] is the
+        z^e coefficient of chi(c).  Raises InvariantViolation if a value is
+        not in Z[z]."""
+        rows, _, values = self.table
         out = []
         for tau, row in zip(rows, values):
             if any(v.den != 1 for v in row):
                 raise InvariantViolation(f"the brute row {tau.text()} leaves Z[z]")
-            cells = [(c, w * v.conjugate()) for c, (w, v) in enumerate(zip(weights, row)) if v]
-            norm = sum((row[c] * wv for c, wv in cells), zero)
-            if not norm.is_rational() or norm.den != 1 or norm.num[0] <= 0:
+            out.append([list(coeffs) for coeffs in zip(*(v.num for v in row))])
+        return out
+
+    @cached_property
+    def projection(self) -> list[tuple[list[list[int]], int]]:
+        """Per row of the table: (weighted, norm).
+
+        weighted holds the row's p-1 vectors, each multiplied column by
+        column by w_c, the size of column c's orbit in the adjoint
+        partition: the z^e coefficient of w_c * chi(c), whose conjugate
+        sits at z^(-e).  norm is the integer sum_c w_c * |chi(c)|^2, from
+        the (p-1)^2 dot products of the row's vectors with the weighted
+        ones.  Raises InvariantViolation if a norm is not a positive
+        integer, or (through row_vectors) if a value is not in Z[z].
+        """
+        rows, cols, _ = self.table
+        sizes = dict(zip(self.adjoint.representatives, self.adjoint.orbit_sizes()))
+        weights = [sizes[x] for x in cols]
+        p = self.field.p
+        out = []
+        for tau, vectors in zip(rows, self.row_vectors):
+            weighted = [list(map(mul, weights, vec)) for vec in vectors]
+            bins = [0] * p
+            for e, vec in enumerate(vectors):
+                for f, wvec in enumerate(weighted):
+                    bins[(e - f) % p] += sum(map(mul, vec, wvec))
+            norm = Cyclotomic.from_bins(p, bins)
+            if not norm.is_rational() or norm.num[0] <= 0:
                 raise InvariantViolation(
                     f"weighted norm {norm} of the brute row {tau.text()} is not a positive integer"
                 )
-            out.append((cells, norm.num[0]))
+            out.append((weighted, norm.num[0]))
         return out
 
 
@@ -329,16 +360,6 @@ def _convolve(bins: list[int], a, b, sign: int = 1) -> None:
             for j, y in enumerate(b):
                 if y:
                     bins[(i + sign * j) % p] += x * y
-
-
-def _product_bins(p: int, values) -> list[int]:
-    """The product of the Z[z] values as p bins over z^0 .. z^(p-1)."""
-    bins = [1] + [0] * (p - 1)
-    for v in values:
-        out = [0] * p
-        _convolve(out, bins, v.num)
-        bins = out
-    return bins
 
 
 def brute_char_value(tau: Template, g: UniMatrix, ctx: OracleContext) -> Cyclotomic:
@@ -407,34 +428,47 @@ def brute_delta_values(ctx: OracleContext):
 
 def column_products(ctx: OracleContext, factors) -> list[list[int]]:
     """The product of chi_f over factors (templates, repeats counted; an
-    empty product is 1) at each column, in column order, as p integer bins
-    over z^0 .. z^(p-1).  Every chi is a row of the context's brute table."""
-    _, cols, values = ctx.table
-    index = ctx._row_index
-    p = ctx.field.p
-    multiplied = [values[index[f]] for f in factors]
-    return [_product_bins(p, [row[c] for row in multiplied]) for c in range(len(cols))]
+    empty product is 1) as p integer vectors over the columns, in column
+    order: bins[m][c] is the z^m coefficient at column c, m = 0 .. p-1.
+    Every chi is a row of the context's brute table, whose vectors are
+    multiplied a whole column vector at a time."""
+    p, width = ctx.field.p, len(ctx.table[1])
+    index, vectors = ctx._row_index, ctx.row_vectors
+    bins = [[1] * width] + [[0] * width for _ in range(p - 1)]
+    for f in factors:
+        out = [[0] * width for _ in range(p)]
+        for m, a in enumerate(bins):
+            if any(a):
+                for e, vec in enumerate(vectors[index[f]]):
+                    at = (m + e) % p
+                    out[at] = list(map(add, out[at], map(mul, a, vec)))
+        bins = out
+    return bins
 
 
 def sum_mismatch(ctx: OracleContext, terms, target) -> Template | None:
     """The first column, in column order, where the sum of mult * chi_t over
-    terms (template -> multiplicity) differs from target, p integer bins
-    over z^0 .. z^(p-1) per column, or None.  Every chi is a row of the
-    context's brute table, whose values are traces, so the sum is taken in
-    integer bins over Z[z] too.
+    terms (template -> multiplicity) differs from target, or None.  target
+    is p integer vectors over the columns, target[m][c] the z^m
+    coefficient at column c, as column_products gives them.  Every chi is
+    a row of the context's brute table, whose values are traces, so the
+    sum is taken over the rows' integer vectors, one per basis power
+    z^0 .. z^(p-2), and compared with target reduced to that basis.
     """
-    _, cols, values = ctx.table
-    index = ctx._row_index
-    p = ctx.field.p
-    summed = [(mult, values[index[t]]) for t, mult in terms.items()]
-    for c, (x, bins) in enumerate(zip(cols, target)):
-        total = [0] * (p - 1)
-        for mult, row in summed:
-            for j, y in enumerate(row[c].num):
-                total[j] += mult * y
-        if total != [b - bins[p - 1] for b in bins[: p - 1]]:
-            return x
-    return None
+    cols = ctx.table[1]
+    p, width = ctx.field.p, len(cols)
+    index, vectors = ctx._row_index, ctx.row_vectors
+    totals = [[0] * width for _ in range(p - 1)]
+    for t, mult in terms.items():
+        for e, vec in enumerate(vectors[index[t]]):
+            totals[e] = list(map(add, totals[e], map(mul, vec, repeat(mult))))
+    top = target[p - 1]
+    first = width
+    for total, bins in zip(totals, target):
+        want = list(map(sub, bins, top))
+        if total != want:
+            first = min(first, next(c for c, (a, b) in enumerate(zip(total, want)) if a != b))
+    return None if first == width else cols[first]
 
 
 def product_mismatch(ctx: OracleContext, terms, factors) -> Template | None:
@@ -447,21 +481,26 @@ def product_mismatch(ctx: OracleContext, terms, factors) -> Template | None:
 def brute_tensor(t1: Template, t2: Template, ctx: OracleContext) -> "CharSum":
     """Decompose a product by projecting it onto the brute character rows.
 
-    Every sum is taken in p integer bins over the Z[z] coefficients of the
-    brute values.  Raises InvariantViolation if a multiplicity is not a
-    natural number or if the decomposition does not give the product back
-    at every column.
+    The product's p vectors and each row's weighted vectors meet in
+    p * (p-1) dot products, summed into p integer bins: the product's z^m
+    against the row's z^e lands at z^(m-e), since the row is conjugated.
+    Raises InvariantViolation if a multiplicity is not a natural number or
+    if the decomposition does not give the product back at every column.
     """
     from .tensor import CharSum  # local import keeps the oracle free of fast paths
 
     p = ctx.field.p
     rows = ctx.table[0]
     product = column_products(ctx, (t1, t2))
+    present = [(m, a) for m, a in enumerate(product) if any(a)]
     terms: dict[Template, int] = {}
-    for tau, (cells, norm) in zip(rows, ctx.projection):
+    for tau, (weighted, norm) in zip(rows, ctx.projection):
         total = [0] * p
-        for c, wv in cells:
-            _convolve(total, product[c], wv.num)
+        for m, a in present:
+            for e, wvec in enumerate(weighted):
+                total[(m - e) % p] += sum(map(mul, a, wvec))
+        if not any(total):
+            continue
         coeff = Cyclotomic.from_bins(p, total, norm)
         if not coeff:
             continue

@@ -49,9 +49,10 @@ point once into its point and its index rows: they run the sweep's core on
 a copy of the rows, which checks its own witnesses through core's actions
 on the point and raises, naming the point, when they miss its template;
 they require the template's cells to be the point's own orbit's rook
-cells, and hold the point's window ranks, stepped row by row from its rows
-with each row prefix shared by the points under it (and hat_dims), to its
-orbit's values.
+cells, and hold the point's window ranks (and, in Thm4.2, its dimensions
+of L-hat, R-hat and their intersection), each stepped row by row from its
+rows with each row prefix shared by the points under it (WindowRanks,
+HatDims), to its orbit's values.
 
 Every check runs in _outcomes, which yields its outcome (passed, detail,
 traceback text, with passed None for a cap, which ends the lane), and
@@ -176,6 +177,7 @@ def _check_coadjoint_classification(ctx):
     dims = [(inv.d, inv.d, inv.i) for inv in map(clusters.invariants_of, reps)]
     names = [rep.text() for rep in reps]
     ranks = clusters.WindowRanks(ctx.field, ctx.n, "coadjoint")
+    hat_dims = clusters.HatDims(ctx.field, ctx.n)
     first = len(reps), ""
     for code, oid in enumerate(part.ids):
         lam, rows = ctx.codes.decode("coadjoint", code)
@@ -185,7 +187,7 @@ def _check_coadjoint_classification(ctx):
             continue
         if ranks(rows) != cells[oid]:
             first = oid, f"window ranks of {lam!r} differ from the cell counts of {names[oid]}"
-        elif clusters.hat_dims(lam) != dims[oid]:
+        elif hat_dims(rows) != dims[oid]:
             first = oid, f"orbit-space dimensions vary inside the cluster of {names[oid]}"
     if first[1]:
         return False, first[1]
@@ -375,8 +377,8 @@ def _check_delta_decomposition(ctx):
             )
         if (decomp.terms.get(tau, 0) > 0) == discrete.is_degenerate(tau):
             return False, f"degeneracy test disagrees with the multiplicity for {tau.text()}"
-    zeros = [0] * (field.p - 1)
-    target = [[discrete.delta_value(ctx.column(x))] + zeros for x in cols]
+    target = [[discrete.delta_value(ctx.column(x)) for x in cols]]
+    target += [[0] * len(cols) for _ in range(field.p - 1)]
     x = oracle.sum_mismatch(ctx, decomp.terms, target)
     if x is not None:
         return False, f"decomposition wrong at column {x.text()}"
@@ -390,10 +392,11 @@ def _check_delta_decomposition(ctx):
 RNG_CHECKS = ("Thm6.2", "Thm3.5", "Thm8.6")
 # Lane A: the rng checks, and A.1 and Thm9.1, which draw nothing.  Summed
 # one-lane seconds, lane A / B, medians of seven runs at (5,2) and three at
-# (6,2) on a 2-vCPU host: 0.138 / 0.126 at (5,2), 2.66 / 6.28 at (6,2).
-# Thm9.1 in lane B would make (5,2)'s longer lane longer; A.1 in lane B
-# left the CLI's (5,2) wall unchanged over eleven pairs; at (6,2) Thm4.1
-# and Thm4.2 keep lane B the longer.
+# (6,2) on a 2-vCPU host: 0.100 / 0.115 at (5,2), 1.90 / 4.25 at (6,2).
+# Thm9.1 in lane B would make (5,2)'s longer lane longer; A.2 in lane A
+# moved certify's two cases by less than their spread over thirty pairs,
+# and at (3,3) lane A is already six times lane B; at (6,2) Thm4.1 and
+# Thm4.2 keep lane B the longer.
 PARENT_CHECKS = RNG_CHECKS + ("A.1", "Thm9.1")
 
 

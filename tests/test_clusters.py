@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from supercluster import field_make, linalg, packed
 from supercluster.characters import char_value_sum
 from supercluster.clusters import (
+    HatDims,
     Template,
     WindowRanks,
     _lhat_vectors,
+    _rhat_vectors,
     adjoint_cluster_size,
     adjoint_template_of,
     bell_poly,
@@ -321,6 +323,30 @@ def test_orbit_space_dims_count_the_spans(n, q):
         lhat = {tuple(lam(nil_mul(e, y)) for e in basis) for y in nil}
         rhat = {tuple(lam(nil_mul(y, e)) for e in basis) for y in nil}
         assert (len(lhat), len(rhat), len(lhat & rhat)) == tuple(q**d for d in hat_dims(lam))
+
+
+@pytest.mark.parametrize("n,p,k", [(5, 2, 1), (4, 3, 1), (4, 2, 2)], ids=["5-2", "4-3", "4-2^2"])
+def test_prefix_hat_dims_equal_each_points_own(n, p, k):
+    """One HatDims, called on every point in code order, in reverse and in
+    a seeded shuffle, gives each point the dimensions of a fresh HatDims
+    called on that point alone; in code order those are also the ranks of
+    the point's L-hat and R-hat vectors and of both together."""
+    import random
+
+    field = field_make(p, k)
+    codes = packed.Codes(n, field)
+    points = [codes.decode("coadjoint", c) for c in range(codes.size)]
+    alone = [HatDims(field, n)(rows) for _, rows in points]
+    for (lam, _), dims in zip(points, alone):
+        left, right = _lhat_vectors(lam), _rhat_vectors(lam)
+        dl, dr = linalg.rank(field, left), linalg.rank(field, right)
+        assert dims == (dl, dr, dl + dr - linalg.rank(field, left + right))
+    shuffled = list(range(codes.size))
+    random.Random(7).shuffle(shuffled)
+    for order in (range(codes.size), reversed(range(codes.size)), shuffled):
+        walk = HatDims(field, n)
+        for c in order:
+            assert walk(points[c][1]) == alone[c]
 
 
 # -- sizes --------------------------------------------------------------------

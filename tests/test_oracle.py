@@ -336,8 +336,37 @@ def test_sum_mismatch_compares_every_power_of_z(F3):
     assert tau in rows
     target = column_products(ctx, [tau])
     assert sum_mismatch(ctx, {tau: 1}, target) is None
-    target[0][1] += 1
+    target[1][0] += 1
     assert sum_mismatch(ctx, {tau: 1}, target) == cols[0]
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 2)], ids=["3", "3^2"])
+def test_sum_mismatch_finds_an_earlier_wrong_z1_before_a_later_wrong_z0(p, k):
+    """A wrong z^1 coefficient at an earlier column than a wrong z^0 one:
+    sum_mismatch names the earlier column, whichever power it is in."""
+    field = field_make(p, k)
+    ctx = OracleContext(3, field)
+    rows, cols, _ = ctx.table
+    tau = T(field, 3, "(1,3)=1")
+    target = column_products(ctx, [tau])
+    assert sum_mismatch(ctx, {tau: 1}, target) is None
+    target[1][2] += 1
+    target[0][4] += 1
+    assert sum_mismatch(ctx, {tau: 1}, target) == cols[2]
+    target[0][1] += 1
+    assert sum_mismatch(ctx, {tau: 1}, target) == cols[1]
+
+
+def test_brute_tensor_equals_rewrite_on_every_pair_at_p_5():
+    """(3,5), the first p = 5 case: 29 rows, all 841 ordered pairs."""
+    from supercluster.tensor import tensor_product
+
+    ctx = OracleContext(3, field_make(5, 1))
+    rows = ctx.table[0]
+    assert len(rows) == 29
+    for t1 in rows:
+        for t2 in rows:
+            assert brute_tensor(t1, t2, ctx) == tensor_product(t1, t2)
 
 
 N3_FIELDS = [(2, 2), (2, 3), (3, 2)]

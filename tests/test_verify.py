@@ -347,15 +347,20 @@ def test_orbit_space_dimensions_off_at_one_point_fail_thm42(F3, monkeypatch, whi
         (rep, codes) for rep, codes in zip(part.representatives, part.orbit_codes)
         if len(codes) > 1
     )
-    last = ctx.codes.point("coadjoint", codes[-1])
-    hat_dims = clusters.hat_dims
+    last = ctx.codes.decode("coadjoint", codes[-1])[1]
+    HatDims = clusters.HatDims
 
-    def off(lam):
-        dims = list(hat_dims(lam))
-        dims[which] += lam == last
-        return tuple(dims)
+    def off(field, n):
+        walk = HatDims(field, n)
 
-    _verify_sees(monkeypatch, hat_dims=off)
+        def dims_of(rows):
+            dims = list(walk(rows))
+            dims[which] += rows == last
+            return tuple(dims)
+
+        return dims_of
+
+    _verify_sees(monkeypatch, HatDims=off)
     assert _failed(run_verify(3, F3)) == {
         "Thm4.2": f"orbit-space dimensions vary inside the cluster of {rep.text()}"
     }
@@ -708,10 +713,10 @@ def test_a_crashing_check_in_the_child_lane_fails_and_reports(monkeypatch, capsy
     traceback on the caller's stderr and exit 4; every other check reports."""
     from supercluster import clusters
 
-    def broken(lam):  # only Thm4.2 calls it, whatever the module memos hold
+    def broken(rows):  # only Thm4.2 calls it, whatever the module memos hold
         raise ValueError("no orbit-space dimensions")
 
-    monkeypatch.setattr(clusters, "hat_dims", broken)
+    monkeypatch.setattr(clusters, "HatDims", lambda field, n: broken)
     code, out, err = _verify_cli(capsys, "--jobs", jobs)
     lines = out.splitlines()
     assert code == 4
