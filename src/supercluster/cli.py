@@ -5,6 +5,17 @@ is given as --p P --k K (with --q Q accepted for prime q only, to keep the
 modulus polynomial unambiguous).  Output is byte-stable for fixed inputs:
 json (default machinery), csv for the tabular commands, text for reading.
 
+Each command's options are one table (COMMANDS), from which both readers
+of the command line are built.  A plain argv is read in one linear pass
+(read_plain): the command, then only that command's exact long options,
+each as `--opt value` with a value that does not start with "-" (`--factor`
+repeatable, every other value option at most once), flags bare, every
+required option given, every int readable by int() and every choice in
+its list.  Every other argv goes to argparse (build_parser): help,
+`--opt=value`, abbreviations, negative values and every usage error.  On
+a plain argv both give the same Namespace, so argparse is the reference
+and the only source of help and usage messages.
+
 Exit codes: 0 success, 2 usage, 3 resource cap, 4 a certified identity
 failed on this input.
 """
@@ -17,6 +28,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field as dataclass_field
+from typing import NoReturn
 
 from . import clusters, discrete, oracle, tensor, verify
 from .characters import DEFAULT_MAX_TABLE, build_table
@@ -52,41 +64,141 @@ def _caps_from_env(caps: dict) -> dict:
     return caps
 
 
-def _add_common(sub: argparse.ArgumentParser, formats=("json", "text")) -> None:
+class Option:
+    """One long option of a command.  kind is "int", "str", "choice" (one
+    of choices), "append" (repeatable, the values in a list) or "flag"
+    (bare, True when given); dest is the flag's name with "-" as "_"."""
+
+    __slots__ = ("flag", "dest", "kind", "default", "required", "choices", "metavar", "help")
+
+    def __init__(self, flag: str, kind: str, default=None, required: bool = False,
+                 choices: tuple = (), metavar: str | None = None, help: str | None = None):
+        self.flag, self.dest, self.kind = flag, flag[2:].replace("-", "_"), kind
+        self.default, self.required, self.choices = default, required, choices
+        self.metavar, self.help = metavar, help
+
+
+def _common(formats=("json", "text")) -> tuple[Option, ...]:
     """The options every command reads; formats has csv where the command writes it."""
-    sub.add_argument("--n", type=int, required=True, help="matrix size n >= 1")
-    sub.add_argument("--p", type=int, help="field characteristic (prime)")
-    sub.add_argument("--k", type=int, default=1, help="extension degree (default 1)")
-    sub.add_argument("--q", type=int, help="shorthand for a prime field of size q")
-    sub.add_argument("--format", choices=formats, default="text")
-    sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                     help="verify splits its checks over two processes when N >= 2;"
-                          " every other command runs in one; output is the same for every N")
+    return (
+        Option("--n", "int", required=True, help="matrix size n >= 1"),
+        Option("--p", "int", help="field characteristic (prime)"),
+        Option("--k", "int", default=1, help="extension degree (default 1)"),
+        Option("--q", "int", help="shorthand for a prime field of size q"),
+        Option("--format", "choice", default="text", choices=formats),
+        Option("--jobs", "int", default=os.cpu_count() or 1,
+               help="verify splits its checks over two processes when N >= 2;"
+                    " every other command runs in one; output is the same for every N"),
+    )
 
 
-def _config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
+_TABULAR = ("json", "csv", "text")
+
+# command -> (help, options), in the order argparse lists them
+COMMANDS = {
+    "count": ("print the template counts B(0..n, q)", _common(_TABULAR)),
+    "clusters": ("list templates with d, i, sizes, degrees", _common(_TABULAR)),
+    "table": ("emit the full supercharacter table", _common(_TABULAR)),
+    "tensor": ("decompose a tensor product of primary factors", _common() + (
+        Option("--factor", "append", required=True, metavar="i,j,a",
+               help="primary factor (repeatable)"),
+        Option("--check", "flag", default=False,
+               help="also certify via the counting route"),
+    )),
+    "discrete": ("decompose the discrete-series character", _common()),
+    "verify": ("run the certification suite for (n, q)", _common() + (
+        Option("--seed", "int", default=0, help="seed for sampled verification"),
+        Option("--emit-golden", "str", metavar="PATH",
+               help="write oracle-derived golden data to PATH"),
+    )),
+}
+
+# what each kind adds to argparse's add_argument
+_ARGPARSE_KIND = {
+    "int": {"type": int},
+    "str": {},
+    "choice": {},
+    "append": {"action": "append"},
+    "flag": {"action": "store_true"},
+}
+
+# command -> flag -> Option, for read_plain
+_FLAGS = {name: {opt.flag: opt for opt in opts} for name, (_, opts) in COMMANDS.items()}
+
+
+def read_plain(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace build_parser() returns for a plain argv (see the module
+    docstring), read in one pass; None for any other argv."""
+    if not argv or argv[0] not in _FLAGS:
+        return None
+    options = _FLAGS[argv[0]]
+    values: dict = {}
+    rest = iter(argv[1:])
+    for token in rest:
+        opt = options.get(token)
+        if opt is None:
+            return None
+        kind, dest = opt.kind, opt.dest
+        if kind == "flag":
+            if dest in values:
+                return None
+            values[dest] = True
+            continue
+        raw = next(rest, "-")  # a missing value declines as a "-" would
+        if raw.startswith("-"):
+            return None
+        if kind == "append":
+            if dest in values:
+                values[dest].append(raw)
+            else:
+                values[dest] = [raw]
+            continue
+        if dest in values:
+            return None
+        if kind == "int":
+            try:
+                raw = int(raw)
+            except ValueError:
+                return None
+        elif kind == "choice" and raw not in opt.choices:
+            return None
+        values[dest] = raw
+    for opt in options.values():
+        if opt.dest not in values:
+            if opt.required:
+                return None
+            values[opt.dest] = opt.default
+    return argparse.Namespace(command=argv[0], **values)
+
+
+def _usage_error(message: str) -> NoReturn:
+    """argparse's usage error: the usage line and message on stderr, exit 2."""
+    build_parser().error(message)
+
+
+def _config(args: argparse.Namespace) -> RunConfig:
     """Validate the common options and build the field; a q over its cap
     raises ResourceCapExceeded."""
     if args.k < 1:
-        parser.error("--k must be >= 1")
+        _usage_error("--k must be >= 1")
     if args.q is not None:
         if args.p is not None:
-            parser.error("give either --q or --p/--k, not both")
+            _usage_error("give either --q or --p/--k, not both")
         p, k = args.q, 1
     elif args.p is not None:
         p, k = args.p, args.k
     else:
-        parser.error("a field is required: --q Q or --p P [--k K]")
+        _usage_error("a field is required: --q Q or --p P [--k K]")
     n = args.n
     if n < 1:
-        parser.error("--n must be >= 1")
+        _usage_error("--n must be >= 1")
     caps = dict(DEFAULT_CAPS)
     try:
         _caps_from_env(caps)
     except ValueError as exc:
-        parser.error(str(exc))
+        _usage_error(str(exc))
     if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
+        _usage_error("--jobs must be >= 1")
     # The cap comes before the primality test, whose trial division runs to
     # sqrt(p); with p >= 2, k >= cap.bit_length() puts p^k over the cap.
     if p >= 2 and (k >= caps["q"].bit_length() or p**k > caps["q"]):
@@ -94,8 +206,8 @@ def _config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunCon
         raise ResourceCapExceeded(f"q={q} exceeds the field size cap {caps['q']}")
     if not is_prime(p):
         if args.q is not None:
-            parser.error(f"--q {p} is not prime; use --p and --k for extensions")
-        parser.error(f"--p {p} is not prime")
+            _usage_error(f"--q {p} is not prime; use --p and --k for extensions")
+        _usage_error(f"--p {p} is not prime")
     field = field_make(p, k, max_q=caps["q"])
     return RunConfig(n=n, field=field, fmt=args.format, caps=caps)
 
@@ -241,47 +353,34 @@ def _run_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process and reused by every main()."""
+    """The argument parser, built from COMMANDS once per process, the
+    first time an argv is not plain or a usage error is raised."""
     parser = argparse.ArgumentParser(
         prog="supercluster",
         description="Exact cluster/supercharacter engine for the unipotent triangular groups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    tabular = ("json", "csv", "text")
-    p_count = sub.add_parser("count", help="print the template counts B(0..n, q)")
-    _add_common(p_count, tabular)
-
-    p_clusters = sub.add_parser("clusters", help="list templates with d, i, sizes, degrees")
-    _add_common(p_clusters, tabular)
-
-    p_table = sub.add_parser("table", help="emit the full supercharacter table")
-    _add_common(p_table, tabular)
-
-    p_tensor = sub.add_parser("tensor", help="decompose a tensor product of primary factors")
-    _add_common(p_tensor)
-    p_tensor.add_argument("--factor", action="append", required=True, metavar="i,j,a",
-                          help="primary factor (repeatable)")
-    p_tensor.add_argument("--check", action="store_true",
-                          help="also certify via the counting route")
-
-    p_discrete = sub.add_parser("discrete", help="decompose the discrete-series character")
-    _add_common(p_discrete)
-
-    p_verify = sub.add_parser("verify", help="run the certification suite for (n, q)")
-    _add_common(p_verify)
-    p_verify.add_argument("--seed", type=int, default=0, help="seed for sampled verification")
-    p_verify.add_argument("--emit-golden", metavar="PATH",
-                          help="write oracle-derived golden data to PATH")
-
+    for name, (help_text, options) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for opt in options:
+            extra = dict(_ARGPARSE_KIND[opt.kind])
+            if opt.kind == "choice":
+                extra["choices"] = opt.choices
+            if opt.metavar is not None:
+                extra["metavar"] = opt.metavar
+            command.add_argument(opt.flag, dest=opt.dest, default=opt.default,
+                                 required=opt.required, help=opt.help, **extra)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = read_plain(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
-        cfg = _config(parser, args)
+        cfg = _config(args)
         if args.command == "count":
             return _run_count(cfg)
         if args.command == "clusters":
@@ -292,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 cells = [_parse_factor(cfg.field, cfg.n, raw) for raw in args.factor]
             except ValueError as exc:
-                parser.error(str(exc))
+                _usage_error(str(exc))
             return _run_tensor(cfg, cells, args.check)
         if args.command == "discrete":
             return _run_discrete(cfg)

@@ -316,9 +316,9 @@ def _dual_window_step(field: Field, n: int, k: int, rows, state) -> tuple:
 
 class _RowSteps:
     """The row-prefix walk that WindowRanks and HatDims share: step(field,
-    n, k, rows, state) -> (state, out) is row k's step, for k = 1..n-1,
+    n, k, rows, state) -> (state, out) is row k's step, for k = 1..last,
     from the state after row k-1 (start before row 1), and reads only
-    rows 1..k.
+    rows 1..k.  Rows after last are neither stepped nor compared.
 
     Called on one point's index rows after another, it keeps the steps of
     the last point's rows and redoes only those from the first row that
@@ -327,21 +327,21 @@ class _RowSteps:
     point's own.
     """
 
-    def __init__(self, field: Field, n: int, step, start):
-        self.field, self.n, self._step = field, n, step
+    def __init__(self, field: Field, n: int, step, start, last: int):
+        self.field, self.n, self._step, self._last = field, n, step, last
         self._rows: list = []  # the rows stepped, 1..k
         self._states: list = [start]  # the state before row 1, then after each row
         self._outs: list = []  # each stepped row's out
 
     def _walk(self, rows) -> list:
-        """Step rows; the outs of rows 1..n-1, and the last state is
+        """Step rows; the outs of rows 1..last, and the last state is
         self._states[-1]."""
-        n, kept = self.n, 0
+        kept = 0
         while kept < len(self._rows) and self._rows[kept] == rows[kept]:
             kept += 1
         del self._rows[kept:], self._states[kept + 1:], self._outs[kept:]
-        for k in range(kept + 1, n):
-            state, out = self._step(self.field, n, k, rows, self._states[-1])
+        for k in range(kept + 1, self._last + 1):
+            state, out = self._step(self.field, self.n, k, rows, self._states[-1])
             self._rows.append(rows[k - 1])
             self._states.append(state)
             self._outs.append(out)
@@ -358,10 +358,10 @@ class WindowRanks(_RowSteps):
     def __init__(self, field: Field, n: int, side: str):
         if side == "coadjoint":
             super().__init__(field, n, _dual_window_step,
-                             [linalg.Echelon(field) for _ in range(2, n + 1)])
+                             [linalg.Echelon(field) for _ in range(2, n + 1)], n - 1)
             self._order = list(range(n * (n - 1) // 2))
         else:
-            super().__init__(field, n, _matrix_window_step, None)
+            super().__init__(field, n, _matrix_window_step, None, n - 1)
             # row k's step gives the windows ending at column k+1
             self._order = [(j - 1) * (j - 2) // 2 + i - 1 for i, j in positions(n)]
 
@@ -515,11 +515,15 @@ class HatDims(_RowSteps):
     columns 1..n).  Each row's step grows the L, R and L + R bases
     (_hat_step), and dim(L ∩ R) = dim L + dim R - dim(L + R); the steps
     are shared by row prefix with the last point (_RowSteps), and every
-    rank is still that of the point's own vectors.
+    rank is still that of the point's own vectors.  Only rows 1..n-2 are
+    stepped: row n-1 has no e_(k+1)j or e_kj with j < n, so its step adds
+    no vector, and no step reads it, so points that differ only there
+    share the whole walk.
     """
 
     def __init__(self, field: Field, n: int):
-        super().__init__(field, n, _hat_step, tuple(linalg.Echelon(field) for _ in range(3)))
+        super().__init__(field, n, _hat_step,
+                         tuple(linalg.Echelon(field) for _ in range(3)), n - 2)
 
     def __call__(self, rows) -> tuple[int, int, int]:
         self._walk(rows)

@@ -320,13 +320,24 @@ def _check_tensor_ring(ctx, pair_cap, rng):
         pairs = [(rng.choice(rows), rng.choice(rows)) for _ in range(SAMPLE_PAIRS)]
         deep_pairs = pairs[: max(10, SAMPLE_PAIRS // 16)]
         mode = f"{len(pairs)} sampled pairs ({len(deep_pairs)} via the counting route)"
+    # Each ordered pair's rewrite is built once, in the order the loops
+    # first ask for it.  The sampled and deep loops keep theirs; the
+    # trivial-multiplicity loop reads each pair once, so it keeps nothing.
+    products = {}
+
+    def product(t1, t2):
+        got = products.get((t1, t2))
+        if got is None:
+            got = products[t1, t2] = tensor.tensor_product(t1, t2)
+        return got
+
     for t1, t2 in pairs:
-        got = tensor.tensor_product(t1, t2)
+        got = product(t1, t2)
         d1 = field.q ** clusters.invariants_of(t1).d
         d2 = field.q ** clusters.invariants_of(t2).d
         if got.total_degree != d1 * d2:
             return False, f"degree not conserved for [{t1.text()}] x [{t2.text()}]"
-        if got != tensor.tensor_product(t2, t1):
+        if got != product(t2, t1):
             return False, f"product not symmetric for [{t1.text()}] x [{t2.text()}]"
         x = oracle.product_mismatch(ctx, got.terms, (t1, t2))
         if x is not None:
@@ -336,7 +347,7 @@ def _check_tensor_ring(ctx, pair_cap, rng):
             )
     for t1, t2 in deep_pairs:
         counted = tensor.tensor_by_counting(t1, t2, pair_cap)
-        if counted != tensor.tensor_product(t1, t2):
+        if counted != product(t1, t2):
             return False, f"counting route differs for [{t1.text()}] x [{t2.text()}]"
         if oracle.brute_tensor(t1, t2, ctx) != counted:
             return False, f"brute solve differs for [{t1.text()}] x [{t2.text()}]"
@@ -344,7 +355,10 @@ def _check_tensor_ring(ctx, pair_cap, rng):
         minus = Template(field, n, [(i, j, -v) for (i, j, v) in t1.cells])
         trivial = Template(field, n, [])
         for t2 in rows:
-            mult = tensor.tensor_product(t1, t2).terms.get(trivial, 0)
+            got = products.get((t1, t2))
+            if got is None:
+                got = tensor.tensor_product(t1, t2)
+            mult = got.terms.get(trivial, 0)
             expected = field.q ** clusters.invariants_of(t1).i if t2 == minus else 0
             if mult != expected:
                 return False, (

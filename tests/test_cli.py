@@ -1,11 +1,15 @@
+import contextlib
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import supercluster
 from supercluster import cli, field_make, tensor
@@ -408,3 +412,160 @@ def test_a_wrong_counting_step_fails_the_checked_product_with_exit_4(monkeypatch
     assert (code, out) == (4, "")
     assert err.startswith("THEOREM FALSIFIED: ")
     assert "[(1,2)=1] x [(2,3)=1]" in err
+
+
+# -- the plain reader against argparse -----------------------------------------
+
+def _outcome(argv):
+    """(exit code, stdout, stderr) of main(argv) in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# Values per option dest: (value, whether read_plain reads it).  Every value
+# it reads keeps the command small: n <= 3, q <= 9, verify at n <= 2.
+_INT = [("1", True), ("2", True), ("+2", True), (" 2", True), ("0", True),
+        ("-1", False), ("x", False), ("2.0", False), ("", False)]
+_VALUES = {
+    "n": [("3", True), *_INT],
+    "p": [("2", True), ("3", True), ("4", True), ("-3", False), ("x", False)],
+    "k": _INT,
+    "q": [("2", True), ("3", True), ("9", True), ("-2", False), ("x", False)],
+    "jobs": _INT,
+    "seed": [("7", True), *_INT],
+    "factor": [("1,3,1", True), ("1,2,1", True), ("2,3,1", True), ("1,3", True),
+               ("1,4,1", True), ("x", True), ("", True), ("-1,2,1", False)],
+    "emit_golden": [("golden.json", True), ("", True), ("-g", False)],
+}
+_NOISE = [["--bogus", "1"], ["-x"], ["-h"], ["--help"], ["stray"], ["--"], ["-n", "2"]]
+_ALL_FLAGS = sorted({opt.flag for _, opts in cli.COMMANDS.values() for opt in opts})
+_FIELDS = [("--q",), ("--q",), ("--p", "--k"), ("--p",), ("--q", "--p"), ()]
+_MUTATIONS = ("value", "repeat", "eq", "abbrev", "drop", "noise", "missing", "head")
+
+
+def _values(command, opt, ok):
+    """The values of opt that read_plain reads (ok) or declines."""
+    if opt.kind == "choice":
+        values = [(v, v in opt.choices) for v in ("json", "csv", "text", "xml", "-")]
+    else:
+        values = _VALUES[opt.dest]
+    if command == "verify" and opt.dest == "n":
+        values = [(v, good) for v, good in values if v != "3"]
+    return [v for v, good in values if good == ok]
+
+
+@st.composite
+def _argvs(draw):
+    """(argv, plain): a command line, and whether read_plain must read it.
+
+    A plain argv, options in random order, then up to two changes, each
+    of which makes it not plain: a value read_plain declines (negative,
+    non-integer, not a choice), a repeated option other than --factor, an
+    option spelled --opt=value or abbreviated, a required option dropped,
+    an unknown option, help or a stray token, a missing value, or a
+    missing or unknown command (or -h) in front."""
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    field = draw(st.sampled_from(_FIELDS))
+    pieces = []  # [option, flag token, value or None]
+    for opt in cli.COMMANDS[command][1]:
+        if opt.flag in ("--p", "--k", "--q"):
+            times = int(opt.flag in field)
+        elif opt.kind == "append":
+            times = draw(st.sampled_from([1, 1, 2, 3]))
+        else:
+            times = 1 if opt.required else draw(st.sampled_from([0, 1, 1]))
+        for _ in range(times):
+            value = None
+            if opt.kind != "flag":
+                value = draw(st.sampled_from(_values(command, opt, True)))
+            pieces.append([opt, opt.flag, value])
+    pieces = draw(st.permutations(pieces))
+    plain, head = True, [command]
+    for change in draw(st.lists(st.sampled_from(_MUTATIONS), max_size=2)):
+        if change == "drop":
+            required = [opt for opt, _, _ in pieces if opt is not None and opt.required]
+            if required:
+                gone = draw(st.sampled_from(required))
+                pieces = [piece for piece in pieces if piece[0] is not gone]
+                plain = False
+            continue
+        if change in ("noise", "head"):
+            plain = False
+            if change == "head":
+                head = draw(st.sampled_from([[], ["nonsense"], ["-h", command]]))
+            else:
+                own = {opt.flag for opt in cli.COMMANDS[command][1]}
+                other = [[flag, "1"] for flag in _ALL_FLAGS if flag not in own]
+                noise = draw(st.sampled_from(_NOISE + other))
+                pieces.insert(draw(st.integers(0, len(pieces))), [None, *noise, None][:3])
+            continue
+        if not pieces:
+            continue
+        at = len(pieces) - 1 if change == "missing" else draw(st.integers(0, len(pieces) - 1))
+        opt, flag, value = pieces[at]
+        if opt is None:
+            continue
+        if change == "value" and value is not None:
+            value = draw(st.sampled_from(_values(command, opt, False)))
+        elif change == "repeat":
+            pieces.insert(draw(st.integers(0, len(pieces))), [opt, flag, value])
+            plain = plain and opt.kind == "append"
+            continue
+        elif change == "eq":
+            flag, value = f"{flag}={1 if value is None else value}", None
+        elif change == "abbrev":
+            flag = opt.flag[: draw(st.integers(2, len(opt.flag) - 1))]
+        elif change == "missing" and value is not None:
+            value = None
+        else:
+            continue
+        pieces[at] = [opt, flag, value]
+        plain = False
+    tokens = [token for _, flag, value in pieces for token in (flag, value) if token is not None]
+    return [*head, *tokens], plain
+
+
+@example(case=(["count", "--n", "3", "--q", "2", "--q", "3"], False))
+@example(case=(["tensor", "--n", "3", "--q", "2", "--factor", "1,3,1", "--check", "--check"],
+               False))
+@example(case=(["count", "--n", "-1", "--q", "2"], False))
+@example(case=(["count", "--n", "3", "--q", "2", "--format", "xml"], False))
+@example(case=(["tensor", "--n", "3", "--q", "2", "--factor"], False))
+@example(case=(["verify", "--n", "2", "--q", "2", "--emit-golden"], False))
+@example(case=(["tensor", "--q", "2", "--factor", "1,3,1", "--n", "3", "--check"], True))
+@settings(derandomize=True, database=None, deadline=None, max_examples=400,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_argvs())
+def test_the_plain_reader_reads_what_argparse_reads(case, tmp_path, monkeypatch):
+    """read_plain reads exactly the plain argvs, into the Namespace argparse
+    gives them; on every argv, main gives the exit code, stdout and stderr
+    that it gives with argparse alone."""
+    argv, plain = case
+    monkeypatch.chdir(tmp_path)  # where verify --emit-golden writes
+    read = cli.read_plain(argv)
+    assert (read is not None) == plain, argv
+    if read is not None:
+        assert vars(read) == vars(cli.build_parser().parse_args(argv))
+    with mock.patch.object(cli, "read_plain", return_value=None):
+        want = _outcome(argv)
+    assert _outcome(argv) == want, argv
+
+
+def test_a_long_plain_tensor_argv_never_reaches_argparse(monkeypatch, capsys):
+    """4,000 --factor options are read in one pass (argparse's time grows
+    with their square), and the product's degree is 2^4000."""
+    import argparse
+
+    def refused(self, args=None, namespace=None):
+        raise AssertionError(f"parse_args({args!r:.60})")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refused)
+    argv = ["tensor", "--n", "3", "--q", "2", *["--factor", "1,3,1"] * 4000, "--format", "text"]
+    code, out, err = _main_in_process(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out.endswith(f"total_degree {2**4000}\n")

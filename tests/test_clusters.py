@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supercluster import field_make, linalg, packed
+from supercluster import clusters, field_make, linalg, packed
 from supercluster.characters import char_value_sum
 from supercluster.clusters import (
     HatDims,
@@ -326,11 +326,13 @@ def test_orbit_space_dims_count_the_spans(n, q):
 
 
 @pytest.mark.parametrize("n,p,k", [(5, 2, 1), (4, 3, 1), (4, 2, 2)], ids=["5-2", "4-3", "4-2^2"])
-def test_prefix_hat_dims_equal_each_points_own(n, p, k):
+def test_prefix_hat_dims_equal_each_points_own(n, p, k, monkeypatch):
     """One HatDims, called on every point in code order, in reverse and in
     a seeded shuffle, gives each point the dimensions of a fresh HatDims
     called on that point alone; in code order those are also the ranks of
-    the point's L-hat and R-hat vectors and of both together."""
+    the point's L-hat and R-hat vectors and of both together.  In code
+    order each prefix of rows 1..n-2 is stepped once, and row n-1, which
+    adds no vector, never."""
     import random
 
     field = field_make(p, k)
@@ -347,6 +349,19 @@ def test_prefix_hat_dims_equal_each_points_own(n, p, k):
         walk = HatDims(field, n)
         for c in order:
             assert walk(points[c][1]) == alone[c]
+    stepped = []
+    hat_step = clusters._hat_step
+
+    def counted(field, n, k, rows, state):
+        stepped.append(k)
+        return hat_step(field, n, k, rows, state)
+
+    monkeypatch.setattr(clusters, "_hat_step", counted)
+    walk = HatDims(field, n)
+    for _, rows in points:
+        walk(rows)
+    prefixes = {tuple(map(tuple, rows[:k])) for _, rows in points for k in range(1, n - 1)}
+    assert len(stepped) == len(prefixes) and max(stepped) == n - 2
 
 
 # -- sizes --------------------------------------------------------------------

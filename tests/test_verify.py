@@ -177,6 +177,33 @@ def test_a_wrong_product_of_the_right_degree_fails_thm86(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("n,p", [(3, 3), (5, 2)], ids=["all-pairs", "sampled"])
+def test_thm86_builds_each_ordered_pair_product_once(monkeypatch, n, p):
+    """Thm8.6 at (3,3) checks all 121 ordered pairs and at (5,2) a sample;
+    either way its loops read each ordered pair's rewrite from one build,
+    and its last loop covers every ordered pair.  (tensor_by_counting
+    builds its own rewrite to compare with; only verify's calls count.)"""
+    import random
+    from types import SimpleNamespace
+
+    from supercluster import tensor
+
+    built = Counter()
+
+    def counted(t1, t2):
+        built[t1, t2] += 1
+        return tensor.tensor_product(t1, t2)
+
+    seen = SimpleNamespace(**{**vars(tensor), "tensor_product": counted})
+    monkeypatch.setattr(verify, "tensor", seen)
+    ctx = oracle.OracleContext(n, field_make(p, 1))
+    passed, _ = verify._check_tensor_ring(ctx, tensor.DEFAULT_MAX_PAIRS, random.Random(0))
+    rows = ctx.table[0]
+    assert passed
+    assert set(built) == {(t1, t2) for t1 in rows for t2 in rows}
+    assert set(built.values()) == {1}
+
+
 def test_a_cap_inside_a_check_still_ends_the_run(monkeypatch):
     from supercluster import cli, clusters
     from supercluster.errors import ResourceCapExceeded
