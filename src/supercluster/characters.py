@@ -13,20 +13,24 @@ cluster (char_value_sum), which works at arbitrary group elements and sums
 the cluster one left orbit at a time.
 
 On template representatives every value is a monomial, 0 or q^(d-h) * z^e.
-The closed form is one per-row kernel: a row template precomputes its kill
-set (positions below or left of a support cell), its hook count at each
-position and the phase its cell values give each column entry, and then
-answers a column with None (the value is 0) or the exponent pair
-(d - h, e).  build_table runs that kernel over every column of every row
-and points each cell at one shared Cyclotomic per distinct pair.
+The closed form is one per-row routine (_row): a row template precomputes
+its kill set (positions below or left of a support cell), its hook count
+at each position and the phase its cell values give each column entry,
+and then, in one loop over the columns, keys each cell None (the value is
+0) or (d - h, e), a pair taken from one table of pairs per table, so equal
+keys are one object.  build_table keeps that grid of keys and makes no
+Cyclotomic per cell: its values grid is built from the keys on first read,
+one shared Cyclotomic per distinct key; char_value_closed runs the same
+routine on its one column.
 
 JSON, CSV and text are written row by row: each format has a generator
-that yields the document one table row at a time, and each row is a string
-join of per-value fragments, every distinct value rendered once.  The
-chunks join to byte for byte what json.dumps(indent=2), csv.writer and the
-aligned text layout give; the CLI writes them as they come, so it never
-holds the whole document.  verify_axioms maps each distinct value once to
-integer bins over z^0 .. z^(p-1), so its sums are integer arithmetic.
+that yields the document one table row at a time, and each row is a join
+of its cells' keys mapped through a memo that renders each distinct key
+once (a table given its values is keyed by them).  The chunks join to byte
+for byte what json.dumps(indent=2), csv.writer and the aligned text layout
+give; the CLI writes them as they come, so it never holds the whole
+document.  verify_axioms maps each distinct value once to integer bins
+over z^0 .. z^(p-1), so its sums are integer arithmetic.
 """
 
 from __future__ import annotations
@@ -34,13 +38,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from math import lcm
 from operator import mul
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import clusters
-from .clusters import ClusterInvariants, Template, enumerate_templates, invariants_of
+from .clusters import Template, enumerate_templates, invariants_of
 from .core import Functional, UniMatrix, evaluate
 from .cyclotomic import Cyclotomic
 from .errors import InvariantViolation, ResourceCapExceeded
@@ -93,17 +97,17 @@ def _column(x: Template) -> Column:
     return mask, tuple(entries)
 
 
-def _row_kernel(tau: Template, inv: ClusterInvariants) -> Callable[[Column], Cell]:
-    """The closed form of tau's row, as a function of one column.
+def _pairs(p: int, top: int) -> list[tuple[Cell, ...]]:
+    """The cell keys of a table whose rows have d <= top: pairs[a][e] is
+    (a, e), one tuple per pair, shared by every row that reaches it."""
+    return [tuple((a, e) for e in range(p)) for a in range(top + 1)]
 
-    The column's value is 0 as soon as it has an entry below or left of a
-    support cell of tau (the kill set).  Otherwise it is q^(d - h) * z^e: h
-    counts corner positions with a tau-cell strictly to the right and the
-    column's entry strictly below, summed here from a per-position hook
-    count, and e = trace(tau(x)) mod p, summed from per-cell phases.
-    """
+
+def _row_tables(tau: Template) -> tuple[int, list[int], list[tuple[int, ...]]]:
+    """The kill set of tau's row as a slot mask, the hook count at each slot,
+    and at each slot the phase trace(v * w) of its tau-cell value v against
+    each field element w (index order); see _row."""
     field, n = tau.field, tau.n
-    p, d = field.p, inv.d
     no_phase = (0,) * field.q
     kill = 0
     hooks = [0] * (n * n)
@@ -116,38 +120,57 @@ def _row_kernel(tau: Template, inv: ClusterInvariants) -> Callable[[Column], Cel
             for b in range(a + 1, j):
                 hooks[_slot(n, a, b)] += 1
         phases[_slot(n, i, j)] = tuple((v * w).trace() for w in field.elements)
+    return kill, hooks, phases
 
-    def kernel(column: Column) -> Cell:
-        mask, entries = column
+
+def _row(tau: Template, d: int, columns: list[Column], pairs: list[tuple[Cell, ...]]) -> list[Cell]:
+    """The closed form of tau's row (d its invariant) at each column.
+
+    The column's value is 0 (None) as soon as it has an entry below or
+    left of a support cell of tau (the kill set).  Otherwise it is
+    q^(d - h) * z^e, keyed by pairs[d - h][e] (see _pairs): h counts corner
+    positions with a tau-cell strictly to the right and the column's entry
+    strictly below, summed here from a per-position hook count, and
+    e = trace(tau(x)) mod p, summed from per-cell phases.
+    """
+    p = tau.field.p
+    kill, hooks, phases = _row_tables(tau)
+    by_h = pairs[d::-1]
+    cells: list[Cell] = []
+    append = cells.append
+    for mask, entries in columns:
         if mask & kill:
-            return None
+            append(None)
+            continue
         h = e = 0
         for slot, w in entries:
             h += hooks[slot]
             e += phases[slot][w]
         if h > d:
             raise InvariantViolation(f"hook count {h} exceeds d={d} for {tau.text()}")
-        return d - h, e % p
+        append(by_h[h][e % p])
+    return cells
 
-    return kernel
 
+class _Memo(dict):
+    """key -> fn(key), each computed once, on first lookup."""
 
-class _Monomials(dict):
-    """Cell -> the Cyclotomic it stands for, each built once on first use."""
-
-    def __init__(self, field: Field):
+    def __init__(self, fn: Callable):
         super().__init__()
-        self.field = field
+        self.fn = fn
 
-    def __missing__(self, cell: Cell) -> Cyclotomic:
-        p = self.field.p
-        if cell is None:
-            value = Cyclotomic.from_rational(p, 0)
-        else:
-            a, e = cell
-            value = self.field.q**a * Cyclotomic.zeta_power(p, e)
-        self[cell] = value
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
         return value
+
+
+def _monomial(field: Field, cell: Cell) -> Cyclotomic:
+    """The value a cell key stands for: 0, or q^a * z^e for (a, e)."""
+    p = field.p
+    if cell is None:
+        return Cyclotomic.from_rational(p, 0)
+    a, e = cell
+    return field.q**a * Cyclotomic.zeta_power(p, e)
 
 
 def char_value_closed(tau: Template, x: Template) -> Cyclotomic:
@@ -161,8 +184,9 @@ def char_value_closed(tau: Template, x: Template) -> Cyclotomic:
         raise ValueError("size mismatch")
     if tau.field != x.field:
         raise ValueError(f"template fields differ: {tau.field!r} and {x.field!r}")
-    kernel = _row_kernel(tau, invariants_of(tau))
-    return _Monomials(tau.field)[kernel(_column(x))]
+    d = invariants_of(tau).d
+    [cell] = _row(tau, d, [_column(x)], _pairs(tau.field.p, d))
+    return _monomial(tau.field, cell)
 
 
 def char_value_sum(tau: Template, g: UniMatrix) -> Cyclotomic:
@@ -214,11 +238,6 @@ def char_value_sum(tau: Template, g: UniMatrix) -> Cyclotomic:
 
 # -- the table ----------------------------------------------------------------
 
-def _distinct(values: list[list[Cyclotomic]]) -> dict[int, Cyclotomic]:
-    """Every value object of a grid by id(); the grid keeps each one alive."""
-    return {id(v): v for row in values for v in row}
-
-
 def _json_nested(item, depth: int) -> str:
     """item as json.dumps(indent=2) writes it nested depth levels deep."""
     return json.dumps(item, indent=2).replace("\n", "\n" + "  " * depth)
@@ -250,28 +269,58 @@ def _csv_field(text: str) -> str:
     return out.getvalue()[:-1]
 
 
-@dataclass
+def _same(value):
+    return value
+
+
 class CharacterTable:
     """The supercharacter table with its degree/size bookkeeping.
 
     rows and cols are fixed once the table is made: value() looks templates
-    up in position maps built then.
+    up in position maps built then.  values is the grid of Cyclotomic
+    values.  Each cell also has a key, and the renderers write a row as its
+    keys mapped through a memo that renders each distinct key once
+    (_fragments).  A table given its values keys each cell by its value.
+    build_table gives None for values, and keys each cell by its closed
+    form, None or an (a, e) pair (see _row), with value_of the map from key
+    to value; values is then made from the keys on first read, equal keys
+    giving one shared Cyclotomic, and from then on the table is keyed by
+    that grid, so it renders what values holds.
     """
 
-    n: int
-    field: Field
-    rows: list[Template]       # coadjoint templates (cluster characters)
-    cols: list[Template]       # adjoint templates (conjugacy clusters)
-    values: list[list[Cyclotomic]]
-    row_degrees: list[int]
-    row_selfint: list[int]
-    col_sizes: list[int]
-    _row_at: dict = dataclass_field(init=False, repr=False, compare=False)
-    _col_at: dict = dataclass_field(init=False, repr=False, compare=False)
+    def __init__(self, n: int, field: Field, rows: list[Template], cols: list[Template],
+                 values: list[list[Cyclotomic]] | None, row_degrees: list[int],
+                 row_selfint: list[int], col_sizes: list[int], keys: list[list] | None = None,
+                 value_of: Callable[..., Cyclotomic] = _same):
+        self.n = n
+        self.field = field
+        self.rows = rows  # coadjoint templates (cluster characters)
+        self.cols = cols  # adjoint templates (conjugacy clusters)
+        self.row_degrees = row_degrees
+        self.row_selfint = row_selfint
+        self.col_sizes = col_sizes
+        self._values = values
+        self._keys = values if keys is None else keys
+        self._value_of = value_of
+        self._row_at = {t: r for r, t in enumerate(rows)}
+        self._col_at = {t: c for c, t in enumerate(cols)}
 
-    def __post_init__(self):
-        self._row_at = {t: r for r, t in enumerate(self.rows)}
-        self._col_at = {t: c for c, t in enumerate(self.cols)}
+    @property
+    def values(self) -> list[list[Cyclotomic]]:
+        if self._values is None:
+            value_of = self._value_of
+            self._values = [list(map(value_of, row)) for row in self._keys]
+            self._keys, self._value_of = self._values, _same
+        return self._values
+
+    def _fields(self) -> tuple:
+        return (self.n, self.field, self.rows, self.cols, self.values,
+                self.row_degrees, self.row_selfint, self.col_sizes)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CharacterTable):
+            return NotImplemented
+        return self._fields() == other._fields()
 
     def row_index(self, tau: Template) -> int:
         try:
@@ -286,7 +335,7 @@ class CharacterTable:
             raise ValueError(f"{x.text()} is not a column of the table") from None
 
     def value(self, tau: Template, x: Template) -> Cyclotomic:
-        return self.values[self.row_index(tau)][self.col_index(x)]
+        return self._value_of(self._keys[self.row_index(tau)][self.col_index(x)])
 
     def group_order(self) -> int:
         return self.field.q ** (self.n * (self.n - 1) // 2)
@@ -309,22 +358,12 @@ class CharacterTable:
         return self._json_fields([[v.to_json() for v in row] for row in self.values])
 
     def _fragments(self, render: Callable[[Cyclotomic], str]) -> Iterator[list[str]]:
-        """Every cell rendered, one row at a time as the caller reaches it.
-
-        render runs once per distinct value.  Cells are then matched to
-        their fragment by object identity, which is sound while the table
-        holds every value it renders.
-        """
-        memo: dict[Cyclotomic, str] = {}
-        fragment = {}
-        for key, v in _distinct(self.values).items():
-            text = memo.get(v)
-            if text is None:
-                text = memo[v] = render(v)
-            fragment[key] = text
-        lookup = fragment.__getitem__
-        for row in self.values:
-            yield list(map(lookup, map(id, row)))
+        """Every cell rendered, one row at a time as the caller reaches it;
+        render runs once per distinct key."""
+        value_of = self._value_of
+        text = _Memo(lambda key: render(value_of(key))).__getitem__
+        for row in self._keys:
+            yield list(map(text, row))
 
     def iter_json_text(self) -> Iterator[str]:
         """to_json_text() in chunks: the fields before "values", one chunk
@@ -352,10 +391,11 @@ class CharacterTable:
         """to_text() in chunks: the header line, then one chunk per row,
         each row led by the newline that ends the line before it."""
         labels = [t.text() for t in self.rows + self.cols]
-        strs = {v: str(v) for v in _distinct(self.values).values()}
-        width = max(map(len, labels + list(strs.values()))) + 1
+        value_of = self._value_of
+        strs = [str(value_of(key)) for key in set().union(*self._keys)]
+        width = max(map(len, labels + strs)) + 1
         yield " " * width + "".join(t.text().rjust(width) for t in self.cols)
-        cells = self._fragments(lambda v: strs[v].rjust(width))
+        cells = self._fragments(lambda v: str(v).rjust(width))
         for t, row in zip(self.rows, cells):
             yield "\n" + t.text().ljust(width) + "".join(row)
 
@@ -400,12 +440,9 @@ def build_table(n: int, field: Field, max_rows: int = DEFAULT_MAX_TABLE) -> Char
     rows = templates
     cols = templates
     columns = [_column(x) for x in cols]
-    monomials = _Monomials(field)
     invs = [invariants_of(t) for t in rows]
-    values = [
-        list(map(monomials.__getitem__, map(_row_kernel(tau, inv), columns)))
-        for tau, inv in zip(rows, invs)
-    ]
+    pairs = _pairs(field.p, max(inv.d for inv in invs))
+    keys = [_row(tau, inv.d, columns, pairs) for tau, inv in zip(rows, invs)]
     for t, inv in zip(rows, invs):
         if inv.i > inv.d:
             raise InvariantViolation(f"i > d for {t.text()}; q^(d-i) not integral")
@@ -414,10 +451,12 @@ def build_table(n: int, field: Field, max_rows: int = DEFAULT_MAX_TABLE) -> Char
         field=field,
         rows=rows,
         cols=cols,
-        values=values,
+        values=None,
         row_degrees=[field.q**inv.d for inv in invs],
         row_selfint=[field.q**inv.i for inv in invs],
         col_sizes=[clusters.adjoint_cluster_size(t) for t in cols],
+        keys=keys,
+        value_of=_Memo(lambda cell: _monomial(field, cell)).__getitem__,
     )
 
 
@@ -532,16 +571,16 @@ def verify_axioms(table: CharacterTable) -> AxiomReport:
             raise InvariantViolation("q^(d-i) multiplicity is not integral")
         mults.append(mult)
 
-    distinct = _distinct(table.values)
-    if any(v.p != p for v in distinct.values()):
+    distinct = set().union(*table.values)
+    if any(v.p != p for v in distinct):
         raise ValueError("mixed root orders")
-    den = lcm(*(v.den for v in distinct.values()))
-    l1 = den * max((sum(map(abs, v.num)) for v in distinct.values()), default=0)
+    den = lcm(*(v.den for v in distinct))
+    l1 = den * max((sum(map(abs, v.num)) for v in distinct), default=0)
     bound = max(sum(mults) * l1, sum(map(abs, table.col_sizes)) * l1 * l1)
     bins = _Bins(p, den, bound)
-    packed = {key: bins.pack(v) for key, v in distinct.items()}
-    conjugate = {key: bins.pack(v, conjugate=True) for key, v in distinct.items()}
-    grid = [list(map(packed.__getitem__, map(id, row))) for row in table.values]
+    packed = {v: bins.pack(v) for v in distinct}
+    conjugate = {v: bins.pack(v, conjugate=True) for v in distinct}
+    grid = [list(map(packed.__getitem__, row)) for row in table.values]
 
     reg_ok = True
     reg_detail = "regular character reproduced"
@@ -560,7 +599,7 @@ def verify_axioms(table: CharacterTable) -> AxiomReport:
     orth_ok = True
     orth_detail = "all pairs orthogonal, norms q^i"
     weighted = [list(map(mul, table.col_sizes, row)) for row in grid]
-    conj_grid = [list(map(conjugate.__getitem__, map(id, row))) for row in table.values]
+    conj_grid = [list(map(conjugate.__getitem__, row)) for row in table.values]
     for r1 in range(len(table.rows)):
         w = weighted[r1]
         for r2 in range(r1, len(table.rows)):

@@ -302,8 +302,24 @@ def _parse_factor(field: Field, n: int, raw: str) -> tuple[int, int, object]:
     return i, j, a
 
 
+def _check_printable_degree(q: int, cells: list[tuple]) -> None:
+    """Raise ResourceCapExceeded when the product's total degree q^e,
+    e = sum of j - i - 1, has more decimal digits than the interpreter's
+    int-to-str limit, where one is set; every multiplicity is at most that
+    degree, so every number the product prints fits under it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    e = sum(j - i - 1 for i, j, _ in cells)
+    # q^e < 2^(e * bits(q)) <= 2^(3 * limit) < 10^limit decides most products
+    # without a power; the rest compare exactly
+    if limit and e * q.bit_length() > 3 * limit and q**e >= 10**limit:
+        raise ResourceCapExceeded(
+            f"total degree {q}^{e} has more than {limit} digits, the limit for printing an int"
+        )
+
+
 def _run_tensor(cfg: RunConfig, cells: list[tuple], check: bool) -> int:
     field = cfg.field
+    _check_printable_degree(field.q, cells)
     result = tensor.tensor_rewrite(field, cfg.n, cells)
     if check:
         # every counting step raises unless it equals its rewrite step

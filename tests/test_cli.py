@@ -384,6 +384,29 @@ def test_table_over_its_cap_writes_nothing(fmt, monkeypatch, capsys):
     assert err == "resource cap exceeded: table would have 15 rows, cap is 14\n"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_a_hook_count_over_d_at_the_last_row_writes_nothing(fmt, monkeypatch, capsys):
+    """The last row of (4,2), (3,4)=1, has d = 0 and no hooks.  With one
+    more hook at every position of that row, h = 1 > d at its first column
+    with an entry, so the run exits 4 before the table's first byte."""
+    from supercluster import characters
+    from supercluster.clusters import enumerate_templates
+
+    last = enumerate_templates(4, field_make(2, 1))[-1]
+    tables = characters._row_tables
+
+    def one_more_hook(tau):
+        kill, hooks, phases = tables(tau)
+        if tau == last:
+            hooks = [h + 1 for h in hooks]
+        return kill, hooks, phases
+
+    monkeypatch.setattr(characters, "_row_tables", one_more_hook)
+    code, out, err = _main_in_process(["table", "--n", "4", "--q", "2", "--format", fmt], capsys)
+    assert (code, out) == (4, "")
+    assert err == f"THEOREM FALSIFIED: hook count 1 exceeds d=0 for {last.text()}\n"
+
+
 def test_a_checked_product_over_the_pair_cap_exits_3_before_any_walk(capsys):
     # |Psi| = 1 and 2^28 at n = 16 over GF(2): the counting step's pair cap
     # is read off the supports, so the product exits 3 and writes nothing
@@ -412,6 +435,53 @@ def test_a_wrong_counting_step_fails_the_checked_product_with_exit_4(monkeypatch
     assert (code, out) == (4, "")
     assert err.startswith("THEOREM FALSIFIED: ")
     assert "[(1,2)=1] x [(2,3)=1]" in err
+
+
+@pytest.fixture
+def digit_limit():
+    """sys.set_int_max_str_digits for one test, the old limit restored after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_product_too_long_to_print_exits_3_before_any_rewrite(fmt, digit_limit, monkeypatch,
+                                                                capsys):
+    """15,000 factors (1,3,1) over GF(2): the total degree 2^15000 has 4,516
+    digits, over the interpreter's default limit of 4,300 for printing an
+    int, so the run exits 3 with the one cap line and rewrites nothing."""
+    digit_limit(4300)
+
+    def refused(*args):
+        raise AssertionError("tensor_rewrite called")
+
+    monkeypatch.setattr(cli.tensor, "tensor_rewrite", refused)
+    argv = ["tensor", "--n", "3", "--q", "2", *["--factor", "1,3,1"] * 15000, "--format", fmt]
+    code, out, err = _main_in_process(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err == (
+        "resource cap exceeded: total degree 2^15000 has more than 4300 digits,"
+        " the limit for printing an int\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("q,e", [(2, 2126), (61, 358)])
+def test_the_total_degree_prints_up_to_the_digit_limit(q, e, fmt, digit_limit, capsys):
+    """Under a 640-digit limit, q^e has 640 digits and prints, and q^(e+1)
+    has 641 and exits 3; over GF(61), e * bits(q) passes 3 * 640, so the
+    exact comparison decides."""
+    digit_limit(640)
+    argv = ["tensor", "--n", "3", "--q", str(q), "--format", fmt]
+    code, out, err = _main_in_process(argv + ["--factor", "1,3,1"] * e, capsys)
+    assert (code, err) == (0, "")
+    assert str(q**e) in out
+    code, out, err = _main_in_process(argv + ["--factor", "1,3,1"] * (e + 1), capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"resource cap exceeded: total degree {q}^{e + 1} has more than 640")
 
 
 # -- the plain reader against argparse -----------------------------------------

@@ -116,6 +116,20 @@ def test_build_table_interns_one_value_per_monomial(F3):
     assert len(objects) == len(values)
 
 
+def test_a_built_table_renders_what_its_values_hold(F3):
+    table = build_table(3, F3)
+    table.values[2][3] = random_value(random.Random(3), 3)
+    assert_renders_like_reference(table)
+
+
+def test_build_table_keys_each_distinct_pair_with_one_object(F3):
+    # read before values, which the table is keyed by once they are made
+    table = build_table(4, F3)
+    keys = [key for row in table._keys for key in row]
+    assert all(key is None or (type(key) is tuple and len(key) == 2) for key in keys)
+    assert len({id(key) for key in keys}) == len(set(keys))
+
+
 def test_value_lookup_matches_the_grid(F4):
     table = build_table(3, F4)
     for r, tau in enumerate(table.rows):
