@@ -39,7 +39,8 @@ from .gf import DEFAULT_MAX_Q, Field, field_make, is_prime
 DEFAULT_CAPS = {
     "orbit": oracle.DEFAULT_MAX_SPACE,  # points in the algebra, in its dual and in the group
     "pairs": tensor.DEFAULT_MAX_PAIRS,  # cluster-pair products in the counting route
-    "table": DEFAULT_MAX_TABLE,         # character table rows, in table and verify
+    "table": DEFAULT_MAX_TABLE,         # templates: the table's rows in table and verify,
+                                        # and those clusters and discrete walk
     "q": DEFAULT_MAX_Q,                 # field size
 }
 
@@ -237,6 +238,15 @@ def _run_count(cfg: RunConfig) -> int:
     return 0
 
 
+def _check_template_count(cfg: RunConfig) -> None:
+    """Raise ResourceCapExceeded when B(n, q), the number of templates that
+    clusters and discrete walk, is over the table cap; nothing is
+    enumerated first."""
+    q, cap = cfg.field.q, cfg.caps["table"]
+    if clusters.templates_exceed(cfg.n, q, cap):
+        raise ResourceCapExceeded(f"B({cfg.n}, {q}) templates exceed the table cap {cap}")
+
+
 def _cluster_rows(cfg: RunConfig) -> list[dict]:
     field = cfg.field
     rows = []
@@ -256,6 +266,7 @@ def _cluster_rows(cfg: RunConfig) -> list[dict]:
 
 
 def _run_clusters(cfg: RunConfig) -> int:
+    _check_template_count(cfg)
     rows = _cluster_rows(cfg)
     if cfg.fmt == "json":
         _emit(_dump_json({"n": cfg.n, "q": cfg.field.q, "templates": rows}))
@@ -334,6 +345,7 @@ def _run_tensor(cfg: RunConfig, cells: list[tuple], check: bool) -> int:
 
 
 def _run_discrete(cfg: RunConfig) -> int:
+    _check_template_count(cfg)
     decomp = discrete.delta_decompose(cfg.n, cfg.field)
     if cfg.fmt == "json":
         _emit(_dump_json(decomp.to_json()))

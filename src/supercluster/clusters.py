@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import count, islice, product
 from math import comb
 
 from . import linalg
@@ -32,6 +32,7 @@ from .core import (
     act_right,
     coact_left,
     coact_right,
+    identity,
     positions,
 )
 
@@ -127,7 +128,9 @@ class ClusterInvariants:
 # Both sweeps run on the point's field-index rows (_index_rows) and record
 # each elementary operation I + a*e_ij as (i, j, a), a a field index.  The
 # witnesses are composed once at the end (_compose), and each sweep checks
-# them through core's actions before it returns.
+# them through core's actions before it returns.  A side that recorded no
+# operation is the identity: it is neither composed nor applied, so a point
+# that is already its template is compared with the rook as it is.
 
 
 def _compose(field: Field, n: int, ops, on_left: bool) -> UniMatrix:
@@ -138,7 +141,11 @@ def _compose(field: Field, n: int, ops, on_left: bool) -> UniMatrix:
     entries of its part above the diagonal; the diagonal 1 of row j (or
     column i) adds a at (i, j).  Every position built is strictly upper, so
     only the entries that cancel to zero are dropped, and nothing is checked
-    again."""
+    again.  One operation is its own product."""
+    els = field.elements
+    if len(ops) == 1:
+        i, j, a = ops[0]
+        return UniMatrix(NilMatrix._trusted(field, n, {(i, j): els[a]} if a else {}))
     add, mul = field.add_idx, field.mul_idx
     off: dict[tuple[int, int], int] = {}
     for i, j, a in ops:
@@ -150,8 +157,12 @@ def _compose(field: Field, n: int, ops, on_left: bool) -> UniMatrix:
         moved.append(((i, j), a))
         for pos, v in moved:
             off[pos] = add[off.get(pos, 0)][v]
-    els = field.elements
     return UniMatrix(NilMatrix._trusted(field, n, {pos: els[v] for pos, v in off.items() if v}))
+
+
+def _or_identity(g: UniMatrix | None, field: Field, n: int) -> UniMatrix:
+    """A sweep core's witness, the identity where it is None."""
+    return identity(field, n) if g is None else g
 
 
 def adjoint_template_of(x: NilMatrix) -> tuple[Template, UniMatrix, UniMatrix]:
@@ -164,16 +175,20 @@ def adjoint_template_of(x: NilMatrix) -> tuple[Template, UniMatrix, UniMatrix]:
     A thin wrapper over _adjoint_sweep, which runs on x's index rows and
     checks the witnesses.
     """
+    field, n = x.field, x.n
     cells, g, h = _adjoint_sweep(x, _index_rows(x))
-    els = x.field.elements
-    return Template(x.field, x.n, [(i, j, els[v]) for i, j, v in cells]), g, h
+    els = field.elements
+    return (Template(field, n, [(i, j, els[v]) for i, j, v in cells]),
+            _or_identity(g, field, n), _or_identity(h, field, n))
 
 
-def _adjoint_sweep(x: NilMatrix, m: list[list[int]]) -> tuple[tuple, UniMatrix, UniMatrix]:
+def _adjoint_sweep(x: NilMatrix, m: list[list[int]]
+                   ) -> tuple[tuple, UniMatrix | None, UniMatrix | None]:
     """The adjoint sweep of x on its index rows m, which it reduces in
     place: returns (cells, g, h), cells the (i, j, index) entries of the
     template in lex order.  g is the product of the row operations and h
-    of the column operations, each composed once, and act_left/act_right
+    of the column operations, each composed once, or None where that side
+    recorded none (the identity, which is not applied).  act_left/act_right
     must carry x onto the template's matrix with them, or
     InvariantViolation names x.
     """
@@ -182,28 +197,35 @@ def _adjoint_sweep(x: NilMatrix, m: list[list[int]]) -> tuple[tuple, UniMatrix, 
     row_ops, col_ops = [], []
     for c in range(1, n):
         for r in range(c):
-            if not m[r][c]:
+            row = m[r]
+            if not row[c]:
                 continue
-            left = next((c0 for c0 in range(r + 1, c) if m[r][c0]), None)
-            if left is not None:
-                a = neg[mul[m[r][c]][inv[m[r][left]]]]
-                scale = mul[a]
-                for row in m:  # column c += a * column left
-                    row[c] = add[row[c]][scale[row[left]]]
-                col_ops.append((left + 1, c + 1, a))
+            for left in range(r + 1, c):
+                if row[left]:
+                    a = neg[mul[row[c]][inv[row[left]]]]
+                    scale = mul[a]
+                    for other in m:  # column c += a * column left
+                        other[c] = add[other[c]][scale[other[left]]]
+                    col_ops.append((left + 1, c + 1, a))
+                    break
         rows = [r for r in range(c) if m[r][c]]
-        bottom = m[rows[-1]] if rows else None
+        if len(rows) < 2:
+            continue
+        bottom = m[rows[-1]]
         for r in rows[:-1]:  # row r += a * row bottom
             a = neg[mul[m[r][c]][inv[bottom[c]]]]
             scale = mul[a]
             m[r] = [add[v][scale[b]] for v, b in zip(m[r], bottom)]
             row_ops.append((r + 1, rows[-1] + 1, a))
     cells = tuple([(i + 1, j + 1, v) for i, row in enumerate(m) for j, v in enumerate(row) if v])
-    g = _compose(field, n, row_ops, on_left=True)
-    h = _compose(field, n, col_ops, on_left=False)
     els = field.elements
     rook = NilMatrix._trusted(field, n, {(i, j): els[v] for i, j, v in cells})
-    if act_right(act_left(g, x), h) != rook:
+    g = _compose(field, n, row_ops, on_left=True) if row_ops else None
+    h = _compose(field, n, col_ops, on_left=False) if col_ops else None
+    moved = x if g is None else act_left(g, x)
+    if h is not None:
+        moved = act_right(moved, h)
+    if moved != rook:
         raise InvariantViolation(f"witnesses for {x!r} do not reproduce the template")
     return cells, g, h
 
@@ -217,34 +239,44 @@ def coadjoint_template_of(lam: Functional) -> tuple[Template, UniMatrix, UniMatr
     g * lam * h = t.  A thin wrapper over _coadjoint_sweep, which runs on
     lam's index rows and checks the witnesses.
     """
+    field, n = lam.field, lam.n
     cells, g, h = _coadjoint_sweep(lam, _index_rows(lam))
-    els = lam.field.elements
-    return Template(lam.field, lam.n, [(i, j, els[v]) for i, j, v in cells]), g, h
+    els = field.elements
+    return (Template(field, n, [(i, j, els[v]) for i, j, v in cells]),
+            _or_identity(g, field, n), _or_identity(h, field, n))
 
 
-def _coadjoint_sweep(lam: Functional, m: list[list[int]]) -> tuple[tuple, UniMatrix, UniMatrix]:
+def _coadjoint_sweep(lam: Functional, m: list[list[int]]
+                     ) -> tuple[tuple, UniMatrix | None, UniMatrix | None]:
     """The coadjoint sweep of lam on its index rows m, which it reduces in
     place: returns (cells, g, h), cells the (i, j, index) entries of the
-    template in lex order.  The operations are recorded, g and h are each
-    composed once, and coact_left/coact_right must carry lam onto the
-    template's functional with them, or InvariantViolation names lam.
+    template in lex order.  The operations are recorded, and g and h are
+    each composed once, or None where that side recorded none (the
+    identity, which is not applied).  coact_left/coact_right must carry lam
+    onto the template's functional with them, or InvariantViolation names
+    lam.
     """
     field, n = lam.field, lam.n
     add, mul, neg, inv = field.add_idx, field.mul_idx, field.neg_idx, field.inv_idx
     left_ops, right_ops = [], []
     for c in range(n - 1, 0, -1):
         for r in range(c):
-            if not m[r][c]:
+            row = m[r]
+            if not row[c]:
                 continue
-            right = next((c0 for c0 in range(c + 1, n) if m[r][c0]), None)
-            if right is not None:
-                a = neg[mul[m[r][c]][inv[m[r][right]]]]
-                scale = mul[a]
-                for row in m[:c]:  # column c += a * column right, rows above c
-                    row[c] = add[row[c]][scale[row[right]]]
-                left_ops.append((c + 1, right + 1, a))
+            for right in range(c + 1, n):
+                if row[right]:
+                    a = neg[mul[row[c]][inv[row[right]]]]
+                    scale = mul[a]
+                    for above in range(c):  # column c += a * column right, rows above c
+                        other = m[above]
+                        other[c] = add[other[c]][scale[other[right]]]
+                    left_ops.append((c + 1, right + 1, a))
+                    break
         rows = [r for r in range(c) if m[r][c]]
-        top = m[rows[0]] if rows else None
+        if len(rows) < 2:
+            continue
+        top = m[rows[0]]
         for r in rows[1:]:  # row r += a * row top, columns right of r
             a = neg[mul[m[r][c]][inv[top[c]]]]
             scale = mul[a]
@@ -253,11 +285,14 @@ def _coadjoint_sweep(lam: Functional, m: list[list[int]]) -> tuple[tuple, UniMat
                 row[l] = add[row[l]][scale[top[l]]]
             right_ops.append((rows[0] + 1, r + 1, a))
     cells = tuple([(i + 1, j + 1, v) for i, row in enumerate(m) for j, v in enumerate(row) if v])
-    g = _compose(field, n, left_ops, on_left=True)
-    h = _compose(field, n, right_ops, on_left=False)
     els = field.elements
     rook = Functional._trusted(field, n, {(i, j): els[v] for i, j, v in cells})
-    if coact_left(g, coact_right(lam, h)) != rook:
+    g = _compose(field, n, left_ops, on_left=True) if left_ops else None
+    h = _compose(field, n, right_ops, on_left=False) if right_ops else None
+    moved = lam if h is None else coact_right(lam, h)
+    if g is not None:
+        moved = coact_left(g, moved)
+    if moved != rook:
         raise InvariantViolation(f"witnesses for {lam!r} do not reproduce the template")
     return cells, g, h
 
@@ -572,16 +607,22 @@ def _vector(lam: Functional) -> list[int]:
     return vec
 
 
-def _point(field: Field, n: int, pts, vec) -> tuple[Functional, list[list[int]]]:
-    """The functional of the index row vec over pts = positions(n), and its
-    index rows, as _index_rows gives them."""
+def _slots(n: int) -> list[tuple[tuple[int, int], int, int]]:
+    """(pos, i - 1, j - 1) for each pos = (i, j) of positions(n): where a
+    vector's entry goes in a point's entries and in its index rows."""
+    return [((i, j), i - 1, j - 1) for i, j in positions(n)]
+
+
+def _point(field: Field, n: int, slots, vec) -> tuple[Functional, list[list[int]]]:
+    """The functional of the index row vec over slots = _slots(n), and its
+    index rows, as _index_rows gives them, both from one pass over vec."""
     els = field.elements
     rows = [[0] * n for _ in range(n)]
     entries = {}
-    for (i, j), v in zip(pts, vec):
+    for (pos, r, c), v in zip(slots, vec):
         if v:
-            rows[i - 1][j - 1] = v
-            entries[i, j] = els[v]
+            rows[r][c] = v
+            entries[pos] = els[v]
     return Functional._trusted(field, n, entries), rows
 
 
@@ -617,10 +658,10 @@ def left_orbits(tau: Template) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, 
     """
     field, n = tau.field, tau.n
     add, mul, neg = field.add_idx, field.mul_idx, field.neg_idx
-    lam, pts = tau.as_functional(), positions(n)
+    lam, slots = tau.as_functional(), _slots(n)
     found: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
     for vec in _span_vectors(field, _vector(lam), linalg.echelon(field, _rhat_vectors(lam))):
-        basis = linalg.echelon(field, _lhat_vectors(_point(field, n, pts, vec)[0]))
+        basis = linalg.echelon(field, _lhat_vectors(_point(field, n, slots, vec)[0]))
         for row in basis:  # each row is 1 at its pivot and 0 at every other pivot
             a = vec[next(c for c, y in enumerate(row) if y)]
             if a:
@@ -648,9 +689,9 @@ def cluster_elements(tau: Template) -> tuple[Functional, ...]:
     spelling of a cluster, held to the oracle's BFS.
     """
     field, n = tau.field, tau.n
-    pts = positions(n)
+    slots = _slots(n)
     return tuple(
-        _point(field, n, pts, vec)[0]
+        _point(field, n, slots, vec)[0]
         for mu, basis in left_orbits(tau)
         for vec in _span_vectors(field, mu, basis)
     )
@@ -686,17 +727,31 @@ def enumerate_templates(n: int, field: Field) -> list[Template]:
     return out
 
 
+def _bell_values(q: int):
+    """B(0, q), B(1, q), ... from the Bell-style recurrence, without end;
+    exact integers, non-decreasing for q >= 2 (the k = m term of B(m+1, q)
+    is B(m, q))."""
+    b = [1]
+    yield 1
+    for m in count():
+        b.append(sum(comb(m, k) * (q - 1) ** (m - k) * b[k] for k in range(m + 1)))
+        yield b[-1]
+
+
 def bell_polys(n: int, q: int) -> list[int]:
     """The numbers of templates B(0, q) .. B(n, q), from one pass of the
     Bell-style recurrence; exact integers."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    b = [1]
-    for m in range(n):
-        b.append(sum(comb(m, k) * (q - 1) ** (m - k) * b[k] for k in range(m + 1)))
-    return b
+    return list(islice(_bell_values(q), n + 1))
 
 
 def bell_poly(n: int, q: int) -> int:
     """Number of templates, B(n, q): the last value of bell_polys."""
     return bell_polys(n, q)[n]
+
+
+def templates_exceed(n: int, q: int, cap: int) -> bool:
+    """B(n, q) > cap, q >= 2.  The recurrence stops at the first B(m, q),
+    m <= n, over cap, so a large n costs no more than the first such m."""
+    return any(b > cap for b in islice(_bell_values(q), n + 1))

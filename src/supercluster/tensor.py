@@ -41,7 +41,6 @@ from math import gcd
 
 from . import clusters
 from .clusters import MEMO_SIZE, Template, invariants_of
-from .core import positions
 from .errors import InvariantViolation, ResourceCapExceeded
 from .gf import Field, FieldElement
 
@@ -272,13 +271,13 @@ def _count_step(base: Template, small: Template, weight: int) -> tuple[tuple[Tem
     by rook cells, and one Template is made per target.
     """
     field, n = base.field, base.n
-    add, pts = field.add_idx, positions(n)
+    add, slots = field.add_idx, clusters._slots(n)
     base_vec = clusters._vector(base.as_functional())
     hits: dict[tuple, int] = {}
     for mu, basis in clusters.left_orbits(small):
         start = [add[x][y] for x, y in zip(base_vec, mu)]
         for vec in clusters._span_vectors(field, start, basis):
-            cells = clusters._coadjoint_sweep(*clusters._point(field, n, pts, vec))[0]
+            cells = clusters._coadjoint_sweep(*clusters._point(field, n, slots, vec))[0]
             hits[cells] = hits.get(cells, 0) + weight
     els = field.elements
     return tuple(

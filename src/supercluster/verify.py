@@ -406,7 +406,7 @@ def _check_delta_decomposition(ctx):
 RNG_CHECKS = ("Thm6.2", "Thm3.5", "Thm8.6")
 # Lane A: the rng checks, and A.1 and Thm9.1, which draw nothing.  Summed
 # one-lane seconds, lane A / B, medians of seven runs at (5,2) and three at
-# (6,2) on a 2-vCPU host: 0.100 / 0.115 at (5,2), 1.90 / 4.25 at (6,2).
+# (6,2) on a 2-vCPU host: 0.118 / 0.111 at (5,2), 2.50 / 4.50 at (6,2).
 # Thm9.1 in lane B would make (5,2)'s longer lane longer; A.2 in lane A
 # moved certify's two cases by less than their spread over thirty pairs,
 # and at (3,3) lane A is already six times lane B; at (6,2) Thm4.1 and

@@ -384,6 +384,39 @@ def test_table_over_its_cap_writes_nothing(fmt, monkeypatch, capsys):
     assert err == "resource cap exceeded: table would have 15 rows, cap is 14\n"
 
 
+@pytest.mark.parametrize("command", ["clusters", "discrete"])
+@pytest.mark.parametrize("n", ["9", "12", "100000"])
+def test_clusters_and_discrete_over_the_table_cap_exit_3_before_any_template(
+        command, n, monkeypatch, capsys):
+    """B(9, 2) = 21,147 and B(12, 2) = 4,213,597 are over the default table
+    cap of 5,000, and B(100000, 2) is never computed in full, so each run
+    exits 3 with nothing on stdout and the one cap line on stderr, before
+    any template is made."""
+    from supercluster import clusters
+
+    def unreachable(*args):
+        raise AssertionError("a template was made")
+
+    monkeypatch.setattr(clusters.Template, "__init__", unreachable)
+    code, out, err = _main_in_process([command, "--n", n, "--q", "2"], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"resource cap exceeded: B({n}, 2) templates exceed the table cap 5000\n"
+
+
+@pytest.mark.parametrize("command", ["clusters", "discrete"])
+def test_clusters_and_discrete_run_up_to_the_table_cap(command, monkeypatch, capsys):
+    """(4,2) has B = 15 templates: with the table cap at 15 the run is the
+    one with the default caps, and at 14 it exits 3."""
+    argv = [command, "--n", "4", "--q", "2", "--format", "json"]
+    default = _main_in_process(argv, capsys)
+    monkeypatch.setenv(cli.CAPS_ENV, "table=15")
+    assert _main_in_process(argv, capsys) == default
+    assert default[0] == 0 and default[1]
+    monkeypatch.setenv(cli.CAPS_ENV, "table=14")
+    assert _main_in_process(argv, capsys) == (
+        3, "", "resource cap exceeded: B(4, 2) templates exceed the table cap 14\n")
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_a_hook_count_over_d_at_the_last_row_writes_nothing(fmt, monkeypatch, capsys):
     """The last row of (4,2), (3,4)=1, has d = 0 and no hooks.  With one

@@ -36,12 +36,15 @@ from supercluster.core import (
     coact_left,
     coact_right,
     e_ij,
+    elementary,
     eps_ij,
     evaluate,
+    identity,
     nil_mul,
     positions,
 )
 from supercluster.cyclotomic import Cyclotomic
+from supercluster.errors import InvariantViolation
 from supercluster.oracle import enumerate_dual, enumerate_nil, orbit_partition
 
 
@@ -92,6 +95,66 @@ def test_adjoint_witnesses_and_bfs_uniqueness(q):
         t, g, h = adjoint_template_of(x)
         assert t == part.representatives[oid]
         assert act_right(act_left(g, x), h) == t.as_matrix()
+
+
+# Each case is a point of n = 3 over GF(3) whose sweep records operations on
+# the given sides of each core: none (it is already a template), the left
+# witness g only, or the right witness h only.  The adjoint sweep's g holds
+# its row operations and h its column operations; the coadjoint sweep's g
+# (coact_left) its column operations and h (coact_right) its row operations.
+SIDED_POINTS = {
+    ("adjoint", "none"): {(1, 2): 1, (2, 3): 2},
+    ("adjoint", "left"): {(1, 3): 1, (2, 3): 1},
+    ("adjoint", "right"): {(1, 2): 1, (1, 3): 1},
+    ("coadjoint", "none"): {(1, 3): 2},
+    ("coadjoint", "left"): {(1, 2): 1, (1, 3): 1},
+    ("coadjoint", "right"): {(1, 3): 1, (2, 3): 1},
+}
+
+
+@pytest.mark.parametrize("side, sides", list(SIDED_POINTS))
+def test_a_sweep_handed_another_points_rows_names_the_point(F3, side, sides):
+    """Each core records operations on the sides the case names, returns
+    None for a side without any, and, handed the index rows of y with the
+    point x = 2y (so every witness the rows give carries x to twice the
+    template), raises naming x, whichever sides are skipped as the
+    identity."""
+    kind = NilMatrix if side == "adjoint" else Functional
+    sweep = getattr(clusters, f"_{side}_sweep")
+    y = kind(F3, 3, {pos: F3.elements[v] for pos, v in SIDED_POINTS[side, sides].items()})
+    _, g, h = sweep(y, clusters._index_rows(y))
+    assert (g is not None, h is not None) == (sides == "left", sides == "right")
+    x = y.scale(F3.elements[2])
+    with pytest.raises(InvariantViolation) as exc:
+        sweep(x, clusters._index_rows(y))
+    assert str(exc.value) == f"witnesses for {x!r} do not reproduce the template"
+
+
+COMPOSE = settings(derandomize=True, database=None, deadline=None, max_examples=120)
+
+
+@st.composite
+def op_list(draw):
+    """(field, n, ops, on_left): 0 to 4 operations (i, j, a) over GF(2),
+    GF(3) or GF(4), n = 2..5, a any field index, 0 included."""
+    field = draw(st.sampled_from([field_make(2, 1), field_make(3, 1), field_make(2, 2)]))
+    n = draw(st.integers(2, 5))
+    op = st.tuples(st.sampled_from(positions(n)), st.integers(0, field.q - 1))
+    ops = [(i, j, a) for (i, j), a in draw(st.lists(op, max_size=4))]
+    return field, n, ops, draw(st.booleans())
+
+
+@COMPOSE
+@given(op_list())
+def test_compose_is_the_ordered_product_of_its_operations(case):
+    """op_k ... op_1 for operations applied on the left, op_1 ... op_k on
+    the right, each op the generator core.elementary gives."""
+    field, n, ops, on_left = case
+    product = identity(field, n)
+    for i, j, a in ops:
+        op = elementary(field, n, i, j, field.elements[a])
+        product = op * product if on_left else product * op
+    assert clusters._compose(field, n, ops, on_left) == product
 
 
 def test_template_rejects_non_rook(F2):
@@ -475,6 +538,17 @@ def test_one_pass_gives_every_template_count(q):
     assert counts == [bell_poly(m, q) for m in range(13)]
     field = field_make(2, 2) if q == 4 else field_make(q, 1)
     assert counts[1:5] == [len(enumerate_templates(m, field)) for m in range(1, 5)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_templates_exceed_is_the_count_over_the_cap(q):
+    """templates_exceed(n, q, cap) is B(n, q) > cap with the cap just
+    below, at and just above each B(n, q), n <= 12, and it answers an n
+    whose recurrence would not finish from the first B(m, q) over cap."""
+    for n, b in enumerate(bell_polys(12, q)):
+        for cap in (b - 1, b, b + 1):
+            assert clusters.templates_exceed(n, q, cap) == (b > cap)
+    assert clusters.templates_exceed(10**9, q, 5000)
 
 
 def test_template_text_round_trip(F3):
