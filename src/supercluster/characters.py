@@ -38,7 +38,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from math import lcm
 from operator import mul
 from typing import Callable, Iterable, Iterator, Optional
@@ -472,11 +471,11 @@ def inner_product(table: CharacterTable, f: list[Cyclotomic], h: list[Cyclotomic
     return Cyclotomic(p, total.num, total.den * table.group_order())
 
 
-@dataclass
 class AxiomReport:
     """Outcome of the supercharacter-axiom checks; failures are itemized."""
 
-    checks: list[tuple[str, bool, str]]
+    def __init__(self, checks: list[tuple[str, bool, str]]):
+        self.checks = checks
 
     @property
     def passed(self) -> bool:

@@ -24,20 +24,44 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
 import json
 import os
 import sys
-from dataclasses import dataclass, field as dataclass_field
 from typing import NoReturn
 
-from . import clusters, discrete, oracle, tensor, verify
+from . import clusters, discrete, tensor
 from .characters import DEFAULT_MAX_TABLE, build_table
 from .clusters import bell_polys, enumerate_templates, invariants_of
-from .errors import InvariantViolation, ResourceCapExceeded
+from .errors import DEFAULT_MAX_SPACE, InvariantViolation, ResourceCapExceeded
+from .errors import int_str_limit_exceeded
 from .gf import DEFAULT_MAX_Q, Field, field_make, is_prime
 
+
+def _lazy(name: str):
+    """supercluster.<name>, in sys.modules and on the package from now on,
+    as perfbench's tracer needs, but compiled and run only on its first
+    attribute access (importlib.util.LazyLoader); a module already imported
+    is returned as it is."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# Only the verify command runs these two (and packed and lanes, which they
+# import); cli never reads oracle, but the tracer looks it up by name.
+_lazy("oracle")
+verify = _lazy("verify")
+
 DEFAULT_CAPS = {
-    "orbit": oracle.DEFAULT_MAX_SPACE,  # points in the algebra, in its dual and in the group
+    "orbit": DEFAULT_MAX_SPACE,         # points in the algebra, in its dual and in the group
     "pairs": tensor.DEFAULT_MAX_PAIRS,  # cluster-pair products in the counting route
     "table": DEFAULT_MAX_TABLE,         # templates: the table's rows in table and verify,
                                         # and those clusters and discrete walk
@@ -47,12 +71,10 @@ DEFAULT_CAPS = {
 CAPS_ENV = "SUPERCLUSTER_CAPS"
 
 
-@dataclass
 class RunConfig:
-    n: int
-    field: Field
-    fmt: str = "text"
-    caps: dict = dataclass_field(default_factory=lambda: dict(DEFAULT_CAPS))
+    def __init__(self, n: int, field: Field, fmt: str = "text", caps: dict | None = None):
+        self.n, self.field, self.fmt = n, field, fmt
+        self.caps = dict(DEFAULT_CAPS) if caps is None else caps  # a fresh dict each
 
 
 def _caps_from_env(caps: dict) -> dict:
@@ -318,11 +340,9 @@ def _check_printable_degree(q: int, cells: list[tuple]) -> None:
     e = sum of j - i - 1, has more decimal digits than the interpreter's
     int-to-str limit, where one is set; every multiplicity is at most that
     degree, so every number the product prints fits under it."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     e = sum(j - i - 1 for i, j, _ in cells)
-    # q^e < 2^(e * bits(q)) <= 2^(3 * limit) < 10^limit decides most products
-    # without a power; the rest compare exactly
-    if limit and e * q.bit_length() > 3 * limit and q**e >= 10**limit:
+    limit = int_str_limit_exceeded(q, e)
+    if limit:
         raise ResourceCapExceeded(
             f"total degree {q}^{e} has more than {limit} digits, the limit for printing an int"
         )

@@ -16,7 +16,6 @@ a cell in its column and R those right of a cell in its row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, islice, product
 from math import comb
@@ -116,11 +115,18 @@ def parse_template(field: Field, n: int, text: str) -> Template:
     return Template(field, n, cells)
 
 
-@dataclass(frozen=True)
 class ClusterInvariants:
-    d: int
-    i: int
-    d_rows: tuple[int, ...]  # d(k, tau) for k = 1 .. n-1
+    """d, i and d_rows, d(k, tau) for k = 1 .. n-1, of a template: a value,
+    equal and hashing equal when all three are."""
+
+    def __init__(self, d: int, i: int, d_rows: tuple[int, ...]):
+        self.d, self.i, self.d_rows = d, i, d_rows
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.d, self.i, self.d_rows))
 
 
 # -- reduction sweeps ---------------------------------------------------------
@@ -405,20 +411,6 @@ class WindowRanks(_RowSteps):
         return tuple([flat[m] for m in self._order])
 
 
-def window_ranks(x: NilMatrix) -> tuple[int, ...]:
-    """Rank of every window (i, j) of x, in positions(n) order.
-
-    Window (i, j) is rows i..j-1 over columns up to j."""
-    return WindowRanks(x.field, x.n, "adjoint")(_index_rows(x))
-
-
-def window_ranks_dual(lam: Functional) -> tuple[int, ...]:
-    """Rank of every window (i, j) of lam, in positions(n) order.
-
-    Window (i, j) is rows 1..i over columns j and up."""
-    return WindowRanks(lam.field, lam.n, "coadjoint")(_index_rows(lam))
-
-
 # -- the two indices ----------------------------------------------------------
 
 def invariants_of(tau: Template) -> ClusterInvariants:
@@ -567,12 +559,6 @@ class HatDims(_RowSteps):
         return dl, dr, dl + dr - len(both)
 
 
-def hat_dims(lam: Functional) -> tuple[int, int, int]:
-    """(dim L, dim R, dim L ∩ R) for L = L-hat(lam) and R = R-hat(lam): one
-    point's walk of HatDims."""
-    return HatDims(lam.field, lam.n)(_index_rows(lam))
-
-
 # -- sizes --------------------------------------------------------------------
 
 def cluster_size(tau: Template) -> int:
@@ -597,7 +583,7 @@ def adjoint_cluster_size(tau: Template) -> int:
     return tau.field.q ** len(moved)
 
 
-# -- the one walk of a cluster: its left orbits, and its elements -------------
+# -- the one walk of a cluster: its left orbits -------------------------------
 
 def _vector(lam: Functional) -> list[int]:
     """The entries of lam as one index row over positions(n)."""
@@ -675,26 +661,6 @@ def left_orbits(tau: Template) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, 
             f" expected q^(d-i) = {field.q ** (inv.d - inv.i)} of dimension {inv.d}"
         )
     return tuple(found.items())
-
-
-def cluster_elements(tau: Template) -> tuple[Functional, ...]:
-    """Every element of the coadjoint cluster of tau, orbit by orbit.
-
-    The points of the orbits of left_orbits(tau), in its order, each orbit
-    spelled out from its reduced mu and basis.  left_orbits has already
-    checked that there are q^(d-i) disjoint orbits of q^d points, so
-    nothing is walked again, dropped as a repeat or counted a second time.
-    Not memoized and in no sorted order.  It has no engine caller: tensor's
-    counting step walks left_orbits on index rows.  It stays as the tests'
-    spelling of a cluster, held to the oracle's BFS.
-    """
-    field, n = tau.field, tau.n
-    slots = _slots(n)
-    return tuple(
-        _point(field, n, slots, vec)[0]
-        for mu, basis in left_orbits(tau)
-        for vec in _span_vectors(field, mu, basis)
-    )
 
 
 # -- enumeration and counting -------------------------------------------------

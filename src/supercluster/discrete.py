@@ -9,7 +9,6 @@ cluster character is q^(d-i) * prod over the empty support rows k of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -67,12 +66,10 @@ def delta_multiplicity(tau: Template) -> int:
     return mult
 
 
-@dataclass
 class DeltaDecomposition:
-    n: int
-    field: Field
-    terms: dict[Template, int]  # only non-degenerate templates, mult > 0
-    identity_value: int
+    def __init__(self, n: int, field: Field, terms: dict[Template, int], identity_value: int):
+        # terms: only non-degenerate templates, mult > 0
+        self.n, self.field, self.terms, self.identity_value = n, field, terms, identity_value
 
     def items(self) -> list[tuple[Template, int]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())

@@ -75,36 +75,27 @@ the discrete series' values as the target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product, repeat
 from operator import add, mul, sub
-from typing import TYPE_CHECKING
 
+from . import packed
 from .clusters import Template
 from .core import Functional, NilMatrix, UniMatrix, positions
 from .cyclotomic import Cyclotomic
-from .errors import InvariantViolation, ResourceCapExceeded
+from .errors import DEFAULT_MAX_SPACE, InvariantViolation, ResourceCapExceeded
+from .errors import int_str_limit_exceeded
 from .gf import Field
-
-if TYPE_CHECKING:
-    from . import packed
-
-DEFAULT_MAX_SPACE = 2**20
-
-
-def _packed():
-    """supercluster.packed, imported on first use, so that the commands
-    that never reach the oracle do not compile it at start-up."""
-    from . import packed
-
-    return packed
 
 
 def _check_space(n: int, field: Field, cap: int) -> int:
-    size = field.q ** (n * (n - 1) // 2)
+    """q^(n(n-1)/2), the size of the spaces; over cap, ResourceCapExceeded
+    names it, as that power where it has too many digits to print."""
+    q, e = field.q, n * (n - 1) // 2
+    size = q**e
     if size > cap:
-        raise ResourceCapExceeded(f"space of size {size} exceeds the cap {cap}")
+        shown = f"{q}^{e}" if int_str_limit_exceeded(q, e) else size
+        raise ResourceCapExceeded(f"space of size {shown} exceeds the cap {cap}")
     return size
 
 
@@ -127,7 +118,6 @@ def enumerate_group(n: int, field: Field, cap: int = DEFAULT_MAX_SPACE) -> list[
     return [UniMatrix(x) for x in enumerate_nil(n, field, cap)]
 
 
-@dataclass
 class OrbitDecomposition:
     """A full partition of a space into double orbits, one template each.
 
@@ -135,8 +125,8 @@ class OrbitDecomposition:
     point decodes it with packed.Codes.point.
     """
 
-    representatives: list[Template]
-    ids: list[int]
+    def __init__(self, representatives: list[Template], ids: list[int]):
+        self.representatives, self.ids = representatives, ids
 
     @cached_property
     def orbit_codes(self) -> list[list[int]]:
@@ -162,7 +152,7 @@ def orbit_partition(
     if side not in ("adjoint", "coadjoint"):
         raise ValueError(f"unknown side {side!r}")
     _check_space(n, field, cap)
-    codes = _packed().Codes(n, field)
+    codes = packed.Codes(n, field)
     ids, rooks = codes.partition(side)
     return OrbitDecomposition(representatives=[codes.template(c) for c in rooks], ids=ids)
 
@@ -188,7 +178,7 @@ class OracleContext:
 
     @cached_property
     def codes(self) -> packed.Codes:
-        return _packed().Codes(self.n, self.field)
+        return packed.Codes(self.n, self.field)
 
     @cached_property
     def adjoint(self) -> OrbitDecomposition:

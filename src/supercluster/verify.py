@@ -78,7 +78,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 
 from . import clusters, discrete, oracle, tensor
 from .characters import DEFAULT_MAX_TABLE, build_table, char_value_sum, verify_axioms
@@ -93,19 +92,20 @@ EXHAUSTIVE_PAIR_LIMIT = 240
 SAMPLE_PAIRS = 200
 
 
-@dataclass
 class VerifyCheck:
-    key: str
-    passed: bool
-    detail: str
+    def __init__(self, key: str, passed: bool, detail: str):
+        self.key, self.passed, self.detail = key, passed, detail
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
 
 
-@dataclass
 class VerifyReport:
-    n: int
-    p: int
-    k: int
-    checks: list[VerifyCheck]
+    def __init__(self, n: int, p: int, k: int, checks: list[VerifyCheck]):
+        self.n, self.p, self.k, self.checks = n, p, k, checks
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
 
     @property
     def passed(self) -> bool:
@@ -427,7 +427,7 @@ def _outcomes(lane):
         except ResourceCapExceeded as exc:
             ok, detail = None, str(exc)
         except Exception as exc:  # a crashing fast path fails its check, not the run
-            import traceback  # loaded only on this path, off the CLI's start-up
+            import traceback  # loaded only when a check crashes
 
             ok, detail, tb = False, f"{type(exc).__name__}: {exc}", traceback.format_exc()
         yield key, (ok, detail, tb)
@@ -485,7 +485,7 @@ def run_verify(
         ("Thm9.3", lambda: _check_delta_decomposition(ctx)),
     ]
     if jobs >= 2 and hasattr(os, "fork"):
-        from . import lanes  # loaded only on this path, off the CLI's start-up
+        from . import lanes  # loaded only when the checks run in two lanes
 
         results = lanes.run_in_lanes(ctx, checks, PARENT_CHECKS)
     else:

@@ -517,6 +517,18 @@ def test_the_total_degree_prints_up_to_the_digit_limit(q, e, fmt, digit_limit, c
     assert err.startswith(f"resource cap exceeded: total degree {q}^{e + 1} has more than 640")
 
 
+@pytest.mark.parametrize("n,shown", [(65, str(2**2080)), (66, "2^2145")])
+def test_the_space_cap_line_names_a_size_too_long_to_print_as_a_power(n, shown, digit_limit,
+                                                                      capsys):
+    """Under a 640-digit limit, the 2^2080 points at n = 65 (627 digits)
+    are named in full, and the 2^2145 at n = 66 (646 digits) as a power;
+    either way verify exits 3 with the one cap line and nothing on stdout."""
+    digit_limit(640)
+    code, out, err = _main_in_process(["verify", "--n", str(n), "--q", "2"], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"resource cap exceeded: space of size {shown} exceeds the cap 1048576\n"
+
+
 # -- the plain reader against argparse -----------------------------------------
 
 def _outcome(argv):

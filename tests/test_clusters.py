@@ -16,16 +16,12 @@ from supercluster.clusters import (
     adjoint_template_of,
     bell_poly,
     bell_polys,
-    cluster_elements,
     cluster_size,
     coadjoint_template_of,
     enumerate_templates,
-    hat_dims,
     invariants_of,
     left_orbits,
     parse_template,
-    window_ranks,
-    window_ranks_dual,
 )
 from supercluster.core import (
     Functional,
@@ -46,6 +42,7 @@ from supercluster.core import (
 from supercluster.cyclotomic import Cyclotomic
 from supercluster.errors import InvariantViolation
 from supercluster.oracle import enumerate_dual, enumerate_nil, orbit_partition
+from walks import cluster_elements, hat_dims, window_ranks, window_ranks_dual
 
 
 def T(field, n, text):

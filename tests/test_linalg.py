@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supercluster import field_make, linalg
-from supercluster.clusters import window_ranks, window_ranks_dual
 from supercluster.core import Functional, NilMatrix, UniMatrix, positions
 from supercluster.discrete import delta_value
 from supercluster.oracle import OracleContext
+from walks import window_ranks, window_ranks_dual
 
 # GF(2), GF(3), GF(4), GF(5), GF(9)
 FIELDS = [field_make(p, k) for p, k in ((2, 1), (3, 1), (2, 2), (5, 1), (3, 2))]

@@ -17,6 +17,7 @@ from supercluster.tensor import (
     tensor_product,
     tensor_rewrite,
 )
+from walks import cluster_elements
 
 
 def T(field, n, text):
@@ -213,8 +214,8 @@ def test_random_folds_rewrite_equals_counting(p, k):
 def brute_pair_counts(t1, t2):
     # every pair of cluster elements, each sum classified by the witnessed sweep
     counts = {}
-    for lam1 in clusters.cluster_elements(t1):
-        for lam2 in clusters.cluster_elements(t2):
+    for lam1 in cluster_elements(t1):
+        for lam2 in cluster_elements(t2):
             tau = clusters.coadjoint_template_of(lam1 + lam2)[0]
             counts[tau] = counts.get(tau, 0) + 1
     return counts
@@ -237,8 +238,8 @@ def test_pair_counts_equal_brute_enumeration(n, p, k, sample):
     for t1, t2 in pairs:
         for a, b in ((t1, t2), (t2, t1)):
             brute = brute_pair_counts(a, b)
-            size1 = len(clusters.cluster_elements(a))
-            size2 = len(clusters.cluster_elements(b))
+            size1 = len(cluster_elements(a))
+            size2 = len(cluster_elements(b))
             cap = size1 * size2
             assert sum(brute.values()) == cap
             assert tensor._pair_counts(a, b, cap) == brute
@@ -269,8 +270,8 @@ def test_pair_counts_sweep_only_the_smaller_cluster(monkeypatch):
     supercluster.clear_memos()
     sweeps = _recording(monkeypatch, ["_coadjoint_sweep"])
     assert c_count(t1, t2, t2) > 0
-    assert len(clusters.cluster_elements(t1)) == 16
-    assert len(clusters.cluster_elements(t2)) == 64
+    assert len(cluster_elements(t1)) == 16
+    assert len(cluster_elements(t2)) == 64
     assert 0 < len(sweeps) <= 16
 
 
