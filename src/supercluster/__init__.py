@@ -73,9 +73,11 @@ __version__ = "0.1.0"
 
 def clear_memos() -> None:
     """Empty every module-level memo of the engine: the left-orbit splits of
-    clusters and the two step caches of tensor, rewrite and count."""
-    from . import clusters, tensor
+    clusters, the cell tables of characters and the two step caches of
+    tensor, rewrite and count."""
+    from . import characters, clusters, tensor
 
+    characters._cell_tables.cache_clear()
     clusters.left_orbits.cache_clear()
     tensor._rewrite_step.cache_clear()
     tensor._count_step.cache_clear()

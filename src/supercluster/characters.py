@@ -12,16 +12,23 @@ representatives (char_value_closed) and the averaged sum over the whole
 cluster (char_value_sum), which works at arbitrary group elements and sums
 the cluster one left orbit at a time.
 
-On template representatives every value is a monomial, 0 or q^(d-h) * z^e.
-The closed form is one per-row routine (_row): a row template precomputes
-its kill set (positions below or left of a support cell), its hook count
-at each position and the phase its cell values give each column entry,
-and then, in one loop over the columns, keys each cell None (the value is
-0) or (d - h, e), a pair taken from one table of pairs per table, so equal
-keys are one object.  build_table keeps that grid of keys and makes no
-Cyclotomic per cell: its values grid is built from the keys on first read,
-one shared Cyclotomic per distinct key; char_value_closed runs the same
-routine on its one column.
+On template representatives every value is a monomial, 0 or q^(d-h) * z^e:
+0 when the column has an entry in the row's kill set (positions below or
+left of a support cell), else h counts its entries strictly inside a
+cell's corner and e = trace(tau(x)).  The kill count K, h and e are each a
+sum of one term per tau-cell, so one kernel (_Kernel) builds a row as one
+packed int: each column owns a lane of 16, 32 or 64 bits, each distinct
+tau-cell is one memoized int holding its terms in every lane, and a row
+is its cells' ints plus top - d in every lane, read as the code K + e *
+2^kill_bits + (h + top - d) * 2^shift, top the largest d.  No term is
+negative, so no lane borrows, and none overflows: tau is a rook placement,
+so an entry lies in at most two cells' kill sets (K <= 2(n-1)), e <=
+(p-1)(n-1) and h <= (n-1)^2, and the width holds all three.  A code -> key
+list turns each lane into None (K > 0) or (d - h, e mod p) from one table
+of pairs, so equal keys are one object; a code past its end has h > d.
+build_table keeps that grid of keys and makes no Cyclotomic per cell: its
+values grid is built from the keys on first read, one shared Cyclotomic
+per distinct key; char_value_closed runs the same kernel on its one column.
 
 JSON, CSV and text are written row by row: each format has a generator
 that yields the document one table row at a time, and each row is a join
@@ -38,6 +45,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
+from functools import lru_cache
 from math import lcm
 from operator import mul
 from typing import Callable, Iterable, Iterator, Optional
@@ -51,9 +60,6 @@ from .gf import Field, FieldElement, field_make
 
 DEFAULT_MAX_TABLE = 5000
 
-# A column as the kernel reads it: the bit mask of its position slots (see
-# _slot) and its (slot, value index) entries.
-Column = tuple[int, tuple[tuple[int, int], ...]]
 Cell = Optional[tuple[int, int]]
 
 
@@ -79,78 +85,6 @@ def self_intertwining(tau: Template) -> int:
     return tau.field.q ** invariants_of(tau).i
 
 
-# -- the closed form: one kernel per row --------------------------------------
-
-def _slot(n: int, i: int, j: int) -> int:
-    """Position (i, j) of an n x n matrix as one index, row by row."""
-    return (i - 1) * n + (j - 1)
-
-
-def _column(x: Template) -> Column:
-    mask = 0
-    entries = []
-    for i, j, w in x.cells:
-        slot = _slot(x.n, i, j)
-        mask |= 1 << slot
-        entries.append((slot, w.index))
-    return mask, tuple(entries)
-
-
-def _pairs(p: int, top: int) -> list[tuple[Cell, ...]]:
-    """The cell keys of a table whose rows have d <= top: pairs[a][e] is
-    (a, e), one tuple per pair, shared by every row that reaches it."""
-    return [tuple((a, e) for e in range(p)) for a in range(top + 1)]
-
-
-def _row_tables(tau: Template) -> tuple[int, list[int], list[tuple[int, ...]]]:
-    """The kill set of tau's row as a slot mask, the hook count at each slot,
-    and at each slot the phase trace(v * w) of its tau-cell value v against
-    each field element w (index order); see _row."""
-    field, n = tau.field, tau.n
-    no_phase = (0,) * field.q
-    kill = 0
-    hooks = [0] * (n * n)
-    phases = [no_phase] * (n * n)
-    for i, j, v in tau.cells:
-        for r in range(i + 1, j):
-            kill |= 1 << _slot(n, r, j)  # below, same column
-            kill |= 1 << _slot(n, i, r)  # left, same row
-        for a in range(i + 1, j - 1):
-            for b in range(a + 1, j):
-                hooks[_slot(n, a, b)] += 1
-        phases[_slot(n, i, j)] = tuple((v * w).trace() for w in field.elements)
-    return kill, hooks, phases
-
-
-def _row(tau: Template, d: int, columns: list[Column], pairs: list[tuple[Cell, ...]]) -> list[Cell]:
-    """The closed form of tau's row (d its invariant) at each column.
-
-    The column's value is 0 (None) as soon as it has an entry below or
-    left of a support cell of tau (the kill set).  Otherwise it is
-    q^(d - h) * z^e, keyed by pairs[d - h][e] (see _pairs): h counts corner
-    positions with a tau-cell strictly to the right and the column's entry
-    strictly below, summed here from a per-position hook count, and
-    e = trace(tau(x)) mod p, summed from per-cell phases.
-    """
-    p = tau.field.p
-    kill, hooks, phases = _row_tables(tau)
-    by_h = pairs[d::-1]
-    cells: list[Cell] = []
-    append = cells.append
-    for mask, entries in columns:
-        if mask & kill:
-            append(None)
-            continue
-        h = e = 0
-        for slot, w in entries:
-            h += hooks[slot]
-            e += phases[slot][w]
-        if h > d:
-            raise InvariantViolation(f"hook count {h} exceeds d={d} for {tau.text()}")
-        append(by_h[h][e % p])
-    return cells
-
-
 class _Memo(dict):
     """key -> fn(key), each computed once, on first lookup."""
 
@@ -161,6 +95,103 @@ class _Memo(dict):
     def __missing__(self, key):
         value = self[key] = self.fn(key)
         return value
+
+
+# -- the closed form: one lane kernel per table ------------------------------
+
+def _slot(n: int, i: int, j: int) -> int:
+    """Position (i, j) of an n x n matrix as one index, row by row."""
+    return (i - 1) * n + (j - 1)
+
+
+def _pairs(p: int, top: int) -> list[tuple[Cell, ...]]:
+    """The cell keys of a table whose rows have d <= top: pairs[a][e] is
+    (a, e), one tuple per pair, shared by every row that reaches it."""
+    return [tuple((a, e) for e in range(p)) for a in range(top + 1)]
+
+
+@lru_cache(maxsize=clusters.MEMO_SIZE)
+def _cell_tables(n: int, i: int, j: int, v: FieldElement) -> tuple:
+    """tau-cell (i, j) = v as the kernel reads it: its kill set as a slot
+    mask, hook masks that each add one hook at their slots (here one, its
+    corner's inside), its slot and v."""
+    kill = hooks = 0
+    for r in range(i + 1, j):
+        kill |= 1 << _slot(n, r, j) | 1 << _slot(n, i, r)
+        for b in range(r + 1, j):
+            hooks |= 1 << _slot(n, r, b)
+    return kill, (hooks,), _slot(n, i, j), v
+
+
+def _row_tables(tau: Template) -> list[tuple]:
+    """The tables of tau's cells: the one seam through which _Kernel reads a row."""
+    return [_cell_tables(tau.n, *cell) for cell in tau.cells]
+
+
+class _Kernel:
+    """The closed form of rows with d <= top at fixed columns (module
+    docstring); keys is made only if no longer than the table, else _key."""
+
+    def __init__(self, field: Field, n: int, cols: list[Template], top: int):
+        p = self.p = field.p
+        self.top = top
+        self.pairs = pairs = _pairs(p, top)
+        self.kill_bits = kill_bits = (2 * n - 2).bit_length()
+        self.shift = kill_bits + ((p - 1) * (n - 1)).bit_length()
+        bits = self.shift + (top + (n - 1) ** 2).bit_length()
+        width = next((w for w in (16, 32, 64) if bits <= w), None)
+        if width is None:
+            raise ResourceCapExceeded(f"a lane of {bits} bits is over 64")
+        self.code, step = {16: "H", 32: "I", 64: "Q"}[width], width // 8
+        self.size = step * len(cols)
+        marks: dict[tuple[int, FieldElement], bytearray] = {}
+        for c, x in enumerate(cols):
+            for i, j, w in x.cells:
+                key = (_slot(n, i, j), w)
+                if key not in marks:
+                    marks[key] = bytearray(self.size)
+                marks[key][c * step] = 1
+        self.at = {key: int.from_bytes(mark, "little") for key, mark in marks.items()}
+        ones = int.from_bytes((b"\1" + bytes(step - 1)) * len(cols), "little")
+        self.base = [((top - d) << self.shift) * ones for d in range(top + 1)]
+        self.killed = (1 << kill_bits) - 1
+        self.keys: list[Cell] = []
+        if (top + 1) << self.shift <= len(cols) ** 2:  # no longer than the table
+            for a in range(top, -1, -1):
+                for e in range(1 << (self.shift - kill_bits)):
+                    self.keys += [pairs[a][e % p], *[None] * self.killed]
+        self.cells = _Memo(self._lane)
+
+    def _lane(self, tables: tuple) -> int:
+        kill, hooks, slot, v = tables
+
+        def over(mask: int) -> int:
+            return sum(lanes for (s, _), lanes in self.at.items() if mask >> s & 1)
+
+        phase = sum((v * w).trace() * lanes for (s, w), lanes in self.at.items() if s == slot)
+        return over(kill) + (phase << self.kill_bits) + (sum(map(over, hooks)) << self.shift)
+
+    def row(self, tau: Template, d: int) -> list[Cell]:
+        """tau's keys at every column, d its invariant."""
+        acc = sum(map(self.cells.__getitem__, _row_tables(tau)), self.base[d])
+        codes = memoryview(acc.to_bytes(self.size, sys.byteorder)).cast(self.code)
+        if sys.byteorder == "big":  # the last lane comes first
+            codes = codes[::-1]
+        keys = self.keys
+        try:
+            return [keys[code] for code in codes]
+        except IndexError:
+            return [self._key(code, tau, d) for code in codes]
+
+    def _key(self, code: int, tau: Template, d: int) -> Cell:
+        """One code's key, for a row with a code past the end of keys."""
+        if code & self.killed:
+            return None
+        a, e = divmod(code >> self.kill_bits, 1 << (self.shift - self.kill_bits))
+        h = a - self.top + d
+        if h > d:
+            raise InvariantViolation(f"hook count {h} exceeds d={d} for {tau.text()}")
+        return self.pairs[d - h][e % self.p]
 
 
 def _monomial(field: Field, cell: Cell) -> Cyclotomic:
@@ -184,7 +215,7 @@ def char_value_closed(tau: Template, x: Template) -> Cyclotomic:
     if tau.field != x.field:
         raise ValueError(f"template fields differ: {tau.field!r} and {x.field!r}")
     d = invariants_of(tau).d
-    [cell] = _row(tau, d, [_column(x)], _pairs(tau.field.p, d))
+    [cell] = _Kernel(tau.field, tau.n, [x], d).row(tau, d)
     return _monomial(tau.field, cell)
 
 
@@ -200,7 +231,8 @@ def char_value_sum(tau: Template, g: UniMatrix) -> Cyclotomic:
     rows decide which.  The value is q^i * sum of theta[mu(x)] over the
     orbits whose L-hat(mu) kills x, counted in p integer bins, one per
     exponent of z, with one Cyclotomic built from the bins.  This route
-    reads neither char_value_closed nor its row kernel;
+    reads neither char_value_closed nor its lane kernel, whose packed
+    per-cell sums never borrow (see the module docstring);
     test_oracle::test_binned_traces_equal_summed_roots_of_unity and
     test_clusters::test_left_orbits_split_the_cluster hold it to the
     explicit sum of evaluate over the cluster, read from packed.Codes.closure.
@@ -281,8 +313,9 @@ class CharacterTable:
     keys mapped through a memo that renders each distinct key once
     (_fragments).  A table given its values keys each cell by its value.
     build_table gives None for values, and keys each cell by its closed
-    form, None or an (a, e) pair (see _row), with value_of the map from key
-    to value; values is then made from the keys on first read, equal keys
+    form, None or an (a, e) pair, a row at a time from one sum of packed
+    per-cell column lanes (_Kernel), with value_of the map from key to
+    value; values is then made from the keys on first read, equal keys
     giving one shared Cyclotomic, and from then on the table is keyed by
     that grid, so it renders what values holds.
     """
@@ -428,9 +461,8 @@ def table_from_json(data: dict) -> CharacterTable:
 
 def build_table(n: int, field: Field, max_rows: int = DEFAULT_MAX_TABLE) -> CharacterTable:
     """The full table over closed-form values; deterministic ordering."""
+    clusters.check_template_count(n, field.q, max_rows)
     count = clusters.bell_poly(n, field.q)
-    if count > max_rows:
-        raise ResourceCapExceeded(f"table would have {count} rows, cap is {max_rows}")
     templates = enumerate_templates(n, field)
     if len(templates) != count:
         raise InvariantViolation(
@@ -438,10 +470,9 @@ def build_table(n: int, field: Field, max_rows: int = DEFAULT_MAX_TABLE) -> Char
         )
     rows = templates
     cols = templates
-    columns = [_column(x) for x in cols]
     invs = [invariants_of(t) for t in rows]
-    pairs = _pairs(field.p, max(inv.d for inv in invs))
-    keys = [_row(tau, inv.d, columns, pairs) for tau, inv in zip(rows, invs)]
+    kernel = _Kernel(field, n, cols, max(inv.d for inv in invs))
+    keys = [kernel.row(tau, inv.d) for tau, inv in zip(rows, invs)]
     for t, inv in zip(rows, invs):
         if inv.i > inv.d:
             raise InvariantViolation(f"i > d for {t.text()}; q^(d-i) not integral")

@@ -260,15 +260,6 @@ def _run_count(cfg: RunConfig) -> int:
     return 0
 
 
-def _check_template_count(cfg: RunConfig) -> None:
-    """Raise ResourceCapExceeded when B(n, q), the number of templates that
-    clusters and discrete walk, is over the table cap; nothing is
-    enumerated first."""
-    q, cap = cfg.field.q, cfg.caps["table"]
-    if clusters.templates_exceed(cfg.n, q, cap):
-        raise ResourceCapExceeded(f"B({cfg.n}, {q}) templates exceed the table cap {cap}")
-
-
 def _cluster_rows(cfg: RunConfig) -> list[dict]:
     field = cfg.field
     rows = []
@@ -288,7 +279,7 @@ def _cluster_rows(cfg: RunConfig) -> list[dict]:
 
 
 def _run_clusters(cfg: RunConfig) -> int:
-    _check_template_count(cfg)
+    clusters.check_template_count(cfg.n, cfg.field.q, cfg.caps["table"])
     rows = _cluster_rows(cfg)
     if cfg.fmt == "json":
         _emit(_dump_json({"n": cfg.n, "q": cfg.field.q, "templates": rows}))
@@ -365,7 +356,7 @@ def _run_tensor(cfg: RunConfig, cells: list[tuple], check: bool) -> int:
 
 
 def _run_discrete(cfg: RunConfig) -> int:
-    _check_template_count(cfg)
+    clusters.check_template_count(cfg.n, cfg.field.q, cfg.caps["table"])
     decomp = discrete.delta_decompose(cfg.n, cfg.field)
     if cfg.fmt == "json":
         _emit(_dump_json(decomp.to_json()))

@@ -21,7 +21,7 @@ from itertools import count, islice, product
 from math import comb
 
 from . import linalg
-from .errors import InvariantViolation
+from .errors import InvariantViolation, ResourceCapExceeded
 from .gf import Field
 from .core import (
     Functional,
@@ -721,3 +721,10 @@ def templates_exceed(n: int, q: int, cap: int) -> bool:
     """B(n, q) > cap, q >= 2.  The recurrence stops at the first B(m, q),
     m <= n, over cap, so a large n costs no more than the first such m."""
     return any(b > cap for b in islice(_bell_values(q), n + 1))
+
+
+def check_template_count(n: int, q: int, cap: int) -> None:
+    """The table cap of table, verify, clusters and discrete, met before
+    any template is made: ResourceCapExceeded when B(n, q) > cap."""
+    if templates_exceed(n, q, cap):
+        raise ResourceCapExceeded(f"B({n}, {q}) templates exceed the table cap {cap}")

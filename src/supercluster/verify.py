@@ -468,9 +468,7 @@ def run_verify(
     """
     rng = random.Random(seed)
     ctx = oracle.OracleContext(n, field, cap_orbit)
-    rows = clusters.bell_poly(n, field.q)
-    if rows > cap_table:
-        raise ResourceCapExceeded(f"table would have {rows} rows, cap is {cap_table}")
+    clusters.check_template_count(n, field.q, cap_table)
     checks = [
         ("Thm5.1", lambda: _check_counting(n, field)),
         ("Thm4.1", lambda: _check_adjoint_classification(ctx)),

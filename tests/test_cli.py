@@ -381,7 +381,28 @@ def test_table_over_its_cap_writes_nothing(fmt, monkeypatch, capsys):
     monkeypatch.setenv(cli.CAPS_ENV, "table=14")
     code, out, err = _main_in_process(["table", "--n", "4", "--q", "2", "--format", fmt], capsys)
     assert (code, out) == (3, "")
-    assert err == "resource cap exceeded: table would have 15 rows, cap is 14\n"
+    assert err == "resource cap exceeded: B(4, 2) templates exceed the table cap 14\n"
+
+
+def test_a_table_too_large_to_count_in_full_exits_3(monkeypatch, capsys):
+    """B(400, 2) has more digits than a 640-digit limit lets the
+    interpreter print, and B(100000, 2) is never computed in full: each run
+    exits 3 before any template is made, with the one cap line."""
+    from supercluster import clusters
+
+    def unreachable(*args):
+        raise AssertionError("a template was made")
+
+    monkeypatch.setattr(clusters.Template, "__init__", unreachable)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for n in ("400", "100000"):
+            code, out, err = _main_in_process(["table", "--n", n, "--q", "2"], capsys)
+            assert (code, out) == (3, "")
+            assert err == f"resource cap exceeded: B({n}, 2) templates exceed the table cap 5000\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("command", ["clusters", "discrete"])
@@ -420,8 +441,9 @@ def test_clusters_and_discrete_run_up_to_the_table_cap(command, monkeypatch, cap
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_a_hook_count_over_d_at_the_last_row_writes_nothing(fmt, monkeypatch, capsys):
     """The last row of (4,2), (3,4)=1, has d = 0 and no hooks.  With one
-    more hook at every position of that row, h = 1 > d at its first column
-    with an entry, so the run exits 4 before the table's first byte."""
+    more hook at every slot for that row's cell (3,4), h = 1 > d at its
+    first column with an entry, so the run exits 4 before the table's
+    first byte."""
     from supercluster import characters
     from supercluster.clusters import enumerate_templates
 
@@ -429,15 +451,38 @@ def test_a_hook_count_over_d_at_the_last_row_writes_nothing(fmt, monkeypatch, ca
     tables = characters._row_tables
 
     def one_more_hook(tau):
-        kill, hooks, phases = tables(tau)
+        cells = tables(tau)
         if tau == last:
-            hooks = [h + 1 for h in hooks]
-        return kill, hooks, phases
+            [(kill, hooks, slot, v)] = cells
+            cells = [(kill, hooks + ((1 << 16) - 1,), slot, v)]
+        return cells
 
     monkeypatch.setattr(characters, "_row_tables", one_more_hook)
     code, out, err = _main_in_process(["table", "--n", "4", "--q", "2", "--format", fmt], capsys)
     assert (code, out) == (4, "")
     assert err == f"THEOREM FALSIFIED: hook count 1 exceeds d=0 for {last.text()}\n"
+
+
+def test_a_hook_count_read_back_from_its_lane_names_h(monkeypatch, capsys):
+    """(1,3)=1 has d = 1 and kills (1,2), so its first surviving column
+    with an entry is (1,3)=1 itself.  Three more hooks at every slot for
+    its cell give that column h = 3 = d + 2, read back from its lane, and
+    the run exits 4."""
+    from supercluster import characters
+
+    tables = characters._row_tables
+
+    def three_more_hooks(tau):
+        cells = tables(tau)
+        if tau.text() == "(1,3)=1":
+            [(kill, hooks, slot, v)] = cells
+            cells = [(kill, hooks + ((1 << 16) - 1,) * 3, slot, v)]
+        return cells
+
+    monkeypatch.setattr(characters, "_row_tables", three_more_hooks)
+    code, out, err = _main_in_process(["table", "--n", "4", "--q", "2"], capsys)
+    assert (code, out) == (4, "")
+    assert err == "THEOREM FALSIFIED: hook count 3 exceeds d=1 for (1,3)=1\n"
 
 
 def test_a_checked_product_over_the_pair_cap_exits_3_before_any_walk(capsys):

@@ -10,6 +10,7 @@ is compared with the same checks summed in Cyclotomic arithmetic.
 import csv
 import io
 import json
+import operator
 import random
 from fractions import Fraction
 
@@ -20,6 +21,9 @@ from hypothesis import strategies as st
 from supercluster import field_make
 from supercluster.characters import (
     CharacterTable,
+    _Kernel,
+    _monomial,
+    _pairs,
     build_table,
     char_value_closed,
     char_value_sum,
@@ -27,9 +31,16 @@ from supercluster.characters import (
     table_from_json,
     verify_axioms,
 )
-from supercluster.clusters import Template, adjoint_template_of, enumerate_templates
+from supercluster.clusters import (
+    Template,
+    adjoint_template_of,
+    enumerate_templates,
+    invariants_of,
+)
 from supercluster.core import NilMatrix, UniMatrix, positions
 from supercluster.cyclotomic import Cyclotomic
+
+from closed_form import column, reference_row
 
 PROPS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -256,3 +267,115 @@ def element_and_row(draw):
 def test_closed_form_at_the_adjoint_template_equals_the_cluster_sum(case):
     tau, g = case
     assert char_value_closed(tau, adjoint_template_of(g.off)[0]) == char_value_sum(tau, g)
+
+
+
+# -- the lane kernel against the per-cell loop ---------------------------------
+
+def assert_rows_match_the_loop(kernel, rows, cols):
+    """Every key of every row as the per-cell loop of tests/closed_form.py
+    gives it from the kernel's pairs table: equal, and the same object."""
+    columns = [column(x) for x in cols]
+    for tau in rows:
+        d = invariants_of(tau).d
+        got = kernel.row(tau, d)
+        want = reference_row(tau, d, columns, kernel.pairs)
+        assert got == want
+        assert all(map(operator.is_, got, want))
+
+
+def table_kernel(n, field):
+    templates = enumerate_templates(n, field)
+    top = max(invariants_of(t).d for t in templates)
+    return _Kernel(field, n, templates, top), templates
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_table_rows_equal_the_per_cell_loop_up_to_n4(n, p, k):
+    kernel, templates = table_kernel(n, field_make(p, k))
+    assert kernel.code == "H"
+    assert_rows_match_the_loop(kernel, templates, templates)
+
+
+@pytest.mark.parametrize("n,p", [(5, 2), (5, 3), (6, 2), (7, 2)])
+def test_table_rows_equal_the_per_cell_loop(n, p):
+    field = field_make(p, 1)
+    kernel, templates = table_kernel(n, field)
+    assert_rows_match_the_loop(kernel, templates, templates)
+    columns = [column(x) for x in templates]
+    assert build_table(n, field)._keys == [
+        reference_row(t, invariants_of(t).d, columns, kernel.pairs) for t in templates
+    ]
+
+
+def random_templates(rng, field, n, count, most=8):
+    """count seeded rook placements of n x n, each with at most most cells."""
+    spots = positions(n)
+    out = []
+    for _ in range(count):
+        cells, rows, cols = [], set(), set()
+        for i, j in rng.sample(spots, rng.randint(0, min(most, len(spots)))):
+            if i not in rows and j not in cols:
+                rows.add(i)
+                cols.add(j)
+                cells.append((i, j, field.elements[rng.randrange(1, field.q)]))
+        out.append(Template(field, n, cells))
+    return out
+
+
+@pytest.mark.parametrize("n,p,width", [(8, 2, 16), (5, 61, 32), (100, 61, 64)])
+def test_each_lane_width_against_the_per_cell_loop(n, p, width):
+    """Slices of rows and columns at each width the kernel picks: 16 bits
+    at (8,2), 32 at (5,61) and 64 at (100,61), where no table is made."""
+    field = field_make(p, 1, max_q=p)
+    rng = random.Random(n * p)
+    if n == 8:
+        templates = enumerate_templates(n, field)
+        rows, cols = templates[::97], templates[::5]
+    else:
+        rows, cols = random_templates(rng, field, n, 12), random_templates(rng, field, n, 200)
+    kernel = _Kernel(field, n, cols, max(invariants_of(t).d for t in rows))
+    assert kernel.code == {16: "H", 32: "I", 64: "Q"}[width]
+    assert_rows_match_the_loop(kernel, rows, cols)
+
+
+@st.composite
+def template_pair(draw):
+    field = draw(st.sampled_from([field_make(2, 1), field_make(3, 1), field_make(2, 2),
+                                  field_make(5, 1), field_make(3, 2), field_make(7, 1)]))
+    n = draw(st.integers(2, 7))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return random_templates(rng, field, n, 2)
+
+
+@PROPS
+@given(template_pair())
+def test_char_value_closed_equals_the_per_cell_loop(pair):
+    tau, x = pair
+    d = invariants_of(tau).d
+    [want] = reference_row(tau, d, [column(x)], _pairs(tau.field.p, d))
+    assert char_value_closed(tau, x) == _monomial(tau.field, want)
+
+
+def test_a_killed_column_stays_zero_whatever_its_hook_count(monkeypatch):
+    """(1,3)=1 of (4,2) has d = 1 and kills (2,3).  Two more hooks at (2,3)
+    give every column with an entry there h >= 2 > d, but those columns are
+    killed, so the table is unchanged."""
+    import supercluster.characters as characters
+
+    field = field_make(2, 1)
+    before = build_table(4, field)._keys
+    tables = characters._row_tables
+    slot = characters._slot(4, 2, 3)
+
+    def hooked(tau):
+        cells = tables(tau)
+        if tau.text() == "(1,3)=1":
+            [(kill, hooks, own, v)] = cells
+            assert kill >> slot & 1
+            cells = [(kill, hooks + (1 << slot,) * 2, own, v)]
+        return cells
+
+    monkeypatch.setattr(characters, "_row_tables", hooked)
+    assert build_table(4, field)._keys == before

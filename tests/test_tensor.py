@@ -325,14 +325,16 @@ def test_counting_rejects_mismatched_rings(F2, F3, F4):
 
 
 def test_clear_memos_empties_every_memo_of_the_engine():
-    """One clear reaches the left-orbit splits of clusters and the two step
-    caches of tensor, rewrite and count; they are the engine's only
-    module-level caches besides the CLI's one parser, no module keeps a
-    *_MEMO dict, and each cache holds at most clusters.MEMO_SIZE entries."""
+    """One clear reaches the left-orbit splits of clusters, the cell tables
+    of characters and the two step caches of tensor, rewrite and count;
+    they are the engine's only module-level caches besides the CLI's one
+    parser, no module keeps a *_MEMO dict, and each cache holds at most
+    clusters.MEMO_SIZE entries."""
     import importlib
     import pkgutil
 
-    from supercluster.characters import char_value_sum
+    from supercluster import characters
+    from supercluster.characters import char_value_closed, char_value_sum
     from supercluster.core import identity
 
     field = field_make(3, 1)
@@ -340,6 +342,7 @@ def test_clear_memos_empties_every_memo_of_the_engine():
     tensor.tensor_by_counting(tau, tau)
     tensor.tensor_rewrite(field, 4, tau.cells)
     char_value_sum(tau, identity(field, 4))
+    char_value_closed(tau, tau)
     found = {
         f"{info.name}.{name}": value
         for info in pkgutil.iter_modules(supercluster.__path__)
@@ -347,9 +350,11 @@ def test_clear_memos_empties_every_memo_of_the_engine():
         for name, value in vars(importlib.import_module(f"supercluster.{info.name}")).items()
         if name.endswith("_MEMO") or hasattr(value, "cache_clear")
     }
-    caches = (clusters.left_orbits, tensor._rewrite_step, tensor._count_step)
+    caches = (clusters.left_orbits, characters._cell_tables, tensor._rewrite_step,
+              tensor._count_step)
     assert set(found) == {
-        "clusters.left_orbits", "tensor._rewrite_step", "tensor._count_step", "cli.build_parser"
+        "clusters.left_orbits", "characters._cell_tables", "tensor._rewrite_step",
+        "tensor._count_step", "cli.build_parser",
     }
     assert all(c.cache_info().maxsize == clusters.MEMO_SIZE for c in caches)
     assert all(c.cache_info().currsize for c in caches)

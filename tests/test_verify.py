@@ -838,7 +838,7 @@ def _sizes_crash(*args):  # stands in for Thm6.2, in lane A
 
 
 @pytest.mark.parametrize("caps, expected", [
-    ("table=10", (3, "", "resource cap exceeded: table would have 15 rows, cap is 10\n")),
+    ("table=10", (3, "", "resource cap exceeded: B(4, 2) templates exceed the table cap 10\n")),
     ("table=15", None),
 ])
 def test_the_table_cap_bounds_verify_before_any_check(monkeypatch, capsys, caps, expected):
