@@ -33,3 +33,9 @@ def int_str_limit_exceeded(q: int, e: int) -> int:
     if limit and e * q.bit_length() > 3 * limit and q**e >= 10**limit:
         return limit
     return 0
+
+
+def power_text(q: int, e: int) -> str:
+    """q^e as a cap line names it: in digits, or as the power q^e where
+    int_str_limit_exceeded(q, e)."""
+    return f"{q}^{e}" if int_str_limit_exceeded(q, e) else str(q**e)

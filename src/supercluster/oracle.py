@@ -84,7 +84,7 @@ from .clusters import Template
 from .core import Functional, NilMatrix, UniMatrix, positions
 from .cyclotomic import Cyclotomic
 from .errors import DEFAULT_MAX_SPACE, InvariantViolation, ResourceCapExceeded
-from .errors import int_str_limit_exceeded
+from .errors import power_text
 from .gf import Field
 
 
@@ -94,8 +94,7 @@ def _check_space(n: int, field: Field, cap: int) -> int:
     q, e = field.q, n * (n - 1) // 2
     size = q**e
     if size > cap:
-        shown = f"{q}^{e}" if int_str_limit_exceeded(q, e) else size
-        raise ResourceCapExceeded(f"space of size {shown} exceeds the cap {cap}")
+        raise ResourceCapExceeded(f"space of size {power_text(q, e)} exceeds the cap {cap}")
     return size
 
 

@@ -18,14 +18,21 @@ of class functions commute and associate.  Only the step differs:
   d/i indices of the three templates.  The pair cap on |Psi1| x |Psi2|
   comes first, read off the supports.  Clusters are
   double orbits and the actions are linear, so the count is the same for
-  every lam1: the step classifies the larger cluster's template plus each
-  element of the smaller cluster and weights each hit by the larger size.
-  The smaller cluster is walked from its memoized split on index rows, and
-  each sum goes through the coadjoint sweep's witnessed core, which checks
-  that point's witnesses; no element is spelled out as a Functional list
-  and no Template is made per point.  The pair counts are memoized in a
-  second bounded cache, keyed by the unordered pair, so a repeated product
-  and its mirror are counted once.
+  every lam1: the step classifies the larger cluster's template, base,
+  plus elements of the smaller cluster and weights each hit by the larger
+  size.  The I + x with x supported on S, the positions (i, j) with no cell
+  of base in column j above row i, form an algebra group that fixes base on
+  the left, so g.(base + lam) = base + g.lam is in the cluster of
+  base + lam, and the group's orbit through lam is the affine subspace
+  lam + span{lam(. e_ij) : (i, j) in S}.  So one sum per such orbit is
+  classified, and it counts for every point of its orbit.  The smaller
+  cluster is walked from its memoized split on index rows, and each
+  classified sum goes through the coadjoint sweep's witnessed core, which
+  checks that point's witnesses; no element is spelled out as a Functional
+  list and no Template is made per point.  The pair counts are memoized in
+  a second bounded cache, keyed by the unordered pair, so a repeated
+  product and its mirror are counted once.  A fold by counting also
+  computes each distinct (term, cell) step once, in a dict of its own.
 
 Both caches hold clusters.MEMO_SIZE entries each, as the left-orbit
 splits do, and all three are emptied by supercluster.clear_memos().
@@ -39,9 +46,10 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from . import clusters
+from . import clusters, linalg
 from .clusters import MEMO_SIZE, Template, invariants_of
-from .errors import InvariantViolation, ResourceCapExceeded
+from .core import NilMatrix, UniMatrix, fixes_left, positions
+from .errors import InvariantViolation, ResourceCapExceeded, power_text
 from .gf import Field, FieldElement
 
 DEFAULT_MAX_PAIRS = 2**24
@@ -230,7 +238,8 @@ def _pair_counts(t1: Template, t2: Template, max_pairs: int) -> dict[Template, i
     """How many pairs (lam1, lam2) in Psi1 x Psi2 have lam1 + lam2 in each cluster.
 
     The cap on |Psi1| x |Psi2| comes first, each size q^(2d-i) read off
-    the support, and the message names the sizes in argument order.  Then
+    the support, and the message names the sizes in argument order, a size
+    with more digits than the interpreter will print as that power.  Then
     both memoized clusters.left_orbits splits are walked, each raising
     unless it holds that size, so the larger cluster is certified by its
     split.  The counts come from _count_step, larger cluster first and
@@ -242,7 +251,8 @@ def _pair_counts(t1: Template, t2: Template, max_pairs: int) -> dict[Template, i
         raise ValueError("mismatched rings")
     size1, size2 = clusters.cluster_size(t1), clusters.cluster_size(t2)
     if size1 * size2 > max_pairs:
-        raise ResourceCapExceeded(f"{size1} x {size2} cluster pairs exceed the cap {max_pairs}")
+        raise ResourceCapExceeded(
+            f"{_shown_size(t1)} x {_shown_size(t2)} cluster pairs exceed the cap {max_pairs}")
     clusters.left_orbits(t1)
     clusters.left_orbits(t2)
     try:
@@ -251,6 +261,44 @@ def _pair_counts(t1: Template, t2: Template, max_pairs: int) -> dict[Template, i
         return dict(_count_step(t2, t1, size2))
     except InvariantViolation as exc:
         raise InvariantViolation(f"[{t1.text()}] x [{t2.text()}]: {exc}") from exc
+
+
+def _shown_size(tau: Template) -> str:
+    """|Psi(tau)| = q^(2d-i) as a cap line names it (errors.power_text)."""
+    inv = invariants_of(tau)
+    return power_text(tau.field.q, 2 * inv.d - inv.i)
+
+
+def _left_fixers(base: Template) -> list[tuple[int, int]]:
+    """S: the positions (i, j) with no cell of base in column j above row i.
+
+    I + a*e_ij adds a * lam(k, j) at (k, i) for each k < i, so it fixes the
+    rook placement base exactly when (i, j) is in S, and S is closed under
+    (i, j), (j, l) -> (i, l): the I + x with x supported on S are a group.
+    """
+    top = {j: i for i, j, _ in base.cells}
+    return [(i, j) for i, j in positions(base.n) if i <= top.get(j, i)]
+
+
+def _fixer_moves(base: Template) -> list[list[tuple[int, int]]]:
+    """For each (i, j) of S with i > 1, the (from, to) places over
+    positions(n) of what I + e_ij adds to an index row: (k, j) to (k, i)
+    for k < i.
+
+    Where there is one, checks once, through core, that I + the sum of e_ij
+    over S fixes base.  Each of those e_ij moves a cell (k, j) of base to
+    (k, i), a position of no other cell and of no other e_ij's move, so no
+    two moves cancel and the one check holds each e_ij of S to fixing base.
+    """
+    field, n = base.field, base.n
+    fixers = _left_fixers(base)
+    lex = clusters._lex
+    moves = [[(lex(n, k, j), lex(n, k, i)) for k in range(1, i)] for i, j in fixers if i > 1]
+    if moves:
+        g = UniMatrix(NilMatrix._trusted(field, n, dict.fromkeys(fixers, field.one)))
+        if not fixes_left(g, base.as_functional()):
+            raise InvariantViolation(f"the left fixers {fixers} of {base.text()} move it")
+    return moves
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -264,26 +312,74 @@ def _count_step(base: Template, small: Template, weight: int) -> tuple[tuple[Tem
     that keeps the cluster of the sum: every lam1 sees the same counts.  So
     only base + lam is classified, lam running over the smaller cluster, and
     each hit counts weight pairs; the larger cluster is certified by its
-    split alone.  The smaller cluster is walked from its memoized split,
-    clusters.left_orbits: each translate of each reduced mu is added to
-    base's index row, and the sum goes through the witnessed sweep core on
-    its index rows, which checks that point's witnesses.  Hits are counted
-    by rook cells, and one Template is made per target.
+    split alone.
+
+    Nor need every lam be classified.  The g = I + x, x supported on S =
+    _left_fixers(base), are a group that fixes base on the left, so
+    g.(base + lam) = base + g.lam lies in the cluster of base + lam.  The
+    group is an algebra group, so its orbit through lam is the affine
+    subspace lam + span{v_ij(lam) : (i, j) in S}, v_ij(lam) holding
+    lam(k, j) at (k, i) for k < i, as a left orbit is lam + L-hat(lam);
+    and v_ij(base + lam) = v_ij(lam).  The smaller cluster is walked from
+    its memoized split, clusters.left_orbits: each translate of each
+    reduced mu is added to base's index row, and each sum not yet covered
+    covers its orbit (_fixer_orbits), goes once through the witnessed
+    sweep core on its index rows, which checks that point's witnesses,
+    and counts weight pairs per point it newly covers.  A one-point
+    cluster is swept as it is, with no S, and so is a sum with no v_ij.
+    Hits are counted by rook cells, and one Template is made per target.
     """
     field, n = base.field, base.n
     add, slots = field.add_idx, clusters._slots(n)
     base_vec = clusters._vector(base.as_functional())
+    orbits = clusters.left_orbits(small)
+    moves = _fixer_moves(base) if len(orbits) > 1 or orbits[0][1] else None
     hits: dict[tuple, int] = {}
-    for mu, basis in clusters.left_orbits(small):
+    for mu, basis in orbits:
         start = [add[x][y] for x, y in zip(base_vec, mu)]
-        for vec in clusters._span_vectors(field, start, basis):
-            cells = clusters._coadjoint_sweep(*clusters._point(field, n, slots, vec))[0]
-            hits[cells] = hits.get(cells, 0) + weight
+        points = clusters._span_vectors(field, start, basis)
+        if moves:
+            for vec, size in _fixer_orbits(field, points, moves):
+                cells = clusters._coadjoint_sweep(*clusters._point(field, n, slots, vec))[0]
+                hits[cells] = hits.get(cells, 0) + weight * size
+        else:
+            for vec in points:
+                cells = clusters._coadjoint_sweep(*clusters._point(field, n, slots, vec))[0]
+                hits[cells] = hits.get(cells, 0) + weight
     els = field.elements
     return tuple(
         (Template(field, n, [(i, j, els[v]) for i, j, v in cells]), count)
         for cells, count in hits.items()
     )
+
+
+def _fixer_orbits(field: Field, points, moves):
+    """(vec, size) for each point of points, index rows over positions(n),
+    that no earlier point's orbit covered: vec covers its orbit, vec + the
+    span of the rows moves adds to it (see _fixer_moves), spelled out from
+    its echelon basis, and size is the number of points it newly covers.
+    A point that moves adds nothing to is its own orbit."""
+    zero = [0] * len(points[0])
+    covered: set[tuple[int, ...]] = set()
+    for vec in points:
+        if covered and tuple(vec) in covered:
+            continue
+        spans = []
+        for pairs in moves:
+            span = None
+            for at, to in pairs:
+                if vec[at]:
+                    if span is None:
+                        span = zero[:]
+                    span[to] = vec[at]
+            if span is not None:
+                spans.append(span)
+        if not spans:
+            yield vec, 1
+            continue
+        before = len(covered)
+        covered.update(map(tuple, clusters._span_vectors(field, vec, linalg.echelon(field, spans))))
+        yield vec, len(covered) - before
 
 
 def c_count(t1: Template, t2: Template, target: Template, max_pairs: int = DEFAULT_MAX_PAIRS) -> int:
@@ -334,12 +430,18 @@ def fold_by_counting(field: Field, n: int, factors, max_pairs: int = DEFAULT_MAX
 
     The same left fold as the rewrite route, with tensor_by_counting as the
     step; each step also re-certifies itself against the rewrite route.
+    Each distinct (term, cell) step is computed once per fold, in a dict
+    local to the call, so a long stack of a few cells costs a few steps.
     Used by the CLI --check.
     """
     cells = [(i, j, v) for (i, j, v) in factors if v]
     primaries = {cell: Template(field, n, [cell]) for cell in cells}
+    steps: dict[tuple[Template, Cell], dict[Template, int]] = {}
 
     def step(tau: Template, cell: Cell):
-        return tensor_by_counting(tau, primaries[cell], max_pairs).terms.items()
+        got = steps.get((tau, cell))
+        if got is None:
+            got = steps[tau, cell] = tensor_by_counting(tau, primaries[cell], max_pairs).terms
+        return got.items()
 
     return CharSum(field, n, _fold({Template(field, n, []): 1}, cells, step))

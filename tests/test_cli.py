@@ -494,6 +494,20 @@ def test_a_checked_product_over_the_pair_cap_exits_3_before_any_walk(capsys):
     assert err == "resource cap exceeded: 1 x 268435456 cluster pairs exceed the cap 16777216\n"
 
 
+@pytest.mark.parametrize("n,shown", [(1065, str(2**2126)), (1066, "2^2128")])
+def test_the_pair_cap_line_names_a_size_too_long_to_print_as_a_power(n, shown, digit_limit,
+                                                                     capsys):
+    """Under a 640-digit limit, the 2^2126 points of (1,1065) (640 digits)
+    are named in full, and the 2^2128 of (1,1066) (641 digits) as a power;
+    either way the checked product exits 3 with the one cap line and
+    nothing on stdout."""
+    digit_limit(640)
+    argv = ["tensor", "--n", str(n), "--q", "2", "--factor", f"1,{n},1", "--check"]
+    code, out, err = _main_in_process(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err == f"resource cap exceeded: 1 x {shown} cluster pairs exceed the cap 16777216\n"
+
+
 def test_a_wrong_counting_step_fails_the_checked_product_with_exit_4(monkeypatch, capsys):
     # the check rests on each counting step's own comparison with its rewrite
     # step: doubling the pair counts of the second step, [(1,2)=1] x [(2,3)=1],

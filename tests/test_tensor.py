@@ -4,8 +4,9 @@ import sys
 import pytest
 
 import supercluster
-from supercluster import clusters, field_make, tensor
+from supercluster import cli, clusters, field_make, tensor
 from supercluster.clusters import Template, enumerate_templates, invariants_of, parse_template
+from supercluster.core import coact_left, elementary, fixes_left, positions
 from supercluster.errors import InvariantViolation, ResourceCapExceeded
 from supercluster.oracle import OracleContext, brute_tensor
 from supercluster.tensor import (
@@ -212,11 +213,16 @@ def test_random_folds_rewrite_equals_counting(p, k):
 
 
 def brute_pair_counts(t1, t2):
-    # every pair of cluster elements, each sum classified by the witnessed sweep
-    counts = {}
+    # every pair of cluster elements, each distinct sum classified once by
+    # the witnessed sweep
+    counts, seen = {}, {}
+    second = cluster_elements(t2)
     for lam1 in cluster_elements(t1):
-        for lam2 in cluster_elements(t2):
-            tau = clusters.coadjoint_template_of(lam1 + lam2)[0]
+        for lam2 in second:
+            lam = lam1 + lam2
+            tau = seen.get(lam)
+            if tau is None:
+                tau = seen[lam] = clusters.coadjoint_template_of(lam)[0]
             counts[tau] = counts.get(tau, 0) + 1
     return counts
 
@@ -225,19 +231,27 @@ def brute_pair_counts(t1, t2):
     "n,p,k,sample",
     [
         (3, 2, 1, None), (3, 3, 1, None), (3, 2, 2, None), (4, 2, 1, 12), (4, 3, 1, 8),
-        (3, 5, 1, 12), (3, 2, 3, 8), (4, 2, 2, 12),
+        (3, 5, 1, 12), (3, 2, 3, 8), (4, 2, 2, 12), (4, 2, 2, (1, 4)), (5, 2, 1, 6),
     ],
 )
 def test_pair_counts_equal_brute_enumeration(n, p, k, sample):
-    templates = enumerate_templates(n, field_make(p, k))
+    """sample None takes every pair of templates, an int that many seeded
+    pairs, and a position (i, j) the primary at (i, j) with value 1 paired
+    with each primary there.  A pair and its mirror share one brute count,
+    since lam1 + lam2 = lam2 + lam1."""
+    field = field_make(p, k)
+    templates = enumerate_templates(n, field)
     if sample is None:
         pairs = [(t1, t2) for t1 in templates for t2 in templates]
-    else:
+    elif isinstance(sample, int):
         rng = random.Random(100 * n + 10 * p + k)
         pairs = [(rng.choice(templates), rng.choice(templates)) for _ in range(sample)]
+    else:
+        primaries = [Template(field, n, [(*sample, v)]) for v in field.nonzero]
+        pairs = [(primaries[0], t) for t in primaries]
     for t1, t2 in pairs:
+        brute = brute_pair_counts(t1, t2)
         for a, b in ((t1, t2), (t2, t1)):
-            brute = brute_pair_counts(a, b)
             size1 = len(cluster_elements(a))
             size2 = len(cluster_elements(b))
             cap = size1 * size2
@@ -273,6 +287,113 @@ def test_pair_counts_sweep_only_the_smaller_cluster(monkeypatch):
     assert len(cluster_elements(t1)) == 16
     assert len(cluster_elements(t2)) == 64
     assert 0 < len(sweeps) <= 16
+
+
+def _fixer_orbit_count(base, small):
+    """The orbits on Psi(small) of the I + a*e_ij, a != 0, over the (i, j)
+    whose I + e_ij fixes base on the left, by BFS through core.coact_left."""
+    field, n = base.field, base.n
+    lam = base.as_functional()
+    gens = [
+        elementary(field, n, i, j, a)
+        for i, j in positions(n)
+        if fixes_left(elementary(field, n, i, j, field.one), lam)
+        for a in field.nonzero
+    ]
+    left = set(cluster_elements(small))
+    orbits = 0
+    while left:
+        orbits += 1
+        frontier = [left.pop()]
+        while frontier:
+            mu = frontier.pop()
+            for g in gens:
+                nu = coact_left(g, mu)
+                if nu in left:
+                    left.remove(nu)
+                    frontier.append(nu)
+    return orbits
+
+
+@pytest.mark.parametrize(
+    "n,p,k,base,small",
+    [(4, 2, 2, "(1,4)=1", "(1,4)=1"), (5, 3, 1, "(1,5)=1", "(2,5)=1")],
+)
+def test_one_sweep_per_orbit_of_the_base_left_fixers(monkeypatch, n, p, k, base, small):
+    # the counting step sweeps one sum per orbit of the group that fixes
+    # base on the left: 113 of 256 at (4,GF(4)) and 45 of 81 at (5,3)
+    field = field_make(p, k)
+    base, small = parse_template(field, n, base), parse_template(field, n, small)
+    assert (-clusters.cluster_size(base), base.sort_key()) <= (
+        -clusters.cluster_size(small), small.sort_key())  # base is the step's base
+    supercluster.clear_memos()
+    sweeps = _recording(monkeypatch, ["_coadjoint_sweep"])
+    tensor_by_counting(base, small)
+    assert len(sweeps) == _fixer_orbit_count(base, small) < len(cluster_elements(small))
+
+
+def _with_bad_fixer(monkeypatch):
+    """S of the base (1,4)=1 at n = 4 also holds (2,4), whose I + e_24 moves
+    the cell (1,4) to (1,2)."""
+    real = tensor._left_fixers
+
+    def fixers(base):
+        got = real(base)
+        return got + [(2, 4)] if (base.n, base.text()) == (4, "(1,4)=1") else got
+
+    monkeypatch.setattr(tensor, "_left_fixers", fixers)
+
+
+def test_the_left_fixer_check_catches_a_bad_fixer(monkeypatch):
+    field = field_make(2, 1)
+    base = parse_template(field, 4, "(1,4)=1")
+    supercluster.clear_memos()
+    _with_bad_fixer(monkeypatch)
+    with pytest.raises(InvariantViolation) as err:
+        tensor_by_counting(base, base)
+    assert str(err.value) == (
+        "[(1,4)=1] x [(1,4)=1]: the left fixers [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]"
+        " of (1,4)=1 move it"
+    )
+
+
+def test_a_bad_fixer_fails_the_checked_product_with_exit_4(monkeypatch, capsys):
+    supercluster.clear_memos()
+    _with_bad_fixer(monkeypatch)
+    code = cli.main(["tensor", "--n", "4", "--q", "2", "--factor", "1,4,1", "--factor", "1,4,1",
+                     "--check"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert err.count("THEOREM FALSIFIED") == 1
+    assert err == (
+        "THEOREM FALSIFIED: [(1,4)=1] x [(1,4)=1]: the left fixers"
+        " [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)] of (1,4)=1 move it\n"
+    )
+
+
+def test_a_fold_computes_each_distinct_step_once(monkeypatch):
+    # 150 factors (1,3,1) at n = 3 over GF(2): the running sum only ever
+    # holds a few distinct terms, and each (term, cell) is counted once
+    field = field_make(2, 1)
+    cells = [(1, 3, field.one)] * 150
+    cell = Template(field, 3, cells[:1])
+    distinct = {
+        (tau, cell) for m in range(len(cells)) for tau in tensor_rewrite(field, 3, cells[:m]).terms
+    }
+    supercluster.clear_memos()
+    calls = []
+    real = tensor.tensor_by_counting
+    monkeypatch.setattr(tensor, "tensor_by_counting",
+                        lambda t1, t2, cap: calls.append((t1, t2)) or real(t1, t2, cap))
+    assert fold_by_counting(field, 3, cells) == tensor_rewrite(field, 3, cells)
+    assert sorted(calls, key=str) == sorted(distinct, key=str)
+    assert len(calls) == 5
+
+
+def test_a_single_factor_over_the_cap_names_the_trivial_first_step(F2):
+    with pytest.raises(ResourceCapExceeded) as err:
+        fold_by_counting(F2, 4, [(1, 4, F2.one)], 15)
+    assert str(err.value) == "1 x 16 cluster pairs exceed the cap 15"
 
 
 def test_the_pair_cap_comes_before_any_cluster_is_spelled_out(monkeypatch):
