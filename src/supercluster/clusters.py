@@ -437,46 +437,45 @@ def invariants_of(tau: Template) -> ClusterInvariants:
 
 # -- the orbit subspaces, for arbitrary functionals ---------------------------
 #
-# Vectors are index rows over positions(n), in no fixed order; lam(x.y) and
-# lam(y.x) for a matrix unit y meet each position at most once, so no entry
-# is a sum.  The vector of e_ij in L-hat reads rows 1..i-1 of lam, and in
-# R-hat row i alone, so, as with the window ranks, the three spans of a
-# point grow a row at a time (HatDims), and points that share their first
-# rows share those steps.
+# Vectors are index rows over positions(n), in no fixed order.  I + e_ij
+# adds to a functional lam, on the left, lam(k, j) at (k, i) for each k < i
+# (the vector of e_ij in L-hat), and on the right lam(i, l) at (j, l) for
+# each l > j (its vector in R-hat); each move meets a position at most
+# once, so no entry is a sum.  The move table spells these as (from, to)
+# places over positions(n), for a whole vector at a time; left_orbits and
+# the counting walk read L-hat and R-hat from it.  The vector of e_ij in
+# L-hat reads rows 1..i-1 of lam, and in R-hat row i alone, so, as with the
+# window ranks, the three spans of a point also grow a row at a time
+# (HatDims), and points that share their first rows share those steps.
 
-def _lhat_vectors(lam: Functional) -> list[list[int]]:
-    """Spanning vectors of {x -> lam(x.y) : y nilpotent}, one per basis y.
-
-    y = e_ij gives x -> sum over k < i of lam(k, j) * x_ki, so an entry
-    (k, j) of lam lands at position (k, i) of the vector of each k < i < j.
-    """
-    n = lam.n
-    vecs: dict[tuple[int, int], list[int]] = {}
-    for (k, j), c in lam.entries.items():
-        at = _lex(n, k, k + 1)  # (k, i) for i = k+1, k+2, ... are consecutive
-        for i in range(k + 1, j):
-            vec = vecs.get((i, j))
-            if vec is None:
-                vec = vecs[i, j] = [0] * (n * (n - 1) // 2)
-            vec[at + i - k - 1] = c.index
-    return list(vecs.values())
+def _left_moves(n: int, where) -> list[list[tuple[int, int]]]:
+    """For each (i, j) of where with i > 1, the (from, to) places over
+    positions(n) of what I + e_ij adds on the left: (k, j) to (k, i) for
+    k < i."""
+    return [[(_lex(n, k, j), _lex(n, k, i)) for k in range(1, i)] for i, j in where if i > 1]
 
 
-def _rhat_vectors(lam: Functional) -> list[list[int]]:
-    """Spanning vectors of {x -> lam(y.x) : y nilpotent}.
+def _right_moves(n: int, where) -> list[list[tuple[int, int]]]:
+    """For each (i, j) of where with j < n, the (from, to) places over
+    positions(n) of what I + e_ij adds on the right: (i, l) to (j, l) for
+    l > j."""
+    return [[(_lex(n, i, l), _lex(n, j, l)) for l in range(j + 1, n + 1)] for i, j in where if j < n]
 
-    y = e_ij gives x -> sum over l > j of lam(i, l) * x_jl, so an entry
-    (i, l) of lam lands at position (j, l) of the vector of each i < j < l.
-    """
-    n = lam.n
-    vecs: dict[tuple[int, int], list[int]] = {}
-    for (i, l), c in lam.entries.items():
-        for j in range(i + 1, l):
-            vec = vecs.get((i, j))
-            if vec is None:
-                vec = vecs[i, j] = [0] * (n * (n - 1) // 2)
-            vec[_lex(n, j, l)] = c.index
-    return list(vecs.values())
+
+def _move_rows(vec, moves) -> list[list[int]]:
+    """The non-zero vectors that the moves, each a (from, to) list of a move
+    table, add to the index row vec over positions(n)."""
+    out = []
+    for pairs in moves:
+        row = None
+        for at, to in pairs:
+            if vec[at]:
+                if row is None:
+                    row = [0] * len(vec)
+                row[to] = vec[at]
+        if row is not None:
+            out.append(row)
+    return out
 
 
 def _hat_step(field: Field, n: int, k: int, rows, state) -> tuple:
@@ -637,17 +636,20 @@ def left_orbits(tau: Template) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, 
     which gives the same row for every point of the orbit.  The cluster is
     the union of the left orbits of the points of tau's right orbit
     tau + R-hat(tau), the only walk of a cluster, so each of those is
-    reduced once and repeats are dropped.  Raises InvariantViolation unless
-    there are q^(d-i) orbits, each of dimension d: so len(orbits) *
-    q^len(basis) is q^(2d-i), the size of the cluster, read off the split.
+    reduced once and repeats are dropped; both spans are read off the move
+    table on index rows, so no point is made a Functional.  Raises
+    InvariantViolation unless there are q^(d-i) orbits, each of dimension
+    d: so len(orbits) * q^len(basis) is q^(2d-i), the size of the cluster,
+    read off the split.
     Memoized in a bounded cache of MEMO_SIZE splits.
     """
     field, n = tau.field, tau.n
     add, mul, neg = field.add_idx, field.mul_idx, field.neg_idx
-    lam, slots = tau.as_functional(), _slots(n)
+    lam, lhat = _vector(tau.as_functional()), _left_moves(n, positions(n))
     found: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-    for vec in _span_vectors(field, _vector(lam), linalg.echelon(field, _rhat_vectors(lam))):
-        basis = linalg.echelon(field, _lhat_vectors(_point(field, n, slots, vec)[0]))
+    rhat = _move_rows(lam, _right_moves(n, positions(n)))
+    for vec in _span_vectors(field, lam, linalg.echelon(field, rhat)):
+        basis = linalg.echelon(field, _move_rows(vec, lhat))
         for row in basis:  # each row is 1 at its pivot and 0 at every other pivot
             a = vec[next(c for c, y in enumerate(row) if y)]
             if a:
@@ -661,6 +663,50 @@ def left_orbits(tau: Template) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, 
             f" expected q^(d-i) = {field.q ** (inv.d - inv.i)} of dimension {inv.d}"
         )
     return tuple(found.items())
+
+
+def count_sums(base: Template, small: Template, fixers) -> dict[tuple, int]:
+    """For each cluster that base + lam lands in, lam over the cluster of
+    small, the number of such lam, keyed by the template's cells as the
+    coadjoint sweep gives them: (i, j, index) in lex order.
+
+    fixers is S, positions (i, j) such that the I + x, x supported on S,
+    fix base on the left; the caller checks that they do.  They are an
+    algebra group, so g.(base + lam) = base + g.lam, in the cluster of
+    base + lam, and the group's orbit through base + lam is that point plus
+    the span of the rows _left_moves(n, S) adds to it, inside lam's left
+    orbit.  The cluster of small is walked from its memoized split,
+    left_orbits: each translate of each reduced mu is added to base's index
+    row, and each sum not yet covered covers its orbit, spelled out from
+    its echelon basis, goes once through the witnessed sweep core on its
+    index rows, which checks that point's witnesses, and counts the points
+    it newly covers.  With no move each sum is its own orbit, and is swept
+    as it is.
+    """
+    field, n = base.field, base.n
+    add, slots = field.add_idx, _slots(n)
+    base_vec = _vector(base.as_functional())
+    moves = _left_moves(n, fixers)
+    counts: dict[tuple, int] = {}
+    for mu, basis in left_orbits(small):
+        points = _span_vectors(field, [add[x][y] for x, y in zip(base_vec, mu)], basis)
+        if not moves:
+            for vec in points:
+                cells = _coadjoint_sweep(*_point(field, n, slots, vec))[0]
+                counts[cells] = counts.get(cells, 0) + 1
+            continue
+        covered: set[tuple[int, ...]] = set()
+        for vec in points:
+            if covered and tuple(vec) in covered:
+                continue
+            rows, size = _move_rows(vec, moves), 1
+            if rows:  # a point no move shifts is its own orbit
+                before = len(covered)
+                covered.update(map(tuple, _span_vectors(field, vec, linalg.echelon(field, rows))))
+                size = len(covered) - before
+            cells = _coadjoint_sweep(*_point(field, n, slots, vec))[0]
+            counts[cells] = counts.get(cells, 0) + size
+    return counts
 
 
 # -- enumeration and counting -------------------------------------------------

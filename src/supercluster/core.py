@@ -10,9 +10,10 @@ as_matrix()/as_functional().
 The six actions (left/right/adjoint on matrices, left/right/coadjoint on
 functionals) are pure functions; every value here is immutable and safe to
 share across workers.  fixes_left(g, lam) answers coact_left(g, lam) == lam
-from the same column-operation increments without building the image; no
-engine path calls it, and it is kept as the tests' witness for the oracle's
-fixed-point rule, which packed writes from the same formula.
+from the same column-operation increments without building the image;
+tensor's counting step calls it, once per step, to check that the left
+fixers of its base fix the base, and the tests keep it as their witness for
+the oracle's fixed-point rule, which packed writes from the same formula.
 
 Every operation on two operands raises ValueError ("size mismatch" or
 "field mismatch") when their sizes or fields differ: sums and differences,

@@ -28,11 +28,12 @@ def int_str_limit_exceeded(q: int, e: int) -> int:
     digits than it, else 0 (also where no limit is set): a cap line names
     such a number as the power q^e, since str() of it raises."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    # q^e < 2^(e * bits(q)) <= 2^(3 * limit) < 10^limit decides most powers
-    # without computing one; the rest compare exactly
-    if limit and e * q.bit_length() > 3 * limit and q**e >= 10**limit:
-        return limit
-    return 0
+    # q^e < 2^(e * bits(q)) <= 2^(3 * limit) < 10^limit, and, q >= 2,
+    # q^e >= 2^(e * (bits(q) - 1)) >= 2^(10 * limit / 3) > 10^limit decide
+    # most powers without computing one; the rest compare exactly
+    if not limit or e * q.bit_length() <= 3 * limit:
+        return 0
+    return limit if 3 * e * (q.bit_length() - 1) >= 10 * limit or q**e >= 10**limit else 0
 
 
 def power_text(q: int, e: int) -> str:

@@ -90,12 +90,12 @@ from .gf import Field
 
 def _check_space(n: int, field: Field, cap: int) -> int:
     """q^(n(n-1)/2), the size of the spaces; over cap, ResourceCapExceeded
-    names it, as that power where it has too many digits to print."""
+    names it, as that power where it has too many digits to print.  q >= 2,
+    so e >= bits(cap) puts q^e over cap before any power is computed."""
     q, e = field.q, n * (n - 1) // 2
-    size = q**e
-    if size > cap:
+    if e >= cap.bit_length() or q**e > cap:
         raise ResourceCapExceeded(f"space of size {power_text(q, e)} exceeds the cap {cap}")
-    return size
+    return q**e
 
 
 def enumerate_dual(n: int, field: Field, cap: int = DEFAULT_MAX_SPACE) -> list[Functional]:

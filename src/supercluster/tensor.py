@@ -22,17 +22,21 @@ of class functions commute and associate.  Only the step differs:
   plus elements of the smaller cluster and weights each hit by the larger
   size.  The I + x with x supported on S, the positions (i, j) with no cell
   of base in column j above row i, form an algebra group that fixes base on
-  the left, so g.(base + lam) = base + g.lam is in the cluster of
-  base + lam, and the group's orbit through lam is the affine subspace
-  lam + span{lam(. e_ij) : (i, j) in S}.  So one sum per such orbit is
-  classified, and it counts for every point of its orbit.  The smaller
-  cluster is walked from its memoized split on index rows, and each
-  classified sum goes through the coadjoint sweep's witnessed core, which
-  checks that point's witnesses; no element is spelled out as a Functional
-  list and no Template is made per point.  The pair counts are memoized in
-  a second bounded cache, keyed by the unordered pair, so a repeated
-  product and its mirror are counted once.  A fold by counting also
-  computes each distinct (term, cell) step once, in a dict of its own.
+  the left (checked here once per step, through core), so g.(base + lam) =
+  base + g.lam is in the cluster of base + lam, and the group's orbit
+  through lam is the affine subspace lam + span{lam(. e_ij) : (i, j) in S}.
+  So one sum per such orbit is classified, and it counts for every point of
+  its orbit.  That walk is clusters.count_sums, which spans each orbit
+  from the move table that the left-orbit splits read L-hat from: it walks
+  the smaller cluster from its memoized split on index rows and puts each
+  classified sum through the coadjoint sweep's witnessed core, which
+  checks that point's witnesses; no element is spelled out as a
+  Functional list and no Template is made per point.  This module keeps
+  S, the check, the weights and the Templates of the targets.  The pair
+  counts are memoized in a second bounded cache, keyed by the unordered
+  pair, so a repeated product and its mirror are counted once.  A fold by
+  counting also computes each distinct (term, cell) step once, in a dict
+  of its own.
 
 Both caches hold clusters.MEMO_SIZE entries each, as the left-orbit
 splits do, and all three are emptied by supercluster.clear_memos().
@@ -46,7 +50,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from . import clusters, linalg
+from . import clusters
 from .clusters import MEMO_SIZE, Template, invariants_of
 from .core import NilMatrix, UniMatrix, fixes_left, positions
 from .errors import InvariantViolation, ResourceCapExceeded, power_text
@@ -280,27 +284,6 @@ def _left_fixers(base: Template) -> list[tuple[int, int]]:
     return [(i, j) for i, j in positions(base.n) if i <= top.get(j, i)]
 
 
-def _fixer_moves(base: Template) -> list[list[tuple[int, int]]]:
-    """For each (i, j) of S with i > 1, the (from, to) places over
-    positions(n) of what I + e_ij adds to an index row: (k, j) to (k, i)
-    for k < i.
-
-    Where there is one, checks once, through core, that I + the sum of e_ij
-    over S fixes base.  Each of those e_ij moves a cell (k, j) of base to
-    (k, i), a position of no other cell and of no other e_ij's move, so no
-    two moves cancel and the one check holds each e_ij of S to fixing base.
-    """
-    field, n = base.field, base.n
-    fixers = _left_fixers(base)
-    lex = clusters._lex
-    moves = [[(lex(n, k, j), lex(n, k, i)) for k in range(1, i)] for i, j in fixers if i > 1]
-    if moves:
-        g = UniMatrix(NilMatrix._trusted(field, n, dict.fromkeys(fixers, field.one)))
-        if not fixes_left(g, base.as_functional()):
-            raise InvariantViolation(f"the left fixers {fixers} of {base.text()} move it")
-    return moves
-
-
 @lru_cache(maxsize=MEMO_SIZE)
 def _count_step(base: Template, small: Template, weight: int) -> tuple[tuple[Template, int], ...]:
     """The pair counts of the clusters of base and small, |Psi(base)| = weight
@@ -314,72 +297,27 @@ def _count_step(base: Template, small: Template, weight: int) -> tuple[tuple[Tem
     each hit counts weight pairs; the larger cluster is certified by its
     split alone.
 
-    Nor need every lam be classified.  The g = I + x, x supported on S =
-    _left_fixers(base), are a group that fixes base on the left, so
-    g.(base + lam) = base + g.lam lies in the cluster of base + lam.  The
-    group is an algebra group, so its orbit through lam is the affine
-    subspace lam + span{v_ij(lam) : (i, j) in S}, v_ij(lam) holding
-    lam(k, j) at (k, i) for k < i, as a left orbit is lam + L-hat(lam);
-    and v_ij(base + lam) = v_ij(lam).  The smaller cluster is walked from
-    its memoized split, clusters.left_orbits: each translate of each
-    reduced mu is added to base's index row, and each sum not yet covered
-    covers its orbit (_fixer_orbits), goes once through the witnessed
-    sweep core on its index rows, which checks that point's witnesses,
-    and counts weight pairs per point it newly covers.  A one-point
-    cluster is swept as it is, with no S, and so is a sum with no v_ij.
-    Hits are counted by rook cells, and one Template is made per target.
+    Nor need every lam be classified: the g = I + x, x supported on S =
+    _left_fixers(base), are a group that fixes base on the left, and
+    clusters.count_sums classifies one sum per orbit of that group.  Where
+    S has a position (i, j) with i > 1, this checks once, through core,
+    that I + the sum of e_ij over S fixes base.  Each of those e_ij moves a
+    cell (k, j) of base to (k, i), a position of no other cell and of no
+    other e_ij's move, so no two moves cancel and the one check holds each
+    e_ij of S to fixing base.  A one-point cluster is walked with no S.
+    One Template is made per target.
     """
     field, n = base.field, base.n
-    add, slots = field.add_idx, clusters._slots(n)
-    base_vec = clusters._vector(base.as_functional())
-    orbits = clusters.left_orbits(small)
-    moves = _fixer_moves(base) if len(orbits) > 1 or orbits[0][1] else None
-    hits: dict[tuple, int] = {}
-    for mu, basis in orbits:
-        start = [add[x][y] for x, y in zip(base_vec, mu)]
-        points = clusters._span_vectors(field, start, basis)
-        if moves:
-            for vec, size in _fixer_orbits(field, points, moves):
-                cells = clusters._coadjoint_sweep(*clusters._point(field, n, slots, vec))[0]
-                hits[cells] = hits.get(cells, 0) + weight * size
-        else:
-            for vec in points:
-                cells = clusters._coadjoint_sweep(*clusters._point(field, n, slots, vec))[0]
-                hits[cells] = hits.get(cells, 0) + weight
+    fixers = _left_fixers(base) if invariants_of(small).d else []
+    if any(i > 1 for i, _ in fixers):
+        g = UniMatrix(NilMatrix._trusted(field, n, dict.fromkeys(fixers, field.one)))
+        if not fixes_left(g, base.as_functional()):
+            raise InvariantViolation(f"the left fixers {fixers} of {base.text()} move it")
     els = field.elements
     return tuple(
-        (Template(field, n, [(i, j, els[v]) for i, j, v in cells]), count)
-        for cells, count in hits.items()
+        (Template(field, n, [(i, j, els[v]) for i, j, v in cells]), weight * count)
+        for cells, count in clusters.count_sums(base, small, fixers).items()
     )
-
-
-def _fixer_orbits(field: Field, points, moves):
-    """(vec, size) for each point of points, index rows over positions(n),
-    that no earlier point's orbit covered: vec covers its orbit, vec + the
-    span of the rows moves adds to it (see _fixer_moves), spelled out from
-    its echelon basis, and size is the number of points it newly covers.
-    A point that moves adds nothing to is its own orbit."""
-    zero = [0] * len(points[0])
-    covered: set[tuple[int, ...]] = set()
-    for vec in points:
-        if covered and tuple(vec) in covered:
-            continue
-        spans = []
-        for pairs in moves:
-            span = None
-            for at, to in pairs:
-                if vec[at]:
-                    if span is None:
-                        span = zero[:]
-                    span[to] = vec[at]
-            if span is not None:
-                spans.append(span)
-        if not spans:
-            yield vec, 1
-            continue
-        before = len(covered)
-        covered.update(map(tuple, clusters._span_vectors(field, vec, linalg.echelon(field, spans))))
-        yield vec, len(covered) - before
 
 
 def c_count(t1: Template, t2: Template, target: Template, max_pairs: int = DEFAULT_MAX_PAIRS) -> int:

@@ -17,7 +17,7 @@ from supercluster.characters import build_table, table_from_json
 from supercluster.errors import InvariantViolation
 
 
-def run(*args, env=None):
+def run(*args, env=None, timeout=300):
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
@@ -26,7 +26,7 @@ def run(*args, env=None):
         capture_output=True,
         text=True,
         env=full_env,
-        timeout=300,
+        timeout=timeout,
     )
 
 
@@ -586,6 +586,30 @@ def test_the_space_cap_line_names_a_size_too_long_to_print_as_a_power(n, shown, 
     code, out, err = _main_in_process(["verify", "--n", str(n), "--q", "2"], capsys)
     assert (code, out) == (3, "")
     assert err == f"resource cap exceeded: space of size {shown} exceeds the cap 1048576\n"
+
+
+_LIMIT = {"PYTHONINTMAXSTRDIGITS": "4300"}
+
+
+def test_a_space_too_large_to_compute_exits_3_at_once():
+    """At n = 100,000 over GF(2) the space has 2^4999950000 points: the cap
+    is decided, and the line names that power, without computing it, so
+    verify exits 3 well inside 5 s."""
+    out = run("verify", "--n", "100000", "--q", "2", env=_LIMIT, timeout=5)
+    assert (out.returncode, out.stdout) == (3, "")
+    assert out.stderr == (
+        "resource cap exceeded: space of size 2^4999950000 exceeds the cap 1048576\n")
+
+
+def test_a_power_far_past_the_digit_limit_is_named_without_computing_it():
+    # 2^(5 * 10^9) would take minutes and 625 MB to compute; the bound
+    # 2^(e * (bits(q) - 1)) names it at once.  Run apart, so that a slow
+    # answer fails by timeout.
+    code = ("from supercluster.errors import int_str_limit_exceeded;"
+            " print(int_str_limit_exceeded(2, 5 * 10**9))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, **_LIMIT}, timeout=5)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "4300\n", "")
 
 
 # -- the plain reader against argparse -----------------------------------------

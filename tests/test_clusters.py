@@ -10,8 +10,9 @@ from supercluster.clusters import (
     HatDims,
     Template,
     WindowRanks,
-    _lhat_vectors,
-    _rhat_vectors,
+    _left_moves,
+    _move_rows,
+    _right_moves,
     adjoint_cluster_size,
     adjoint_template_of,
     bell_poly,
@@ -316,7 +317,7 @@ def test_left_orbits_split_the_cluster(case):
         mu = Functional(field, n, {
             pos: field.elements[v] for pos, v in zip(positions(n), vec)
         })
-        assert [list(row) for row in basis] == linalg.echelon(field, _lhat_vectors(mu))
+        assert [list(row) for row in basis] == linalg.echelon(field, hat_vectors(mu, "left"))
         orbit = codes.closure(codes.encode(mu), left)
         assert len(orbit) == q ** inv.d
         assert not orbit & union
@@ -328,6 +329,54 @@ def test_left_orbits_split_the_cluster(case):
         lam = codes.point("coadjoint", c)
         total = total + Cyclotomic.zeta_power(field.p, evaluate(lam, g.off).trace())
     assert char_value_sum(tau, g) == Fraction(q**inv.i, q**inv.d) * total
+
+
+# -- the orbit subspaces -------------------------------------------------------
+
+def _lex_row(lam):
+    """The entries of lam as one index row over positions(n)."""
+    return [lam.get(i, j).index for i, j in positions(lam.n)]
+
+
+def hat_vectors(lam, side):
+    """L-hat(lam) (side "left") or R-hat(lam) (side "right") spelled through
+    core: coact_left(I + e_ij, lam) - lam or coact_right(lam, I + e_ij) - lam
+    for each (i, j), as index rows over positions(n), the zero ones dropped."""
+    field, n = lam.field, lam.n
+    out = []
+    for i, j in positions(n):
+        g = elementary(field, n, i, j, field.one)
+        moved = (coact_left(g, lam) if side == "left" else coact_right(lam, g)) - lam
+        if moved:
+            out.append(_lex_row(moved))
+    return out
+
+
+@st.composite
+def functional_case(draw):
+    """A functional over GF(2), GF(3), GF(4) or GF(9), n = 2..6, about half
+    of its entries 0."""
+    field = draw(st.sampled_from(
+        [field_make(2, 1), field_make(3, 1), field_make(2, 2), field_make(3, 2)]))
+    n = draw(st.integers(2, 6))
+    digit = st.one_of(st.just(0), st.integers(0, field.q - 1))
+    values = draw(st.lists(digit, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    return Functional(field, n, {
+        pos: field.elements[v] for pos, v in zip(positions(n), values)
+    })
+
+
+@MOVES
+@given(functional_case())
+def test_the_move_table_adds_what_core_adds(lam):
+    # for each (i, j), the row the move table adds to lam's index row is
+    # what I + e_ij adds through core on either side, or none when that is 0
+    field, n = lam.field, lam.n
+    for i, j in positions(n):
+        g = elementary(field, n, i, j, field.one)
+        for moves, moved in ((_left_moves(n, [(i, j)]), coact_left(g, lam) - lam),
+                             (_right_moves(n, [(i, j)]), coact_right(lam, g) - lam)):
+            assert _move_rows(_lex_row(lam), moves) == ([_lex_row(moved)] if moved else [])
 
 
 # -- invariants ---------------------------------------------------------------
@@ -400,7 +449,7 @@ def test_prefix_hat_dims_equal_each_points_own(n, p, k, monkeypatch):
     points = [codes.decode("coadjoint", c) for c in range(codes.size)]
     alone = [HatDims(field, n)(rows) for _, rows in points]
     for (lam, _), dims in zip(points, alone):
-        left, right = _lhat_vectors(lam), _rhat_vectors(lam)
+        left, right = hat_vectors(lam, "left"), hat_vectors(lam, "right")
         dl, dr = linalg.rank(field, left), linalg.rank(field, right)
         assert dims == (dl, dr, dl + dr - linalg.rank(field, left + right))
     shuffled = list(range(codes.size))
